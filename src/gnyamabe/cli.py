@@ -183,7 +183,7 @@ def _cmd_periodic(args, parser) -> int:
             orb = orbit_for_period(n, period)
             lines.append(f"    k={k}: period {_sig7(period)}, "
                          f"u_max {_sig7(orb.u_max)}")
-            orbits.append(orb)
+            orbits.append((k, orb))
         except ValueError:
             lines.append(f"    k={k}: period {_sig7(period)}, u_max ~ 1 "
                          "(beyond double-precision window)")
@@ -192,9 +192,9 @@ def _cmd_periodic(args, parser) -> int:
         "u_const": float(_sig7(u_c)),
         "t_min": float(_sig7(t_min)),
         "count": count,
-        "orbits": [{"k": i + 1, "period": float(_sig7(o.period)),
+        "orbits": [{"k": k, "period": float(_sig7(o.period)),
                     "u_max": float(_sig7(o.u_max))}
-                   for i, o in enumerate(orbits)],
+                   for k, o in orbits],
     }
     if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"
@@ -203,7 +203,7 @@ def _cmd_periodic(args, parser) -> int:
     _emit(text, args.out)
     if args.dump is not None:
         if orbits:
-            orb = orbits[0]
+            _, orb = orbits[0]
             ts, us, dus = integrate_orbit(n, orb.u_max, orb.period)
             write_orbit(args.dump, ts, us, dus)
         else:

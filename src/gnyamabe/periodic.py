@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import simpson, solve_ivp
 from scipy.optimize import brentq
 
-from .geometry import surface_measure, yamabe_sphere
+from .geometry import surface_measure
 
 __all__ = [
     "CircleOrbit",
@@ -125,10 +125,11 @@ def _well_coefficients(n: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def _series_slope(v: float, v_max: float, coeffs) -> float:
+def _series_slope(v, v_max: float, coeffs):
     """S(v) = (W(v_max) - W(v)) / (v_max - v) for the well W around u_c,
     via the exactly factored power differences; no cancellation for any
-    v in the orbit. E - V = (v_max - v) S(v), and S(v_min) = 0."""
+    v in the orbit. E - V = (v_max - v) S(v), and S(v_min) = 0. Works
+    elementwise on an array of v."""
     sigma = 1.0  # sigma_1
     vm_pow = 1.0
     total = 0.0
@@ -192,6 +193,18 @@ def _turning_points(n: int, u_max: float) -> tuple[float, float]:
     return _find_u_min(n, u_max), u_max
 
 
+@lru_cache(maxsize=None)
+def _phase_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to the phase interval
+    [0, pi], built once per node count and shared read-only."""
+    x, w = leggauss(nodes)
+    phi = 0.5 * math.pi * (x + 1.0)
+    wphi = 0.5 * math.pi * w
+    phi.flags.writeable = False
+    wphi.flags.writeable = False
+    return phi, wphi
+
+
 @dataclass(frozen=True)
 class CircleOrbit:
     """One closed phase-plane orbit: amplitude, period, energy level."""
@@ -211,9 +224,7 @@ def orbit_period(n: int, u_max: float, nodes: int = 128) -> float:
     Gauss-Legendre in phi."""
     uc = constant_solution(n)
     _turning_points(n, u_max)  # window validation
-    x, w = leggauss(nodes)
-    phi = 0.5 * math.pi * (x + 1.0)
-    wphi = 0.5 * math.pi * w
+    phi, wphi = _phase_nodes(nodes)
     if u_max - uc <= _SERIES_AMPLITUDE * uc:
         # work entirely in well coordinates v = u - u_c: rounding u_min
         # back to the u scale would poison the turning-point nodes
@@ -223,9 +234,7 @@ def orbit_period(n: int, u_max: float, nodes: int = 128) -> float:
         amp = 0.5 * (v_max - v_min)
         dist_lo = 2.0 * amp * np.sin(0.5 * phi) ** 2
         # reduced gap (E - V)/((u - u_min)(u_max - u)) = S(v)/(v - v_min)
-        reduced = np.array([
-            _series_slope(v_min + dl, v_max, coeffs) / dl
-            for dl in dist_lo])
+        reduced = _series_slope(v_min + dist_lo, v_max, coeffs) / dist_lo
     else:
         u_min = _find_u_min(n, u_max)
         amp = 0.5 * (u_max - u_min)
@@ -235,8 +244,8 @@ def orbit_period(n: int, u_max: float, nodes: int = 128) -> float:
         dist_hi = 2.0 * amp * np.cos(0.5 * phi) ** 2
         u = u_min + dist_lo
         gap = np.array([
-            _energy_gap(float(ui), u_max, n, dh=float(dh))
-            for ui, dh in zip(u, dist_hi)])
+            _energy_gap(ui, u_max, n, dh=dh)
+            for ui, dh in zip(u.tolist(), dist_hi.tolist())])
         reduced = gap / (dist_lo * dist_hi)
     return 2.0 * float(np.sum(wphi / np.sqrt(2.0 * reduced)))
 
@@ -246,6 +255,15 @@ def circle_orbit(n: int, u_max: float, nodes: int = 128) -> CircleOrbit:
     period = orbit_period(n, u_max, nodes=nodes)
     return CircleOrbit(n=n, u_max=u_max, period=period,
                        energy=float(potential(u_max, n)))
+
+
+@lru_cache(maxsize=None)
+def _period_window(n: int) -> tuple[float, float, float, float]:
+    """Amplitude window (lo, hi) searched by orbit_for_period, with the
+    periods at its ends."""
+    lo = constant_solution(n) * (1.0 + 2.0 * _UMAX_REL_FLOOR)
+    hi = _UMAX_CEIL
+    return lo, hi, orbit_period(n, lo), orbit_period(n, hi)
 
 
 def orbit_for_period(n: int, period: float) -> CircleOrbit:
@@ -258,14 +276,12 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
         raise ValueError(
             f"no closed orbit has period {period:.6g} <= minimal period "
             f"{minimal_period(n):.6g}")
-    uc = constant_solution(n)
-    lo = uc * (1.0 + 2.0 * _UMAX_REL_FLOOR)
-    hi = _UMAX_CEIL
-    if orbit_period(n, hi) < period:
+    lo, hi, t_lo, t_hi = _period_window(n)
+    if t_hi < period:
         raise ValueError(
             f"period {period:.6g} requires an orbit too close to the "
             "separatrix to resolve")
-    if orbit_period(n, lo) > period:
+    if t_lo > period:
         raise ValueError(
             f"period {period:.6g} sits too close to the harmonic minimum "
             "to resolve the orbit amplitude")
@@ -362,8 +378,3 @@ def write_orbit(path, ts, us, dus) -> None:
     with open(path, "w") as fh:
         for t, u, du in zip(ts, us, dus):
             fh.write(f"{t:.12g} {u:.17g} {du:.17g}\n")
-
-
-def sphere_benchmark(n: int) -> float:
-    """Y_n, the value the large-radius circle quotients approach."""
-    return yamabe_sphere(n)

@@ -125,6 +125,20 @@ def test_periodic_large_radius(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["count"] >= 1
+    # harmonics 1..19 lie beyond the resolvable window and are left out;
+    # every listed orbit carries its own harmonic number
+    ks = [o["k"] for o in record["orbits"]]
+    assert len(set(ks)) == len(ks)
+    assert ks[0] == 20 and ks[-1] == record["count"]
+    for o in record["orbits"]:
+        target = 2.0 * math.pi * 100 / o["k"]
+        if o["u_max"] < 1.0:
+            assert o["period"] == float(f"{target:.7g}")
+        else:
+            # within 5e-8 of the separatrix the period map misses its
+            # target by up to 8e-4 relative, well below the 3% gap
+            # between neighbouring harmonics there
+            assert o["period"] == pytest.approx(target, rel=1e-3)
 
 
 def test_periodic_dump(capsys, tmp_path):

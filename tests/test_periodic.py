@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gnyamabe import periodic
 from gnyamabe.geometry import yamabe_sphere
 from gnyamabe.periodic import (CircleOrbit, circle_orbit, circle_quotient,
                                constant_solution, count_periodic_solutions,
@@ -174,3 +175,62 @@ def test_write_orbit_format(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert len(rows) == 101
     assert all(len(r.split()) == 3 for r in rows)
+
+
+# float.hex of the period map as computed when orbit_period still built its
+# Gauss-Legendre phase nodes on every call (numpy 2.4.6, Python 3.11.7).
+# (n, u_max, orbit_period(n, u_max)): per n, a series-branch amplitude of
+# 1e-6 u_c and 1.5e-2 u_c, then the window midpoint (u_c + 1) / 2; two
+# more towards the separatrix.
+_PERIOD_PINS = [
+    (3, '0x1.850948575a7e8p-1', '0x1.921fb54445633p+2'),
+    (3, '0x1.8adf14ab0557ep-1', '0x1.924751b7b15e5p+2'),
+    (3, '0x1.c284976c35136p-1', '0x1.aa9aa334f4e9ep+2'),
+    (4, '0x1.6a09fe21f3fe5p-1', '0x1.1c5831add6ea6p+2'),
+    (4, '0x1.6f7820e6f38dbp-1', '0x1.1c64ab3e670aep+2'),
+    (4, '0x1.b504f333f9de6p-1', '0x1.28f9aaeb467bcp+2'),
+    (5, '0x1.5d0c04281a0a7p-1', '0x1.d05527b6e5ac4p+1'),
+    (5, '0x1.6248440a6eca3p-1', '0x1.d06330e1547a0p+1'),
+    (5, '0x1.ae85f6a4092d6p-1', '0x1.e1ffdd31c4ca7p+1'),
+    (6, '0x1.55556bb3f4d64p-1', '0x1.921fb544431b4p+1'),
+    (6, '0x1.5a740da740da6p-1', '0x1.922975883f767p+1'),
+    (6, '0x1.aaaaaaaaaaaaap-1', '0x1.a006c806db9dfp+1'),
+    (7, '0x1.5035b48ee3740p-1', '0x1.67aba6d20eea6p+1'),
+    (7, '0x1.5540a9dcb92eep-1', '0x1.67b32dec82960p+1'),
+    (7, '0x1.a81acf431d6e2p-1', '0x1.734f88b89ed6ep+1'),
+    (8, '0x1.4c8dd8af77188p-1', '0x1.48552f8809ff6p+1'),
+    (8, '0x1.518ac488d753ep-1', '0x1.485b5e173887cp+1'),
+    (8, '0x1.a646e17211cc0p-1', '0x1.5274507bb7350p+1'),
+    (4, '0x1.ffffde7210be9p-1', '0x1.fca39ff57dbd7p+3'),
+    (7, '0x1.fae147ae147aep-1', '0x1.eef742977e069p+1'),
+]
+# (n, c, orbit_for_period(n, c * T_min).u_max), same provenance
+_INVERSE_PINS = [
+    (3, 1.3, '0x1.eb933cef8b275p-1'),
+    (4, 1.01, '0x1.9121b4bba5317p-1'),
+    (5, 1.6, '0x1.fddefb7517611p-1'),
+    (6, 2.0, '0x1.ffe2b00ea346ap-1'),
+    (8, 1.05, '0x1.b911a8bf30ac7p-1'),
+]
+
+
+def test_period_map_pinned_bit_for_bit():
+    for n, u_hex, period_hex in _PERIOD_PINS:
+        assert orbit_period(n, float.fromhex(u_hex)).hex() == period_hex
+    for n, c, u_hex in _INVERSE_PINS:
+        assert orbit_for_period(n, c * minimal_period(n)).u_max.hex() == u_hex
+
+
+def test_phase_nodes_built_once():
+    periodic._phase_nodes.cache_clear()
+    for n in (3, 4, 8):
+        uc = constant_solution(n)
+        for u_max in (uc * 1.001, 0.5 * (uc + 1.0), 0.999):
+            orbit_period(n, u_max)
+        orbit_for_period(n, 1.2 * minimal_period(n))
+    assert periodic._phase_nodes.cache_info().misses == 1
+    phi, wphi = periodic._phase_nodes(128)
+    with pytest.raises(ValueError):
+        phi[0] = 0.0
+    with pytest.raises(ValueError):
+        wphi *= 2.0
