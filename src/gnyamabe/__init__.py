@@ -13,8 +13,8 @@ from .functional import (GNResult, PiecewiseLinearProfile, ProfileFormatError,
                          radial_integrals, read_profile_file, scale,
                          yamabe_quotient)
 from .products import (ConstantsRow, bound_from_profile, build_table,
-                       format_table_csv, format_table_json, optimal_dilation,
-                       reference_constants, table_pairs, y_infinity)
+                       optimal_dilation, reference_constants, table_pairs,
+                       y_infinity)
 from .periodic import (CircleOrbit, circle_orbit, circle_quotient,
                        constant_solution, count_periodic_solutions,
                        hamiltonian, integrate_orbit, minimal_period,
@@ -34,8 +34,7 @@ __all__ = [
     "radial_integrals", "gn_value", "yamabe_quotient", "dilate", "scale",
     "read_profile_file", "bundled_test_function",
     "ConstantsRow", "y_infinity", "optimal_dilation", "bound_from_profile",
-    "build_table", "reference_constants", "table_pairs", "format_table_csv",
-    "format_table_json",
+    "build_table", "reference_constants", "table_pairs",
     "CircleOrbit", "constant_solution", "potential", "hamiltonian",
     "minimal_period", "orbit_period", "circle_orbit", "orbit_for_period",
     "count_periodic_solutions", "integrate_orbit", "return_time",

@@ -15,12 +15,10 @@ from .functional import (ProfileFormatError, gn_value, read_profile_file)
 from .geometry import (Dims, sobolev_constant, sphere_volume,
                        unit_volume_sphere_scalar, yamabe_sphere)
 from .ode import DEFAULT_CONTROLS, IntegrationControls, IntegrationFailure, write_profile
-from .periodic import (circle_orbit, constant_solution, count_periodic_solutions,
+from .periodic import (constant_solution, count_periodic_solutions,
                        integrate_orbit, minimal_period, orbit_for_period,
                        write_orbit)
-from .products import (ConstantsRow, bound_from_profile, build_table,
-                       format_table_csv, format_table_json, reference_constants,
-                       y_infinity)
+from .products import bound_from_profile, build_table, reference_constants
 from .shooting import ShootingError, find_ground_state
 
 # published upper bounds certified by bundled/known test functions
@@ -30,8 +28,43 @@ _SANE_TOL_ALPHA = (1e-14, 1e-2)
 _SANE_TMAX = (1.0, 1000.0)
 
 
-def _sig7(x: float) -> str:
-    return f"{x:.7g}"
+def _sig7(x: float) -> float:
+    """x rounded to 7 significant digits, the precision of every number
+    the CLI reports. Rounding twice changes nothing, so a record's
+    numbers print back at `.7g` exactly as the unrounded values would."""
+    return float(f"{x:.7g}")
+
+
+def _g7(value) -> str:
+    """A table cell: floats at 7 significant digits, integers as is."""
+    return f"{value:.7g}" if isinstance(value, float) else str(value)
+
+
+def _aligned(titles, columns, rows) -> list[str]:
+    """Right-aligned text table over row records: the integer columns
+    two wide, the rest twelve, a missing entry shown as '-'."""
+    widths = [2 if c in ("m", "n", "k") else 12 for c in columns]
+
+    def line(cells):
+        return " ".join(f"{c:>{w}}" for c, w in zip(cells, widths))
+
+    return [line(titles)] + [
+        line(_g7(row[c]) if c in row else "-" for c in columns)
+        for row in rows]
+
+
+def _render(fmt: str, record, text: list[str], columns=(), rows=(),
+            cell=str) -> str:
+    """The one output path of every subcommand: `record` as JSON, its CSV
+    `rows` (cells written by `cell`, a missing one left empty) under the
+    `columns` header, or the text lines."""
+    if fmt == "json":
+        return json.dumps(record, indent=2) + "\n"
+    if fmt == "csv":
+        text = [",".join(columns)] + [
+            ",".join(cell(row[c]) if c in row else "" for c in columns)
+            for row in rows]
+    return "\n".join(text) + "\n"
 
 
 def _emit(text: str, out_path) -> None:
@@ -69,33 +102,29 @@ def _cmd_ground_state(args, parser) -> int:
     ctrl = _controls(args, parser)
     gs = find_ground_state(d, tol_alpha=_tol_alpha(args, parser), ctrl=ctrl)
     res = gn_value(gs.profile, d)
-    record = {
+    rec = {
         "m": d.m,
         "n": d.n,
-        "alpha0": float(_sig7(gs.alpha0)),
-        "sigma_inv": float(_sig7(res.sigma_inv)),
-        "grad_sq": float(_sig7(res.grad_sq)),
-        "l2_sq": float(_sig7(res.l2_sq)),
-        "lp_norm": float(_sig7(res.lp_norm)),
+        "alpha0": _sig7(gs.alpha0),
+        "sigma_inv": _sig7(res.sigma_inv),
+        "grad_sq": _sig7(res.grad_sq),
+        "l2_sq": _sig7(res.l2_sq),
+        "lp_norm": _sig7(res.lp_norm),
     }
-    if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
-    elif args.format == "csv":
-        text = ("m,n,alpha0,sigma_inv,grad_sq,l2_sq,lp_norm\n"
-                + ",".join(str(record[key]) for key in
-                           ("m", "n", "alpha0", "sigma_inv", "grad_sq",
-                            "l2_sq", "lp_norm")) + "\n")
-    else:
-        text = (f"ground state for (m, n) = ({d.m}, {d.n})\n"
-                f"  alpha0     = {_sig7(gs.alpha0)}\n"
-                f"  sigma_inv  = {_sig7(res.sigma_inv)}\n"
-                f"  |grad f|_2^2 = {_sig7(res.grad_sq)}\n"
-                f"  |f|_2^2      = {_sig7(res.l2_sq)}\n"
-                f"  |f|_p        = {_sig7(res.lp_norm)}\n")
-    _emit(text, args.out)
+    text = [f"ground state for (m, n) = ({d.m}, {d.n})",
+            f"  alpha0     = {rec['alpha0']:.7g}",
+            f"  sigma_inv  = {rec['sigma_inv']:.7g}",
+            f"  |grad f|_2^2 = {rec['grad_sq']:.7g}",
+            f"  |f|_2^2      = {rec['l2_sq']:.7g}",
+            f"  |f|_p        = {rec['lp_norm']:.7g}"]
+    _emit(_render(args.format, rec, text, columns=tuple(rec), rows=[rec]),
+          args.out)
     if args.dump is not None:
         write_profile(gs.profile, args.dump)
     return 0
+
+
+_TABLE_COLUMNS = ("m", "n", "alpha0", "sigma_inv", "y_inf", "y_sphere")
 
 
 def _cmd_table(args, parser) -> int:
@@ -105,19 +134,14 @@ def _cmd_table(args, parser) -> int:
     errors: list = []
     rows = build_table(args.max_dim, tol_alpha=_tol_alpha(args, parser),
                        ctrl=ctrl, collect_errors=errors)
-    if args.format == "json":
-        text = format_table_json(rows)
-    elif args.format == "text":
-        lines = [f"{'m':>2} {'n':>2} {'alpha0':>12} {'sigma_inv':>12} "
-                 f"{'y_inf':>12} {'y_sphere':>12}"]
-        for r in rows:
-            lines.append(f"{r.m:>2} {r.n:>2} {_sig7(r.alpha0):>12} "
-                         f"{_sig7(r.sigma_inv):>12} {_sig7(r.y_inf):>12} "
-                         f"{_sig7(r.y_sphere):>12}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = format_table_csv(rows)
-    _emit(text, args.out)
+    recs = [{"m": r.m, "n": r.n, "alpha0": _sig7(r.alpha0),
+             "sigma_inv": _sig7(r.sigma_inv), "y_inf": _sig7(r.y_inf),
+             "y_sphere": _sig7(r.y_sphere)} for r in rows]
+    text = _aligned(_TABLE_COLUMNS, _TABLE_COLUMNS, recs)
+    # table CSV cells keep the `.7g` text ("4"); the other CSVs write the
+    # rounded float itself ("4.0")
+    _emit(_render(args.format, recs, text, columns=_TABLE_COLUMNS,
+                  rows=recs, cell=_g7), args.out)
     for m, n, exc in errors:
         print(f"row ({m}, {n}) failed: {exc}", file=sys.stderr)
     return 1 if errors else 0
@@ -133,29 +157,25 @@ def _cmd_bound(args, parser) -> int:
     s_g = unit_volume_sphere_scalar(d.m)
     bound = bound_from_profile(profile, d, s_g)
     y_sph = yamabe_sphere(d.k)
-    lines = [
+    rec = {
+        "m": d.m, "n": d.n,
+        "L": _sig7(res.sigma_inv),
+        "bound": _sig7(bound),
+        "y_sphere": _sig7(y_sph),
+        "below_sphere": bound < y_sph,
+    }
+    text = [
         f"test-function bound for (m, n) = ({d.m}, {d.n})",
-        f"  L(f)        = {_sig7(res.sigma_inv)}",
-        f"  upper bound = {_sig7(bound)}   (s_g = {_sig7(s_g)})",
-        f"  Y_{d.k} (sphere) = {_sig7(y_sph)}",
-        f"  bound < Y_{d.k}: {'PASS' if bound < y_sph else 'FAIL'}",
+        f"  L(f)        = {rec['L']:.7g}",
+        f"  upper bound = {rec['bound']:.7g}   (s_g = {s_g:.7g})",
+        f"  Y_{d.k} (sphere) = {rec['y_sphere']:.7g}",
+        f"  bound < Y_{d.k}: {'PASS' if rec['below_sphere'] else 'FAIL'}",
     ]
     reg = _REGRESSION_BOUNDS.get((d.m, d.n))
     if reg is not None:
         verdict = "PASS" if res.sigma_inv < reg else "FAIL"
-        lines.append(f"  L < {reg}: {verdict}")
-    record = {
-        "m": d.m, "n": d.n,
-        "L": float(_sig7(res.sigma_inv)),
-        "bound": float(_sig7(bound)),
-        "y_sphere": float(_sig7(y_sph)),
-        "below_sphere": bound < y_sph,
-    }
-    if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        text.append(f"  L < {reg}: {verdict}")
+    _emit(_render(args.format, rec, text), args.out)
     return 0
 
 
@@ -165,87 +185,71 @@ def _cmd_periodic(args, parser) -> int:
     if args.r <= 0:
         parser.error("circle radius r must be positive")
     n, r = args.n, args.r
-    u_c = constant_solution(n)
-    t_min = minimal_period(n)
     target = 2.0 * math.pi * r
-    count = count_periodic_solutions(n, r)
-    lines = [
+    rec = {
+        "n": n, "r": r,
+        "u_const": _sig7(constant_solution(n)),
+        "t_min": _sig7(minimal_period(n)),
+        "count": count_periodic_solutions(n, r),
+        "orbits": [],
+    }
+    text = [
         f"circle factor analysis, dimension n = {n}, radius r = {r:g}",
-        f"  constant solution u_c = {_sig7(u_c)}",
-        f"  minimal period T_min  = {_sig7(t_min)}",
-        f"  target period 2 pi r  = {_sig7(target)}",
-        f"  nonconstant solutions: {count}",
+        f"  constant solution u_c = {rec['u_const']:.7g}",
+        f"  minimal period T_min  = {rec['t_min']:.7g}",
+        f"  target period 2 pi r  = {target:.7g}",
+        f"  nonconstant solutions: {rec['count']}",
     ]
-    orbits = []
-    for k in range(1, count + 1):
+    first = None
+    for k in range(1, rec["count"] + 1):
         period = target / k
         try:
             orb = orbit_for_period(n, period)
-            lines.append(f"    k={k}: period {_sig7(period)}, "
-                         f"u_max {_sig7(orb.u_max)}")
-            orbits.append((k, orb))
         except ValueError:
-            lines.append(f"    k={k}: period {_sig7(period)}, u_max ~ 1 "
-                         "(beyond double-precision window)")
-    record = {
-        "n": n, "r": r,
-        "u_const": float(_sig7(u_c)),
-        "t_min": float(_sig7(t_min)),
-        "count": count,
-        "orbits": [{"k": k, "period": float(_sig7(o.period)),
-                    "u_max": float(_sig7(o.u_max))}
-                   for k, o in orbits],
-    }
-    if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+            text.append(f"    k={k}: period {period:.7g}, u_max ~ 1 "
+                        "(beyond double-precision window)")
+            continue
+        if first is None:
+            first = orb
+        rec["orbits"].append({"k": k, "period": _sig7(orb.period),
+                              "u_max": _sig7(orb.u_max)})
+        text.append(f"    k={k}: period {period:.7g}, "
+                    f"u_max {orb.u_max:.7g}")
+    _emit(_render(args.format, rec, text), args.out)
     if args.dump is not None:
-        if orbits:
-            _, orb = orbits[0]
-            ts, us, dus = integrate_orbit(n, orb.u_max, orb.period)
+        if first is not None:
+            ts, us, dus = integrate_orbit(n, first.u_max, first.period)
             write_orbit(args.dump, ts, us, dus)
         else:
             print("no resolvable orbit to dump", file=sys.stderr)
     return 0
 
 
+_SPHERE_COLUMNS = ("k", "vol_sphere", "yamabe_sphere", "sobolev")
+
+
 def _cmd_constants(args, parser) -> int:
     ref = reference_constants()
-    rows = []
+    spheres = []
     for k in range(1, 10):
-        entry = {"k": k, "vol_sphere": float(_sig7(sphere_volume(k)))}
+        entry = {"k": k, "vol_sphere": _sig7(sphere_volume(k))}
         if k >= 3:
-            entry["yamabe_sphere"] = float(_sig7(yamabe_sphere(k)))
-            entry["sobolev"] = float(_sig7(sobolev_constant(k)))
-        rows.append(entry)
-    if args.format == "json":
-        text = json.dumps({"reference": {key: float(_sig7(val))
-                                         for key, val in ref.items()},
-                           "spheres": rows}, indent=2) + "\n"
-    elif args.format == "csv":
-        lines = ["k,vol_sphere,yamabe_sphere,sobolev"]
-        for e in rows:
-            lines.append(f"{e['k']},{e['vol_sphere']},"
-                         f"{e.get('yamabe_sphere', '')},"
-                         f"{e.get('sobolev', '')}")
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = ["reference constants"]
-        lines.append(f"  Y(CP^2)            = 12 sqrt(2) pi = "
-                     f"{ref['Y_CP2']:.8g}")
-        lines.append(f"  Y(S^2 x S^2, prod) = 16 pi         = "
-                     f"{ref['Y_S2xS2_product']:.8g}")
-        lines.append("")
-        lines.append(f"{'k':>2} {'Vol(S^k)':>12} {'Y_k':>12} {'sigma_k':>12}")
-        for e in rows:
-            y = _sig7(e["yamabe_sphere"]) if "yamabe_sphere" in e else "-"
-            s = _sig7(e["sobolev"]) if "sobolev" in e else "-"
-            lines.append(f"{e['k']:>2} {_sig7(e['vol_sphere']):>12} "
-                         f"{y:>12} {s:>12}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+            entry["yamabe_sphere"] = _sig7(yamabe_sphere(k))
+            entry["sobolev"] = _sig7(sobolev_constant(k))
+        spheres.append(entry)
+    rec = {"reference": {key: _sig7(val) for key, val in ref.items()},
+           "spheres": spheres}
+    text = [
+        "reference constants",
+        f"  Y(CP^2)            = 12 sqrt(2) pi = {ref['Y_CP2']:.8g}",
+        f"  Y(S^2 x S^2, prod) = 16 pi         = "
+        f"{ref['Y_S2xS2_product']:.8g}",
+        "",
+        *_aligned(("k", "Vol(S^k)", "Y_k", "sigma_k"), _SPHERE_COLUMNS,
+                  spheres),
+    ]
+    _emit(_render(args.format, rec, text, columns=_SPHERE_COLUMNS,
+                  rows=spheres), args.out)
     return 0
 
 

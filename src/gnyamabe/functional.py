@@ -202,42 +202,49 @@ def scale(profile, c: float):
     raise TypeError(f"unsupported profile type {type(profile)!r}")
 
 
+def _parse_breakpoints(lines, source) -> PiecewiseLinearProfile:
+    """Parse "t h" lines: strictly increasing t from 0, non-negative h,
+    final h = 0. Blank lines and lines starting with '#' are skipped;
+    errors name `source` and the line number."""
+    ts = []
+    hs = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ProfileFormatError(
+                f"{source}: line {lineno}: expected 't h', got {line!r}")
+        try:
+            t, h = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ProfileFormatError(
+                f"{source}: line {lineno}: non-numeric entry in {line!r}"
+            ) from None
+        if ts and t <= ts[-1]:
+            raise ProfileFormatError(
+                f"{source}: line {lineno}: t values must be strictly "
+                f"increasing (got {t} after {ts[-1]})")
+        if h < 0.0:
+            raise ProfileFormatError(
+                f"{source}: line {lineno}: negative value {h}")
+        ts.append(t)
+        hs.append(h)
+    if len(ts) < 2:
+        raise ProfileFormatError(f"{source}: fewer than two breakpoints")
+    if ts[0] != 0.0:
+        raise ProfileFormatError(f"{source}: first breakpoint must be t = 0")
+    if hs[-1] != 0.0:
+        raise ProfileFormatError(f"{source}: final value must be 0")
+    return PiecewiseLinearProfile(np.array(ts), np.array(hs))
+
+
 def read_profile_file(path) -> PiecewiseLinearProfile:
     """Parse a breakpoint file: one "t h" pair per line, increasing t,
     final h = 0. Blank lines and lines starting with '#' are skipped."""
-    ts = []
-    hs = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ProfileFormatError(
-                    f"{path}: line {lineno}: expected 't h', got {line!r}")
-            try:
-                t, h = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ProfileFormatError(
-                    f"{path}: line {lineno}: non-numeric entry in {line!r}"
-                ) from None
-            if ts and t <= ts[-1]:
-                raise ProfileFormatError(
-                    f"{path}: line {lineno}: t values must be strictly "
-                    f"increasing (got {t} after {ts[-1]})")
-            if h < 0.0:
-                raise ProfileFormatError(
-                    f"{path}: line {lineno}: negative value {h}")
-            ts.append(t)
-            hs.append(h)
-    if len(ts) < 2:
-        raise ProfileFormatError(f"{path}: fewer than two breakpoints")
-    if ts[0] != 0.0:
-        raise ProfileFormatError(f"{path}: first breakpoint must be t = 0")
-    if hs[-1] != 0.0:
-        raise ProfileFormatError(f"{path}: final value must be 0")
-    return PiecewiseLinearProfile(np.array(ts), np.array(hs))
+        return _parse_breakpoints(fh, path)
 
 
 _TESTFN_SHA256 = "b8089857acb00a19e1864901f66447af247c614b10573d7dfc0410f0c91f2999"
@@ -256,13 +263,4 @@ def bundled_test_function() -> PiecewiseLinearProfile:
         raise RuntimeError(
             f"bundled profile {_TESTFN_RESOURCE} has checksum {digest}, "
             f"expected {_TESTFN_SHA256}")
-    ts = []
-    hs = []
-    for lineno, raw in enumerate(payload.decode().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        t, h = line.split()
-        ts.append(float(t))
-        hs.append(float(h))
-    return PiecewiseLinearProfile(np.array(ts), np.array(hs))
+    return _parse_breakpoints(payload.decode().splitlines(), _TESTFN_RESOURCE)

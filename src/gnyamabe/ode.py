@@ -186,8 +186,19 @@ def rhs(t: float, h: float, dh: float, d: Dims) -> tuple[float, float]:
     """
     if t <= 0.0:
         raise ValueError("rhs is singular at t = 0; use series_start")
-    q = d.q
-    return dh, -((d.n - 1) / t) * dh + h - abs(h) ** (q - 1.0) * h
+    return _bound_rhs(d)(t, h, dh)
+
+
+def _bound_rhs(d: Dims):
+    """rhs for the dimensions d with their constants bound once, for the
+    stepper, which calls it six times a step."""
+    nm1 = float(d.n - 1)
+    qm1 = d.q - 1.0
+
+    def f(t, h, dh):
+        return dh, -(nm1 / t) * dh + h - abs(h) ** qm1 * h
+
+    return f
 
 
 def series_start(alpha: float, t0: float, d: Dims) -> tuple[float, float]:
@@ -236,23 +247,17 @@ def _locate(step, component, target, sign_left_negative):
     return 0.5 * (lo + hi)
 
 
-def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls,
-               collect: bool):
+def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
     """Core shot integration for alpha > 1.
 
-    Returns (kind, t_event, h_event, dh_event, steps) with kind one of
-    "crossed", "turned", "candidate". Raises IntegrationFailure on step
-    underflow or an unclassifiable endpoint.
+    Returns (kind, t_event, h_event, steps) with kind one of "crossed",
+    "turned", "candidate" and steps every accepted step. Raises
+    IntegrationFailure on step underflow or an unclassifiable endpoint.
     """
-    n = d.n
-    q = d.q
-    qm1 = q - 1.0
-    nm1 = float(n - 1)
+    nm1 = float(d.n - 1)
     thresh = ctrl.decay_threshold
     rtol, atol = ctrl.rtol, ctrl.atol
-
-    def f(t, h, dh):
-        return dh, -(nm1 / t) * dh + h - abs(h) ** qm1 * h
+    f = _bound_rhs(d)
 
     t = ctrl.t_start
     h, dh = series_start(alpha, t, d)
@@ -307,8 +312,7 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls,
 
         step = (t, dt, h, dh, (k1h, k3h, k4h, k5h, k6h, k7h),
                 (k1d, k3d, k4d, k5d, k6d, k7d))
-        if collect:
-            steps.append(step)
+        steps.append(step)
 
         # events, in within-step time order
         triggers = []
@@ -326,11 +330,11 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls,
                 linearized = -thresh * (1.0 + nm1 / (2.0 * te))
                 if abs(dhe - linearized) <= _CANDIDATE_SLOPE_BAND \
                         * abs(linearized):
-                    return "candidate", te, he, dhe, steps
+                    return "candidate", te, he, steps
             elif kind == "cross":
-                return "crossed", te, he, dhe, steps
+                return "crossed", te, he, steps
             else:
-                return "turned", te, he, dhe, steps
+                return "turned", te, he, steps
 
         t += dt
         h, dh = hn, dhn
@@ -343,13 +347,13 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls,
         dt *= factor
 
     if 0.0 < h < thresh and dh < 0.0:
-        return "candidate", ctrl.t_max, h, dh, steps
+        return "candidate", ctrl.t_max, h, steps
     raise IntegrationFailure(
         f"shot unclassified at t_max={ctrl.t_max:g}: "
         f"h={h:.6g}, h'={dh:.6g} (alpha={alpha!r})")
 
 
-def _sample_profile(alpha, n, steps, t_stop, threshold, spacing):
+def _sample_profile(alpha, n, steps, t_stop, threshold):
     """Sample the dense output on a uniform grid and truncate the tail.
 
     The grid is cut at the first node with h below the decay threshold
@@ -360,7 +364,7 @@ def _sample_profile(alpha, n, steps, t_stop, threshold, spacing):
     ts = [0.0]
     hs = [alpha]
     dhs = [0.0]
-    tq = spacing
+    tq = PROFILE_SPACING
     for step in steps:
         t_old, dt = step[0], step[1]
         while tq <= t_old + dt and tq <= t_stop:
@@ -368,7 +372,7 @@ def _sample_profile(alpha, n, steps, t_stop, threshold, spacing):
             ts.append(tq)
             hs.append(he)
             dhs.append(dhe)
-            tq += spacing
+            tq += PROFILE_SPACING
     cut = len(ts)
     for i in range(1, len(ts)):
         if hs[i] < threshold:
@@ -384,6 +388,17 @@ def _sample_profile(alpha, n, steps, t_stop, threshold, spacing):
                          np.array(dhs[:cut]), alpha, n, tail_rate=tail)
 
 
+def _outcome(kind: str, t_event: float, h_event: float,
+             profile: RadialProfile | None) -> ShotOutcome:
+    """The classification of an integrated shot; `profile` is carried by
+    a Candidate."""
+    if kind == "crossed":
+        return CrossedZero(t_cross=t_event)
+    if kind == "turned":
+        return TurnedUp(t_turn=t_event, h_at_turn=h_event)
+    return Candidate(profile=profile)
+
+
 def integrate_shot(alpha: float, d: Dims,
                    ctrl: IntegrationControls = DEFAULT_CONTROLS) -> ShotOutcome:
     """Integrate one shot from h(0) = alpha and classify it.
@@ -395,19 +410,15 @@ def integrate_shot(alpha: float, d: Dims,
         raise ValueError("alpha must be positive")
     if alpha <= 1.0:
         return TurnedUp(t_turn=0.0, h_at_turn=alpha)
-    kind, te, he, dhe, steps = _integrate(alpha, d, ctrl, collect=True)
-    if kind == "crossed":
-        return CrossedZero(t_cross=te)
-    if kind == "turned":
-        return TurnedUp(t_turn=te, h_at_turn=he)
-    profile = _sample_profile(alpha, d.n, steps, te, ctrl.decay_threshold,
-                              PROFILE_SPACING)
-    return Candidate(profile=profile)
+    kind, te, he, steps = _integrate(alpha, d, ctrl)
+    profile = None
+    if kind == "candidate":
+        profile = _sample_profile(alpha, d.n, steps, te, ctrl.decay_threshold)
+    return _outcome(kind, te, he, profile)
 
 
 def shoot_profile(alpha: float, d: Dims,
                   ctrl: IntegrationControls = DEFAULT_CONTROLS,
-                  spacing: float = PROFILE_SPACING,
                   ) -> tuple[ShotOutcome, RadialProfile]:
     """Classify a shot and also return its truncated profile.
 
@@ -417,14 +428,9 @@ def shoot_profile(alpha: float, d: Dims,
     """
     if alpha <= 1.0:
         raise ValueError("profiles only exist for alpha > 1")
-    kind, te, he, dhe, steps = _integrate(alpha, d, ctrl, collect=True)
-    profile = _sample_profile(alpha, d.n, steps, te, ctrl.decay_threshold,
-                              spacing)
-    if kind == "crossed":
-        return CrossedZero(t_cross=te), profile
-    if kind == "turned":
-        return TurnedUp(t_turn=te, h_at_turn=he), profile
-    return Candidate(profile=profile), profile
+    kind, te, he, steps = _integrate(alpha, d, ctrl)
+    profile = _sample_profile(alpha, d.n, steps, te, ctrl.decay_threshold)
+    return _outcome(kind, te, he, profile), profile
 
 
 def write_profile(profile: RadialProfile, path) -> None:

@@ -171,17 +171,9 @@ def _series_v_min(n: int, v_max: float) -> float:
     return v
 
 
-def _find_u_min(n: int, u_max: float) -> float:
-    uc = constant_solution(n)
-    v_max = u_max - uc
-    if v_max <= _SERIES_AMPLITUDE * uc:
-        return uc + _series_v_min(n, v_max)
-    return brentq(lambda u: _energy_gap(u, u_max, n), 1e-15, uc,
-                  xtol=1e-15, rtol=8.9e-16)
-
-
-def _turning_points(n: int, u_max: float) -> tuple[float, float]:
-    uc = constant_solution(n)
+def _check_window(uc: float, u_max: float) -> None:
+    """Reject amplitudes outside the closed-orbit window or outside the
+    part of it that is resolvable in doubles."""
     if not (uc < u_max < 1.0):
         raise ValueError(
             f"u_max must lie in the closed-orbit window ({uc:.6g}, 1), "
@@ -190,7 +182,6 @@ def _turning_points(n: int, u_max: float) -> tuple[float, float]:
         raise ValueError(
             f"u_max={u_max!r} is outside the window resolvable in doubles, "
             f"[{uc * (1.0 + _UMAX_REL_FLOOR):.9g}, {_UMAX_CEIL!r}]")
-    return _find_u_min(n, u_max), u_max
 
 
 @lru_cache(maxsize=None)
@@ -223,7 +214,7 @@ def orbit_period(n: int, u_max: float, nodes: int = 128) -> float:
     singularities at both turning points, leaving a smooth integrand for
     Gauss-Legendre in phi."""
     uc = constant_solution(n)
-    _turning_points(n, u_max)  # window validation
+    _check_window(uc, u_max)
     phi, wphi = _phase_nodes(nodes)
     if u_max - uc <= _SERIES_AMPLITUDE * uc:
         # work entirely in well coordinates v = u - u_c: rounding u_min
@@ -236,7 +227,8 @@ def orbit_period(n: int, u_max: float, nodes: int = 128) -> float:
         # reduced gap (E - V)/((u - u_min)(u_max - u)) = S(v)/(v - v_min)
         reduced = _series_slope(v_min + dist_lo, v_max, coeffs) / dist_lo
     else:
-        u_min = _find_u_min(n, u_max)
+        u_min = brentq(lambda u: _energy_gap(u, u_max, n), 1e-15, uc,
+                       xtol=1e-15, rtol=8.9e-16)
         amp = 0.5 * (u_max - u_min)
         # form the turning-point distances before u itself:
         # u - u_min = 2 amp sin^2(phi/2), u_max - u = 2 amp cos^2(phi/2)
@@ -304,10 +296,9 @@ def count_periodic_solutions(n: int, r: float) -> int:
     return max(0, math.ceil(x - 1e-12) - 1)
 
 
-def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049,
-                    rtol: float = _ORBIT_RTOL, atol: float = _ORBIT_ATOL):
-    """Time-integrate the orbit from (u_max, 0); returns (t, u, u') arrays."""
-    _check_dim(n)
+def _orbit_rhs(n: int):
+    """Right-hand side (u', u'') of the circle-factor flow in the form
+    solve_ivp takes, with the constants of dimension n bound once."""
     c1 = (n - 2) ** 2 / 4.0
     c2 = n * (n - 2) / 4.0
     q = (n + 2) / (n - 2)
@@ -316,8 +307,15 @@ def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049,
         u, du = y
         return (du, c1 * u - c2 * abs(u) ** (q - 1.0) * u)
 
+    return f
+
+
+def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049,
+                    rtol: float = _ORBIT_RTOL, atol: float = _ORBIT_ATOL):
+    """Time-integrate the orbit from (u_max, 0); returns (t, u, u') arrays."""
+    _check_dim(n)
     ts = np.linspace(0.0, t_end, samples)
-    sol = solve_ivp(f, (0.0, t_end), (u_max, 0.0), method="DOP853",
+    sol = solve_ivp(_orbit_rhs(n), (0.0, t_end), (u_max, 0.0), method="DOP853",
                     rtol=rtol, atol=atol, t_eval=ts)
     if not sol.success:
         raise RuntimeError(f"orbit integration failed: {sol.message}")
@@ -330,21 +328,14 @@ def return_time(n: int, u_max: float,
     integration, located as the u' downward zero crossing near one period.
     Cross-checks the quadrature period independently of it."""
     t_guess = orbit_period(n, u_max)
-    c1 = (n - 2) ** 2 / 4.0
-    c2 = n * (n - 2) / 4.0
-    q = (n + 2) / (n - 2)
-
-    def f(t, y):
-        u, du = y
-        return (du, c1 * u - c2 * abs(u) ** (q - 1.0) * u)
 
     def slowing(t, y):
         return y[1]
     slowing.terminal = False
     slowing.direction = -1.0
 
-    sol = solve_ivp(f, (0.0, 1.5 * t_guess), (u_max, 0.0), method="DOP853",
-                    rtol=rtol, atol=atol, events=slowing, dense_output=True)
+    sol = solve_ivp(_orbit_rhs(n), (0.0, 1.5 * t_guess), (u_max, 0.0),
+                    method="DOP853", rtol=rtol, atol=atol, events=slowing)
     hits = [t for t in sol.t_events[0] if t > 0.5 * t_guess]
     if not hits:
         raise RuntimeError("orbit did not return within 1.5 periods")

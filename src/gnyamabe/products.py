@@ -9,7 +9,6 @@ and turns explicit test functions into rigorous upper bounds.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,11 +26,7 @@ __all__ = [
     "build_table",
     "reference_constants",
     "table_pairs",
-    "format_table_csv",
-    "format_table_json",
 ]
-
-CSV_HEADER = "m,n,alpha0,sigma_inv,y_inf,y_sphere"
 
 
 @dataclass(frozen=True)
@@ -146,29 +141,3 @@ def reference_constants() -> dict[str, float]:
         "Y_S2xS2_product": 16.0 * math.pi,
     }
 
-
-def _sig7(x: float) -> str:
-    return f"{x:.7g}"
-
-
-def format_table_csv(rows: list[ConstantsRow]) -> str:
-    """CSV with 7 significant digits, '.' decimal, header included."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([str(r.m), str(r.n), _sig7(r.alpha0),
-                               _sig7(r.sigma_inv), _sig7(r.y_inf),
-                               _sig7(r.y_sphere)]))
-    return "\n".join(lines) + "\n"
-
-
-def format_table_json(rows: list[ConstantsRow]) -> str:
-    """JSON array of records with the same keys as the CSV columns."""
-    records = [{
-        "m": r.m,
-        "n": r.n,
-        "alpha0": float(_sig7(r.alpha0)),
-        "sigma_inv": float(_sig7(r.sigma_inv)),
-        "y_inf": float(_sig7(r.y_inf)),
-        "y_sphere": float(_sig7(r.y_sphere)),
-    } for r in rows]
-    return json.dumps(records, indent=2) + "\n"

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import gnyamabe.products as products
 from gnyamabe.functional import PiecewiseLinearProfile, gn_value
 from gnyamabe.geometry import Dims, unit_volume_sphere_scalar, yamabe_sphere
 from gnyamabe.products import (bound_from_profile, build_table,
-                               format_table_csv, format_table_json,
                                optimal_dilation, reference_constants,
                                table_pairs, y_infinity)
 
@@ -161,15 +159,3 @@ def test_reference_constants():
     assert abs(ref["Y_S2xS2_product"] - 50.26548) <= 1e-5
     assert ref["Y_S2xS2_product"] < ref["Y_CP2"]
 
-
-def test_format_csv_and_json(table9):
-    rows, _ = table9
-    csv_text = format_table_csv(rows[:2])
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "m,n,alpha0,sigma_inv,y_inf,y_sphere"
-    assert lines[1].startswith("2,2,2.206201,2.41877,")
-    records = json.loads(format_table_json(rows[:2]))
-    assert len(records) == 2
-    assert set(records[0]) == {"m", "n", "alpha0", "sigma_inv", "y_inf",
-                               "y_sphere"}
-    assert records[0]["m"] == 2
