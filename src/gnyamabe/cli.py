@@ -213,7 +213,7 @@ def _cmd_periodic(args, parser) -> int:
             first = orb
         rec["orbits"].append({"k": k, "period": _sig7(orb.period),
                               "u_max": _sig7(orb.u_max)})
-        text.append(f"    k={k}: period {period:.7g}, "
+        text.append(f"    k={k}: period {orb.period:.7g}, "
                     f"u_max {orb.u_max:.7g}")
     _emit(_render(args.format, rec, text), args.out)
     if args.dump is not None:

@@ -155,9 +155,11 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class CrossedZero:
-    """The shot reached h = 0 while decreasing: initial value too large."""
+    """The shot reached h = 0 while decreasing: initial value too large.
+    `dh_cross` is the slope h' < 0 at the crossing."""
 
     t_cross: float
+    dh_cross: float
 
 
 @dataclass(frozen=True)
@@ -250,8 +252,10 @@ def _locate(step, component, target, sign_left_negative):
 def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
     """Core shot integration for alpha > 1.
 
-    Returns (kind, t_event, h_event, steps) with kind one of "crossed",
-    "turned", "candidate" and steps every accepted step. Raises
+    Returns (kind, t_event, y_event, steps) with kind one of "crossed",
+    "turned", "candidate", y_event the value of h at the event except for a
+    crossing, where h = 0 and y_event is the slope h' there instead, and
+    steps every accepted step. Raises
     IntegrationFailure on step underflow or an unclassifiable endpoint.
     """
     nm1 = float(d.n - 1)
@@ -332,7 +336,7 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
                         * abs(linearized):
                     return "candidate", te, he, steps
             elif kind == "cross":
-                return "crossed", te, he, steps
+                return "crossed", te, dhe, steps
             else:
                 return "turned", te, he, steps
 
@@ -388,14 +392,14 @@ def _sample_profile(alpha, n, steps, t_stop, threshold):
                          np.array(dhs[:cut]), alpha, n, tail_rate=tail)
 
 
-def _outcome(kind: str, t_event: float, h_event: float,
+def _outcome(kind: str, t_event: float, y_event: float,
              profile: RadialProfile | None) -> ShotOutcome:
     """The classification of an integrated shot; `profile` is carried by
     a Candidate."""
     if kind == "crossed":
-        return CrossedZero(t_cross=t_event)
+        return CrossedZero(t_cross=t_event, dh_cross=y_event)
     if kind == "turned":
-        return TurnedUp(t_turn=t_event, h_at_turn=h_event)
+        return TurnedUp(t_turn=t_event, h_at_turn=y_event)
     return Candidate(profile=profile)
 
 
@@ -410,11 +414,11 @@ def integrate_shot(alpha: float, d: Dims,
         raise ValueError("alpha must be positive")
     if alpha <= 1.0:
         return TurnedUp(t_turn=0.0, h_at_turn=alpha)
-    kind, te, he, steps = _integrate(alpha, d, ctrl)
+    kind, te, ye, steps = _integrate(alpha, d, ctrl)
     profile = None
     if kind == "candidate":
         profile = _sample_profile(alpha, d.n, steps, te, ctrl.decay_threshold)
-    return _outcome(kind, te, he, profile)
+    return _outcome(kind, te, ye, profile)
 
 
 def shoot_profile(alpha: float, d: Dims,
@@ -428,9 +432,9 @@ def shoot_profile(alpha: float, d: Dims,
     """
     if alpha <= 1.0:
         raise ValueError("profiles only exist for alpha > 1")
-    kind, te, he, steps = _integrate(alpha, d, ctrl)
+    kind, te, ye, steps = _integrate(alpha, d, ctrl)
     profile = _sample_profile(alpha, d.n, steps, te, ctrl.decay_threshold)
-    return _outcome(kind, te, he, profile), profile
+    return _outcome(kind, te, ye, profile), profile
 
 
 def write_profile(profile: RadialProfile, path) -> None:

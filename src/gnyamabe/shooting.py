@@ -1,9 +1,17 @@
-"""Bisection on the initial value to locate the ground state.
+"""Illinois search on the initial value to locate the ground state.
 
 Above the critical initial value every shot crosses zero once; below it
 every shot stays positive and turns back up. Uniqueness of the positive
 decaying solution makes the classification boundary a single point
-alpha0(m, n), which plain bisection brackets to arbitrary resolution.
+alpha0(m, n), which a bracket of one shot of each kind encloses.
+
+The bracket is shrunk by the Illinois variant of regula falsi (Dowell &
+Jarratt 1971) on a continuous signed miss: -h^2 t^(n-1) at the turn of a
+TurnedUp shot, +h'^2 t^(n-1) at the crossing of a CrossedZero shot. Near
+alpha0 a shot is h ~ t^(-(n-1)/2) (A e^(-t) + eps B e^t) with eps
+proportional to alpha - alpha0, and both quantities equal
+4 A B |eps| t^(-(n-1)) to leading order, so the weighted miss is linear in
+alpha - alpha0 with the same slope on both sides.
 """
 
 from __future__ import annotations
@@ -12,15 +20,17 @@ from dataclasses import dataclass
 
 from .geometry import Dims
 from .ode import (DEFAULT_CONTROLS, Candidate, CrossedZero, IntegrationControls,
-                  RadialProfile, TurnedUp, integrate_shot, shoot_profile)
+                  RadialProfile, integrate_shot, shoot_profile)
 
 __all__ = ["GroundState", "ShootingError", "bracket_alpha", "find_ground_state"]
 
 _BRACKET_CEILING = 2.0 ** 20
+# regula-falsi points keep this fraction of the bracket from either end
+_CLAMP = 1e-3
 
 
 class ShootingError(RuntimeError):
-    """Bracketing or bisection could not complete."""
+    """Bracketing or the Illinois search could not complete."""
 
 
 @dataclass(frozen=True)
@@ -28,10 +38,11 @@ class GroundState:
     """Located ground state: critical initial value and its profile.
 
     The bracket keeps TurnedUp on the low side and CrossedZero on the high
-    side. Its width is at most the bisection tolerance unless the search
-    ended early on a Candidate midpoint; in that case alpha0 is certified
-    by the candidate trajectory itself (it tracked the decaying tail below
-    the threshold), which pins it more tightly than the bracket does.
+    side. Its width is at most the search tolerance unless the Illinois
+    search ended early on a Candidate shot; in that case alpha0 is that
+    shot's initial value, certified by the candidate trajectory itself (it
+    tracked the decaying tail below the threshold), which pins it more
+    tightly than the bracket does.
     """
 
     d: Dims
@@ -65,13 +76,27 @@ def bracket_alpha(d: Dims,
                 f"(m, n) = ({d.m}, {d.n}); integration controls look wrong")
 
 
+def _miss(outcome, n: int) -> float:
+    """Signed miss of an integrated TurnedUp (< 0) or CrossedZero (> 0)
+    shot, linear in alpha - alpha0 near alpha0."""
+    if isinstance(outcome, CrossedZero):
+        return outcome.dh_cross ** 2 * outcome.t_cross ** (n - 1)
+    return -outcome.h_at_turn ** 2 * outcome.t_turn ** (n - 1)
+
+
 def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
                       ctrl: IntegrationControls = DEFAULT_CONTROLS,
                       ) -> GroundState:
-    """Bisect to the ground-state initial value and integrate its profile.
+    """Illinois search for the ground-state initial value, then its profile.
 
     The bracket keeps a TurnedUp shot on the low side and a CrossedZero
-    shot on the high side at every step. A midpoint that classifies as a
+    shot on the high side at every step. Each step shoots the regula-falsi
+    point of the signed misses at the two ends (see the module docstring),
+    clamped to [lo + 1e-3 w, hi - 1e-3 w] for bracket width w; when the
+    same end is kept twice in a row its miss is halved (the Illinois step
+    of Dowell & Jarratt 1971), so neither end stalls. The alpha = 1 end
+    has no turn time and counts as miss -1; while the miss at the doubling
+    end is unknown the step is a bisection. A shot that classifies as a
     Candidate ends the search early and its profile is accepted directly;
     otherwise the profile comes from one final shot at the bracket
     midpoint, truncated where the near-critical trajectory stops being
@@ -80,18 +105,32 @@ def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
     if tol_alpha < 1e-14:
         raise ValueError("tol_alpha below double-precision resolution")
     lo, hi = bracket_alpha(d, ctrl)
+    f_lo, f_hi = -1.0, None  # alpha = 1 has no turn time; hi not yet known
+    kept = None
     while hi - lo > tol_alpha:
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):  # interval no longer splittable
-            break
-        outcome = integrate_shot(mid, d, ctrl)
-        if isinstance(outcome, CrossedZero):
-            hi = mid
-        elif isinstance(outcome, TurnedUp):
-            lo = mid
+        w = hi - lo
+        if f_hi is None:
+            x = 0.5 * (lo + hi)
         else:
-            return GroundState(d=d, alpha0=mid, bracket=(lo, hi),
+            x = lo - f_lo * w / (f_hi - f_lo)
+            x = min(max(x, lo + _CLAMP * w), hi - _CLAMP * w)
+        if not (lo < x < hi):  # interval no longer splittable
+            break
+        outcome = integrate_shot(x, d, ctrl)
+        if isinstance(outcome, Candidate):
+            return GroundState(d=d, alpha0=x, bracket=(lo, hi),
                                profile=outcome.profile)
+        f = _miss(outcome, d.n)
+        if isinstance(outcome, CrossedZero):
+            hi, f_hi = x, f
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+        else:
+            lo, f_lo = x, f
+            if kept == "hi" and f_hi is not None:
+                f_hi *= 0.5
+            kept = "hi"
     alpha0 = 0.5 * (lo + hi)
     _, profile = shoot_profile(alpha0, d, ctrl)
     return GroundState(d=d, alpha0=alpha0, bracket=(lo, hi), profile=profile)

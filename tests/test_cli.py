@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from importlib import resources
 
 import pytest
@@ -139,6 +140,16 @@ def test_periodic_large_radius(capsys):
             # target by up to 8e-4 relative, well below the 3% gap
             # between neighbouring harmonics there
             assert o["period"] == pytest.approx(target, rel=1e-3)
+
+
+def test_periodic_text_matches_json(capsys):
+    """Text prints the period of the orbit found, as JSON does, not the
+    target 2 pi r / k: the two differ where the period map misses."""
+    _, text, _ = run(capsys, "periodic", "4", "100")
+    _, out, _ = run(capsys, "periodic", "4", "100", "--format", "json")
+    found = re.findall(r"k=(\d+): period (\S+), u_max (?!~)", text)
+    assert [(int(k), float(p)) for k, p in found] == \
+        [(o["k"], o["period"]) for o in json.loads(out)["orbits"]]
 
 
 def test_periodic_dump(capsys, tmp_path):

@@ -11,9 +11,12 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gnyamabe.cli import main
+
+from oracles import exponents_m1, sech_dh, sech_h
 
 CASES = json.loads((Path(__file__).parent / "cli_bytes.json").read_text())
 TESTFN_PATH = str(resources.files("gnyamabe.data").joinpath("testfn_2_2.dat"))
@@ -47,3 +50,15 @@ def test_table_csv_and_json_records(capsys, tmp_path):
     assert len(records) == len(lines) - 1
     assert all(set(r) == set(lines[0].split(",")) for r in records)
     assert (records[0]["m"], records[0]["n"]) == (2, 2)
+
+
+def test_ground_state_dump_matches_sech(capsys, tmp_path):
+    """The pinned (3, 1) dump against the closed form sqrt(2) sech(t): its
+    bytes depend on where the search lands within the candidate window,
+    this referee does not."""
+    _, dump = run_case("ground-state-dump", capsys, tmp_path)
+    ts, hs, dhs = np.loadtxt(dump, unpack=True)
+    q, _ = exponents_m1(3)
+    assert ts[0] == 0.0 and ts[-1] > 14.0  # reaches the h ~ 1e-6 cut
+    assert float(np.abs(hs - sech_h(ts, q)).max()) < 2e-7
+    assert float(np.abs(dhs - sech_dh(ts, q)).max()) < 2e-7

@@ -84,6 +84,7 @@ def test_crossed_zero_event_has_descending_slope():
     out = integrate_shot(3.0, D22)
     assert isinstance(out, CrossedZero)
     assert out.t_cross > 0.0
+    assert out.dh_cross < 0.0
 
 
 def test_candidate_at_sech_amplitude():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gnyamabe import shooting
 from gnyamabe.geometry import Dims
 from gnyamabe.ode import (DEFAULT_CONTROLS, CrossedZero, TurnedUp,
                           integrate_shot, rhs)
+from gnyamabe.products import table_pairs
 from gnyamabe.shooting import bracket_alpha, find_ground_state
 
 from oracles import exponents_m1, sech_amplitude
@@ -30,16 +32,37 @@ def test_ground_state_anchor_22(gs22):
     lo, hi = gs22.bracket
     assert lo < gs22.alpha0 <= hi
     if hi - lo > 1e-12:
-        # bisection ended early on a candidate midpoint, which certifies
+        # the search ended early on a candidate shot, which certifies
         # alpha0 directly; the shot must reproduce that classification
         from gnyamabe.ode import Candidate
         assert isinstance(integrate_shot(gs22.alpha0, Dims(2, 2)), Candidate)
 
 
-def test_bisection_labels_survive(gs22):
-    lo, hi = gs22.bracket
-    assert isinstance(integrate_shot(lo, gs22.d), TurnedUp)
-    assert isinstance(integrate_shot(hi, gs22.d), CrossedZero)
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 7), (7, 2), (3, 1)])
+def test_bracket_labels_survive(m, n):
+    gs = find_ground_state(Dims(m, n))
+    lo, hi = gs.bracket
+    assert isinstance(integrate_shot(lo, gs.d), TurnedUp)
+    assert isinstance(integrate_shot(hi, gs.d), CrossedZero)
+
+
+def test_shot_budget_per_table_row(monkeypatch):
+    """Bracket and Illinois search together take at most 20 shots on every
+    table row and 350 on the whole table."""
+    shots = []
+
+    def counted(*args, **kwargs):
+        shots.append(args[0])
+        return integrate_shot(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate_shot", counted)
+    per_row = {}
+    for m, n in table_pairs(9):
+        shots.clear()
+        find_ground_state(Dims(m, n))
+        per_row[(m, n)] = len(shots)
+    assert max(per_row.values()) <= 20, per_row
+    assert sum(per_row.values()) <= 350, per_row
 
 
 def test_profile_positive_and_decreasing(gs22):
