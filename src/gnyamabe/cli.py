@@ -14,10 +14,9 @@ import sys
 from .functional import (ProfileFormatError, gn_value, read_profile_file)
 from .geometry import (Dims, sobolev_constant, sphere_volume,
                        unit_volume_sphere_scalar, yamabe_sphere)
-from .ode import DEFAULT_CONTROLS, IntegrationControls, IntegrationFailure, write_profile
+from .ode import DEFAULT_CONTROLS, IntegrationControls, IntegrationFailure
 from .periodic import (constant_solution, count_periodic_solutions,
-                       integrate_orbit, minimal_period, orbit_for_period,
-                       write_orbit)
+                       integrate_orbit, minimal_period, orbit_for_period)
 from .products import bound_from_profile, build_table, reference_constants
 from .shooting import ShootingError, find_ground_state
 
@@ -65,6 +64,13 @@ def _render(fmt: str, record, text: list[str], columns=(), rows=(),
             ",".join(cell(row[c]) if c in row else "" for c in columns)
             for row in rows]
     return "\n".join(text) + "\n"
+
+
+def _dump(path, ts, ys, dys) -> None:
+    """Write a sampled solution as plain-text rows "t y y'" for plotting."""
+    with open(path, "w") as fh:
+        for t, y, dy in zip(ts, ys, dys):
+            fh.write(f"{t:.12g} {y:.17g} {dy:.17g}\n")
 
 
 def _emit(text: str, out_path) -> None:
@@ -120,7 +126,7 @@ def _cmd_ground_state(args, parser) -> int:
     _emit(_render(args.format, rec, text, columns=tuple(rec), rows=[rec]),
           args.out)
     if args.dump is not None:
-        write_profile(gs.profile, args.dump)
+        _dump(args.dump, gs.profile.ts, gs.profile.hs, gs.profile.dhs)
     return 0
 
 
@@ -182,8 +188,8 @@ def _cmd_bound(args, parser) -> int:
 def _cmd_periodic(args, parser) -> int:
     if args.n < 3:
         parser.error("total dimension n must be at least 3")
-    if args.r <= 0:
-        parser.error("circle radius r must be positive")
+    if not 0.0 < args.r < math.inf:
+        parser.error("circle radius r must be positive and finite")
     n, r = args.n, args.r
     target = 2.0 * math.pi * r
     rec = {
@@ -218,8 +224,7 @@ def _cmd_periodic(args, parser) -> int:
     _emit(_render(args.format, rec, text), args.out)
     if args.dump is not None:
         if first is not None:
-            ts, us, dus = integrate_orbit(n, first.u_max, first.period)
-            write_orbit(args.dump, ts, us, dus)
+            _dump(args.dump, *integrate_orbit(n, first.u_max, first.period))
         else:
             print("no resolvable orbit to dump", file=sys.stderr)
     return 0

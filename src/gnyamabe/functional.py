@@ -27,19 +27,6 @@ from scipy.interpolate import CubicHermiteSpline
 from .geometry import Dims, surface_measure
 from .ode import RadialProfile
 
-__all__ = [
-    "PiecewiseLinearProfile",
-    "GNResult",
-    "ProfileFormatError",
-    "radial_integrals",
-    "gn_value",
-    "yamabe_quotient",
-    "dilate",
-    "scale",
-    "read_profile_file",
-    "bundled_test_function",
-]
-
 _PL_GAUSS_NODES = 16
 
 _TESTFN_RESOURCE = "testfn_2_2.dat"
@@ -165,13 +152,13 @@ def gn_value(profile, d: Dims, refine: int = 4) -> GNResult:
                     lp_norm=i_p ** (1.0 / d.p), sigma_inv=sigma_inv)
 
 
-def yamabe_quotient(profile, d: Dims, s_g: float, refine: int = 4) -> float:
+def yamabe_quotient(profile, d: Dims, s_g: float) -> float:
     """Yamabe quotient (a_k I_grad + s_g I_sq) / I_p^(2/p) of a radial
     function of the flat factor, for a unit-volume first factor of constant
     scalar curvature s_g."""
     if s_g <= 0.0:
         raise ValueError("scalar curvature must be positive")
-    i_grad, i_sq, i_p = radial_integrals(profile, d, refine)
+    i_grad, i_sq, i_p = radial_integrals(profile, d)
     return (d.a * i_grad + s_g * i_sq) / i_p ** (2.0 / d.p)
 
 
@@ -203,9 +190,9 @@ def scale(profile, c: float):
 
 
 def _parse_breakpoints(lines, source) -> PiecewiseLinearProfile:
-    """Parse "t h" lines: strictly increasing t from 0, non-negative h,
-    final h = 0. Blank lines and lines starting with '#' are skipped;
-    errors name `source` and the line number."""
+    """Parse "t h" lines: finite entries, strictly increasing t from 0,
+    non-negative h, final h = 0. Blank lines and lines starting with '#'
+    are skipped; errors name `source` and the line number."""
     ts = []
     hs = []
     for lineno, raw in enumerate(lines, start=1):
@@ -222,6 +209,9 @@ def _parse_breakpoints(lines, source) -> PiecewiseLinearProfile:
             raise ProfileFormatError(
                 f"{source}: line {lineno}: non-numeric entry in {line!r}"
             ) from None
+        if not (math.isfinite(t) and math.isfinite(h)):
+            raise ProfileFormatError(
+                f"{source}: line {lineno}: non-finite entry in {line!r}")
         if ts and t <= ts[-1]:
             raise ProfileFormatError(
                 f"{source}: line {lineno}: t values must be strictly "

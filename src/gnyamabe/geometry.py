@@ -11,16 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "Dims",
-    "sphere_volume",
-    "surface_measure",
-    "yamabe_sphere",
-    "sobolev_constant",
-    "coupling_constant",
-    "unit_volume_sphere_scalar",
-]
-
 
 @dataclass(frozen=True)
 class Dims:

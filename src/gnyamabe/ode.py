@@ -25,22 +25,6 @@ import numpy as np
 
 from .geometry import Dims
 
-__all__ = [
-    "IntegrationControls",
-    "DEFAULT_CONTROLS",
-    "RadialProfile",
-    "CrossedZero",
-    "TurnedUp",
-    "Candidate",
-    "ShotOutcome",
-    "IntegrationFailure",
-    "rhs",
-    "series_start",
-    "integrate_shot",
-    "shoot_profile",
-    "write_profile",
-]
-
 PROFILE_SPACING = 2.0 ** -8
 
 # Dormand-Prince 5(4) coefficients
@@ -435,10 +419,3 @@ def shoot_profile(alpha: float, d: Dims,
     kind, te, ye, steps = _integrate(alpha, d, ctrl)
     profile = _sample_profile(alpha, d.n, steps, te, ctrl.decay_threshold)
     return _outcome(kind, te, ye, profile), profile
-
-
-def write_profile(profile: RadialProfile, path) -> None:
-    """Dump a profile as plain-text rows "t  h  h'" for external plotting."""
-    with open(path, "w") as fh:
-        for t, h, dh in zip(profile.ts, profile.hs, profile.dhs):
-            fh.write(f"{t:.12g} {h:.17g} {dh:.17g}\n")

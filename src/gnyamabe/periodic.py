@@ -25,22 +25,6 @@ from scipy.optimize import brentq
 
 from .geometry import surface_measure
 
-__all__ = [
-    "CircleOrbit",
-    "constant_solution",
-    "potential",
-    "hamiltonian",
-    "minimal_period",
-    "orbit_period",
-    "circle_orbit",
-    "orbit_for_period",
-    "count_periodic_solutions",
-    "integrate_orbit",
-    "return_time",
-    "circle_quotient",
-    "write_orbit",
-]
-
 _ORBIT_RTOL = 1e-12
 _ORBIT_ATOL = 1e-14
 
@@ -184,11 +168,14 @@ def _check_window(uc: float, u_max: float) -> None:
             f"[{uc * (1.0 + _UMAX_REL_FLOOR):.9g}, {_UMAX_CEIL!r}]")
 
 
+_PHASE_NODES = 128
+
+
 @lru_cache(maxsize=None)
-def _phase_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to the phase interval
-    [0, pi], built once per node count and shared read-only."""
-    x, w = leggauss(nodes)
+def _phase_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The _PHASE_NODES Gauss-Legendre nodes and weights mapped to the
+    phase interval [0, pi], built on first use and shared read-only."""
+    x, w = leggauss(_PHASE_NODES)
     phi = 0.5 * math.pi * (x + 1.0)
     wphi = 0.5 * math.pi * w
     phi.flags.writeable = False
@@ -206,7 +193,7 @@ class CircleOrbit:
     energy: float
 
 
-def orbit_period(n: int, u_max: float, nodes: int = 128) -> float:
+def orbit_period(n: int, u_max: float) -> float:
     """Period of the closed orbit through (u_max, 0) by turning-point
     quadrature.
 
@@ -215,7 +202,7 @@ def orbit_period(n: int, u_max: float, nodes: int = 128) -> float:
     Gauss-Legendre in phi."""
     uc = constant_solution(n)
     _check_window(uc, u_max)
-    phi, wphi = _phase_nodes(nodes)
+    phi, wphi = _phase_nodes()
     if u_max - uc <= _SERIES_AMPLITUDE * uc:
         # work entirely in well coordinates v = u - u_c: rounding u_min
         # back to the u scale would poison the turning-point nodes
@@ -242,9 +229,9 @@ def orbit_period(n: int, u_max: float, nodes: int = 128) -> float:
     return 2.0 * float(np.sum(wphi / np.sqrt(2.0 * reduced)))
 
 
-def circle_orbit(n: int, u_max: float, nodes: int = 128) -> CircleOrbit:
+def circle_orbit(n: int, u_max: float) -> CircleOrbit:
     """Bundle an orbit's amplitude with its period and energy."""
-    period = orbit_period(n, u_max, nodes=nodes)
+    period = orbit_period(n, u_max)
     return CircleOrbit(n=n, u_max=u_max, period=period,
                        energy=float(potential(u_max, n)))
 
@@ -290,8 +277,8 @@ def count_periodic_solutions(n: int, r: float) -> int:
     harmonics k with 2 pi r / k above the minimal period. The constant
     solution is excluded."""
     _check_dim(n)
-    if r <= 0.0:
-        raise ValueError("circle radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"circle radius must be positive and finite, got {r}")
     x = 2.0 * math.pi * r / minimal_period(n)
     return max(0, math.ceil(x - 1e-12) - 1)
 
@@ -310,20 +297,18 @@ def _orbit_rhs(n: int):
     return f
 
 
-def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049,
-                    rtol: float = _ORBIT_RTOL, atol: float = _ORBIT_ATOL):
+def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049):
     """Time-integrate the orbit from (u_max, 0); returns (t, u, u') arrays."""
     _check_dim(n)
     ts = np.linspace(0.0, t_end, samples)
     sol = solve_ivp(_orbit_rhs(n), (0.0, t_end), (u_max, 0.0), method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=ts)
+                    rtol=_ORBIT_RTOL, atol=_ORBIT_ATOL, t_eval=ts)
     if not sol.success:
         raise RuntimeError(f"orbit integration failed: {sol.message}")
     return sol.t, sol.y[0], sol.y[1]
 
 
-def return_time(n: int, u_max: float,
-                rtol: float = _ORBIT_RTOL, atol: float = _ORBIT_ATOL) -> float:
+def return_time(n: int, u_max: float) -> float:
     """First return time to the outer turning point by direct time
     integration, located as the u' downward zero crossing near one period.
     Cross-checks the quadrature period independently of it."""
@@ -335,37 +320,29 @@ def return_time(n: int, u_max: float,
     slowing.direction = -1.0
 
     sol = solve_ivp(_orbit_rhs(n), (0.0, 1.5 * t_guess), (u_max, 0.0),
-                    method="DOP853", rtol=rtol, atol=atol, events=slowing)
+                    method="DOP853", rtol=_ORBIT_RTOL, atol=_ORBIT_ATOL,
+                    events=slowing)
     hits = [t for t in sol.t_events[0] if t > 0.5 * t_guess]
     if not hits:
         raise RuntimeError("orbit did not return within 1.5 periods")
     return float(hits[0])
 
 
-def circle_quotient(n: int, u_max: float, vol_m: float | None = None,
-                    samples: int = 4097) -> float:
+def circle_quotient(n: int, u_max: float) -> float:
     """Yamabe quotient of the periodic solution over one period.
 
-    The first factor has volume Vol(S^{n-1}) (overridable) and scalar
-    curvature (n-1)(n-2); integrals run over a single period. As the orbit
-    approaches the separatrix (u_max -> 1) the quotient climbs to the
-    sphere invariant Y_n from below."""
+    The first factor has volume Vol(S^{n-1}) and scalar curvature
+    (n-1)(n-2); integrals run over a single period, sampled at 4097
+    points. As the orbit approaches the separatrix (u_max -> 1) the
+    quotient climbs to the sphere invariant Y_n from below."""
     _check_dim(n)
-    if vol_m is None:
-        vol_m = surface_measure(n)
+    vol_m = surface_measure(n)
     a = 4.0 * (n - 1) / (n - 2)
     p = 2.0 * n / (n - 2)
     s = (n - 1.0) * (n - 2.0)
     period = orbit_period(n, u_max)
-    ts, us, dus = integrate_orbit(n, u_max, period, samples=samples)
+    ts, us, dus = integrate_orbit(n, u_max, period, samples=4097)
     grad = vol_m * simpson(dus * dus, x=ts)
     sq = vol_m * simpson(us * us, x=ts)
     crit = vol_m * simpson(np.abs(us) ** p, x=ts)
     return (a * grad + s * sq) / crit ** (2.0 / p)
-
-
-def write_orbit(path, ts, us, dus) -> None:
-    """Dump an orbit as plain-text rows "t  u  u'", the profile-dump format."""
-    with open(path, "w") as fh:
-        for t, u, du in zip(ts, us, dus):
-            fh.write(f"{t:.12g} {u:.17g} {du:.17g}\n")

@@ -18,16 +18,6 @@ from .geometry import Dims, coupling_constant, unit_volume_sphere_scalar, yamabe
 from .ode import DEFAULT_CONTROLS, IntegrationControls
 from .shooting import find_ground_state
 
-__all__ = [
-    "ConstantsRow",
-    "y_infinity",
-    "optimal_dilation",
-    "bound_from_profile",
-    "build_table",
-    "reference_constants",
-    "table_pairs",
-]
-
 
 @dataclass(frozen=True)
 class ConstantsRow:
@@ -67,7 +57,7 @@ def optimal_dilation(A: float, B: float, d: Dims) -> tuple[float, float]:
     return lam0, f_min
 
 
-def bound_from_profile(profile, d: Dims, s_g: float, refine: int = 4) -> float:
+def bound_from_profile(profile, d: Dims, s_g: float) -> float:
     """Rigorous upper bound C(m,n) s_g^(m/k) L(f) for the limiting constant.
 
     Any admissible radial test function gives one; the ground state attains
@@ -76,7 +66,7 @@ def bound_from_profile(profile, d: Dims, s_g: float, refine: int = 4) -> float:
     """
     if s_g <= 0.0:
         raise ValueError("scalar curvature must be positive")
-    i_grad, i_sq, i_p = radial_integrals(profile, d, refine)
+    i_grad, i_sq, i_p = radial_integrals(profile, d)
     denom = i_p ** (2.0 / d.p)
     lam0, f_min = optimal_dilation(d.a * i_grad / denom, s_g * i_sq / denom, d)
     k = d.k
@@ -101,7 +91,6 @@ def table_pairs(max_total_dim: int) -> list[tuple[int, int]]:
 def build_table(max_total_dim: int = 9,
                 tol_alpha: float = 1e-12,
                 ctrl: IntegrationControls = DEFAULT_CONTROLS,
-                refine: int = 4,
                 collect_errors: list | None = None) -> list[ConstantsRow]:
     """Compute one ConstantsRow per pair, both factors round spheres.
 
@@ -113,7 +102,7 @@ def build_table(max_total_dim: int = 9,
         d = Dims(m, n)
         try:
             gs = find_ground_state(d, tol_alpha=tol_alpha, ctrl=ctrl)
-            sigma_inv = gn_value(gs.profile, d, refine=refine).sigma_inv
+            sigma_inv = gn_value(gs.profile, d).sigma_inv
             y_inf = y_infinity(d, unit_volume_sphere_scalar(m), sigma_inv)
             row = ConstantsRow(m=m, n=n, sigma_inv=sigma_inv, y_inf=y_inf,
                                y_sphere=yamabe_sphere(d.k), alpha0=gs.alpha0)

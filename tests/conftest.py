@@ -7,8 +7,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gnyamabe import (Dims, RadialProfile, build_table, bundled_test_function,
+from gnyamabe import (Dims, build_table, bundled_test_function,
                       find_ground_state)
+from gnyamabe.ode import RadialProfile
 
 from oracles import exponents_m1, sech_amplitude, sech_dh, sech_h
 

@@ -9,16 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from gnyamabe import (DEFAULT_CONTROLS, Candidate, CrossedZero, Dims,
-                      IntegrationControls, TurnedUp, bound_from_profile,
-                      build_table, count_periodic_solutions, dilate,
-                      find_ground_state, gn_value, hamiltonian,
-                      integrate_orbit, integrate_shot, minimal_period,
-                      optimal_dilation, orbit_period, potential,
-                      radial_integrals, reference_constants, return_time,
-                      scale, sphere_volume, unit_volume_sphere_scalar,
+from gnyamabe import (Dims, bound_from_profile, build_table,
+                      count_periodic_solutions, find_ground_state, gn_value,
+                      hamiltonian, integrate_orbit, integrate_shot,
+                      orbit_period, potential, unit_volume_sphere_scalar,
                       yamabe_sphere)
-from gnyamabe.geometry import coupling_constant
+from gnyamabe.functional import dilate, radial_integrals, scale
+from gnyamabe.geometry import coupling_constant, sphere_volume
+from gnyamabe.ode import DEFAULT_CONTROLS, CrossedZero, TurnedUp
+from gnyamabe.periodic import return_time
+from gnyamabe.products import optimal_dilation, reference_constants
 
 from golden import (ALPHA0_22, GOLDEN_TABLE, SIGMA_TOL, TESTFN_BOUND_22,
                     Y_INF_TOL, Y_SPHERE_TOL)

@@ -102,12 +102,18 @@ def test_bound_triangle_file(capsys, tmp_path):
     assert bound > 59.0  # any test function sits above the infimum
 
 
-def test_bound_malformed_file(capsys, tmp_path):
+@pytest.mark.parametrize("text, line", [
+    ("0 1\n2 0.5\n1 0\n", "line 3"),
+    ("0 1\n0.5 nan\n1 0\n", "line 2"),
+    ("0 1\ninf 0\n", "line 2"),
+], ids=["unordered", "nan-value", "inf-breakpoint"])
+def test_bound_malformed_file(capsys, tmp_path, text, line):
     path = tmp_path / "bad.dat"
-    path.write_text("0 1\n2 0.5\n1 0\n")
+    path.write_text(text)
     code, out, err = run(capsys, "bound", str(path), "2", "2")
     assert code == 1
-    assert "line 3" in err
+    assert line in err
+    assert out == ""
 
 
 def test_bound_missing_file(capsys, tmp_path):
@@ -165,6 +171,15 @@ def test_periodic_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["periodic", "2", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("r", ["0", "-1", "inf", "nan"])
+def test_periodic_radius_usage_error(capsys, r):
+    with pytest.raises(SystemExit) as exc:
+        main(["periodic", "4", r])
+    assert exc.value.code == 2
+    assert "circle radius r must be positive and finite" \
+        in capsys.readouterr().err
 
 
 def test_constants_reference_values(capsys):

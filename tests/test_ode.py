@@ -6,7 +6,7 @@ import pytest
 from gnyamabe.geometry import Dims
 from gnyamabe.ode import (DEFAULT_CONTROLS, Candidate, CrossedZero,
                           IntegrationControls, IntegrationFailure, TurnedUp,
-                          integrate_shot, rhs, series_start, write_profile)
+                          integrate_shot, rhs, series_start)
 from gnyamabe.shooting import bracket_alpha
 
 from oracles import exponents_m1, sech_amplitude, sech_h
@@ -145,15 +145,3 @@ def test_controls_validation():
         IntegrationControls(t_max=1e-5)
     with pytest.raises(ValueError):
         IntegrationControls(decay_threshold=2.0)
-
-
-def test_write_profile_format(tmp_path, gs22):
-    path = tmp_path / "profile.dat"
-    write_profile(gs22.profile, path)
-    rows = path.read_text().strip().splitlines()
-    assert len(rows) == gs22.profile.ts.size
-    first = rows[0].split()
-    assert len(first) == 3
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == gs22.alpha0
-    assert float(first[2]) == 0.0

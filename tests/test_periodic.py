@@ -9,7 +9,7 @@ from gnyamabe.periodic import (CircleOrbit, circle_orbit, circle_quotient,
                                constant_solution, count_periodic_solutions,
                                hamiltonian, integrate_orbit, minimal_period,
                                orbit_for_period, orbit_period, potential,
-                               return_time, write_orbit)
+                               return_time)
 
 
 def test_constant_solution_values():
@@ -130,6 +130,12 @@ def test_count_jumps_at_harmonic_multiples():
             assert count_periodic_solutions(n, r_star * (1 + 1e-6)) == k
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_count_rejects_bad_radius(r):
+    with pytest.raises(ValueError, match="circle radius"):
+        count_periodic_solutions(4, r)
+
+
 def test_count_positive_above_minimal_period():
     for n in (3, 4, 5):
         r = 1.001 * minimal_period(n) / (2 * math.pi)
@@ -163,18 +169,6 @@ def test_circle_quotient_approaches_sphere_constant():
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(v < y_n for v in values)
         assert values[-1] > 0.99 * y_n
-
-
-def test_write_orbit_format(tmp_path):
-    n = 4
-    u_max = 0.9
-    period = orbit_period(n, u_max)
-    ts, us, dus = integrate_orbit(n, u_max, period, samples=101)
-    path = tmp_path / "orbit.dat"
-    write_orbit(path, ts, us, dus)
-    rows = path.read_text().strip().splitlines()
-    assert len(rows) == 101
-    assert all(len(r.split()) == 3 for r in rows)
 
 
 # float.hex of the period map as computed when orbit_period still built its
@@ -229,7 +223,7 @@ def test_phase_nodes_built_once():
             orbit_period(n, u_max)
         orbit_for_period(n, 1.2 * minimal_period(n))
     assert periodic._phase_nodes.cache_info().misses == 1
-    phi, wphi = periodic._phase_nodes(128)
+    phi, wphi = periodic._phase_nodes()
     with pytest.raises(ValueError):
         phi[0] = 0.0
     with pytest.raises(ValueError):
