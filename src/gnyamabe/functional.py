@@ -7,9 +7,9 @@ functional is
     L(f) = ||grad f||_2^(2n/k) ||f||_2^(2m/k) / ||f||_p^2,  k = m + n,
 
 invariant under rescaling f -> c f and dilation f -> f(lambda x). Two
-profile carriers are supported: solver output on a graded grid with
-derivative samples, and compactly supported piecewise-linear test
-functions.
+profile carriers are supported, and integrated by one rule: solver output
+on a graded grid with derivative samples, and compactly supported
+piecewise-linear test functions.
 """
 
 from __future__ import annotations
@@ -17,17 +17,17 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad, simpson
-from scipy.interpolate import CubicHermiteSpline
 
 from .geometry import Dims, surface_measure
 from .ode import RadialProfile
 
-_PL_GAUSS_NODES = 16
+_GAUSS_NODES = 16
 
 _TESTFN_RESOURCE = "testfn_2_2.dat"
 
@@ -48,6 +48,8 @@ class PiecewiseLinearProfile:
         self.hs = np.asarray(self.hs, dtype=float)
         if self.ts.shape != self.hs.shape or self.ts.size < 2:
             raise ValueError("need matching t, h arrays with >= 2 breakpoints")
+        if not (np.isfinite(self.ts).all() and np.isfinite(self.hs).all()):
+            raise ValueError("breakpoints must be finite")
         if self.ts[0] != 0.0:
             raise ValueError("breakpoints must start at t = 0")
         if np.any(np.diff(self.ts) <= 0):
@@ -69,83 +71,79 @@ class GNResult:
     sigma_inv: float
 
 
-def _radial_integrals_solver(profile: RadialProfile, d: Dims, refine: int):
-    """Composite Simpson on the cubic re-densification of the stored grid,
-    plus the analytic exponential tail when the profile carries one."""
-    n = profile.n
-    w = surface_measure(n)
-    ts, hs, dhs = profile.ts, profile.hs, profile.dhs
-    spline = CubicHermiteSpline(ts, hs, dhs)
-    dspline = spline.derivative()
-
-    nseg = ts.size - 1
-    fracs = np.arange(refine) / refine
-    tf = (ts[:-1, None] * (1.0 - fracs) + ts[1:, None] * fracs).ravel()
-    tf = np.append(tf, ts[-1])
-    hf = spline(tf)
-    df = dspline(tf)
-    wgt = tf ** (n - 1)
-    i_grad = w * simpson(df * df * wgt, x=tf)
-    i_sq = w * simpson(hf * hf * wgt, x=tf)
-    p = d.p
-    i_p = w * simpson(np.abs(hf) ** p * wgt, x=tf)
-
-    if profile.tail_rate is not None:
-        tc = float(ts[-1])
-        hc = float(hs[-1])
-        r = profile.tail_rate
-        # |f|^2 weight collapses: h^2 t^{n-1} = hc^2 tc^{n-1} e^{-2r(t-tc)}
-        i_sq += w * hc * hc * tc ** (n - 1) / (2.0 * r)
-        half = 0.5 * (n - 1)
-        i_grad += w * quad(
-            lambda t: hc * hc * tc ** (n - 1) * math.exp(-2.0 * r * (t - tc))
-            * (r + half / t) ** 2, tc, np.inf)[0]
-        i_p += w * quad(
-            lambda t: hc ** p * math.exp(-p * r * (t - tc))
-            * (tc / t) ** (p * half) * t ** (n - 1), tc, np.inf)[0]
-    return i_grad, i_sq, i_p
+@lru_cache(maxsize=None)
+def _quadrature_nodes():
+    """Gauss-Legendre nodes s and weights on [0, 1], the cubic Hermite
+    basis for (h_0, dt h'_0, h_1, dt h'_1) and its s-derivative at s, and
+    Gauss-Laguerre nodes and weights; built on first use, read-only."""
+    x, gw = leggauss(_GAUSS_NODES)
+    s = 0.5 * (x + 1.0)
+    basis = np.array([(1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2,
+                      s * s * (3.0 - 2.0 * s), s * s * (s - 1.0)])
+    dbasis = np.array([6.0 * s * (s - 1.0), (1.0 - s) * (1.0 - 3.0 * s),
+                       6.0 * s * (1.0 - s), s * (3.0 * s - 2.0)])
+    xl, wl = laggauss(_GAUSS_NODES)
+    nodes = (s, 0.5 * gw, basis, dbasis, xl, wl)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
 
 
-def _radial_integrals_pl(profile: PiecewiseLinearProfile, d: Dims):
-    """Fixed-order Gauss-Legendre per segment; exact for the polynomial
-    integrands, and far below rounding for the fractional power."""
-    n = d.n
-    w = surface_measure(n)
-    x, gw = leggauss(_PL_GAUSS_NODES)
-    t0, t1 = profile.ts[:-1], profile.ts[1:]
-    h0, h1 = profile.hs[:-1], profile.hs[1:]
-    half = 0.5 * (t1 - t0)
-    slope = (h1 - h0) / (t1 - t0)
-    tq = 0.5 * (t0 + t1)[:, None] + half[:, None] * x
-    hq = h0[:, None] + slope[:, None] * (tq - t0[:, None])
-    base = tq ** (n - 1) * gw * half[:, None]
-    i_grad = w * float(np.sum(slope[:, None] ** 2 * base))
-    i_sq = w * float(np.sum(hq * hq * base))
-    i_p = w * float(np.sum(np.abs(hq) ** d.p * base))
-    return i_grad, i_sq, i_p
-
-
-def radial_integrals(profile, d: Dims, refine: int = 4):
+def radial_integrals(profile, d: Dims):
     """The three weighted integrals (I_grad, I_sq, I_p) over R^n:
 
     I_grad = omega int h'(t)^2 t^(n-1) dt, I_sq = omega int h^2 t^(n-1) dt,
     I_p = omega int |h|^p t^(n-1) dt, with omega the unit-sphere surface
-    measure of R^n. `refine` subdivides each stored interval of a solver
-    profile before the Simpson pass.
+    measure of R^n. Both carriers share one rule: 16-node Gauss-Legendre
+    on each stored interval of the cubic Hermite interpolant of (t, h, h'),
+    whose end slopes are a solver profile's derivative samples, or the
+    chord slope at both ends of a piecewise-linear segment (the interpolant
+    is then the line). A solver profile's exponential tail adds I_sq in
+    closed form and I_grad, I_p by 16-node Gauss-Laguerre.
     """
     if isinstance(profile, RadialProfile):
         if profile.n != d.n:
             raise ValueError(
                 f"profile has radial dimension {profile.n}, expected {d.n}")
-        return _radial_integrals_solver(profile, d, refine)
-    if isinstance(profile, PiecewiseLinearProfile):
-        return _radial_integrals_pl(profile, d)
-    raise TypeError(f"unsupported profile type {type(profile)!r}")
+        slope0, slope1 = profile.dhs[:-1], profile.dhs[1:]
+        tail_rate = profile.tail_rate
+    elif isinstance(profile, PiecewiseLinearProfile):
+        slope0 = slope1 = np.diff(profile.hs) / np.diff(profile.ts)
+        tail_rate = None
+    else:
+        raise TypeError(f"unsupported profile type {type(profile)!r}")
+    n, p = d.n, d.p
+    w = surface_measure(n)
+    s, gw, basis, dbasis, xl, wl = _quadrature_nodes()
+    ts, hs = profile.ts, profile.hs
+    t0, dt = ts[:-1], np.diff(ts)
+    coef = np.stack([hs[:-1], dt * slope0, hs[1:], dt * slope1], axis=1)
+    tq = t0[:, None] + dt[:, None] * s
+    hq = coef @ basis
+    dq = coef @ dbasis / dt[:, None]
+    base = tq ** (n - 1) * dt[:, None] * gw
+    i_grad = w * float(np.sum(dq * dq * base))
+    i_sq = w * float(np.sum(hq * hq * base))
+    i_p = w * float(np.sum(np.abs(hq) ** p * base))
+
+    if tail_rate is not None:
+        # beyond t_c, h = h_c e^(-r (t - t_c)) (t_c / t)^((n-1)/2): then
+        # h^2 t^(n-1) = h_c^2 t_c^(n-1) e^(-2r (t - t_c)), h' = -h (r + half/t)
+        tc, hc, r = float(ts[-1]), float(hs[-1]), tail_rate
+        half = 0.5 * (n - 1)
+        sq_tail = w * hc * hc * tc ** (n - 1) / (2.0 * r)
+        i_sq += sq_tail
+        i_grad += sq_tail * float(wl @ (r + half / (tc + xl / (2.0 * r))) ** 2)
+        t = tc + xl / (p * r)
+        i_p += w * hc ** p / (p * r) * float(
+            wl @ ((tc / t) ** (p * half) * t ** (n - 1)))
+    return i_grad, i_sq, i_p
 
 
-def gn_value(profile, d: Dims, refine: int = 4) -> GNResult:
-    """Assemble the functional value L = I_grad^(n/k) I_sq^(m/k) / I_p^(2/p)."""
-    i_grad, i_sq, i_p = radial_integrals(profile, d, refine)
+def gn_value(profile, d: Dims) -> GNResult:
+    """Assemble the functional value L = I_grad^(n/k) I_sq^(m/k) / I_p^(2/p)
+    from the integrals of `radial_integrals`."""
+    i_grad, i_sq, i_p = radial_integrals(profile, d)
     k = d.k
     sigma_inv = i_grad ** (d.n / k) * i_sq ** (d.m / k) / i_p ** (2.0 / d.p)
     return GNResult(d=d, grad_sq=i_grad, l2_sq=i_sq,

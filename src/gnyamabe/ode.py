@@ -66,6 +66,11 @@ _CANDIDATE_SLOPE_BAND = 0.5
 
 _EVENT_LOCATION_TOL = 1e-10
 
+# a shot starts from the series expansion at _T_START; h falling below
+# _DECAY_THRESHOLD is its decay event and bounds its stored profile
+_T_START = 1e-4
+_DECAY_THRESHOLD = 1e-6
+
 
 class IntegrationFailure(RuntimeError):
     """Step-size underflow or an unclassifiable trajectory."""
@@ -78,24 +83,17 @@ class IntegrationControls:
     t_max: float = 50.0
     rtol: float = 1e-11
     atol: float = 1e-13
-    decay_threshold: float = 1e-6
-    t_start: float = 1e-4
 
     def __post_init__(self):
-        if not (0.0 < self.t_start <= 1e-3):
-            raise ValueError("t_start must lie in (0, 1e-3]")
-        if self.t_max <= self.t_start:
-            raise ValueError("t_max must exceed t_start")
+        if self.t_max <= _T_START:
+            raise ValueError(f"t_max must exceed the start time {_T_START:g}")
         if self.rtol < 1e-13 or self.atol <= 0.0:
             raise ValueError("tolerances too tight for double precision")
-        if not (0.0 < self.decay_threshold < 1.0):
-            raise ValueError("decay_threshold must lie in (0, 1)")
 
     def tightened(self, factor: float) -> "IntegrationControls":
         """Same controls with both tolerances divided by `factor`."""
         return IntegrationControls(self.t_max, self.rtol / factor,
-                                   self.atol / factor,
-                                   self.decay_threshold, self.t_start)
+                                   self.atol / factor)
 
 
 DEFAULT_CONTROLS = IntegrationControls()
@@ -243,11 +241,11 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
     IntegrationFailure on step underflow or an unclassifiable endpoint.
     """
     nm1 = float(d.n - 1)
-    thresh = ctrl.decay_threshold
+    thresh = _DECAY_THRESHOLD
     rtol, atol = ctrl.rtol, ctrl.atol
     f = _bound_rhs(d)
 
-    t = ctrl.t_start
+    t = _T_START
     h, dh = series_start(alpha, t, d)
     f1h, f1d = f(t, h, dh)
     dt = 1e-3
@@ -341,7 +339,7 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
         f"h={h:.6g}, h'={dh:.6g} (alpha={alpha!r})")
 
 
-def _sample_profile(alpha, n, steps, t_stop, threshold):
+def _sample_profile(alpha, n, steps, t_stop):
     """Sample the dense output on a uniform grid and truncate the tail.
 
     The grid is cut at the first node with h below the decay threshold
@@ -363,7 +361,7 @@ def _sample_profile(alpha, n, steps, t_stop, threshold):
             tq += PROFILE_SPACING
     cut = len(ts)
     for i in range(1, len(ts)):
-        if hs[i] < threshold:
+        if hs[i] < _DECAY_THRESHOLD:
             cut = i + 1
             break
         if dhs[i] >= 0.0:
@@ -371,7 +369,7 @@ def _sample_profile(alpha, n, steps, t_stop, threshold):
             break
     cut = max(cut, 2)
     h_end = hs[cut - 1]
-    tail = 1.0 if 0.0 < h_end <= 100.0 * threshold else None
+    tail = 1.0 if 0.0 < h_end <= 100.0 * _DECAY_THRESHOLD else None
     return RadialProfile(np.array(ts[:cut]), np.array(hs[:cut]),
                          np.array(dhs[:cut]), alpha, n, tail_rate=tail)
 
@@ -401,7 +399,7 @@ def integrate_shot(alpha: float, d: Dims,
     kind, te, ye, steps = _integrate(alpha, d, ctrl)
     profile = None
     if kind == "candidate":
-        profile = _sample_profile(alpha, d.n, steps, te, ctrl.decay_threshold)
+        profile = _sample_profile(alpha, d.n, steps, te)
     return _outcome(kind, te, ye, profile)
 
 
@@ -417,5 +415,5 @@ def shoot_profile(alpha: float, d: Dims,
     if alpha <= 1.0:
         raise ValueError("profiles only exist for alpha > 1")
     kind, te, ye, steps = _integrate(alpha, d, ctrl)
-    profile = _sample_profile(alpha, d.n, steps, te, ctrl.decay_threshold)
+    profile = _sample_profile(alpha, d.n, steps, te)
     return _outcome(kind, te, ye, profile), profile

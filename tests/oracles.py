@@ -1,4 +1,4 @@
-"""Independent closed-form oracle for the one-dimensional ground state.
+"""Independent oracles for the solver and the package quadrature.
 
 For radial dimension n = 1 the equation h'' - h + h^q = 0 has the explicit
 solution
@@ -7,14 +7,17 @@ solution
     A = ((q+1)/2)^(1/(q-1)),
 
 whose norms are evaluated here by direct 1-d quadrature of the formulas.
-Nothing below touches the solver or the package quadrature, so these
-values can referee both.
+`hermite_integrals` integrates a stored solver profile by other means than
+the package does. Nothing below touches the solver or the package
+quadrature, so these values can referee both.
 """
 
 import math
 
+import mpmath
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
+from scipy.interpolate import CubicHermiteSpline
 
 
 def exponents_m1(m: int) -> tuple[float, float]:
@@ -77,3 +80,45 @@ def triangle_integrals_n2() -> tuple[float, float, float]:
     i_sq = math.pi / 6.0      # 2 pi int_0^1 (1-t)^2 t dt
     i_p = math.pi / 15.0      # 2 pi int_0^1 (1-t)^4 t dt
     return i_grad, i_sq, i_p
+
+
+def hermite_integrals(profile, d, refine: int = 64):
+    """(I_grad, I_sq, I_p) of a solver profile, with its exponential tail.
+
+    The stored samples (t, h, h') define scipy's cubic Hermite spline; the
+    finite part is composite Simpson on each stored interval cut into
+    `refine` (even) equal pieces, so no Simpson panel straddles a node, and
+    the tail h_c e^(-r (t - t_c)) (t_c / t)^((n-1)/2) is integrated by
+    mpmath to 30 digits.
+    """
+    n, p = d.n, d.p
+    omega = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+    ts = profile.ts
+    spline = CubicHermiteSpline(ts, profile.hs, profile.dhs)
+    fracs = np.arange(refine) / refine
+    tf = np.append((ts[:-1, None] + np.diff(ts)[:, None] * fracs).ravel(),
+                   ts[-1])
+    hf = spline(tf)
+    df = spline.derivative()(tf)
+    wgt = tf ** (n - 1)
+    ints = [simpson(df * df * wgt, x=tf), simpson(hf * hf * wgt, x=tf),
+            simpson(np.abs(hf) ** p * wgt, x=tf)]
+    if profile.tail_rate is not None:
+        with mpmath.workdps(30):
+            tc = mpmath.mpf(float(ts[-1]))
+            hc = mpmath.mpf(float(profile.hs[-1]))
+            r = mpmath.mpf(profile.tail_rate)
+            half = mpmath.mpf(n - 1) / 2
+
+            def h(t):
+                return hc * mpmath.exp(-r * (t - tc)) * (tc / t) ** half
+
+            def dh(t):
+                return -h(t) * (r + half / t)
+
+            tails = [lambda t: dh(t) ** 2 * t ** (n - 1),
+                     lambda t: h(t) ** 2 * t ** (n - 1),
+                     lambda t: h(t) ** p * t ** (n - 1)]
+            for i, f in enumerate(tails):
+                ints[i] += float(mpmath.quad(f, [tc, mpmath.inf]))
+    return tuple(omega * float(v) for v in ints)

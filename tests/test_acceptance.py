@@ -22,8 +22,8 @@ from gnyamabe.products import optimal_dilation, reference_constants
 
 from golden import (ALPHA0_22, GOLDEN_TABLE, SIGMA_TOL, TESTFN_BOUND_22,
                     Y_INF_TOL, Y_SPHERE_TOL)
-from oracles import (exponents_m1, ode_residual, sech_amplitude,
-                     sech_sigma_inv)
+from oracles import (exponents_m1, hermite_integrals, ode_residual,
+                     sech_amplitude, sech_sigma_inv)
 
 
 def _report(num, text):
@@ -168,13 +168,13 @@ def test_criterion_8_robustness(table9, gs22):
             a = f"{getattr(r, field):.5g}"
             b = f"{getattr(t, field):.5g}"
             assert a == b, f"({r.m},{r.n}) {field}: {a} vs {b}"
-    shifts = []
+    gaps = []
     for d in (Dims(2, 2), Dims(3, 4), Dims(2, 7)):
         gs = gs22 if (d.m, d.n) == (2, 2) else find_ground_state(d)
-        coarse = gn_value(gs.profile, d, refine=4).sigma_inv
-        fine = gn_value(gs.profile, d, refine=8).sigma_inv
-        shifts.append(abs(fine - coarse))
-        assert abs(fine - coarse) < 1e-8
+        ours = radial_integrals(gs.profile, d)
+        ref = hermite_integrals(gs.profile, d)
+        gaps.extend(abs(a - b) / b for a, b in zip(ours, ref))
+    assert max(gaps) < 1e-13
     _report(8, "10x tighter tolerances preserve all 5-significant-figure "
-               f"entries; 2x quadrature refinement shifts sigma by at most "
-               f"{max(shifts):.1e}")
+               "entries; the integrals agree with the Hermite-Simpson "
+               f"referee to {max(gaps):.1e} relative")

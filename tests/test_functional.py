@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnyamabe.functional import (GNResult, PiecewiseLinearProfile,
                                  ProfileFormatError, bundled_test_function,
@@ -9,8 +11,10 @@ from gnyamabe.functional import (GNResult, PiecewiseLinearProfile,
                                  read_profile_file, scale, yamabe_quotient)
 from gnyamabe.geometry import Dims, unit_volume_sphere_scalar
 from gnyamabe.products import optimal_dilation
+from gnyamabe.shooting import find_ground_state
 
-from oracles import sech_integrals, sech_sigma_inv, triangle_integrals_n2
+from oracles import (hermite_integrals, sech_integrals, sech_sigma_inv,
+                     triangle_integrals_n2)
 
 D22 = Dims(2, 2)
 
@@ -101,10 +105,13 @@ def test_dilation_l2_scaling(gs22):
         assert scaled == pytest.approx(lam ** -D22.n * base, rel=1e-12)
 
 
-def test_quadrature_convergence_on_refinement(gs22):
-    coarse = gn_value(gs22.profile, D22, refine=4).sigma_inv
-    fine = gn_value(gs22.profile, D22, refine=8).sigma_inv
-    assert abs(fine - coarse) < 1e-8
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 4), (2, 7)])
+def test_quadrature_matches_hermite_referee(m, n):
+    d = Dims(m, n)
+    profile = find_ground_state(d).profile
+    ours = radial_integrals(profile, d)
+    for a, b in zip(ours, hermite_integrals(profile, d)):
+        assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_ground_state_is_local_minimum(gs22):
@@ -170,6 +177,14 @@ def test_profile_validation():
                                np.array([1.0, 0.5, 0.0]))
 
 
+@pytest.mark.parametrize("ts, hs", [([0.0, 0.5, 1.0], [1.0, math.nan, 0.0]),
+                                    ([0.0, math.inf], [1.0, 0.0])],
+                         ids=["nan-value", "inf-breakpoint"])
+def test_profile_rejects_non_finite(ts, hs):
+    with pytest.raises(ValueError, match="finite"):
+        PiecewiseLinearProfile(np.array(ts), np.array(hs))
+
+
 def test_read_profile_file(tmp_path):
     good = tmp_path / "good.dat"
     good.write_text("# comment\n0 1\n1 0.5\n2 0\n")
@@ -195,3 +210,44 @@ def test_read_profile_file(tmp_path):
     bad_start.write_text("0.5 1\n1 0\n")
     with pytest.raises(ProfileFormatError, match="t = 0"):
         read_profile_file(bad_start)
+
+
+# random valid test functions: 2 to 8 breakpoints from t = 0, positive
+# steps, h(0) > 0, non-negative values and a final zero
+_steps = st.lists(st.floats(1e-2, 10.0), min_size=1, max_size=7)
+_values = st.floats(0.0, 10.0)
+
+
+@st.composite
+def _breakpoints(draw):
+    steps = draw(_steps)
+    ts = np.concatenate([[0.0], np.cumsum(steps)])
+    inner = draw(st.lists(_values, min_size=len(steps) - 1,
+                          max_size=len(steps) - 1))
+    hs = np.array([draw(st.floats(0.1, 10.0))] + inner + [0.0])
+    return ts, hs
+
+
+@settings(derandomize=True, deadline=None)
+@given(_breakpoints(), st.sampled_from([(2, 2), (3, 1), (3, 4), (2, 7)]),
+       st.floats(1e-3, 1e3), st.floats(1e-2, 1e2))
+def test_value_invariant_under_scale_and_dilation(bp, mn, c, lam):
+    d = Dims(*mn)
+    profile = PiecewiseLinearProfile(*bp)
+    base = gn_value(profile, d).sigma_inv
+    assert gn_value(scale(profile, c), d).sigma_inv == pytest.approx(
+        base, rel=1e-12)
+    assert gn_value(dilate(profile, lam), d).sigma_inv == pytest.approx(
+        base, rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_breakpoints())
+def test_breakpoint_file_round_trip(tmp_path_factory, bp):
+    ts, hs = bp
+    path = tmp_path_factory.getbasetemp() / "round_trip.dat"
+    path.write_text("".join(f"{t!r} {h!r}\n"
+                            for t, h in zip(ts.tolist(), hs.tolist())))
+    profile = read_profile_file(path)
+    assert np.array_equal(profile.ts, ts)
+    assert np.array_equal(profile.hs, hs)

@@ -140,8 +140,4 @@ def test_controls_validation():
     with pytest.raises(ValueError):
         IntegrationControls(rtol=1e-16)
     with pytest.raises(ValueError):
-        IntegrationControls(t_start=0.1)
-    with pytest.raises(ValueError):
         IntegrationControls(t_max=1e-5)
-    with pytest.raises(ValueError):
-        IntegrationControls(decay_threshold=2.0)
