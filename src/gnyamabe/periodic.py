@@ -10,6 +10,12 @@ the positive equilibrium give the 2 pi r - periodic solutions. Periods are
 computed by turning-point quadrature on the conserved energy; counting
 solutions for a given circle radius reduces to comparing 2 pi r with the
 period range.
+
+Everything here runs on numpy and the stdlib: the turning points and the
+inverse of the period map come from `_brentq`, a port of the Brent (1973)
+root-finder. Only the time-integration referees import scipy, inside the
+functions that need it: `integrate_orbit` and `return_time` (`solve_ivp`)
+and `circle_quotient` (`simpson`).
 """
 
 from __future__ import annotations
@@ -20,13 +26,80 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import simpson, solve_ivp
-from scipy.optimize import brentq
 
 from .geometry import surface_measure
 
 _ORBIT_RTOL = 1e-12
 _ORBIT_ATOL = 1e-14
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of scipy's `brentq.c`, so every root is the
+    double scipy.optimize.brentq returns: the same update order, signbit
+    tests, interpolate/extrapolate/bisect rule and step floor
+    delta = (xtol + rtol |x|) / 2. Raises ValueError for a bracket whose
+    ends have the same sign or a NaN function value, RuntimeError after
+    `maxiter` iterations without convergence."""
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _check_dim(n: int) -> None:
@@ -147,8 +220,8 @@ def _series_v_min(n: int, v_max: float) -> float:
     uc = constant_solution(n)
     coeffs = _well_coefficients(n)
     lo = -min(2.2 * v_max, 0.06 * uc)
-    v = brentq(lambda w: _series_slope(w, v_max, coeffs), lo, 0.0,
-               xtol=1e-18, rtol=8.9e-16)
+    v = _brentq(lambda w: _series_slope(w, v_max, coeffs), lo, 0.0,
+                xtol=1e-18, rtol=8.9e-16)
     for _ in range(2):
         s_val, d_val = _series_slope_deriv(v, v_max, coeffs)
         v -= s_val / d_val
@@ -214,8 +287,8 @@ def orbit_period(n: int, u_max: float) -> float:
         # reduced gap (E - V)/((u - u_min)(u_max - u)) = S(v)/(v - v_min)
         reduced = _series_slope(v_min + dist_lo, v_max, coeffs) / dist_lo
     else:
-        u_min = brentq(lambda u: _energy_gap(u, u_max, n), 1e-15, uc,
-                       xtol=1e-15, rtol=8.9e-16)
+        u_min = _brentq(lambda u: _energy_gap(u, u_max, n), 1e-15, uc,
+                        xtol=1e-15, rtol=8.9e-16)
         amp = 0.5 * (u_max - u_min)
         # form the turning-point distances before u itself:
         # u - u_min = 2 amp sin^2(phi/2), u_max - u = 2 amp cos^2(phi/2)
@@ -249,8 +322,11 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
     """Invert the (strictly increasing) period map on the orbit window.
 
     Raises ValueError when the requested period is at or below the
-    harmonic minimum or beyond what the window resolves in doubles."""
+    harmonic minimum or beyond what the window resolves in doubles, or
+    is NaN."""
     _check_dim(n)
+    if math.isnan(period):
+        raise ValueError(f"period must be a number, got {period}")
     if period <= minimal_period(n):
         raise ValueError(
             f"no closed orbit has period {period:.6g} <= minimal period "
@@ -264,8 +340,8 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
         raise ValueError(
             f"period {period:.6g} sits too close to the harmonic minimum "
             "to resolve the orbit amplitude")
-    u = brentq(lambda v: orbit_period(n, v) - period, lo, hi,
-               xtol=1e-14, rtol=8.9e-16)
+    u = _brentq(lambda v: orbit_period(n, v) - period, lo, hi,
+                xtol=1e-14, rtol=8.9e-16)
     return circle_orbit(n, u)
 
 
@@ -299,6 +375,8 @@ def _orbit_rhs(n: int):
 
 def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049):
     """Time-integrate the orbit from (u_max, 0); returns (t, u, u') arrays."""
+    from scipy.integrate import solve_ivp
+
     _check_dim(n)
     ts = np.linspace(0.0, t_end, samples)
     sol = solve_ivp(_orbit_rhs(n), (0.0, t_end), (u_max, 0.0), method="DOP853",
@@ -312,6 +390,8 @@ def return_time(n: int, u_max: float) -> float:
     """First return time to the outer turning point by direct time
     integration, located as the u' downward zero crossing near one period.
     Cross-checks the quadrature period independently of it."""
+    from scipy.integrate import solve_ivp
+
     t_guess = orbit_period(n, u_max)
 
     def slowing(t, y):
@@ -335,6 +415,8 @@ def circle_quotient(n: int, u_max: float) -> float:
     (n-1)(n-2); integrals run over a single period, sampled at 4097
     points. As the orbit approaches the separatrix (u_max -> 1) the
     quotient climbs to the sphere invariant Y_n from below."""
+    from scipy.integrate import simpson
+
     _check_dim(n)
     vol_m = surface_measure(n)
     a = 4.0 * (n - 1) / (n - 2)

@@ -16,6 +16,7 @@ alpha - alpha0 with the same slope on both sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import Dims
@@ -105,6 +106,8 @@ def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
     initial values whose shots classify as Candidate, which is far wider:
     alpha0 then errs by up to about 1.5e-8 for (m, n) = (2, 7).
     """
+    if not math.isfinite(tol_alpha):
+        raise ValueError(f"tol_alpha must be finite, got {tol_alpha}")
     if tol_alpha < 1e-14:
         raise ValueError("tol_alpha below double-precision resolution")
     lo, hi = bracket_alpha(d, ctrl)

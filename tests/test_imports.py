@@ -1,27 +1,53 @@
-"""Only the circle-factor module imports scipy.
+"""scipy stays off every default path of the package.
 
-The package sources are parsed, not imported, so the test sees every
-import statement, including those inside functions.
+The sources are parsed, not imported, so the static tests see every
+import statement, including those inside functions: no module imports
+scipy at module level, and only the circle-factor time-integration
+referees import it, inside their bodies. A subprocess then checks that
+importing the package and running each default subcommand loads no scipy
+module at all.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "gnyamabe"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "periodic.py")
+# the only functions allowed to import scipy, each inside its own body
+SCIPY_REFEREES = {"integrate_orbit", "return_time", "circle_quotient"}
 
 
-def _imported_modules(path: Path) -> set[str]:
+def _imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, outermost enclosing function or None) for every absolute
+    import statement in `path`."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module)
-    return names
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((alias.name, owner) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append((child.module, owner))
+            inner = owner
+            if owner is None and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def _scipy_owners(path: Path) -> set[str | None]:
+    return {owner for name, owner in _imports(path)
+            if name == "scipy" or name.startswith("scipy.")}
 
 
 def test_modules_found():
@@ -31,6 +57,42 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES,
                          ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_scipy_import(path):
-    scipy = {name for name in _imported_modules(path)
-             if name == "scipy" or name.startswith("scipy.")}
-    assert scipy == set()
+    assert _scipy_owners(path) == set()
+
+
+def test_periodic_imports_scipy_only_in_referees():
+    assert _scipy_owners(PACKAGE / "periodic.py") == SCIPY_REFEREES
+
+
+_CHILD = """
+import contextlib, io, json, sys
+from importlib import resources
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import gnyamabe
+loaded = {"import gnyamabe": scipy_modules()}
+import gnyamabe.cli
+profile = str(resources.files("gnyamabe.data").joinpath("testfn_2_2.dat"))
+for argv in (["constants"], ["bound", profile, "2", "2"],
+             ["ground-state", "2", "2"], ["table", "--max-dim", "4"],
+             ["periodic", "4", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gnyamabe.cli.main(argv)
+    loaded[argv[0]] = scipy_modules() if code == 0 else code
+print(json.dumps(loaded))
+"""
+
+
+def test_default_paths_load_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert list(loaded) == ["import gnyamabe", "constants", "bound",
+                            "ground-state", "table", "periodic"]
+    assert all(mods == [] for mods in loaded.values()), loaded

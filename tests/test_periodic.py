@@ -153,6 +153,13 @@ def test_orbit_for_period_roundtrip():
         orbit_for_period(4, 0.5 * minimal_period(4))
 
 
+def test_orbit_for_period_rejects_non_finite():
+    with pytest.raises(ValueError, match="period must be a number, got nan"):
+        orbit_for_period(4, math.nan)
+    with pytest.raises(ValueError, match="too close to the separatrix"):
+        orbit_for_period(4, math.inf)
+
+
 def test_circle_orbit_energy_window():
     n = 4
     uc = constant_solution(n)

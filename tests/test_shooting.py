@@ -105,5 +105,7 @@ def test_sech_alpha0_matches_closed_form():
 
 
 def test_tol_alpha_validation():
-    with pytest.raises(ValueError):
-        find_ground_state(Dims(2, 2), tol_alpha=1e-20)
+    # nan and inf would skip the Illinois loop and return the bracket midpoint
+    for tol in (1e-20, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            find_ground_state(Dims(2, 2), tol_alpha=tol)
