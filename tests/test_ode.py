@@ -1,12 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from gnyamabe import ode
 from gnyamabe.geometry import Dims
 from gnyamabe.ode import (DEFAULT_CONTROLS, Candidate, CrossedZero,
                           IntegrationControls, IntegrationFailure, TurnedUp,
-                          integrate_shot, rhs, series_start)
+                          integrate_shot, rhs, series_start, shoot_profile)
 from gnyamabe.shooting import bracket_alpha
 
 from oracles import exponents_m1, sech_amplitude, sech_h
@@ -141,3 +143,94 @@ def test_controls_validation():
         IntegrationControls(rtol=1e-16)
     with pytest.raises(ValueError):
         IntegrationControls(t_max=1e-5)
+
+
+# Bit-identity pins of the shooting solver, recorded before the stepper's
+# stage evaluations were inlined and the profile sampler vectorized: every
+# table value, stored profile and shot event must stay the same double.
+# Profiles are pinned by the SHA-256 of their ts, hs and dhs bytes.
+_TABLE_PINS = [
+    (2, 2, '0x1.1a64ca390bf55p+1', '0x1.359a4148cd373p+1'),
+    (2, 3, '0x1.0c4531f3899cep+2', '0x1.f092a96235859p+1'),
+    (3, 2, '0x1.28ef2a8b4fb47p+1', '0x1.0e8aa8d14f6dap+1'),
+    (2, 4, '0x1.15807c5c7246ep+3', '0x1.6a80557d24949p+2'),
+    (3, 3, '0x1.0c44889521d1bp+2', '0x1.9981401947845p+1'),
+    (4, 2, '0x1.322ba09eaa16dp+1', '0x1.e71f42760e124p+0'),
+    (2, 5, '0x1.3218a5ba7b74fp+4', '0x1.ee0a3c8bc86d5p+2'),
+    (3, 4, '0x1.044b536502622p+3', '0x1.2288e2aadf58ap+2'),
+    (4, 3, '0x1.0da229f37bf79p+2', '0x1.6109b0c2d8412p+1'),
+    (5, 2, '0x1.3890a2ce5f302p+1', '0x1.c133e4bebe6b2p+0'),
+    (2, 6, '0x1.6374fbdeef1dbp+5', '0x1.400fc37154e42p+3'),
+    (3, 5, '0x1.0b2e37af9091bp+4', '0x1.86f08eeb09020p+2'),
+    (4, 4, '0x1.f86a00c08dd13p+2', '0x1.e86e353910034p+1'),
+    (5, 3, '0x1.0f215da302f20p+2', '0x1.3a528ea37a663p+1'),
+    (6, 2, '0x1.3d41e1c62c749p+1', '0x1.a580e9e5fb486p+0'),
+    (2, 7, '0x1.aed4ef00d9229p+6', '0x1.8f3edb593d267p+3'),
+    (3, 6, '0x1.1f417da851e9ep+5', '0x1.f86e1c4dad117p+2'),
+    (4, 5, '0x1.efa6de9403c31p+3', '0x1.44041c1707be1p+2'),
+    (5, 4, '0x1.ef62bdb888f16p+2', '0x1.a9113789abf28p+1'),
+    (6, 3, '0x1.107ffbea546bep+2', '0x1.1e6f98b3b42a6p+1'),
+    (7, 2, '0x1.40d939bdcee9fp+1', '0x1.9086e45f74ffep+0'),
+]
+_CANDIDATE_PINS = [
+    (2, 2, '0x1.1a64ca390bf55p+1', 3521, 1.0,
+     'c65645f5314ef2ba20d0925788d54acf39eef63e9cdbf26e266327f2adce85a2'),
+    (2, 7, '0x1.aed4ef00d9229p+6', 3139, 1.0,
+     '719b68ede0444a1a10e1ac798839bb436d5837f90af6d6323bd9ac36720382c2'),
+    (3, 1, '0x1.6a09e667f5165p+0', 3814, 1.0,
+     '0f5960ee2af237ae1238d08ed703715fcf31cf4c6f680510bfad8614085851cb'),
+    (7, 2, '0x1.40d939bdcee9fp+1', 4112, 1.0,
+     '8bbc6dcf05a14743dbdc1b8c35d5072780b1e773569c738a6309ce88028e0c8f'),
+]
+_SHOT_PINS = [
+    (2, 2, '0x1.1a9fbe76c8b44p+1', 'CrossedZero', 293,
+     '0x1.31723bdc77ac9p+2', '-0x1.b08d0451c30e2p-6',
+     1222, 1.0,
+     '69bfcea9bd16d13f8f286a0a66ff4da7c52183bda6139fcc6d7e27d85cced4de'),
+    (2, 2, '0x1.1a3d70a3d70a4p+1', 'TurnedUp', 305,
+     '0x1.451f11f9dd4bfp+2', '0x1.5a069e1a9a044p-6',
+     1301, None,
+     '77d1565c566f51deaaf8898fdd7620f23a5ef054db6f7df1a1eed9aa685082b3'),
+    (4, 4, '0x1.f86a00c08dd13p+2', 'Candidate', 597,
+     '0x1.cab439224fc49p+3', '0x1.0c6f7a0b46bbap-20',
+     3670, 1.0,
+     '679d68480b3792516a65589f59973ec948d60f96ffd8e0648de03fa333030a35'),
+]
+
+
+def _profile_digest(profile):
+    sha = hashlib.sha256()
+    for a in (profile.ts, profile.hs, profile.dhs):
+        sha.update(a.tobytes())
+    return sha.hexdigest()
+
+
+def test_table_pinned_bit_for_bit(table9):
+    rows, _ = table9
+    assert [(r.m, r.n, r.alpha0.hex(), r.sigma_inv.hex())
+            for r in rows] == _TABLE_PINS
+
+
+def test_candidate_profiles_pinned_bit_for_bit(gs22, gs31):
+    assert gs22.alpha0.hex() == _CANDIDATE_PINS[0][2]
+    assert gs31.alpha0.hex() == _CANDIDATE_PINS[2][2]
+    assert _profile_digest(gs22.profile) == _CANDIDATE_PINS[0][5]
+    for m, n, alpha_hex, size, tail_rate, digest in _CANDIDATE_PINS:
+        out = integrate_shot(float.fromhex(alpha_hex), Dims(m, n))
+        assert isinstance(out, Candidate)
+        assert out.profile.ts.size == size
+        assert out.profile.tail_rate == tail_rate
+        assert _profile_digest(out.profile) == digest
+
+
+def test_shoot_profile_pinned_bit_for_bit():
+    for (m, n, alpha_hex, kind, n_steps, t_hex, y_hex, size, tail_rate,
+         digest) in _SHOT_PINS:
+        alpha, d = float.fromhex(alpha_hex), Dims(m, n)
+        _, te, ye, steps = ode._integrate(alpha, d, DEFAULT_CONTROLS)
+        assert (len(steps), te.hex(), ye.hex()) == (n_steps, t_hex, y_hex)
+        out, profile = shoot_profile(alpha, d)
+        assert type(out).__name__ == kind
+        assert profile.ts.size == size
+        assert profile.tail_rate == tail_rate
+        assert _profile_digest(profile) == digest
