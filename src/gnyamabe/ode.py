@@ -12,8 +12,10 @@ at the working resolution).
 
 The integrator is an embedded Dormand-Prince 5(4) pair with the standard
 quartic dense-output polynomial; event times are located by bisection on
-the dense step. A hand-rolled scalar stepper keeps a full shooting run of
-thousands of shots within interactive time.
+the dense step. A hand-rolled scalar stepper, with the right-hand side
+written out in each stage, keeps a full shooting run of thousands of
+shots within interactive time. The dense output takes a scalar or
+equal-length arrays, so a stored profile is sampled in one array pass.
 """
 
 from __future__ import annotations
@@ -85,6 +87,10 @@ class IntegrationControls:
     atol: float = 1e-13
 
     def __post_init__(self):
+        for name in ("t_max", "rtol", "atol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.t_max <= _T_START:
             raise ValueError(f"t_max must exceed the start time {_T_START:g}")
         if self.rtol < 1e-13 or self.atol <= 0.0:
@@ -166,23 +172,14 @@ def rhs(t: float, h: float, dh: float, d: Dims) -> tuple[float, float]:
     """Right-hand side (h', h'') of the radial system at t > 0.
 
     The nonlinearity is odd-extended as |h|^(q-1) h so trajectories stay
-    defined after a zero crossing.
+    defined after a zero crossing. The stepper evaluates the same
+    expression inline, in the same operation order.
     """
     if t <= 0.0:
         raise ValueError("rhs is singular at t = 0; use series_start")
-    return _bound_rhs(d)(t, h, dh)
-
-
-def _bound_rhs(d: Dims):
-    """rhs for the dimensions d with their constants bound once, for the
-    stepper, which calls it six times a step."""
     nm1 = float(d.n - 1)
     qm1 = d.q - 1.0
-
-    def f(t, h, dh):
-        return dh, -(nm1 / t) * dh + h - abs(h) ** qm1 * h
-
-    return f
+    return dh, -(nm1 / t) * dh + h - abs(h) ** qm1 * h
 
 
 def series_start(alpha: float, t0: float, d: Dims) -> tuple[float, float]:
@@ -200,18 +197,22 @@ def series_start(alpha: float, t0: float, d: Dims) -> tuple[float, float]:
 
 
 def _dense_eval(step, theta):
-    """Evaluate the quartic interpolant of one accepted step at theta."""
-    t_old, dt, h_old, dh_old, ks_h, ks_d = step
+    """Evaluate the quartic interpolant of accepted steps at theta.
+
+    `step` is one stored step (t_old, dt, h_old, dh_old, six h-slopes, six
+    h'-slopes) with a scalar theta, or the same sixteen fields as rows of
+    equal-length arrays with an array theta, one column per evaluation;
+    both give the same doubles.
+    """
+    dt, h, dh = step[1], step[2], step[3]
     th2 = theta * theta
     th3 = th2 * theta
     th4 = th3 * theta
-    h = h_old
-    dh = dh_old
     for i in range(6):
         p = _P[i]
         w = p[0] * theta + p[1] * th2 + p[2] * th3 + p[3] * th4
-        h += dt * w * ks_h[i]
-        dh += dt * w * ks_d[i]
+        h = h + dt * w * step[4 + i]
+        dh = dh + dt * w * step[10 + i]
     return h, dh
 
 
@@ -241,13 +242,16 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
     IntegrationFailure on step underflow or an unclassifiable endpoint.
     """
     nm1 = float(d.n - 1)
+    qm1 = d.q - 1.0
     thresh = _DECAY_THRESHOLD
     rtol, atol = ctrl.rtol, ctrl.atol
-    f = _bound_rhs(d)
 
+    # each stage (k_h, k_d) = (h', h'') is rhs() written out: k_h is the
+    # stage's h'-argument and k_d = -(nm1 / t) h' + h - |h|^qm1 h, in
+    # rhs()'s operation order so every stage is the same double
     t = _T_START
     h, dh = series_start(alpha, t, d)
-    f1h, f1d = f(t, h, dh)
+    f1h, f1d = dh, -(nm1 / t) * dh + h - abs(h) ** qm1 * h
     dt = 1e-3
     steps = []
     rejected = False
@@ -260,28 +264,29 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
             dt = ctrl.t_max - t
 
         k1h, k1d = f1h, f1d
-        k2h, k2d = f(t + _C2 * dt, h + dt * _A21 * k1h, dh + dt * _A21 * k1d)
-        k3h, k3d = f(t + _C3 * dt,
-                     h + dt * (_A31 * k1h + _A32 * k2h),
-                     dh + dt * (_A31 * k1d + _A32 * k2d))
-        k4h, k4d = f(t + _C4 * dt,
-                     h + dt * (_A41 * k1h + _A42 * k2h + _A43 * k3h),
-                     dh + dt * (_A41 * k1d + _A42 * k2d + _A43 * k3d))
-        k5h, k5d = f(t + _C5 * dt,
-                     h + dt * (_A51 * k1h + _A52 * k2h + _A53 * k3h
-                               + _A54 * k4h),
-                     dh + dt * (_A51 * k1d + _A52 * k2d + _A53 * k3d
-                                + _A54 * k4d))
-        k6h, k6d = f(t + dt,
-                     h + dt * (_A61 * k1h + _A62 * k2h + _A63 * k3h
-                               + _A64 * k4h + _A65 * k5h),
-                     dh + dt * (_A61 * k1d + _A62 * k2d + _A63 * k3d
-                                + _A64 * k4d + _A65 * k5d))
+        y = h + dt * _A21 * k1h
+        k2h = dh + dt * _A21 * k1d
+        k2d = -(nm1 / (t + _C2 * dt)) * k2h + y - abs(y) ** qm1 * y
+        y = h + dt * (_A31 * k1h + _A32 * k2h)
+        k3h = dh + dt * (_A31 * k1d + _A32 * k2d)
+        k3d = -(nm1 / (t + _C3 * dt)) * k3h + y - abs(y) ** qm1 * y
+        y = h + dt * (_A41 * k1h + _A42 * k2h + _A43 * k3h)
+        k4h = dh + dt * (_A41 * k1d + _A42 * k2d + _A43 * k3d)
+        k4d = -(nm1 / (t + _C4 * dt)) * k4h + y - abs(y) ** qm1 * y
+        y = h + dt * (_A51 * k1h + _A52 * k2h + _A53 * k3h + _A54 * k4h)
+        k5h = dh + dt * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
+        k5d = -(nm1 / (t + _C5 * dt)) * k5h + y - abs(y) ** qm1 * y
+        t_new = t + dt
+        y = h + dt * (_A61 * k1h + _A62 * k2h + _A63 * k3h + _A64 * k4h
+                      + _A65 * k5h)
+        k6h = dh + dt * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d
+                         + _A65 * k5d)
+        k6d = -(nm1 / t_new) * k6h + y - abs(y) ** qm1 * y
         hn = h + dt * (_B1 * k1h + _B3 * k3h + _B4 * k4h + _B5 * k5h
                        + _B6 * k6h)
         dhn = dh + dt * (_B1 * k1d + _B3 * k3d + _B4 * k4d + _B5 * k5d
                          + _B6 * k6d)
-        k7h, k7d = f(t + dt, hn, dhn)
+        k7h, k7d = dhn, -(nm1 / t_new) * dhn + hn - abs(hn) ** qm1 * hn
 
         err_h = dt * (_E1 * k1h + _E3 * k3h + _E4 * k4h + _E5 * k5h
                       + _E6 * k6h + _E7 * k7h)
@@ -296,8 +301,8 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
             rejected = True
             continue
 
-        step = (t, dt, h, dh, (k1h, k3h, k4h, k5h, k6h, k7h),
-                (k1d, k3d, k4d, k5d, k6d, k7d))
+        step = (t, dt, h, dh, k1h, k3h, k4h, k5h, k6h, k7h,
+                k1d, k3d, k4d, k5d, k6d, k7d)
         steps.append(step)
 
         # events, in within-step time order
@@ -322,7 +327,7 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
             else:
                 return "turned", te, he, steps
 
-        t += dt
+        t = t_new
         h, dh = hn, dhn
         f1h, f1d = k7h, k7d  # first-same-as-last
         factor = 10.0 if err == 0.0 else min(10.0, max(0.2,
@@ -342,36 +347,34 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
 def _sample_profile(alpha, n, steps, t_stop):
     """Sample the dense output on a uniform grid and truncate the tail.
 
-    The grid is cut at the first node with h below the decay threshold
-    (that node is kept) or with h' >= 0 (that node is dropped), whichever
-    comes first; past the cut the stored shot has diverged from the true
-    ground state and carries no information.
+    The grid nodes j * PROFILE_SPACING up to t_stop and the end of the
+    last step are evaluated in one array pass, each in the first step
+    whose end t_old + dt reaches it. The grid is cut at the first node
+    with h below the decay threshold (that node is kept) or with h' >= 0
+    (that node is dropped), whichever comes first, keeping at least two
+    nodes; past the cut the stored shot has diverged from the true ground
+    state and carries no information.
     """
-    ts = [0.0]
-    hs = [alpha]
-    dhs = [0.0]
-    tq = PROFILE_SPACING
-    for step in steps:
-        t_old, dt = step[0], step[1]
-        while tq <= t_old + dt and tq <= t_stop:
-            he, dhe = _dense_eval(step, (tq - t_old) / dt)
-            ts.append(tq)
-            hs.append(he)
-            dhs.append(dhe)
-            tq += PROFILE_SPACING
-    cut = len(ts)
-    for i in range(1, len(ts)):
-        if hs[i] < _DECAY_THRESHOLD:
-            cut = i + 1
-            break
-        if dhs[i] >= 0.0:
-            cut = i
-            break
+    table = np.array(steps)
+    ends = table[:, 0] + table[:, 1]
+    count = int(min(t_stop, ends[-1]) / PROFILE_SPACING)
+    tq = np.arange(1, count + 1) * PROFILE_SPACING
+    cols = table[np.searchsorted(ends, tq, side="left")].T
+    hq, dhq = _dense_eval(cols, (tq - cols[0]) / cols[1])
+    ts = np.concatenate(([0.0], tq))
+    hs = np.concatenate(([alpha], hq))
+    dhs = np.concatenate(([0.0], dhq))
+    below = hq < _DECAY_THRESHOLD
+    stop = below | (dhq >= 0.0)
+    cut = ts.size
+    if stop.any():
+        i = int(stop.argmax())
+        cut = i + 2 if below[i] else i + 1
     cut = max(cut, 2)
     h_end = hs[cut - 1]
     tail = 1.0 if 0.0 < h_end <= 100.0 * _DECAY_THRESHOLD else None
-    return RadialProfile(np.array(ts[:cut]), np.array(hs[:cut]),
-                         np.array(dhs[:cut]), alpha, n, tail_rate=tail)
+    return RadialProfile(ts[:cut], hs[:cut], dhs[:cut], alpha, n,
+                         tail_rate=tail)
 
 
 def _outcome(kind: str, t_event: float, y_event: float,

@@ -8,8 +8,10 @@ solution
 
 whose norms are evaluated here by direct 1-d quadrature of the formulas.
 `hermite_integrals` integrates a stored solver profile by other means than
-the package does. Nothing below touches the solver or the package
-quadrature, so these values can referee both.
+the package does. Nothing above `sample_profile_loop` touches the solver or
+the package quadrature, so these values can referee both.
+`sample_profile_loop` is the solver's former node-by-node profile sampler,
+kept to referee the array sampler bit for bit.
 """
 
 import math
@@ -18,6 +20,8 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicHermiteSpline
+
+from gnyamabe import ode
 
 
 def exponents_m1(m: int) -> tuple[float, float]:
@@ -122,3 +126,35 @@ def hermite_integrals(profile, d, refine: int = 64):
             for i, f in enumerate(tails):
                 ints[i] += float(mpmath.quad(f, [tc, mpmath.inf]))
     return tuple(omega * float(v) for v in ints)
+
+
+def sample_profile_loop(alpha, n, steps, t_stop):
+    """Node-by-node profile sampler: the grid accumulates
+    ode.PROFILE_SPACING, each node is evaluated by the scalar dense output
+    of the step it falls in, and the tail is cut as in ode._sample_profile.
+    """
+    ts = [0.0]
+    hs = [alpha]
+    dhs = [0.0]
+    tq = ode.PROFILE_SPACING
+    for step in steps:
+        t_old, dt = step[0], step[1]
+        while tq <= t_old + dt and tq <= t_stop:
+            he, dhe = ode._dense_eval(step, (tq - t_old) / dt)
+            ts.append(tq)
+            hs.append(he)
+            dhs.append(dhe)
+            tq += ode.PROFILE_SPACING
+    cut = len(ts)
+    for i in range(1, len(ts)):
+        if hs[i] < ode._DECAY_THRESHOLD:
+            cut = i + 1
+            break
+        if dhs[i] >= 0.0:
+            cut = i
+            break
+    cut = max(cut, 2)
+    h_end = hs[cut - 1]
+    tail = 1.0 if 0.0 < h_end <= 100.0 * ode._DECAY_THRESHOLD else None
+    return ode.RadialProfile(np.array(ts[:cut]), np.array(hs[:cut]),
+                             np.array(dhs[:cut]), alpha, n, tail_rate=tail)

@@ -3,15 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnyamabe import ode
 from gnyamabe.geometry import Dims
-from gnyamabe.ode import (DEFAULT_CONTROLS, Candidate, CrossedZero,
-                          IntegrationControls, IntegrationFailure, TurnedUp,
-                          integrate_shot, rhs, series_start, shoot_profile)
+from gnyamabe.ode import (DEFAULT_CONTROLS, PROFILE_SPACING, Candidate,
+                          CrossedZero, IntegrationControls, IntegrationFailure,
+                          TurnedUp, integrate_shot, rhs, series_start,
+                          shoot_profile)
+from gnyamabe.products import table_pairs
 from gnyamabe.shooting import bracket_alpha
 
-from oracles import exponents_m1, sech_amplitude, sech_h
+from oracles import (exponents_m1, sample_profile_loop, sech_amplitude,
+                     sech_h)
 
 D22 = Dims(2, 2)
 
@@ -145,6 +150,35 @@ def test_controls_validation():
         IntegrationControls(t_max=1e-5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["t_max", "rtol", "atol"])
+def test_controls_reject_non_finite(field, value):
+    # atol = inf or rtol = inf used to accept every step and return
+    # alpha0 = 26.2 for (2, 2); nan ended in a misleading step underflow
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        IntegrationControls(**{field: value})
+
+
+_RANK = {TurnedUp: 0, Candidate: 1, CrossedZero: 2}
+
+
+@st.composite
+def _alpha_pairs(draw):
+    a = draw(st.floats(1.0, 64.0, exclude_min=True, exclude_max=True))
+    b = draw(st.floats(a, 64.0, exclude_min=True))
+    return a, b
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(table_pairs(9) + [(3, 1)]), _alpha_pairs())
+def test_classification_monotone_in_alpha(mn, ab):
+    """TurnedUp < Candidate < CrossedZero never runs backwards in alpha."""
+    d = Dims(*mn)
+    a, b = ab
+    assert _RANK[type(integrate_shot(a, d))] \
+        <= _RANK[type(integrate_shot(b, d))]
+
+
 # Bit-identity pins of the shooting solver, recorded before the stepper's
 # stage evaluations were inlined and the profile sampler vectorized: every
 # table value, stored profile and shot event must stay the same double.
@@ -234,3 +268,72 @@ def test_shoot_profile_pinned_bit_for_bit():
         assert profile.ts.size == size
         assert profile.tail_rate == tail_rate
         assert _profile_digest(profile) == digest
+
+
+def _same_as_loop(alpha, n, steps, t_stop):
+    """The array sampler's profile, after checking it against the
+    node-by-node referee bit for bit."""
+    profile = ode._sample_profile(alpha, n, steps, t_stop)
+    ref = sample_profile_loop(alpha, n, steps, t_stop)
+    for got, want in ((profile.ts, ref.ts), (profile.hs, ref.hs),
+                      (profile.dhs, ref.dhs)):
+        assert got.tobytes() == want.tobytes()
+    assert profile.tail_rate == ref.tail_rate
+    return profile
+
+
+def _shot(index):
+    """(alpha, n, t_event, steps) of the _SHOT_PINS shot at `index`."""
+    m, n, alpha_hex = _SHOT_PINS[index][:3]
+    alpha = float.fromhex(alpha_hex)
+    _, te, _, steps = ode._integrate(alpha, Dims(m, n), DEFAULT_CONTROLS)
+    return alpha, n, te, steps
+
+
+def _end(steps):
+    return steps[-1][0] + steps[-1][1]
+
+
+@pytest.mark.parametrize("index", range(len(_SHOT_PINS)))
+def test_sampler_matches_loop_on_every_outcome_kind(index):
+    alpha, n, te, steps = _shot(index)
+    _same_as_loop(alpha, n, steps, te)
+
+
+def test_sampler_matches_loop_with_stop_on_grid_node():
+    alpha, n, _, steps = _shot(0)
+    profile = _same_as_loop(alpha, n, steps, 3.0)
+    assert profile.ts[-1] == 3.0
+
+
+def test_sampler_matches_loop_with_stop_past_last_step():
+    alpha, n, _, steps = _shot(0)
+    steps = steps[:100]
+    profile = _same_as_loop(alpha, n, steps, _end(steps) + 1.0)
+    assert profile.ts[-1] <= _end(steps) < profile.ts[-1] + PROFILE_SPACING
+
+
+def test_sampler_matches_loop_on_threshold_cut():
+    # the first node below the decay threshold is kept
+    for index in (0, 2):
+        alpha, n, _, steps = _shot(index)
+        profile = _same_as_loop(alpha, n, steps, _end(steps) + 1.0)
+        assert profile.hs[-1] < ode._DECAY_THRESHOLD <= profile.hs[-2]
+
+
+def test_sampler_matches_loop_on_slope_cut():
+    # the first node with h' >= 0 is dropped
+    alpha, n, _, steps = _shot(1)
+    profile = _same_as_loop(alpha, n, steps, _end(steps) + 1.0)
+    assert profile.dhs[-1] < 0.0
+    assert profile.ts[-1] + PROFILE_SPACING <= _end(steps)
+    assert profile.hs[-1] >= ode._DECAY_THRESHOLD
+
+
+@pytest.mark.parametrize("h_old, dh_old", [(0.5, 0.0), (1e-7, -1.0)])
+def test_sampler_matches_loop_keeping_two_nodes(h_old, dh_old):
+    # a single step with zero slopes: its first node is flat (dropped, but
+    # two nodes stay) or already below the threshold (kept)
+    step = (1e-4, 1.0, h_old, dh_old) + (0.0,) * 12
+    profile = _same_as_loop(2.0, 2, [step], 1.0)
+    assert profile.ts.size == 2
