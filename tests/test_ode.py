@@ -179,10 +179,10 @@ def test_classification_monotone_in_alpha(mn, ab):
         <= _RANK[type(integrate_shot(b, d))]
 
 
-# Bit-identity pins of the shooting solver, recorded before the stepper's
-# stage evaluations were inlined and the profile sampler vectorized: every
-# table value, stored profile and shot event must stay the same double.
-# Profiles are pinned by the SHA-256 of their ts, hs and dhs bytes.
+# Bit-identity pins of the shooting solver: table values and shot events
+# by float.hex, stored profiles by the SHA-256 of their ts, hs and dhs
+# bytes. A change to the stepper or the sampler that is meant to be
+# exact must reproduce every one of them.
 _TABLE_PINS = [
     (2, 2, '0x1.1a64ca390bf55p+1', '0x1.359a4148cd373p+1'),
     (2, 3, '0x1.0c4531f3899cep+2', '0x1.f092a96235859p+1'),
@@ -328,6 +328,18 @@ def test_sampler_matches_loop_on_slope_cut():
     assert profile.dhs[-1] < 0.0
     assert profile.ts[-1] + PROFILE_SPACING <= _end(steps)
     assert profile.hs[-1] >= ode._DECAY_THRESHOLD
+
+
+def test_sampler_matches_loop_with_node_on_step_end():
+    # node 2 * PROFILE_SPACING ends the first step and starts the second;
+    # it belongs to the first, whose end value differs from the second's
+    # start here
+    dt = 2 * PROFILE_SPACING
+    first = (0.0, dt, 1.0, -0.5) + (-0.5,) * 6 + (-0.25,) * 6
+    second = (dt, dt, 0.9, -0.5) + (-0.5,) * 6 + (-0.25,) * 6
+    profile = _same_as_loop(1.0, 2, [first, second], 1.0)
+    assert profile.ts[2] == dt
+    assert profile.hs[2] == ode._dense_eval(first, 1.0)[0] != 0.9
 
 
 @pytest.mark.parametrize("h_old, dh_old", [(0.5, 0.0), (1e-7, -1.0)])
