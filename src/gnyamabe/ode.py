@@ -238,8 +238,9 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
     Returns (kind, t_event, y_event, steps) with kind one of "crossed",
     "turned", "candidate", y_event the value of h at the event except for a
     crossing, where h = 0 and y_event is the slope h' there instead, and
-    steps every accepted step. Raises
-    IntegrationFailure on step underflow or an unclassifiable endpoint.
+    steps every accepted step. Raises IntegrationFailure when the series
+    start is not positive (alpha too large for _T_START), on step
+    underflow or on an unclassifiable endpoint.
     """
     nm1 = float(d.n - 1)
     qm1 = d.q - 1.0
@@ -251,6 +252,10 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
     # rhs()'s operation order so every stage is the same double
     t = _T_START
     h, dh = series_start(alpha, t, d)
+    if not h > 0.0:
+        raise IntegrationFailure(
+            f"series start h({t:g}) = {h:.6g} is not positive: "
+            f"alpha={alpha!r} is too large to start at t={t:g}")
     f1h, f1d = dh, -(nm1 / t) * dh + h - abs(h) ** qm1 * h
     dt = 1e-3
     steps = []
@@ -353,11 +358,16 @@ def _sample_profile(alpha, n, steps, t_stop):
     with h below the decay threshold (that node is kept) or with h' >= 0
     (that node is dropped), whichever comes first, keeping at least two
     nodes; past the cut the stored shot has diverged from the true ground
-    state and carries no information.
+    state and carries no information. A shot that ends before the first
+    node has no profile: IntegrationFailure.
     """
     table = np.array(steps)
     ends = table[:, 0] + table[:, 1]
     count = int(min(t_stop, ends[-1]) / PROFILE_SPACING)
+    if count < 1:
+        raise IntegrationFailure(
+            f"shot (alpha={alpha!r}) ended at t={t_stop:.6g}, before the "
+            f"first profile node t={PROFILE_SPACING:g}")
     tq = np.arange(1, count + 1) * PROFILE_SPACING
     cols = table[np.searchsorted(ends, tq, side="left")].T
     hq, dhq = _dense_eval(cols, (tq - cols[0]) / cols[1])

@@ -349,3 +349,31 @@ def test_sampler_matches_loop_keeping_two_nodes(h_old, dh_old):
     step = (1e-4, 1.0, h_old, dh_old) + (0.0,) * 12
     profile = _same_as_loop(2.0, 2, [step], 1.0)
     assert profile.ts.size == 2
+
+
+def test_event_before_first_profile_node_is_integration_failure():
+    """(2, 2) from alpha = 1e3 crosses zero at t = 0.0036, before the first
+    grid node 2^-8: the shot classifies, but it has no profile to give."""
+    d = Dims(2, 2)
+    outcome = integrate_shot(1e3, d)
+    assert isinstance(outcome, CrossedZero)
+    assert outcome.t_cross < PROFILE_SPACING
+    with pytest.raises(IntegrationFailure, match="before the first profile"):
+        shoot_profile(1e3, d)
+
+
+@pytest.mark.parametrize("alpha", [1e5, 1e6])
+def test_non_positive_series_start_is_integration_failure(alpha):
+    """From alpha^(q-1) t0^2 / (2n) > 1 the series start is already at or
+    below zero; such a shot is rejected, not classified or overflowed."""
+    d = Dims(2, 2)
+    assert series_start(alpha, 1e-4, d)[0] <= 0.0
+    for shoot in (integrate_shot, shoot_profile):
+        with pytest.raises(IntegrationFailure, match="is not positive"):
+            shoot(alpha, d)
+
+
+def test_largest_positive_series_start_still_classifies():
+    d = Dims(2, 2)
+    assert series_start(1e4, 1e-4, d)[0] > 0.0
+    assert isinstance(integrate_shot(1e4, d), CrossedZero)
