@@ -185,6 +185,16 @@ def _cmd_bound(args, parser) -> int:
     return 0
 
 
+# the periodic listing stops after this many harmonics; the count stays
+# exact and the rest is reported as a number
+_MAX_LISTED = 1000
+# --dump time-integrates from u_max = 1 - delta; past the saddle that
+# follows the orbit only for delta above about this (at 1e-8 it returns
+# within 1e-12 of u_max and 1e-6 of u' = 0), and not at all once u_max
+# rounds to 1
+_DUMP_DELTA_MIN = 1e-8
+
+
 def _cmd_periodic(args, parser) -> int:
     if args.n < 3:
         parser.error("total dimension n must be at least 3")
@@ -206,8 +216,8 @@ def _cmd_periodic(args, parser) -> int:
         f"  target period 2 pi r  = {target:.7g}",
         f"  nonconstant solutions: {rec['count']}",
     ]
-    first = None
-    for k in range(1, rec["count"] + 1):
+    longest = None
+    for k in range(1, min(rec["count"], _MAX_LISTED) + 1):
         period = target / k
         try:
             orb = orbit_for_period(n, period)
@@ -215,18 +225,26 @@ def _cmd_periodic(args, parser) -> int:
             text.append(f"    k={k}: period {period:.7g}, u_max ~ 1 "
                         "(beyond double-precision window)")
             continue
-        if first is None:
-            first = orb
+        if longest is None and orb.delta >= _DUMP_DELTA_MIN:
+            longest = orb
         rec["orbits"].append({"k": k, "period": _sig7(orb.period),
-                              "u_max": _sig7(orb.u_max)})
+                              "u_max": _sig7(orb.u_max),
+                              "delta": _sig7(orb.delta)})
         text.append(f"    k={k}: period {orb.period:.7g}, "
-                    f"u_max {orb.u_max:.7g}")
+                    f"u_max {orb.u_max:.7g}, delta {orb.delta:.7g}")
+    unlisted = rec["count"] - _MAX_LISTED
+    if unlisted > 0:
+        rec["unlisted"] = unlisted
+        text.append(f"    ... {unlisted} more harmonics, k > {_MAX_LISTED}, "
+                    "not listed")
     _emit(_render(args.format, rec, text), args.out)
     if args.dump is not None:
-        if first is not None:
-            _dump(args.dump, *integrate_orbit(n, first.u_max, first.period))
+        if longest is not None:
+            _dump(args.dump, *integrate_orbit(n, longest.u_max,
+                                           longest.period))
         else:
-            print("no resolvable orbit to dump", file=sys.stderr)
+            print(f"no listed orbit with delta >= {_DUMP_DELTA_MIN:g} to "
+                  "dump", file=sys.stderr)
     return 0
 
 
@@ -303,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--format", choices=("text", "json"), default="text")
     pd.add_argument("--out", default=None)
     pd.add_argument("--dump", default=None,
-                    help="write the fundamental orbit as 't u du' rows")
+                    help="write the longest listed orbit with delta >= "
+                         "1e-8 as 't u du' rows")
     pd.set_defaults(func=_cmd_periodic)
 
     ct = sub.add_parser("constants", help="closed-form sphere constants and "

@@ -6,16 +6,36 @@ scalar curvature equation for a function of the circle reduces to
     u'' - ((n-2)^2/4) u + (n(n-2)/4) u^((n+2)/(n-2)) = 0,
 
 a Hamiltonian flow in the (u, u') phase plane whose closed orbits around
-the positive equilibrium give the 2 pi r - periodic solutions. Periods are
-computed by turning-point quadrature on the conserved energy; counting
+the positive equilibrium give the 2 pi r - periodic solutions; counting
 solutions for a given circle radius reduces to comparing 2 pi r with the
 period range.
 
-Everything here runs on numpy and the stdlib: the turning points and the
-inverse of the period map come from `_brentq`, a port of the Brent (1973)
-root-finder. Only the time-integration referees import scipy, inside the
-functions that need it: `integrate_orbit` and `return_time` (`solve_ivp`)
-and `circle_quotient` (`simpson`).
+An orbit is parametrized by its separatrix distance delta = 1 - u_max,
+which keeps its precision where u_max itself rounds to 1. With V(u) =
+c (u^P - u^2), c = (n-2)^2/8 and P = 2n/(n-2), the orbit's energy is
+E = c (expm1(P log1p(-delta)) + 2 delta - delta^2), free of cancellation,
+and its inner turning point u_min comes from Newton's method in log u.
+The period integral is split at the equilibrium u_c:
+
+- on [u_min, u_c] it substitutes u = u_min cosh w. Near the saddle u = 0
+  the integrand tends to 1/lambda, lambda = (n-2)/2, so the time of order
+  log(1/delta) spent there moves into the interval length
+  acosh(u_c / u_min). Counted back from u_c, the interval is cut where
+  (P - 2) times the distance is 4, 12 and 40; past 40 the integrand is
+  1/lambda to double precision and is integrated exactly.
+- on [u_c, u_max] it substitutes u = u_c + (u_max - u_c) sin(theta).
+
+Each panel uses one 64-node Gauss-Legendre rule built once per process,
+and each gap E - V is an array of differences of like powers with exact
+increments. Orbits within 2% of u_c use an exactly factored series of
+the well instead. `orbit_for_period` inverts the map by the Illinois
+variant of regula falsi (Dowell & Jarratt 1971) in log delta, between
+window ends whose periods are cached per dimension.
+
+Everything here runs on numpy and the stdlib. The time integrations
+behind `integrate_orbit`, `return_time` and `circle_quotient`, which
+cross-check the quadrature, step the flow by Dormand-Prince 5(4) with the
+radial solver's tableau and dense output.
 """
 
 from __future__ import annotations
@@ -23,83 +43,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import ode
 from .geometry import surface_measure
 
 _ORBIT_RTOL = 1e-12
 _ORBIT_ATOL = 1e-14
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int = 100) -> float:
-    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    A step-for-step port of scipy's `brentq.c`, so every root is the
-    double scipy.optimize.brentq returns: the same update order, signbit
-    tests, interpolate/extrapolate/bisect rule and step floor
-    delta = (xtol + rtol |x|) / 2. Raises ValueError for a bracket whose
-    ends have the same sign or a NaN function value, RuntimeError after
-    `maxiter` iterations without convergence."""
-
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(
-                f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _check_dim(n: int) -> None:
@@ -135,27 +88,17 @@ def minimal_period(n: int) -> float:
     return 2.0 * math.pi / math.sqrt(n - 2.0)
 
 
-def _energy_gap(u: float, u_max: float, n: int,
-                dh: float | None = None) -> float:
-    """E - V(u) for the orbit through (u_max, 0), formed as a difference of
-    like power terms; `dh` may supply u_max - u exactly when the caller
-    knows it better than the subtraction does."""
-    c = (n - 2) ** 2 / 8.0
-    big = 2.0 * n / (n - 2)
-    if dh is None:
-        dh = u_max - u
-    power_diff = u ** big * math.expm1(big * math.log1p(dh / u))
-    return c * (power_diff - dh * (u_max + u))
-
-
 # orbits with amplitude below this fraction of u_c use the series form of
 # the well, which stays conditioned down to the resolvable floor
 _SERIES_AMPLITUDE = 0.02
 _SERIES_TERMS = 16
 
-# resolvable amplitude window
+# resolvable window: amplitudes u_max - u_c above _UMAX_REL_FLOOR u_c,
+# separatrix distances delta above _DELTA_FLOOR
 _UMAX_REL_FLOOR = 1e-9
-_UMAX_CEIL = 1.0 - 1e-13
+_DELTA_FLOOR = 1e-300
+
+_NEWTON_STEPS = 60
 
 
 @lru_cache(maxsize=None)
@@ -182,24 +125,32 @@ def _well_coefficients(n: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def _series_slope(v, v_max: float, coeffs):
-    """S(v) = (W(v_max) - W(v)) / (v_max - v) for the well W around u_c,
-    via the exactly factored power differences; no cancellation for any
-    v in the orbit. E - V = (v_max - v) S(v), and S(v_min) = 0. Works
-    elementwise on an array of v."""
-    sigma = 1.0  # sigma_1
+def _series_reduced(v, v_min: float, v_max: float, coeffs):
+    """(S(v) - S(v_min)) / (v - v_min) for the chord slope S of the well,
+    S(v) = (W(v_max) - W(v)) / (v_max - v) = sum_j c_j sigma_j(v) with
+    sigma_j(v) = (v^j - v_max^j) / (v - v_max). At the inner turning point
+    S(v_min) = 0, so E - V = (v_max - v) (v - v_min) times this reduced
+    gap. Each divided difference D_j = (sigma_j(v) - sigma_j(v_min)) /
+    (v - v_min) obeys D_j = v D_{j-1} + sigma_{j-1}(v_min), D_1 = 0: no
+    term cancels, whatever is left of S(v_min) in rounding drops out, and
+    the nodes next to the turning point stay clean. Works elementwise on
+    an array of v."""
+    dd = 0.0
+    sigma_min = 1.0  # sigma_1(v_min)
     vm_pow = 1.0
     total = 0.0
-    for j, cj in enumerate(coeffs, start=2):
+    for cj in coeffs:
+        dd = v * dd + sigma_min
         vm_pow *= v_max
-        sigma = sigma * v + vm_pow  # sigma_j = v sigma_{j-1} + v_max^{j-1}
-        total += cj * sigma
+        sigma_min = sigma_min * v_min + vm_pow
+        total += cj * dd
     return total
 
 
 def _series_slope_deriv(v: float, v_max: float, coeffs):
-    """(S, dS/dv) in one pass; tau_j = sigma_j' obeys tau_{j+1} =
-    sigma_j + v tau_j."""
+    """(S, dS/dv) in one pass for the chord slope S of `_series_reduced`;
+    sigma_j = v sigma_{j-1} + v_max^{j-1}, and tau_j = sigma_j' obeys
+    tau_{j+1} = sigma_j + v tau_j."""
     sigma = 1.0
     tau = 0.0
     vm_pow = 1.0
@@ -215,111 +166,204 @@ def _series_slope_deriv(v: float, v_max: float, coeffs):
 
 
 def _series_v_min(n: int, v_max: float) -> float:
-    """Inner turning point in well coordinates v = u - u_c, polished to
-    the evaluation noise of S so the near-turning nodes stay clean."""
-    uc = constant_solution(n)
+    """Inner turning point in well coordinates v = u - u_c: the root of S
+    below 0, by Newton's method from the harmonic turning point -v_max
+    (S' > 0 at the root), until the steps stop shrinking."""
     coeffs = _well_coefficients(n)
-    lo = -min(2.2 * v_max, 0.06 * uc)
-    v = _brentq(lambda w: _series_slope(w, v_max, coeffs), lo, 0.0,
-                xtol=1e-18, rtol=8.9e-16)
-    for _ in range(2):
+    v = -v_max
+    last = math.inf
+    for _ in range(_NEWTON_STEPS):
         s_val, d_val = _series_slope_deriv(v, v_max, coeffs)
-        v -= s_val / d_val
-    return v
+        step = s_val / d_val
+        if not abs(step) < last:
+            return v
+        v -= step
+        last = abs(step)
+    raise RuntimeError(f"series turning point did not converge for "
+                       f"v_max={v_max!r}")
+
+
+def _energy_ratio(n: int, delta: float) -> float:
+    """E / c = u_max^P - u_max^2 < 0 at u_max = 1 - delta, formed without
+    cancellation."""
+    big = 2.0 * n / (n - 2)
+    return math.expm1(big * math.log1p(-delta)) + 2.0 * delta - delta * delta
+
+
+def _log_u_min(n: int, e: float) -> float:
+    """log u_min of the orbit with E / c = e: the root s < log u_c of
+    2 s + log(1 - u^(P-2)) = log(-e), u = exp(s), by Newton's method.
+    The left side is increasing and concave there, so from the start
+    u = sqrt(-e) < u_min the iterates climb monotonically until the steps
+    stop shrinking; u^(P-2) may underflow harmlessly."""
+    pm2 = 4.0 / (n - 2)
+    target = math.log(-e)
+    s = 0.5 * target
+    last = math.inf
+    for _ in range(_NEWTON_STEPS):
+        x = math.exp(pm2 * s)
+        step = ((2.0 * s + math.log1p(-x) - target)
+                / (2.0 - pm2 * x / (1.0 - x)))
+        if not abs(step) < last:
+            return s
+        s -= step
+        last = abs(step)
+    raise RuntimeError(f"inner turning point did not converge for e={e!r}")
 
 
 def _check_window(uc: float, u_max: float) -> None:
-    """Reject amplitudes outside the closed-orbit window or outside the
+    """Reject amplitudes outside the closed-orbit window or below the
     part of it that is resolvable in doubles."""
     if not (uc < u_max < 1.0):
         raise ValueError(
             f"u_max must lie in the closed-orbit window ({uc:.6g}, 1), "
             f"got {u_max}")
-    if u_max < uc * (1.0 + _UMAX_REL_FLOOR) or u_max > _UMAX_CEIL:
+    if u_max < uc * (1.0 + _UMAX_REL_FLOOR):
         raise ValueError(
-            f"u_max={u_max!r} is outside the window resolvable in doubles, "
-            f"[{uc * (1.0 + _UMAX_REL_FLOOR):.9g}, {_UMAX_CEIL!r}]")
+            f"u_max={u_max!r} is below the window resolvable in doubles, "
+            f"which starts at {uc * (1.0 + _UMAX_REL_FLOOR):.9g}")
 
 
-_PHASE_NODES = 128
+_GAUSS_NODES = 64
+# inner-half panel ends, as (P - 2) times the distance back from u_c in w
+_INNER_BREAKS = (4.0, 12.0, 40.0)
 
 
 @lru_cache(maxsize=None)
-def _phase_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """The _PHASE_NODES Gauss-Legendre nodes and weights mapped to the
-    phase interval [0, pi], built on first use and shared read-only."""
-    x, w = leggauss(_PHASE_NODES)
-    phi = 0.5 * math.pi * (x + 1.0)
-    wphi = 0.5 * math.pi * w
-    phi.flags.writeable = False
-    wphi.flags.writeable = False
-    return phi, wphi
+def _gauss_rule() -> tuple[np.ndarray, ...]:
+    """The _GAUSS_NODES Gauss-Legendre nodes x and weights w on [0, 1],
+    with the outer-half factors at theta = pi x / 2: sin(theta),
+    1 - sin(theta) = cos^2 / (1 + sin) and (pi/2) w sqrt(1 + sin(theta)).
+    Built on first use and shared read-only."""
+    x, w = leggauss(_GAUSS_NODES)
+    x = 0.5 * (x + 1.0)
+    w = 0.5 * w
+    theta = 0.5 * math.pi * x
+    sin, cos = np.sin(theta), np.cos(theta)
+    rule = (x, w, sin, cos * cos / (1.0 + sin),
+            0.5 * math.pi * w * np.sqrt(1.0 + sin))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _series_period(n: int, v_max: float) -> float:
+    """Period of a small orbit in well coordinates v = u - u_c, with
+    u - u_min = 2 amp sin^2(phi/2) on the phase phi in [0, pi]: rounding
+    u_min back to the u scale would poison the turning-point nodes."""
+    _, weights, sin, _, _ = _gauss_rule()
+    coeffs = _well_coefficients(n)
+    v_min = _series_v_min(n, v_max)
+    # phi = pi x, so sin(phi/2) is the outer-half sin(theta)
+    dist_lo = (v_max - v_min) * sin * sin
+    # reduced gap (E - V)/((u - u_min)(u_max - u))
+    reduced = _series_reduced(v_min + dist_lo, v_min, v_max, coeffs)
+    return 2.0 * math.pi * float(np.dot(weights,
+                                        1.0 / np.sqrt(2.0 * reduced)))
+
+
+def _period(n: int, delta: float) -> float:
+    """Period of the closed orbit through (1 - delta, 0)."""
+    uc = constant_solution(n)
+    u_max = 1.0 - delta
+    if u_max - uc <= _SERIES_AMPLITUDE * uc:
+        return _series_period(n, u_max - uc)
+    big = 2.0 * n / (n - 2)
+    pm2 = 4.0 / (n - 2)
+    lam = 0.5 * (n - 2)  # sqrt(2c)
+    x, weights, sin, one_minus_sin, w_outer = _gauss_rule()
+
+    # [u_min, u_c], u = u_min cosh(w): (E - V) / (c (u^2 - u_min^2)) =
+    # 1 - u^(P-2) (1 - sech^P w) / tanh^2 w, the integrand
+    # 1 / (lam sqrt(.)); the panels run back from w = width at u_c
+    s_min = _log_u_min(n, _energy_ratio(n, delta))
+    width = math.acosh(uc * math.exp(-s_min))
+    ends = [0.0]
+    for brk in _INNER_BREAKS:
+        ends.append(min(brk / pm2, width))
+        if ends[-1] == width:
+            break
+    lo = np.array(ends[:-1])[:, None]
+    span = np.diff(ends)[:, None]
+    w = width - (lo + span * x).ravel()
+    log_cosh = np.log1p(2.0 * np.sinh(0.5 * w) ** 2)
+    ratio = (np.exp(pm2 * (s_min + log_cosh)) * -np.expm1(-big * log_cosh)
+             / np.tanh(w) ** 2)
+    inner = (width - ends[-1]) + float(np.dot((span * weights).ravel(),
+                                              1.0 / np.sqrt(1.0 - ratio)))
+
+    # [u_c, u_max], u = u_c + amp sin(theta): (E - V) / (c (u_max - u)),
+    # with u_max - u = amp (1 - sin(theta)) exact near the turning point
+    amp = u_max - uc
+    dh = amp * one_minus_sin
+    u = uc + amp * sin
+    slope = u ** big * np.expm1(big * np.log1p(dh / u)) / dh - (u_max + u)
+    outer = float(np.dot(w_outer, np.sqrt(amp / slope)))
+    return 2.0 * (inner + outer) / lam
 
 
 @dataclass(frozen=True)
 class CircleOrbit:
-    """One closed phase-plane orbit: amplitude, period, energy level."""
+    """One closed phase-plane orbit: amplitude, period, energy level.
+
+    `delta` = 1 - u_max is the separatrix distance that parametrizes the
+    orbit; `u_max` is 1 - delta rounded, which is 1.0 for delta below
+    1.1e-16."""
 
     n: int
     u_max: float
     period: float
     energy: float
+    delta: float
 
 
 def orbit_period(n: int, u_max: float) -> float:
     """Period of the closed orbit through (u_max, 0) by turning-point
-    quadrature.
+    quadrature on the separatrix distance 1 - u_max, which is exact for
+    every u_max in the window (Sterbenz)."""
+    _check_window(constant_solution(n), u_max)
+    return _period(n, 1.0 - u_max)
 
-    Substituting u = mid - amp cos(phi) absorbs the square-root
-    singularities at both turning points, leaving a smooth integrand for
-    Gauss-Legendre in phi."""
-    uc = constant_solution(n)
-    _check_window(uc, u_max)
-    phi, wphi = _phase_nodes()
-    if u_max - uc <= _SERIES_AMPLITUDE * uc:
-        # work entirely in well coordinates v = u - u_c: rounding u_min
-        # back to the u scale would poison the turning-point nodes
-        coeffs = _well_coefficients(n)
-        v_max = u_max - uc
-        v_min = _series_v_min(n, v_max)
-        amp = 0.5 * (v_max - v_min)
-        dist_lo = 2.0 * amp * np.sin(0.5 * phi) ** 2
-        # reduced gap (E - V)/((u - u_min)(u_max - u)) = S(v)/(v - v_min)
-        reduced = _series_slope(v_min + dist_lo, v_max, coeffs) / dist_lo
-    else:
-        u_min = _brentq(lambda u: _energy_gap(u, u_max, n), 1e-15, uc,
-                        xtol=1e-15, rtol=8.9e-16)
-        amp = 0.5 * (u_max - u_min)
-        # form the turning-point distances before u itself:
-        # u - u_min = 2 amp sin^2(phi/2), u_max - u = 2 amp cos^2(phi/2)
-        dist_lo = 2.0 * amp * np.sin(0.5 * phi) ** 2
-        dist_hi = 2.0 * amp * np.cos(0.5 * phi) ** 2
-        u = u_min + dist_lo
-        gap = np.array([
-            _energy_gap(ui, u_max, n, dh=dh)
-            for ui, dh in zip(u.tolist(), dist_hi.tolist())])
-        reduced = gap / (dist_lo * dist_hi)
-    return 2.0 * float(np.sum(wphi / np.sqrt(2.0 * reduced)))
+
+def _orbit(n: int, delta: float, period: float) -> CircleOrbit:
+    """The orbit at separatrix distance delta, whose period is known."""
+    c = (n - 2) ** 2 / 8.0
+    return CircleOrbit(n=n, u_max=1.0 - delta, period=period,
+                       energy=c * _energy_ratio(n, delta), delta=delta)
 
 
 def circle_orbit(n: int, u_max: float) -> CircleOrbit:
     """Bundle an orbit's amplitude with its period and energy."""
-    period = orbit_period(n, u_max)
-    return CircleOrbit(n=n, u_max=u_max, period=period,
-                       energy=float(potential(u_max, n)))
+    return _orbit(n, 1.0 - u_max, orbit_period(n, u_max))
 
 
 @lru_cache(maxsize=None)
 def _period_window(n: int) -> tuple[float, float, float, float]:
-    """Amplitude window (lo, hi) searched by orbit_for_period, with the
-    periods at its ends."""
-    lo = constant_solution(n) * (1.0 + 2.0 * _UMAX_REL_FLOOR)
-    hi = _UMAX_CEIL
-    return lo, hi, orbit_period(n, lo), orbit_period(n, hi)
+    """The window in x = log delta searched by orbit_for_period, (x_sep,
+    x_harm) from the separatrix end to the harmonic end, with the periods
+    at its ends."""
+    x_sep = math.log(_DELTA_FLOOR)
+    x_harm = math.log(1.0 - constant_solution(n)
+                      * (1.0 + 2.0 * _UMAX_REL_FLOOR))
+    return (x_sep, x_harm, _period(n, math.exp(x_sep)),
+            _period(n, math.exp(x_harm)))
+
+
+# orbit_for_period stops once the period misses its target by this much
+# relative, or when the log-delta bracket cannot be split further
+_INVERSE_RTOL = 1e-15
+_INVERSE_STEPS = 100
 
 
 def orbit_for_period(n: int, period: float) -> CircleOrbit:
-    """Invert the (strictly increasing) period map on the orbit window.
+    """Invert the (strictly decreasing in delta) period map on the orbit
+    window by the Illinois iteration in x = log delta.
+
+    The bracket keeps the separatrix side (period too long) and the
+    harmonic side (too short); each step takes the regula-falsi point of
+    the misses at its ends, and when one end is kept twice in a row its
+    miss is halved, so neither end stalls. The orbit returned is the
+    evaluated one closest to the target.
 
     Raises ValueError when the requested period is at or below the
     harmonic minimum or beyond what the window resolves in doubles, or
@@ -331,18 +375,42 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
         raise ValueError(
             f"no closed orbit has period {period:.6g} <= minimal period "
             f"{minimal_period(n):.6g}")
-    lo, hi, t_lo, t_hi = _period_window(n)
-    if t_hi < period:
+    a, b, t_a, t_b = _period_window(n)
+    if t_a < period:
         raise ValueError(
             f"period {period:.6g} requires an orbit too close to the "
             "separatrix to resolve")
-    if t_lo > period:
+    if t_b > period:
         raise ValueError(
             f"period {period:.6g} sits too close to the harmonic minimum "
             "to resolve the orbit amplitude")
-    u = _brentq(lambda v: orbit_period(n, v) - period, lo, hi,
-                xtol=1e-14, rtol=8.9e-16)
-    return circle_orbit(n, u)
+    f_a, f_b = t_a - period, t_b - period
+    best = (abs(f_a), a, t_a) if abs(f_a) < abs(f_b) else (abs(f_b), b, t_b)
+    kept = None
+    for _ in range(_INVERSE_STEPS):
+        if best[0] <= _INVERSE_RTOL * period:
+            break
+        x = a - f_a * (b - a) / (f_b - f_a)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        t_x = _period(n, math.exp(x))
+        f_x = t_x - period
+        if abs(f_x) < best[0]:
+            best = (abs(f_x), x, t_x)
+        if f_x > 0.0:
+            a, f_a = x, f_x
+            if kept == "b":
+                f_b *= 0.5
+            kept = "b"
+        else:
+            b, f_b = x, f_x
+            if kept == "a":
+                f_a *= 0.5
+            kept = "a"
+    _, x, t_x = best
+    return _orbit(n, math.exp(x), t_x)
 
 
 def count_periodic_solutions(n: int, r: float) -> int:
@@ -359,64 +427,97 @@ def count_periodic_solutions(n: int, r: float) -> int:
     return max(0, math.ceil(x - 1e-12) - 1)
 
 
-def _orbit_rhs(n: int):
-    """Right-hand side (u', u'') of the circle-factor flow in the form
-    solve_ivp takes, with the constants of dimension n bound once."""
+# Dormand-Prince 5(4) on the orbit, with the tableau of the radial
+# stepper: the stage rows, the last one the fifth-order weights (first
+# same as last), and the error weights
+_DP_ROWS = ((ode._A21,), (ode._A31, ode._A32),
+            (ode._A41, ode._A42, ode._A43),
+            (ode._A51, ode._A52, ode._A53, ode._A54),
+            (ode._A61, ode._A62, ode._A63, ode._A64, ode._A65),
+            (ode._B1, 0.0, ode._B3, ode._B4, ode._B5, ode._B6))
+_DP_ERR = (ode._E1, 0.0, ode._E3, ode._E4, ode._E5, ode._E6, ode._E7)
+
+
+def _orbit_steps(n: int, u_max: float, t_end: float):
+    """Yield the accepted Dormand-Prince 5(4) steps of the flow from
+    (u_max, 0) to t_end at _ORBIT_RTOL and _ORBIT_ATOL, each laid out as
+    the radial stepper stores one, (t, dt, u, u', six u-slopes, six
+    u'-slopes), so `ode._dense_eval` evaluates it."""
     c1 = (n - 2) ** 2 / 4.0
     c2 = n * (n - 2) / 4.0
-    q = (n + 2) / (n - 2)
+    qm1 = 4.0 / (n - 2)
 
-    def f(t, y):
-        u, du = y
-        return (du, c1 * u - c2 * abs(u) ** (q - 1.0) * u)
+    def accel(u):
+        return c1 * u - c2 * abs(u) ** qm1 * u
 
-    return f
+    t, u, du = 0.0, u_max, 0.0
+    f_u, f_d = du, accel(u)
+    dt = 1e-2
+    rejected = False
+    while t < t_end:
+        if dt < 1e-13:
+            raise RuntimeError(
+                f"orbit integration failed: step underflow at t={t:.6g}")
+        dt = min(dt, t_end - t)
+        ku, kd = [f_u], [f_d]
+        for row in _DP_ROWS:
+            y = u + dt * sum(map(mul, row, ku))
+            dy = du + dt * sum(map(mul, row, kd))
+            ku.append(dy)
+            kd.append(accel(y))
+        err_u = dt * sum(map(mul, _DP_ERR, ku))
+        err_d = dt * sum(map(mul, _DP_ERR, kd))
+        sc_u = _ORBIT_ATOL + _ORBIT_RTOL * max(abs(u), abs(y))
+        sc_d = _ORBIT_ATOL + _ORBIT_RTOL * max(abs(du), abs(dy))
+        err = math.sqrt(0.5 * ((err_u / sc_u) ** 2 + (err_d / sc_d) ** 2))
+        if err > 1.0:
+            dt *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+            continue
+        yield (t, dt, u, du, ku[0], *ku[2:], kd[0], *kd[2:])
+        t += dt
+        u, du = y, dy
+        f_u, f_d = ku[-1], kd[-1]
+        factor = 10.0 if err == 0.0 else min(10.0, max(0.2,
+                                                       0.9 * err ** -0.2))
+        if rejected:
+            factor = min(1.0, factor)
+            rejected = False
+        dt *= factor
 
 
 def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049):
-    """Time-integrate the orbit from (u_max, 0); returns (t, u, u') arrays."""
-    from scipy.integrate import solve_ivp
-
+    """Time-integrate the orbit from (u_max, 0); returns (t, u, u') arrays
+    at `samples` equally spaced times on [0, t_end], read off the dense
+    output of the step each falls in."""
     _check_dim(n)
     ts = np.linspace(0.0, t_end, samples)
-    sol = solve_ivp(_orbit_rhs(n), (0.0, t_end), (u_max, 0.0), method="DOP853",
-                    rtol=_ORBIT_RTOL, atol=_ORBIT_ATOL, t_eval=ts)
-    if not sol.success:
-        raise RuntimeError(f"orbit integration failed: {sol.message}")
-    return sol.t, sol.y[0], sol.y[1]
+    table = np.array(list(_orbit_steps(n, u_max, t_end)))
+    ends = table[:, 0] + table[:, 1]
+    cols = table[np.minimum(np.searchsorted(ends, ts), len(table) - 1)].T
+    us, dus = ode._dense_eval(cols, (ts - cols[0]) / cols[1])
+    return ts, us, dus
 
 
 def return_time(n: int, u_max: float) -> float:
     """First return time to the outer turning point by direct time
-    integration, located as the u' downward zero crossing near one period.
+    integration, located as the downward zero of u' near one period.
     Cross-checks the quadrature period independently of it."""
-    from scipy.integrate import solve_ivp
-
     t_guess = orbit_period(n, u_max)
-
-    def slowing(t, y):
-        return y[1]
-    slowing.terminal = False
-    slowing.direction = -1.0
-
-    sol = solve_ivp(_orbit_rhs(n), (0.0, 1.5 * t_guess), (u_max, 0.0),
-                    method="DOP853", rtol=_ORBIT_RTOL, atol=_ORBIT_ATOL,
-                    events=slowing)
-    hits = [t for t in sol.t_events[0] if t > 0.5 * t_guess]
-    if not hits:
-        raise RuntimeError("orbit did not return within 1.5 periods")
-    return float(hits[0])
+    for step in _orbit_steps(n, u_max, 1.5 * t_guess):
+        if step[0] > 0.5 * t_guess and step[3] > 0.0 >= step[9]:
+            return step[0] + ode._locate(step, 1, 0.0, False) * step[1]
+    raise RuntimeError("orbit did not return within 1.5 periods")
 
 
 def circle_quotient(n: int, u_max: float) -> float:
     """Yamabe quotient of the periodic solution over one period.
 
     The first factor has volume Vol(S^{n-1}) and scalar curvature
-    (n-1)(n-2); integrals run over a single period, sampled at 4097
-    points. As the orbit approaches the separatrix (u_max -> 1) the
-    quotient climbs to the sphere invariant Y_n from below."""
-    from scipy.integrate import simpson
-
+    (n-1)(n-2); integrals run over a single period of the time-integrated
+    orbit, sampled at 4097 points, by the composite Simpson rule. As the
+    orbit approaches the separatrix (u_max -> 1) the quotient climbs to
+    the sphere invariant Y_n from below."""
     _check_dim(n)
     vol_m = surface_measure(n)
     a = 4.0 * (n - 1) / (n - 2)
@@ -424,7 +525,11 @@ def circle_quotient(n: int, u_max: float) -> float:
     s = (n - 1.0) * (n - 2.0)
     period = orbit_period(n, u_max)
     ts, us, dus = integrate_orbit(n, u_max, period, samples=4097)
-    grad = vol_m * simpson(dus * dus, x=ts)
-    sq = vol_m * simpson(us * us, x=ts)
-    crit = vol_m * simpson(np.abs(us) ** p, x=ts)
+    simpson = np.full(ts.size, 2.0)
+    simpson[1::2] = 4.0
+    simpson[[0, -1]] = 1.0
+    simpson *= (ts[1] - ts[0]) / 3.0
+    grad = vol_m * float(np.dot(simpson, dus * dus))
+    sq = vol_m * float(np.dot(simpson, us * us))
+    crit = vol_m * float(np.dot(simpson, np.abs(us) ** p))
     return (a * grad + s * sq) / crit ** (2.0 / p)

@@ -8,8 +8,10 @@ solution
 
 whose norms are evaluated here by direct 1-d quadrature of the formulas.
 `hermite_integrals` integrates a stored solver profile by other means than
-the package does. Nothing above `sample_profile_loop` touches the solver or
-the package quadrature, so these values can referee both.
+the package does. `period_reference` integrates a circle-factor period by
+mpmath tanh-sinh, with none of the substitutions the package uses.
+Nothing above `sample_profile_loop` touches the solver or the package
+quadrature, so these values can referee both.
 `sample_profile_loop` is the solver's former node-by-node profile sampler,
 kept to referee the array sampler bit for bit.
 """
@@ -126,6 +128,56 @@ def hermite_integrals(profile, d, refine: int = 64):
             for i, f in enumerate(tails):
                 ints[i] += float(mpmath.quad(f, [tc, mpmath.inf]))
     return tuple(omega * float(v) for v in ints)
+
+
+def period_reference(n: int, delta: float, digits: int = 40) -> float:
+    """Period of the circle-factor orbit through (1 - delta, 0) for
+    u'' = ((n-2)^2/4) u - (n(n-2)/4) u^((n+2)/(n-2)): twice the integral
+    of du / sqrt(2 (E - V(u))) between the turning points, with
+    V(u) = ((n-2)^2/8) (u^(2n/(n-2)) - u^2) and E = V(1 - delta).
+
+    mpmath tanh-sinh quadrature, on panels cut at u_c and at every
+    factor of ten above u_min, so the endpoint singularities and the slow
+    passage near the saddle u = 0 are each at a panel end. The working
+    precision is `digits` plus the digits lost to the cancellations in
+    E - V: those of 1/delta next to the separatrix and of
+    1/amplitude^2 next to the equilibrium."""
+    uc = ((n - 2) / n) ** ((n - 2) / 4)
+    amplitude = abs(1.0 - delta - uc) / uc
+    extra = 10 + max(0, int(-math.log10(delta))) + max(
+        0, int(-2 * math.log10(amplitude)))
+    with mpmath.workdps(digits + extra):
+        c = mpmath.mpf(n - 2) ** 2 / 8
+        big = mpmath.mpf(2 * n) / (n - 2)
+        u_c = (mpmath.mpf(n - 2) / n) ** (mpmath.mpf(n - 2) / 4)
+        u_max = 1 - mpmath.mpf(delta)
+
+        def pot(u):
+            return c * (u ** big - u * u)
+
+        energy = pot(u_max)
+        # u_min by bisection in log u: pot - energy > 0 at sqrt(-energy/c)
+        # (the u^P term alone) and < 0 at u_c
+        lo, hi = mpmath.sqrt(-energy / c), u_c
+        while hi - lo > lo * mpmath.eps * 4:
+            mid = mpmath.sqrt(lo * hi)
+            if pot(mid) > energy:
+                lo = mid
+            else:
+                hi = mid
+        u_min = lo
+
+        def integrand(u):
+            # next to a turning point the gap is rounding-sized; its sign
+            # there carries no information
+            gap = abs(energy - pot(u))
+            return 1 / mpmath.sqrt(2 * gap) if gap else mpmath.mpf(0)
+
+        points = [u_min]
+        while points[-1] * 10 < u_c:
+            points.append(points[-1] * 10)
+        points += [u_c, u_max]
+        return float(2 * mpmath.quad(integrand, points))
 
 
 def sample_profile_loop(alpha, n, steps, t_stop):

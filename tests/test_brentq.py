@@ -1,38 +1,21 @@
-"""periodic._brentq against scipy.optimize.brentq as a test-time referee.
+"""The period map's root solves against scipy.optimize.brentq as a
+test-time referee.
 
-The port must take the same steps as scipy's Brent iteration, so both
-the sequence of evaluation points and the returned root must agree to the
-last bit, on the three root solves of the period map and on plain
-functions that exercise each branch of the iteration.
+The package finds the inner turning points by Newton's method (in well
+coordinates for small orbits, in log u otherwise) and inverts the period
+map by an Illinois iteration in log delta. scipy's Brent iteration solves
+the same three equations here from a bracket, and each root must agree
+with the package's to within the referee's own tolerance.
 """
 
 import math
 
+import mpmath
 import pytest
 from scipy.optimize import brentq
 
 from gnyamabe import periodic
-from gnyamabe.periodic import constant_solution, minimal_period, orbit_period
-
-
-def _both(f, a, b, **kw):
-    """(root, evaluation points) from scipy and from the port."""
-    runs = []
-    for solver in (brentq, periodic._brentq):
-        xs = []
-
-        def g(x):
-            xs.append(x)
-            return f(x)
-
-        runs.append((solver(g, a, b, **kw).hex(), [x.hex() for x in xs]))
-    return runs
-
-
-def _assert_same(f, a, b, **kw):
-    ref, port = _both(f, a, b, **kw)
-    assert port == ref
-    return len(ref[1])
+from gnyamabe.periodic import constant_solution, minimal_period, potential
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
@@ -42,8 +25,10 @@ def test_series_turning_point_matches_scipy(n, rel):
     coeffs = periodic._well_coefficients(n)
     v_max = rel * uc
     lo = -min(2.2 * v_max, 0.06 * uc)
-    _assert_same(lambda w: periodic._series_slope(w, v_max, coeffs), lo, 0.0,
-                 xtol=1e-18, rtol=8.9e-16)
+    ref = brentq(lambda w: periodic._series_slope_deriv(w, v_max, coeffs)[0],
+                 lo, 0.0, xtol=1e-18, rtol=8.9e-16)
+    v_min = periodic._series_v_min(n, v_max)
+    assert abs(v_min - ref) <= 1e-18 + 4e-15 * abs(ref)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
@@ -51,53 +36,26 @@ def test_series_turning_point_matches_scipy(n, rel):
 def test_inner_turning_point_matches_scipy(n, frac):
     uc = constant_solution(n)
     u_max = uc + frac * (1.0 - uc)
-    _assert_same(lambda u: periodic._energy_gap(u, u_max, n), 1e-15, uc,
-                 xtol=1e-15, rtol=8.9e-16)
+    delta = 1.0 - u_max
+    e = periodic._energy_ratio(n, delta)
+    with mpmath.workdps(50):
+        exact = 1 - mpmath.mpf(delta)
+        e_ref = exact ** (mpmath.mpf(2 * n) / (n - 2)) - exact ** 2
+    assert e == pytest.approx(float(e_ref), rel=2e-15)
+    c = (n - 2) ** 2 / 8.0
+    ref = brentq(lambda u: c * e - potential(u, n), 1e-15, uc,
+                 xtol=1e-300, rtol=8.9e-16)
+    assert math.exp(periodic._log_u_min(n, e)) == pytest.approx(ref,
+                                                                rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 @pytest.mark.parametrize("c", [1.0001, 1.3, 2.5])
 def test_period_inverse_matches_scipy(n, c):
-    lo, hi, _, _ = periodic._period_window(n)
+    x_sep, x_harm, _, _ = periodic._period_window(n)
     period = c * minimal_period(n)
-    _assert_same(lambda v: orbit_period(n, v) - period, lo, hi,
-                 xtol=1e-14, rtol=8.9e-16)
-
-
-def test_plain_functions_match_scipy():
-    tol = dict(xtol=2e-12, rtol=4 * 2.0 ** -52)
-    # Wallis's cubic: interpolation and extrapolation steps
-    _assert_same(lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0, **tol)
-    # a root at either end returns that end after two calls
-    assert _assert_same(lambda x: x - 1.0, 1.0, 2.0, **tol) == 2
-    assert _assert_same(lambda x: x - 2.0, 1.0, 2.0, **tol) == 2
-    # a step function rejects every secant step, so each step bisects
-    calls = _assert_same(lambda x: -1.0 if x < 1 / 3 else 1.0, 0.0, 1.0,
-                         **tol)
-    assert calls > 30
-    # a flat-then-steep function mixes rejected and accepted steps
-    _assert_same(lambda x: math.copysign(abs(x - 0.3) ** 0.1, x - 0.3),
-                 -1.0, 2.0, **tol)
-
-
-def _error(solver, *args, **kw):
-    with pytest.raises(Exception) as info:
-        solver(*args, **kw)
-    return type(info.value), str(info.value)
-
-
-def test_errors_match_scipy():
-    tol = dict(xtol=2e-12, rtol=4 * 2.0 ** -52)
-    cases = [
-        # same sign at both ends
-        ((lambda x: x * x + 1.0, -2.0, 1.0), tol),
-        # NaN at an end, and NaN met inside the bracket
-        ((lambda x: math.nan, 0.0, 1.0), tol),
-        ((lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0), tol),
-        # out of iterations
-        ((lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0), dict(tol, maxiter=2)),
-    ]
-    for args, kw in cases:
-        ref = _error(brentq, *args, **kw)
-        assert ref[0] in (ValueError, RuntimeError)
-        assert _error(periodic._brentq, *args, **kw) == ref
+    ref = brentq(lambda x: periodic._period(n, math.exp(x)) - period,
+                 x_sep, x_harm, xtol=1e-14, rtol=8.9e-16)
+    orbit = periodic.orbit_for_period(n, period)
+    assert orbit.period == pytest.approx(period, rel=1e-15)
+    assert orbit.delta == pytest.approx(math.exp(ref), rel=1e-13)

@@ -1,11 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gnyamabe.cli import main
+from gnyamabe.periodic import count_periodic_solutions, orbit_for_period
 
 TESTFN_PATH = str(resources.files("gnyamabe.data").joinpath("testfn_2_2.dat"))
 
@@ -131,40 +137,93 @@ def test_periodic_large_radius(capsys):
     code, out, _ = run(capsys, "periodic", "4", "100", "--format", "json")
     assert code == 0
     record = json.loads(out)
-    assert record["count"] >= 1
-    # harmonics 1..19 lie beyond the resolvable window and are left out;
-    # every listed orbit carries its own harmonic number
-    ks = [o["k"] for o in record["orbits"]]
-    assert len(set(ks)) == len(ks)
-    assert ks[0] == 20 and ks[-1] == record["count"]
+    # every harmonic down to the separatrix is resolved and carries its
+    # own number, with the period of its orbit at 7 digits
+    assert [o["k"] for o in record["orbits"]] == \
+        list(range(1, record["count"] + 1))
     for o in record["orbits"]:
         target = 2.0 * math.pi * 100 / o["k"]
-        if o["u_max"] < 1.0:
-            assert o["period"] == float(f"{target:.7g}")
-        else:
-            # within 5e-8 of the separatrix the period map misses its
-            # target by up to 8e-4 relative, well below the 3% gap
-            # between neighbouring harmonics there
-            assert o["period"] == pytest.approx(target, rel=1e-3)
+        assert o["period"] == float(f"{target:.7g}")
+        # both at 7 digits: u_max to 5e-8, delta to 5e-7 of itself
+        assert abs(o["u_max"] - (1.0 - o["delta"])) <= 5e-8 + 5e-7 * o["delta"]
+    assert record["orbits"][0]["delta"] < 1e-270
+    assert "unlisted" not in record
+
+
+def test_periodic_large_radius_in_process():
+    for k in range(1, count_periodic_solutions(4, 100.0) + 1):
+        target = 2.0 * math.pi * 100.0 / k
+        assert orbit_for_period(4, target).period == pytest.approx(
+            target, rel=1e-12)
 
 
 def test_periodic_text_matches_json(capsys):
     """Text prints the period of the orbit found, as JSON does, not the
-    target 2 pi r / k: the two differ where the period map misses."""
+    target 2 pi r / k, and the separatrix distance next to u_max."""
     _, text, _ = run(capsys, "periodic", "4", "100")
     _, out, _ = run(capsys, "periodic", "4", "100", "--format", "json")
-    found = re.findall(r"k=(\d+): period (\S+), u_max (?!~)", text)
-    assert [(int(k), float(p)) for k, p in found] == \
-        [(o["k"], o["period"]) for o in json.loads(out)["orbits"]]
+    found = re.findall(r"k=(\d+): period (\S+), u_max (\S+), delta (\S+)",
+                       text)
+    assert [(int(k), float(p), float(u), float(d)) for k, p, u, d in found] \
+        == [(o["k"], o["period"], o["u_max"], o["delta"])
+            for o in json.loads(out)["orbits"]]
+
+
+def _periodic_child(*argv):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gnyamabe", "periodic", *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_periodic_listing_is_bounded():
+    """A radius with about 1.4e300 harmonics: the count stays exact, the
+    first 1000 harmonics are listed and the rest are counted."""
+    text = _periodic_child("4", "1e300")
+    assert text.returncode == 0
+    lines = text.stdout.splitlines()
+    assert len(lines) == 5 + 1000 + 1
+    count = int(lines[4].split(":")[1])
+    assert count > 10 ** 300
+    assert lines[-2].startswith("    k=1000: ")
+    assert lines[-1] == (f"    ... {count - 1000} more harmonics, "
+                         "k > 1000, not listed")
+    record = json.loads(_periodic_child("4", "1e300", "--format",
+                                        "json").stdout)
+    assert record["count"] == count
+    assert record["unlisted"] == count - 1000
+    assert record["orbits"] == []  # every listed harmonic is beyond reach
 
 
 def test_periodic_dump(capsys, tmp_path):
     dump = tmp_path / "orbit.dat"
     code, out, _ = run(capsys, "periodic", "3", "1.5", "--dump", str(dump))
     assert code == 0
-    assert dump.exists()
-    assert all(len(r.split()) == 3
-               for r in dump.read_text().strip().splitlines())
+    rows = [r.split() for r in dump.read_text().strip().splitlines()]
+    assert all(len(r) == 3 for r in rows)
+    # the dumped orbit closes on its own period
+    (t0, u0, du0), (t1, u1, du1) = [map(float, r) for r in (rows[0],
+                                                            rows[-1])]
+    assert t0 == 0.0
+    assert t1 == pytest.approx(float(out.split("period ")[-1].split(",")[0]),
+                               rel=1e-6)
+    assert abs(u1 - u0) < 1e-8 and abs(du0) == 0.0 and abs(du1) < 1e-8
+
+
+def test_periodic_dump_skips_orbits_at_the_separatrix(capsys, tmp_path):
+    """Time integration cannot follow an orbit within 1e-8 of the
+    separatrix: the dump takes the longest orbit above that."""
+    dump = tmp_path / "orbit.dat"
+    code, out, _ = run(capsys, "periodic", "4", "100", "--format", "json",
+                       "--dump", str(dump))
+    assert code == 0
+    orbit = next(o for o in json.loads(out)["orbits"] if o["delta"] >= 1e-8)
+    ts, us, dus = np.loadtxt(dump, unpack=True)
+    assert ts[-1] == pytest.approx(orbit["period"], rel=1e-6)
+    assert abs(us[-1] - us[0]) < 1e-8 and abs(dus[-1]) < 1e-5
 
 
 def test_periodic_usage_error():

@@ -1,11 +1,11 @@
-"""scipy stays off every default path of the package.
+"""The package imports no scipy; only the tests use it, as a referee.
 
 The sources are parsed, not imported, so the static tests see every
 import statement, including those inside functions: no module imports
-scipy at module level, and only the circle-factor time-integration
-referees import it, inside their bodies. A subprocess then checks that
-importing the package and running each default subcommand loads no scipy
-module at all.
+scipy anywhere, not even the circle-factor time integrations, which run
+on the package's own Dormand-Prince stepper. A subprocess then checks
+that importing the package, running each subcommand (the orbit dump
+included) and time-integrating an orbit load no scipy module at all.
 """
 
 import ast
@@ -19,8 +19,9 @@ import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "gnyamabe"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "periodic.py")
-# the only functions allowed to import scipy, each inside its own body
-SCIPY_REFEREES = {"integrate_orbit", "return_time", "circle_quotient"}
+# the functions allowed to import scipy inside their bodies: none since
+# the time integrations stopped using solve_ivp and simpson
+SCIPY_REFEREES = set()
 
 
 def _imports(path: Path) -> list[tuple[str, str | None]]:
@@ -75,24 +76,30 @@ import gnyamabe
 loaded = {"import gnyamabe": scipy_modules()}
 import gnyamabe.cli
 profile = str(resources.files("gnyamabe.data").joinpath("testfn_2_2.dat"))
+dump = sys.argv[1]
 for argv in (["constants"], ["bound", profile, "2", "2"],
              ["ground-state", "2", "2"], ["table", "--max-dim", "4"],
-             ["periodic", "4", "3"]):
+             ["periodic", "4", "3", "--dump", dump]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = gnyamabe.cli.main(argv)
     loaded[argv[0]] = scipy_modules() if code == 0 else code
+from gnyamabe.periodic import return_time
+return_time(4, 0.9)
+gnyamabe.circle_quotient(4, 0.9)
+loaded["return_time, circle_quotient"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
-def test_default_paths_load_no_scipy():
+def test_default_paths_load_no_scipy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(tmp_path / "orbit.dat")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert list(loaded) == ["import gnyamabe", "constants", "bound",
-                            "ground-state", "table", "periodic"]
+                            "ground-state", "table", "periodic",
+                            "return_time, circle_quotient"]
     assert all(mods == [] for mods in loaded.values()), loaded

@@ -11,6 +11,8 @@ from gnyamabe.periodic import (CircleOrbit, circle_orbit, circle_quotient,
                                orbit_for_period, orbit_period, potential,
                                return_time)
 
+from oracles import period_reference
+
 
 def test_constant_solution_values():
     assert constant_solution(4) == pytest.approx(math.sqrt(0.5), rel=1e-15)
@@ -82,6 +84,10 @@ def test_orbit_window_validation():
         orbit_period(4, 1.0)
     with pytest.raises(ValueError):
         orbit_period(4, 1.5)
+    with pytest.raises(ValueError, match="below the window"):
+        orbit_period(4, uc * (1.0 + 1e-10))
+    # the largest double below 1 is a resolvable orbit
+    assert math.isfinite(orbit_period(4, 1.0 - 2.0 ** -53))
 
 
 def test_orbit_closure_and_return_time():
@@ -94,6 +100,33 @@ def test_orbit_closure_and_return_time():
         ts, us, dus = integrate_orbit(n, u_max, t_quad)
         assert abs(us[-1] - u_max) < 1e-6
         assert abs(dus[-1]) < 1e-6
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_time_integration_matches_scipy(n):
+    """The package's Dormand-Prince 5(4) stepper against scipy's DOP853:
+    the sampled orbit and the return time to the outer turning point."""
+    from scipy.integrate import solve_ivp
+
+    c1, c2, q = (n - 2) ** 2 / 4.0, n * (n - 2) / 4.0, (n + 2) / (n - 2)
+
+    def flow(t, y):
+        return y[1], c1 * y[0] - c2 * abs(y[0]) ** (q - 1.0) * y[0]
+
+    def turn(t, y):
+        return y[1]
+    turn.direction = -1.0
+
+    for u_max in (0.5 * (constant_solution(n) + 1.0), 0.999):
+        period = orbit_period(n, u_max)
+        ts, us, dus = integrate_orbit(n, u_max, 1.5 * period, samples=301)
+        ref = solve_ivp(flow, (0.0, 1.5 * period), (u_max, 0.0),
+                        method="DOP853", rtol=1e-13, atol=1e-15, t_eval=ts,
+                        events=turn)
+        assert float(np.max(np.abs(us - ref.y[0]))) < 1e-9
+        assert float(np.max(np.abs(dus - ref.y[1]))) < 1e-9
+        t_ref = next(t for t in ref.t_events[0] if t > 0.5 * period)
+        assert return_time(n, u_max) == pytest.approx(t_ref, rel=1e-9)
 
 
 def test_energy_conservation_along_orbit():
@@ -178,60 +211,124 @@ def test_circle_quotient_approaches_sphere_constant():
         assert values[-1] > 0.99 * y_n
 
 
-# float.hex of the period map as computed when orbit_period still built its
-# Gauss-Legendre phase nodes on every call (numpy 2.4.6, Python 3.11.7).
-# (n, u_max, orbit_period(n, u_max)): per n, a series-branch amplitude of
-# 1e-6 u_c and 1.5e-2 u_c, then the window midpoint (u_c + 1) / 2; two
-# more towards the separatrix.
+# float.hex of the period map on the separatrix distance (numpy 2.4.6,
+# Python 3.11.7). (n, u_max, orbit_period(n, u_max)): per n, a
+# series-branch amplitude of 1e-6 u_c and 1.5e-2 u_c, then the window
+# midpoint (u_c + 1) / 2; two more towards the separatrix.
 _PERIOD_PINS = [
-    (3, '0x1.850948575a7e8p-1', '0x1.921fb54445633p+2'),
-    (3, '0x1.8adf14ab0557ep-1', '0x1.924751b7b15e5p+2'),
-    (3, '0x1.c284976c35136p-1', '0x1.aa9aa334f4e9ep+2'),
-    (4, '0x1.6a09fe21f3fe5p-1', '0x1.1c5831add6ea6p+2'),
-    (4, '0x1.6f7820e6f38dbp-1', '0x1.1c64ab3e670aep+2'),
-    (4, '0x1.b504f333f9de6p-1', '0x1.28f9aaeb467bcp+2'),
-    (5, '0x1.5d0c04281a0a7p-1', '0x1.d05527b6e5ac4p+1'),
-    (5, '0x1.6248440a6eca3p-1', '0x1.d06330e1547a0p+1'),
-    (5, '0x1.ae85f6a4092d6p-1', '0x1.e1ffdd31c4ca7p+1'),
-    (6, '0x1.55556bb3f4d64p-1', '0x1.921fb544431b4p+1'),
-    (6, '0x1.5a740da740da6p-1', '0x1.922975883f767p+1'),
-    (6, '0x1.aaaaaaaaaaaaap-1', '0x1.a006c806db9dfp+1'),
-    (7, '0x1.5035b48ee3740p-1', '0x1.67aba6d20eea6p+1'),
-    (7, '0x1.5540a9dcb92eep-1', '0x1.67b32dec82960p+1'),
-    (7, '0x1.a81acf431d6e2p-1', '0x1.734f88b89ed6ep+1'),
-    (8, '0x1.4c8dd8af77188p-1', '0x1.48552f8809ff6p+1'),
-    (8, '0x1.518ac488d753ep-1', '0x1.485b5e173887cp+1'),
-    (8, '0x1.a646e17211cc0p-1', '0x1.5274507bb7350p+1'),
-    (4, '0x1.ffffde7210be9p-1', '0x1.fca39ff57dbd7p+3'),
-    (7, '0x1.fae147ae147aep-1', '0x1.eef742977e069p+1'),
+    (3, '0x1.850948575a7e8p-1', '0x1.921fb54445b26p+2'),
+    (3, '0x1.8adf14ab0557ep-1', '0x1.924751b7b1568p+2'),
+    (3, '0x1.c284976c35136p-1', '0x1.aa9aa33503b2ap+2'),
+    (4, '0x1.6a09fe21f3fe5p-1', '0x1.1c5831add718bp+2'),
+    (4, '0x1.6f7820e6f38dbp-1', '0x1.1c64ab3e67425p+2'),
+    (4, '0x1.b504f333f9de6p-1', '0x1.28f9aaeb452bfp+2'),
+    (5, '0x1.5d0c04281a0a7p-1', '0x1.d05527b6e545fp+1'),
+    (5, '0x1.6248440a6eca3p-1', '0x1.d06330e153d3dp+1'),
+    (5, '0x1.ae85f6a4092d6p-1', '0x1.e1ffdd31b1badp+1'),
+    (6, '0x1.55556bb3f4d64p-1', '0x1.921fb5444389bp+1'),
+    (6, '0x1.5a740da740da6p-1', '0x1.922975883feedp+1'),
+    (6, '0x1.aaaaaaaaaaaaap-1', '0x1.a006c806e158fp+1'),
+    (7, '0x1.5035b48ee3740p-1', '0x1.67aba6d20ed6cp+1'),
+    (7, '0x1.5540a9dcb92eep-1', '0x1.67b32dec8224bp+1'),
+    (7, '0x1.a81acf431d6e2p-1', '0x1.734f88b87f875p+1'),
+    (8, '0x1.4c8dd8af77188p-1', '0x1.48552f88098f8p+1'),
+    (8, '0x1.518ac488d753ep-1', '0x1.485b5e173852ap+1'),
+    (8, '0x1.a646e17211cc0p-1', '0x1.5274507bbfc51p+1'),
+    (4, '0x1.ffffde7210be9p-1', '0x1.fca39f5810e23p+3'),
+    (7, '0x1.fae147ae147aep-1', '0x1.eef742972c812p+1'),
 ]
-# (n, c, orbit_for_period(n, c * T_min).u_max), same provenance
+# (n, c, orbit_for_period(n, c * T_min).delta), same provenance
 _INVERSE_PINS = [
-    (3, 1.3, '0x1.eb933cef8b275p-1'),
-    (4, 1.01, '0x1.9121b4bba5317p-1'),
-    (5, 1.6, '0x1.fddefb7517611p-1'),
-    (6, 2.0, '0x1.ffe2b00ea346ap-1'),
-    (8, 1.05, '0x1.b911a8bf30ac7p-1'),
+    (3, 1.3, '0x1.46cc310750f3bp-5'),
+    (4, 1.01, '0x1.bb792d10236bbp-3'),
+    (5, 1.6, '0x1.10824573bbfafp-8'),
+    (6, 2.0, '0x1.d4ff162ee9e2bp-13'),
+    (8, 1.05, '0x1.1bb95d02d65e2p-3'),
 ]
 
 
 def test_period_map_pinned_bit_for_bit():
     for n, u_hex, period_hex in _PERIOD_PINS:
         assert orbit_period(n, float.fromhex(u_hex)).hex() == period_hex
-    for n, c, u_hex in _INVERSE_PINS:
-        assert orbit_for_period(n, c * minimal_period(n)).u_max.hex() == u_hex
+    for n, c, delta_hex in _INVERSE_PINS:
+        assert orbit_for_period(n, c * minimal_period(n)).delta.hex() \
+            == delta_hex
+
+
+@pytest.mark.parametrize("n, u_hex, period_hex", _PERIOD_PINS,
+                         ids=lambda v: v if isinstance(v, int) else None)
+def test_period_pins_match_referee(n, u_hex, period_hex):
+    u_max = float.fromhex(u_hex)
+    ref = period_reference(n, 1.0 - u_max)
+    assert float.fromhex(period_hex) == pytest.approx(ref, rel=1e-15)
+
+
+@pytest.mark.parametrize("n, c, delta_hex", _INVERSE_PINS,
+                         ids=lambda v: v if isinstance(v, int) else None)
+def test_inverse_pins_match_referee(n, c, delta_hex):
+    ref = period_reference(n, float.fromhex(delta_hex))
+    assert ref == pytest.approx(c * minimal_period(n), rel=2e-15)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+@pytest.mark.parametrize("frac", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_period_matches_referee_across_window(n, frac):
+    uc = constant_solution(n)
+    u_max = uc + frac * (1.0 - uc)
+    assert orbit_period(n, u_max) == pytest.approx(
+        period_reference(n, 1.0 - u_max), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+@pytest.mark.parametrize("delta", [1e-2, 1e-5, 1e-10, 1e-15, 1e-20])
+def test_period_matches_referee_near_separatrix(n, delta):
+    """The map on the separatrix distance itself, which orbit_period
+    reaches only where 1 - delta is a double other than 1."""
+    assert periodic._period(n, delta) == pytest.approx(
+        period_reference(n, delta), rel=1e-13)
+
+
+def test_period_finite_and_increasing_to_window_floor():
+    """No 0 * inf where u_min^P underflows: the map stays finite and,
+    once u_min^(P-2) ~ delta^(2/(n-2)) is negligible, grows exactly like
+    log(1/delta) / lambda down to the smallest delta."""
+    for n in (3, 4, 8):
+        lam = 0.5 * (n - 2)
+        deltas = [10.0 ** -k for k in range(20, 300, 40)] + [1e-300]
+        periods = [periodic._period(n, d) for d in deltas]
+        assert all(math.isfinite(t) for t in periods)
+        assert all(b > a for a, b in zip(periods, periods[1:]))
+        slopes = [(b - a) * lam / math.log(da / db) for a, b, da, db
+                  in zip(periods[1:], periods[2:], deltas[1:], deltas[2:])]
+        assert max(abs(s - 1.0) for s in slopes) < 1e-12
+
+
+def test_orbit_for_period_reaches_window_floor():
+    for n in (3, 4, 8):
+        _, _, t_sep, _ = periodic._period_window(n)
+        orbit = orbit_for_period(n, 0.999 * t_sep)
+        assert orbit.period == pytest.approx(0.999 * t_sep, rel=1e-15)
+        assert orbit.u_max == 1.0
+        assert 1e-300 < orbit.delta < 1e-290
+
+
+def test_circle_orbit_carries_delta():
+    orb = circle_orbit(4, 0.9)
+    assert orb.delta == 1.0 - 0.9
+    assert orb.period == orbit_period(4, 0.9)
+    tiny = orbit_for_period(4, 60.0)
+    assert tiny.u_max == 1.0 and 0.0 < tiny.delta < 1e-16
+    assert tiny.energy < 0.0
 
 
 def test_phase_nodes_built_once():
-    periodic._phase_nodes.cache_clear()
+    periodic._gauss_rule.cache_clear()
     for n in (3, 4, 8):
         uc = constant_solution(n)
         for u_max in (uc * 1.001, 0.5 * (uc + 1.0), 0.999):
             orbit_period(n, u_max)
         orbit_for_period(n, 1.2 * minimal_period(n))
-    assert periodic._phase_nodes.cache_info().misses == 1
-    phi, wphi = periodic._phase_nodes()
-    with pytest.raises(ValueError):
-        phi[0] = 0.0
-    with pytest.raises(ValueError):
-        wphi *= 2.0
+    assert periodic._gauss_rule.cache_info().misses == 1
+    for arr in periodic._gauss_rule():
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
