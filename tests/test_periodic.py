@@ -282,10 +282,15 @@ def test_period_matches_referee_across_window(n, frac):
 @pytest.mark.parametrize("n", [3, 4, 8])
 @pytest.mark.parametrize("delta", [1e-2, 1e-5, 1e-10, 1e-15, 1e-20])
 def test_period_matches_referee_near_separatrix(n, delta):
-    """The map on the separatrix distance itself, which orbit_period
-    reaches only where 1 - delta is a double other than 1."""
-    assert periodic._period(n, delta) == pytest.approx(
-        period_reference(n, delta), rel=1e-13)
+    """orbit_period where 1 - delta rounds to a double below 1 (the orbit
+    is then at the exact 1 - u_max), the map on delta itself beyond."""
+    u_max = 1.0 - delta
+    if u_max < 1.0:
+        delta = 1.0 - u_max
+        period = orbit_period(n, u_max)
+    else:
+        period = periodic._period(n, delta)
+    assert period == pytest.approx(period_reference(n, delta), rel=1e-13)
 
 
 def test_period_finite_and_increasing_to_window_floor():
