@@ -15,8 +15,9 @@ from .functional import (ProfileFormatError, gn_value, read_profile_file)
 from .geometry import (Dims, sobolev_constant, sphere_volume,
                        unit_volume_sphere_scalar, yamabe_sphere)
 from .ode import DEFAULT_CONTROLS, IntegrationControls, IntegrationFailure
-from .periodic import (constant_solution, count_periodic_solutions,
-                       integrate_orbit, minimal_period, orbit_for_period)
+from .periodic import (_TIME_DELTA_FLOOR, constant_solution,
+                       count_periodic_solutions, integrate_orbit,
+                       minimal_period, orbit_for_period)
 from .products import bound_from_profile, build_table, reference_constants
 from .shooting import ShootingError, find_ground_state
 
@@ -188,11 +189,6 @@ def _cmd_bound(args, parser) -> int:
 # the periodic listing stops after this many harmonics; the count stays
 # exact and the rest is reported as a number
 _MAX_LISTED = 1000
-# --dump time-integrates from u_max = 1 - delta; past the saddle that
-# follows the orbit only for delta above about this (at 1e-8 it returns
-# within 1e-12 of u_max and 1e-6 of u' = 0), and not at all once u_max
-# rounds to 1
-_DUMP_DELTA_MIN = 1e-8
 
 
 def _cmd_periodic(args, parser) -> int:
@@ -225,7 +221,7 @@ def _cmd_periodic(args, parser) -> int:
             text.append(f"    k={k}: period {period:.7g}, u_max ~ 1 "
                         "(beyond double-precision window)")
             continue
-        if longest is None and orb.delta >= _DUMP_DELTA_MIN:
+        if longest is None and 1.0 - orb.u_max >= _TIME_DELTA_FLOOR:
             longest = orb
         rec["orbits"].append({"k": k, "period": _sig7(orb.period),
                               "u_max": _sig7(orb.u_max),
@@ -243,8 +239,8 @@ def _cmd_periodic(args, parser) -> int:
             _dump(args.dump, *integrate_orbit(n, longest.u_max,
                                            longest.period))
         else:
-            print(f"no listed orbit with delta >= {_DUMP_DELTA_MIN:g} to "
-                  "dump", file=sys.stderr)
+            print(f"no listed orbit with delta >= {_TIME_DELTA_FLOOR:g} "
+                  "to dump", file=sys.stderr)
     return 0
 
 
@@ -321,8 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--format", choices=("text", "json"), default="text")
     pd.add_argument("--out", default=None)
     pd.add_argument("--dump", default=None,
-                    help="write the longest listed orbit with delta >= "
-                         "1e-8 as 't u du' rows")
+                    help="write the longest listed orbit that time "
+                         "integration can follow, delta >= "
+                         f"{_TIME_DELTA_FLOOR:g}, as 't u du' rows")
     pd.set_defaults(func=_cmd_periodic)
 
     ct = sub.add_parser("constants", help="closed-form sphere constants and "

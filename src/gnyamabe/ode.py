@@ -232,6 +232,19 @@ def _locate(step, component, target, sign_left_negative):
     return 0.5 * (lo + hi)
 
 
+def _step_control(err_a, sc_a, err_b, sc_b, rejected):
+    """(err, factor) for a two-component step with local errors err_a,
+    err_b and tolerance scales sc_a, sc_b: err is their RMS ratio, the
+    step is accepted when err <= 1, and factor multiplies the step size
+    next, shrinking at most 5x after a rejection and growing at most 10x
+    after an acceptance, not at all right after a rejection."""
+    err = math.sqrt(0.5 * ((err_a / sc_a) ** 2 + (err_b / sc_b) ** 2))
+    if err > 1.0:
+        return err, max(0.2, 0.9 * err ** -0.2)
+    factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
+    return err, min(1.0, factor) if rejected else factor
+
+
 def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
     """Core shot integration for alpha > 1.
 
@@ -299,10 +312,9 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
                       + _E6 * k6d + _E7 * k7d)
         sc_h = atol + rtol * max(abs(h), abs(hn))
         sc_d = atol + rtol * max(abs(dh), abs(dhn))
-        err = math.sqrt(0.5 * ((err_h / sc_h) ** 2 + (err_d / sc_d) ** 2))
-
+        err, factor = _step_control(err_h, sc_h, err_d, sc_d, rejected)
         if err > 1.0:
-            dt *= max(0.2, 0.9 * err ** -0.2)
+            dt *= factor
             rejected = True
             continue
 
@@ -335,12 +347,8 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
         t = t_new
         h, dh = hn, dhn
         f1h, f1d = k7h, k7d  # first-same-as-last
-        factor = 10.0 if err == 0.0 else min(10.0, max(0.2,
-                                                       0.9 * err ** -0.2))
-        if rejected:
-            factor = min(1.0, factor)
-            rejected = False
         dt *= factor
+        rejected = False
 
     if 0.0 < h < thresh and dh < 0.0:
         return "candidate", ctrl.t_max, h, steps

@@ -35,7 +35,9 @@ window ends whose periods are cached per dimension.
 Everything here runs on numpy and the stdlib. The time integrations
 behind `integrate_orbit`, `return_time` and `circle_quotient`, which
 cross-check the quadrature, step the flow by Dormand-Prince 5(4) with the
-radial solver's tableau and dense output.
+radial solver's tableau, step-size control and dense output; they refuse
+orbits within _TIME_DELTA_FLOOR of the separatrix, which they cannot
+follow past the saddle.
 """
 
 from __future__ import annotations
@@ -350,8 +352,10 @@ def _period_window(n: int) -> tuple[float, float, float, float]:
 
 
 # orbit_for_period stops once the period misses its target by this much
-# relative, or when the log-delta bracket cannot be split further
+# relative, or when the log-delta bracket cannot be split further, and
+# fails if its closest orbit then still misses by more than _INVERSE_FAIL
 _INVERSE_RTOL = 1e-15
+_INVERSE_FAIL = 1e-12
 _INVERSE_STEPS = 100
 
 
@@ -367,7 +371,8 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
 
     Raises ValueError when the requested period is at or below the
     harmonic minimum or beyond what the window resolves in doubles, or
-    is NaN."""
+    is NaN, and RuntimeError when the closest orbit found misses the
+    period by more than _INVERSE_FAIL relative."""
     _check_dim(n)
     if math.isnan(period):
         raise ValueError(f"period must be a number, got {period}")
@@ -409,7 +414,12 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
             if kept == "a":
                 f_a *= 0.5
             kept = "a"
-    _, x, t_x = best
+    miss, x, t_x = best
+    if miss > _INVERSE_FAIL * period:
+        raise RuntimeError(
+            f"period inversion did not converge for n={n}, "
+            f"period={period!r}: the closest orbit misses by "
+            f"{miss / period:.3g} relative")
     return _orbit(n, math.exp(x), t_x)
 
 
@@ -436,6 +446,23 @@ _DP_ROWS = ((ode._A21,), (ode._A31, ode._A32),
             (ode._A61, ode._A62, ode._A63, ode._A64, ode._A65),
             (ode._B1, 0.0, ode._B3, ode._B4, ode._B5, ode._B6))
 _DP_ERR = (ode._E1, 0.0, ode._E3, ode._E4, ode._E5, ode._E6, ode._E7)
+
+
+# time integration from (u_max, 0) follows the orbit past the saddle only
+# for 1 - u_max above this: at 1e-8 the return time meets the quadrature
+# period to about 1e-6 relative and the Yamabe quotient stays below Y_n
+# for n = 3..8; at 1e-9 the quotient already exceeds Y_5 and Y_8, and
+# once u_max rounds to 1 the start sits on the separatrix
+_TIME_DELTA_FLOOR = 1e-8
+
+
+def _check_time_window(u_max: float) -> None:
+    """Reject a start too close to the separatrix for time integration."""
+    if not 1.0 - u_max >= _TIME_DELTA_FLOOR:
+        raise ValueError(
+            f"u_max={u_max!r} is closer than {_TIME_DELTA_FLOOR:g} to the "
+            "separatrix u = 1, where time integration cannot follow the "
+            "orbit past the saddle")
 
 
 def _orbit_steps(n: int, u_max: float, t_end: float):
@@ -469,28 +496,26 @@ def _orbit_steps(n: int, u_max: float, t_end: float):
         err_d = dt * sum(map(mul, _DP_ERR, kd))
         sc_u = _ORBIT_ATOL + _ORBIT_RTOL * max(abs(u), abs(y))
         sc_d = _ORBIT_ATOL + _ORBIT_RTOL * max(abs(du), abs(dy))
-        err = math.sqrt(0.5 * ((err_u / sc_u) ** 2 + (err_d / sc_d) ** 2))
+        err, factor = ode._step_control(err_u, sc_u, err_d, sc_d, rejected)
         if err > 1.0:
-            dt *= max(0.2, 0.9 * err ** -0.2)
+            dt *= factor
             rejected = True
             continue
         yield (t, dt, u, du, ku[0], *ku[2:], kd[0], *kd[2:])
         t += dt
         u, du = y, dy
         f_u, f_d = ku[-1], kd[-1]
-        factor = 10.0 if err == 0.0 else min(10.0, max(0.2,
-                                                       0.9 * err ** -0.2))
-        if rejected:
-            factor = min(1.0, factor)
-            rejected = False
         dt *= factor
+        rejected = False
 
 
 def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049):
     """Time-integrate the orbit from (u_max, 0); returns (t, u, u') arrays
     at `samples` equally spaced times on [0, t_end], read off the dense
-    output of the step each falls in."""
+    output of the step each falls in. Raises ValueError when 1 - u_max
+    is below _TIME_DELTA_FLOOR."""
     _check_dim(n)
+    _check_time_window(u_max)
     ts = np.linspace(0.0, t_end, samples)
     table = np.array(list(_orbit_steps(n, u_max, t_end)))
     ends = table[:, 0] + table[:, 1]
@@ -502,7 +527,9 @@ def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049):
 def return_time(n: int, u_max: float) -> float:
     """First return time to the outer turning point by direct time
     integration, located as the downward zero of u' near one period.
-    Cross-checks the quadrature period independently of it."""
+    Cross-checks the quadrature period independently of it; 1 - u_max
+    must be at least _TIME_DELTA_FLOOR."""
+    _check_time_window(u_max)
     t_guess = orbit_period(n, u_max)
     for step in _orbit_steps(n, u_max, 1.5 * t_guess):
         if step[0] > 0.5 * t_guess and step[3] > 0.0 >= step[9]:
@@ -517,8 +544,10 @@ def circle_quotient(n: int, u_max: float) -> float:
     (n-1)(n-2); integrals run over a single period of the time-integrated
     orbit, sampled at 4097 points, by the composite Simpson rule. As the
     orbit approaches the separatrix (u_max -> 1) the quotient climbs to
-    the sphere invariant Y_n from below."""
+    the sphere invariant Y_n from below; 1 - u_max must be at least
+    _TIME_DELTA_FLOOR, where the integration still follows the orbit."""
     _check_dim(n)
+    _check_time_window(u_max)
     vol_m = surface_measure(n)
     a = 4.0 * (n - 1) / (n - 2)
     p = 2.0 * n / (n - 2)

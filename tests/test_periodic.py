@@ -193,6 +193,14 @@ def test_orbit_for_period_rejects_non_finite():
         orbit_for_period(4, math.inf)
 
 
+def test_orbit_for_period_fails_loudly_without_convergence(monkeypatch):
+    """An inversion stopped short of its target raises rather than return
+    its closest orbit as if it had converged."""
+    monkeypatch.setattr(periodic, "_INVERSE_STEPS", 2)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        orbit_for_period(4, 1.3 * minimal_period(4))
+
+
 def test_circle_orbit_energy_window():
     n = 4
     uc = constant_solution(n)
@@ -209,6 +217,32 @@ def test_circle_quotient_approaches_sphere_constant():
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(v < y_n for v in values)
         assert values[-1] > 0.99 * y_n
+
+
+@pytest.mark.parametrize("u_max", [1.0 - 1e-14, 1.0 - 9e-9, 1.0, math.nan])
+def test_time_integration_rejects_the_separatrix(u_max):
+    """Time integration from (u_max, 0) cannot follow an orbit within 1e-8
+    of the separatrix past the saddle (circle_quotient(4, 1 - 1e-14) came
+    out 74.61, above Y_4 = 61.56), so all three entry points refuse it."""
+    with pytest.raises(ValueError, match="separatrix"):
+        circle_quotient(4, u_max)
+    with pytest.raises(ValueError, match="separatrix"):
+        return_time(4, u_max)
+    with pytest.raises(ValueError, match="separatrix"):
+        integrate_orbit(4, u_max, 10.0)
+
+
+def test_time_integration_at_the_separatrix_floor():
+    """The closest start the floor admits still returns on the quadrature
+    period and keeps the quotient below the sphere invariant."""
+    u_max = 1.0 - periodic._TIME_DELTA_FLOOR
+    if 1.0 - u_max < periodic._TIME_DELTA_FLOOR:
+        u_max = math.nextafter(u_max, 0.0)
+    for n in (3, 5, 8):
+        assert return_time(n, u_max) == pytest.approx(
+            orbit_period(n, u_max), rel=1e-6)
+        assert 0.9999999 * yamabe_sphere(n) < circle_quotient(n, u_max) \
+            < yamabe_sphere(n)
 
 
 # float.hex of the period map on the separatrix distance (numpy 2.4.6,
