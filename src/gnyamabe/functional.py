@@ -14,7 +14,6 @@ piecewise-linear test functions.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -242,8 +241,11 @@ def bundled_test_function() -> PiecewiseLinearProfile:
     """The bundled 22-breakpoint test function for (m, n) = (2, 2).
 
     Verifies the data file checksum before parsing, so the regression
-    bound it certifies cannot silently drift with the asset.
+    bound it certifies cannot silently drift with the asset. hashlib is
+    imported here, its only use, so that no subcommand loads OpenSSL.
     """
+    import hashlib
+
     ref = resources.files("gnyamabe.data").joinpath(_TESTFN_RESOURCE)
     payload = ref.read_bytes()
     digest = hashlib.sha256(payload).hexdigest()

@@ -32,12 +32,17 @@ the well instead. `orbit_for_period` inverts the map by the Illinois
 variant of regula falsi (Dowell & Jarratt 1971) in log delta, between
 window ends whose periods are cached per dimension.
 
+`circle_quotient` takes the integrals of u'^2, u^2 and u^P over one
+period from the same nodes: each node's weight in the period sum is its
+time element du / sqrt(2 (E - V)), and past the last inner break u^2 and
+u'^2 integrate in closed form. It covers the whole window.
+
 Everything here runs on numpy and the stdlib. The time integrations
-behind `integrate_orbit`, `return_time` and `circle_quotient`, which
-cross-check the quadrature, step the flow by Dormand-Prince 5(4) with the
-radial solver's tableau, step-size control and dense output; they refuse
-orbits within _TIME_DELTA_FLOOR of the separatrix, which they cannot
-follow past the saddle.
+behind `integrate_orbit` and `return_time`, which cross-check the
+quadrature, step the flow by Dormand-Prince 5(4) with the radial
+solver's tableau, written out stage by stage, its step-size control and
+its dense output; they refuse orbits within _TIME_DELTA_FLOOR of the
+separatrix, which they cannot follow past the saddle.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -249,27 +253,48 @@ def _gauss_rule() -> tuple[np.ndarray, ...]:
     return rule
 
 
-def _series_period(n: int, v_max: float) -> float:
-    """Period of a small orbit in well coordinates v = u - u_c, with
-    u - u_min = 2 amp sin^2(phi/2) on the phase phi in [0, pi]: rounding
-    u_min back to the u scale would poison the turning-point nodes."""
+def _node_sums(dt, u, kinetic, big: float) -> tuple[float, float, float]:
+    """(sum dt u'^2, sum dt u^2, sum dt u^P) over quadrature nodes with
+    time elements dt, orbit values u and kinetic = u'^2 = 2 (E - V)."""
+    return (float(np.dot(dt, kinetic)), float(np.dot(dt, u * u)),
+            float(np.dot(dt, u ** big)))
+
+
+def _series_quadrature(n: int, v_max: float, moments: bool):
+    """`_quadrature` for a small orbit, in well coordinates v = u - u_c,
+    with u - u_min = 2 amp sin^2(phi/2) on the phase phi in [0, pi]:
+    rounding u_min back to the u scale would poison the turning-point
+    nodes. A node carries the time pi w / sqrt(2 reduced) of half the
+    orbit."""
     _, weights, sin, _, _ = _gauss_rule()
     coeffs = _well_coefficients(n)
     v_min = _series_v_min(n, v_max)
     # phi = pi x, so sin(phi/2) is the outer-half sin(theta)
     dist_lo = (v_max - v_min) * sin * sin
     # reduced gap (E - V)/((u - u_min)(u_max - u))
-    reduced = _series_reduced(v_min + dist_lo, v_min, v_max, coeffs)
-    return 2.0 * math.pi * float(np.dot(weights,
-                                        1.0 / np.sqrt(2.0 * reduced)))
+    v = v_min + dist_lo
+    reduced = _series_reduced(v, v_min, v_max, coeffs)
+    rate = 1.0 / np.sqrt(2.0 * reduced)
+    period = 2.0 * math.pi * float(np.dot(weights, rate))
+    if not moments:
+        return period, None
+    kinetic = 2.0 * (v_max - v) * dist_lo * reduced
+    half = _node_sums(math.pi * weights * rate, constant_solution(n) + v,
+                      kinetic, 2.0 * n / (n - 2))
+    return period, tuple(2.0 * part for part in half)
 
 
-def _period(n: int, delta: float) -> float:
-    """Period of the closed orbit through (1 - delta, 0)."""
+def _quadrature(n: int, delta: float, moments: bool = False):
+    """(period, integrals) of the closed orbit through (1 - delta, 0).
+
+    integrals is None, or with `moments` (int u'^2 dt, int u^2 dt,
+    int u^P dt) over one period, summed on the period's own nodes: a
+    node's weight in the period sum is its time element dt = du /
+    sqrt(2 (E - V)), and u and u'^2 = 2 (E - V) are known there."""
     uc = constant_solution(n)
     u_max = 1.0 - delta
     if u_max - uc <= _SERIES_AMPLITUDE * uc:
-        return _series_period(n, u_max - uc)
+        return _series_quadrature(n, u_max - uc, moments)
     big = 2.0 * n / (n - 2)
     pm2 = 4.0 / (n - 2)
     lam = 0.5 * (n - 2)  # sqrt(2c)
@@ -287,12 +312,16 @@ def _period(n: int, delta: float) -> float:
             break
     lo = np.array(ends[:-1])[:, None]
     span = np.diff(ends)[:, None]
-    w = width - (lo + span * x).ravel()
+    back = (lo + span * x).ravel()
+    w = width - back
     log_cosh = np.log1p(2.0 * np.sinh(0.5 * w) ** 2)
     ratio = (np.exp(pm2 * (s_min + log_cosh)) * -np.expm1(-big * log_cosh)
              / np.tanh(w) ** 2)
-    inner = (width - ends[-1]) + float(np.dot((span * weights).ravel(),
-                                              1.0 / np.sqrt(1.0 - ratio)))
+    inner_weights = (span * weights).ravel()
+    inner_rate = 1.0 / np.sqrt(1.0 - ratio)
+    # on [0, lead] in w the integrand is 1 / lam to double precision
+    lead = width - ends[-1]
+    inner = lead + float(np.dot(inner_weights, inner_rate))
 
     # [u_c, u_max], u = u_c + amp sin(theta): (E - V) / (c (u_max - u)),
     # with u_max - u = amp (1 - sin(theta)) exact near the turning point
@@ -300,8 +329,37 @@ def _period(n: int, delta: float) -> float:
     dh = amp * one_minus_sin
     u = uc + amp * sin
     slope = u ** big * np.expm1(big * np.log1p(dh / u)) / dh - (u_max + u)
-    outer = float(np.dot(w_outer, np.sqrt(amp / slope)))
-    return 2.0 * (inner + outer) / lam
+    outer_rate = np.sqrt(amp / slope)
+    outer = float(np.dot(w_outer, outer_rate))
+    period = 2.0 * (inner + outer) / lam
+    if not moments:
+        return period, None
+
+    # inside, u = u_c cosh(w) / cosh(width) from the distance back from
+    # u_c, exact at u_c however many digits log u_min carries, and
+    # 2 (E - V) = (lam u tanh w)^2 (1 - ratio); outside, 2 (E - V) =
+    # lam^2 (u_max - u) slope. On the lead u = u_min cosh w has
+    # closed-form integrals of u^2 and u'^2 = (lam u_min sinh w)^2, and
+    # u^P < u^2 e^-40 there is below rounding
+    shift = math.log1p(math.exp(-2.0 * width))
+    u_in = uc * np.exp(np.log1p(np.exp(-2.0 * w)) - shift - back)
+    inside = _node_sums(inner_weights * inner_rate / lam, u_in,
+                        (lam * u_in * np.tanh(w)) ** 2 * (1.0 - ratio), big)
+    outside = _node_sums(w_outer * outer_rate / lam, u,
+                         lam * lam * dh * slope, big)
+    u_min = math.exp(s_min)
+    u_lead = uc * math.exp(math.log1p(math.exp(-2.0 * lead)) - shift
+                           - ends[-1])
+    edge = u_lead * u_lead * math.tanh(lead)
+    on_lead = (0.5 * lam * (edge - u_min * u_min * lead),
+               0.5 * (edge + u_min * u_min * lead) / lam, 0.0)
+    return period, tuple(2.0 * (a + b + c)
+                         for a, b, c in zip(inside, outside, on_lead))
+
+
+def _period(n: int, delta: float) -> float:
+    """Period of the closed orbit through (1 - delta, 0)."""
+    return _quadrature(n, delta)[0]
 
 
 @dataclass(frozen=True)
@@ -437,17 +495,6 @@ def count_periodic_solutions(n: int, r: float) -> int:
     return max(0, math.ceil(x - 1e-12) - 1)
 
 
-# Dormand-Prince 5(4) on the orbit, with the tableau of the radial
-# stepper: the stage rows, the last one the fifth-order weights (first
-# same as last), and the error weights
-_DP_ROWS = ((ode._A21,), (ode._A31, ode._A32),
-            (ode._A41, ode._A42, ode._A43),
-            (ode._A51, ode._A52, ode._A53, ode._A54),
-            (ode._A61, ode._A62, ode._A63, ode._A64, ode._A65),
-            (ode._B1, 0.0, ode._B3, ode._B4, ode._B5, ode._B6))
-_DP_ERR = (ode._E1, 0.0, ode._E3, ode._E4, ode._E5, ode._E6, ode._E7)
-
-
 # time integration from (u_max, 0) follows the orbit past the saddle only
 # for 1 - u_max above this: at 1e-8 the return time meets the quadrature
 # period to about 1e-6 relative and the Yamabe quotient stays below Y_n
@@ -474,11 +521,12 @@ def _orbit_steps(n: int, u_max: float, t_end: float):
     c2 = n * (n - 2) / 4.0
     qm1 = 4.0 / (n - 2)
 
-    def accel(u):
-        return c1 * u - c2 * abs(u) ** qm1 * u
-
+    # each stage (k_u, k_d) = (u', u'') written out: k_u is the stage's
+    # u'-argument and k_d = c1 y - c2 |y|^qm1 y at its u-argument y. The
+    # stage sums run left to right from the first slope, the operation
+    # order whose doubles tests/cli_bytes.json pins through periodic --dump
     t, u, du = 0.0, u_max, 0.0
-    f_u, f_d = du, accel(u)
+    f_u, f_d = du, c1 * u - c2 * abs(u) ** qm1 * u
     dt = 1e-2
     rejected = False
     while t < t_end:
@@ -486,14 +534,35 @@ def _orbit_steps(n: int, u_max: float, t_end: float):
             raise RuntimeError(
                 f"orbit integration failed: step underflow at t={t:.6g}")
         dt = min(dt, t_end - t)
-        ku, kd = [f_u], [f_d]
-        for row in _DP_ROWS:
-            y = u + dt * sum(map(mul, row, ku))
-            dy = du + dt * sum(map(mul, row, kd))
-            ku.append(dy)
-            kd.append(accel(y))
-        err_u = dt * sum(map(mul, _DP_ERR, ku))
-        err_d = dt * sum(map(mul, _DP_ERR, kd))
+        k1u, k1d = f_u, f_d
+        y = u + dt * (ode._A21 * k1u)
+        k2u = du + dt * (ode._A21 * k1d)
+        k2d = c1 * y - c2 * abs(y) ** qm1 * y
+        y = u + dt * (ode._A31 * k1u + ode._A32 * k2u)
+        k3u = du + dt * (ode._A31 * k1d + ode._A32 * k2d)
+        k3d = c1 * y - c2 * abs(y) ** qm1 * y
+        y = u + dt * (ode._A41 * k1u + ode._A42 * k2u + ode._A43 * k3u)
+        k4u = du + dt * (ode._A41 * k1d + ode._A42 * k2d + ode._A43 * k3d)
+        k4d = c1 * y - c2 * abs(y) ** qm1 * y
+        y = u + dt * (ode._A51 * k1u + ode._A52 * k2u + ode._A53 * k3u
+                      + ode._A54 * k4u)
+        k5u = du + dt * (ode._A51 * k1d + ode._A52 * k2d + ode._A53 * k3d
+                         + ode._A54 * k4d)
+        k5d = c1 * y - c2 * abs(y) ** qm1 * y
+        y = u + dt * (ode._A61 * k1u + ode._A62 * k2u + ode._A63 * k3u
+                      + ode._A64 * k4u + ode._A65 * k5u)
+        k6u = du + dt * (ode._A61 * k1d + ode._A62 * k2d + ode._A63 * k3d
+                         + ode._A64 * k4d + ode._A65 * k5d)
+        k6d = c1 * y - c2 * abs(y) ** qm1 * y
+        y = u + dt * (ode._B1 * k1u + ode._B3 * k3u + ode._B4 * k4u
+                      + ode._B5 * k5u + ode._B6 * k6u)
+        k7u = dy = du + dt * (ode._B1 * k1d + ode._B3 * k3d + ode._B4 * k4d
+                              + ode._B5 * k5d + ode._B6 * k6d)
+        k7d = c1 * y - c2 * abs(y) ** qm1 * y
+        err_u = dt * (ode._E1 * k1u + ode._E3 * k3u + ode._E4 * k4u
+                      + ode._E5 * k5u + ode._E6 * k6u + ode._E7 * k7u)
+        err_d = dt * (ode._E1 * k1d + ode._E3 * k3d + ode._E4 * k4d
+                      + ode._E5 * k5d + ode._E6 * k6d + ode._E7 * k7d)
         sc_u = _ORBIT_ATOL + _ORBIT_RTOL * max(abs(u), abs(y))
         sc_d = _ORBIT_ATOL + _ORBIT_RTOL * max(abs(du), abs(dy))
         err, factor = ode._step_control(err_u, sc_u, err_d, sc_d, rejected)
@@ -501,10 +570,11 @@ def _orbit_steps(n: int, u_max: float, t_end: float):
             dt *= factor
             rejected = True
             continue
-        yield (t, dt, u, du, ku[0], *ku[2:], kd[0], *kd[2:])
+        yield (t, dt, u, du, k1u, k3u, k4u, k5u, k6u, k7u,
+               k1d, k3d, k4d, k5d, k6d, k7d)
         t += dt
         u, du = y, dy
-        f_u, f_d = ku[-1], kd[-1]
+        f_u, f_d = k7u, k7d
         dt *= factor
         rejected = False
 
@@ -541,24 +611,18 @@ def circle_quotient(n: int, u_max: float) -> float:
     """Yamabe quotient of the periodic solution over one period.
 
     The first factor has volume Vol(S^{n-1}) and scalar curvature
-    (n-1)(n-2); integrals run over a single period of the time-integrated
-    orbit, sampled at 4097 points, by the composite Simpson rule. As the
-    orbit approaches the separatrix (u_max -> 1) the quotient climbs to
-    the sphere invariant Y_n from below; 1 - u_max must be at least
-    _TIME_DELTA_FLOOR, where the integration still follows the orbit."""
-    _check_dim(n)
-    _check_time_window(u_max)
+    (n-1)(n-2). The integrals of u'^2, u^2 and u^P over one period are
+    summed on the nodes of the period quadrature, so every u_max that
+    `orbit_period` accepts is accepted here. As the orbit approaches the
+    separatrix (u_max -> 1) the quotient climbs to the sphere invariant
+    Y_n from below, with a relative gap of about 1 - u_max (1.2 times it
+    for n = 3, 0.18 times for n = 8); once that is near 1e-16 the gap is
+    rounding-sized, at most about 1e-15 relative."""
+    _check_window(constant_solution(n), u_max)
     vol_m = surface_measure(n)
     a = 4.0 * (n - 1) / (n - 2)
     p = 2.0 * n / (n - 2)
     s = (n - 1.0) * (n - 2.0)
-    period = orbit_period(n, u_max)
-    ts, us, dus = integrate_orbit(n, u_max, period, samples=4097)
-    simpson = np.full(ts.size, 2.0)
-    simpson[1::2] = 4.0
-    simpson[[0, -1]] = 1.0
-    simpson *= (ts[1] - ts[0]) / 3.0
-    grad = vol_m * float(np.dot(simpson, dus * dus))
-    sq = vol_m * float(np.dot(simpson, us * us))
-    crit = vol_m * float(np.dot(simpson, np.abs(us) ** p))
+    grad, sq, crit = (vol_m * v
+                      for v in _quadrature(n, 1.0 - u_max, True)[1])
     return (a * grad + s * sq) / crit ** (2.0 / p)

@@ -8,12 +8,14 @@ solution
 
 whose norms are evaluated here by direct 1-d quadrature of the formulas.
 `hermite_integrals` integrates a stored solver profile by other means than
-the package does. `period_reference` integrates a circle-factor period by
-mpmath tanh-sinh, with none of the substitutions the package uses.
-Nothing above `sample_profile_loop` touches the solver or the package
-quadrature, so these values can referee both.
-`sample_profile_loop` is the solver's former node-by-node profile sampler,
-kept to referee the array sampler bit for bit.
+the package does. `period_reference` and `orbit_integrals_reference`
+integrate a circle-factor period and the Yamabe-quotient integrals of its
+orbit by mpmath tanh-sinh, with none of the substitutions the package
+uses. Nothing above `circle_quotient_by_time` touches the solver or the
+package quadrature, so these values can referee both.
+`circle_quotient_by_time` and `sample_profile_loop` are the package's
+former time-integrated circle quotient and node-by-node profile sampler,
+kept to referee their replacements.
 """
 
 import math
@@ -23,7 +25,8 @@ import numpy as np
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicHermiteSpline
 
-from gnyamabe import ode
+from gnyamabe import ode, periodic
+from gnyamabe.geometry import surface_measure
 
 
 def exponents_m1(m: int) -> tuple[float, float]:
@@ -130,32 +133,39 @@ def hermite_integrals(profile, d, refine: int = 64):
     return tuple(omega * float(v) for v in ints)
 
 
-def period_reference(n: int, delta: float, digits: int = 40) -> float:
-    """Period of the circle-factor orbit through (1 - delta, 0) for
-    u'' = ((n-2)^2/4) u - (n(n-2)/4) u^((n+2)/(n-2)): twice the integral
-    of du / sqrt(2 (E - V(u))) between the turning points, with
-    V(u) = ((n-2)^2/8) (u^(2n/(n-2)) - u^2) and E = V(1 - delta).
+def _orbit_reference(n: int, delta: float, digits: int, integrands):
+    """The integrals over one period of the circle-factor orbit through
+    (1 - delta, 0) for u'' = ((n-2)^2/4) u - (n(n-2)/4) u^((n+2)/(n-2)):
+    for each f in `integrands`, twice the integral of f(u, 2 (E - V(u)))
+    du between the turning points, with V(u) = ((n-2)^2/8)
+    (u^(2n/(n-2)) - u^2) and E = V(1 - delta).
 
     mpmath tanh-sinh quadrature, on panels cut at u_c and at every
     factor of ten above u_min, so the endpoint singularities and the slow
     passage near the saddle u = 0 are each at a panel end. The working
     precision is `digits` plus the digits lost to the cancellations in
     E - V: those of 1/delta next to the separatrix and of
-    1/amplitude^2 next to the equilibrium."""
+    1/amplitude^2 next to the equilibrium. Beyond `digits` digits of
+    1/delta only E itself is formed with all of them: u_max then rounds
+    by less than 10^-(2 digits + 10), which moves each integral by about
+    the square root of that, as much as rounding the gap next to u_max
+    does at any precision."""
     uc = ((n - 2) / n) ** ((n - 2) / 4)
     amplitude = abs(1.0 - delta - uc) / uc
-    extra = 10 + max(0, int(-math.log10(delta))) + max(
-        0, int(-2 * math.log10(amplitude)))
-    with mpmath.workdps(digits + extra):
+    sep_digits = max(0, int(-math.log10(delta)))
+    well_digits = max(0, int(-2 * math.log10(amplitude)))
+    with mpmath.workdps(digits + 10 + sep_digits + well_digits):
         c = mpmath.mpf(n - 2) ** 2 / 8
         big = mpmath.mpf(2 * n) / (n - 2)
         u_c = (mpmath.mpf(n - 2) / n) ** (mpmath.mpf(n - 2) / 4)
-        u_max = 1 - mpmath.mpf(delta)
 
         def pot(u):
             return c * (u ** big - u * u)
 
-        energy = pot(u_max)
+        energy = pot(1 - mpmath.mpf(delta))
+    extra = 10 + min(sep_digits, digits) + well_digits
+    with mpmath.workdps(digits + extra):
+        u_max = 1 - mpmath.mpf(delta)
         # u_min by bisection in log u: pot - energy > 0 at sqrt(-energy/c)
         # (the u^P term alone) and < 0 at u_c
         lo, hi = mpmath.sqrt(-energy / c), u_c
@@ -167,17 +177,68 @@ def period_reference(n: int, delta: float, digits: int = 40) -> float:
                 hi = mid
         u_min = lo
 
-        def integrand(u):
-            # next to a turning point the gap is rounding-sized; its sign
-            # there carries no information
-            gap = abs(energy - pot(u))
-            return 1 / mpmath.sqrt(2 * gap) if gap else mpmath.mpf(0)
-
         points = [u_min]
         while points[-1] * 10 < u_c:
             points.append(points[-1] * 10)
         points += [u_c, u_max]
-        return float(2 * mpmath.quad(integrand, points))
+
+        def integral(f):
+            def integrand(u):
+                # next to a turning point the gap is rounding-sized; its
+                # sign there carries no information
+                gap = abs(energy - pot(u))
+                return f(u, 2 * gap) if gap else mpmath.mpf(0)
+
+            return float(2 * mpmath.quad(integrand, points))
+
+        return [integral(f) for f in integrands(big)]
+
+
+def period_reference(n: int, delta: float, digits: int = 40) -> float:
+    """Period of the circle-factor orbit through (1 - delta, 0), the
+    integral of du / sqrt(2 (E - V)); see `_orbit_reference`."""
+    return _orbit_reference(
+        n, delta, digits, lambda big: [lambda u, k: 1 / mpmath.sqrt(k)])[0]
+
+
+def orbit_integrals_reference(n: int, delta: float,
+                              digits: int = 40) -> tuple[float, ...]:
+    """(int u'^2 dt, int u^2 dt, int u^P dt) over one period of the
+    circle-factor orbit through (1 - delta, 0), P = 2n/(n-2): with
+    dt = du / u' and u'^2 = 2 (E - V), the integrals of u' du,
+    u^2 du / u' and u^P du / u'; see `_orbit_reference`."""
+    return tuple(_orbit_reference(n, delta, digits, lambda big: [
+        lambda u, k: mpmath.sqrt(k),
+        lambda u, k: u * u / mpmath.sqrt(k),
+        lambda u, k: u ** big / mpmath.sqrt(k)]))
+
+
+def yamabe_quotient(n: int, integrals) -> float:
+    """The Yamabe quotient on S^{n-1} x S^1 of a function of the circle
+    with one period's (int u'^2, int u^2, int u^P) dt, P = 2n/(n-2): the
+    first factor has volume Vol(S^{n-1}) and scalar curvature
+    (n-1)(n-2)."""
+    grad, sq, crit = (surface_measure(n) * v for v in integrals)
+    p = 2.0 * n / (n - 2)
+    return ((4.0 * (n - 1) / (n - 2) * grad + (n - 1.0) * (n - 2.0) * sq)
+            / crit ** (2.0 / p))
+
+
+def circle_quotient_by_time(n: int, u_max: float) -> float:
+    """Yamabe quotient of the circle-factor orbit through (u_max, 0) by
+    time integration: the package's Dormand-Prince orbit sampled at 4097
+    points over one quadrature period, and the composite Simpson rule.
+    The package's former `circle_quotient`, kept to referee the
+    quadrature one; like the integration, it needs 1 - u_max >= 1e-8."""
+    period = periodic.orbit_period(n, u_max)
+    ts, us, dus = periodic.integrate_orbit(n, u_max, period, samples=4097)
+    weights = np.full(ts.size, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    weights *= (ts[1] - ts[0]) / 3.0
+    p = 2.0 * n / (n - 2)
+    return yamabe_quotient(n, [float(np.dot(weights, f)) for f in
+                               (dus * dus, us * us, np.abs(us) ** p)])
 
 
 def sample_profile_loop(alpha, n, steps, t_stop):

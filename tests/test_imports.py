@@ -5,7 +5,9 @@ import statement, including those inside functions: no module imports
 scipy anywhere, not even the circle-factor time integrations, which run
 on the package's own Dormand-Prince stepper. A subprocess then checks
 that importing the package, running each subcommand (the orbit dump
-included) and time-integrating an orbit load no scipy module at all.
+included), time-integrating an orbit and taking its Yamabe quotient load
+no scipy module at all, and no OpenSSL through `_hashlib` either: only
+`functional.bundled_test_function`, which no subcommand calls, hashes.
 """
 
 import ast
@@ -69,11 +71,12 @@ _CHILD = """
 import contextlib, io, json, sys
 from importlib import resources
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def unwanted_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "_hashlib")
 
 import gnyamabe
-loaded = {"import gnyamabe": scipy_modules()}
+loaded = {"import gnyamabe": unwanted_modules()}
 import gnyamabe.cli
 profile = str(resources.files("gnyamabe.data").joinpath("testfn_2_2.dat"))
 dump = sys.argv[1]
@@ -82,11 +85,11 @@ for argv in (["constants"], ["bound", profile, "2", "2"],
              ["periodic", "4", "3", "--dump", dump]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = gnyamabe.cli.main(argv)
-    loaded[argv[0]] = scipy_modules() if code == 0 else code
+    loaded[argv[0]] = unwanted_modules() if code == 0 else code
 from gnyamabe.periodic import return_time
 return_time(4, 0.9)
 gnyamabe.circle_quotient(4, 0.9)
-loaded["return_time, circle_quotient"] = scipy_modules()
+loaded["return_time, circle_quotient"] = unwanted_modules()
 print(json.dumps(loaded))
 """
 

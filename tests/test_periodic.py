@@ -11,7 +11,8 @@ from gnyamabe.periodic import (CircleOrbit, circle_orbit, circle_quotient,
                                orbit_for_period, orbit_period, potential,
                                return_time)
 
-from oracles import period_reference
+from oracles import (circle_quotient_by_time, orbit_integrals_reference,
+                     period_reference, yamabe_quotient)
 
 
 def test_constant_solution_values():
@@ -211,38 +212,105 @@ def test_circle_orbit_energy_window():
 
 
 def test_circle_quotient_approaches_sphere_constant():
-    for n in (3, 4, 5):
+    """The quotient climbs strictly to Y_n from below as delta = 1 - u_max
+    falls to 1e-12. Its gap to Y_n is about delta relative, 1.8e-13 to
+    1.7e-12 at 1e-12 against an error of about 1e-15 relative (see
+    test_orbit_integrals_match_referee_near_separatrix), so every step is
+    resolved. From delta near 1e-16 down to 1e-300 the gap is
+    rounding-sized, at most about 1.4e-13 absolute, and is not
+    asserted."""
+    for n in range(3, 9):
         y_n = yamabe_sphere(n)
-        values = [circle_quotient(n, u) for u in (0.9, 0.99, 0.999, 0.9999)]
+        values = [circle_quotient(n, 1.0 - 10.0 ** -k) for k in range(1, 13)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(v < y_n for v in values)
-        assert values[-1] > 0.99 * y_n
+        assert values[-1] > (1.0 - 1e-11) * y_n
+
+
+def _assert_matches_reference(n, u_max, delta):
+    """The three integrals at delta, and the quotient at u_max when it is
+    below 1, each within 1e-13 relative of the mpmath referee; returns
+    the referee's quotient."""
+    ref = orbit_integrals_reference(n, delta)
+    got = periodic._quadrature(n, delta, True)[1]
+    for value, expected in zip(got, ref):
+        assert value == pytest.approx(expected, rel=1e-13)
+    q_ref = yamabe_quotient(n, ref)
+    if u_max < 1.0:
+        assert circle_quotient(n, u_max) == pytest.approx(q_ref, rel=1e-13)
+    return q_ref
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("frac", [0.03, 0.5, 0.99])
+def test_orbit_integrals_match_referee(n, frac):
+    """Across the window, from the series branch (3%) to next to the
+    separatrix (99%)."""
+    u_max = constant_solution(n) + frac * (1.0 - constant_solution(n))
+    _assert_matches_reference(n, u_max, 1.0 - u_max)
+
+
+@pytest.mark.parametrize("n, delta", [(n, 1e-12) for n in range(3, 9)]
+                         + [(4, 9e-9), (4, 1e-14), (3, 1e-300),
+                            (8, 1e-300)])
+def test_orbit_integrals_match_referee_near_separatrix(n, delta):
+    """Where time integration cannot follow the orbit (1 - u_max below
+    1e-8; it gave circle_quotient(4, 1 - 1e-14) = 74.61 > Y_4) and down
+    to the window floor, delta itself beyond the doubles below 1. At
+    1e-12 the referee's gap Y_n - Q is at least 10x the quotient's
+    error, which the sphere-constant test relies on."""
+    u_max = 1.0 - delta
+    q_ref = _assert_matches_reference(
+        n, u_max, 1.0 - u_max if u_max < 1.0 else delta)
+    if delta == 1e-12:
+        gap = yamabe_sphere(n) - q_ref
+        assert gap > 10.0 * abs(circle_quotient(n, u_max) - q_ref)
+
+
+def _time_floor():
+    """The largest u_max that time integration accepts."""
+    u_max = 1.0 - periodic._TIME_DELTA_FLOOR
+    if 1.0 - u_max < periodic._TIME_DELTA_FLOOR:
+        u_max = math.nextafter(u_max, 0.0)
+    return u_max
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_circle_quotient_matches_time_integration(n):
+    """The quadrature quotient against the former time integration with
+    Simpson's rule, wherever that integration follows the orbit."""
+    uc = constant_solution(n)
+    for u_max in (uc + 0.03 * (1.0 - uc), 0.5 * (uc + 1.0), 1.0 - 1e-4,
+                  _time_floor()):
+        assert circle_quotient(n, u_max) == pytest.approx(
+            circle_quotient_by_time(n, u_max), rel=1e-11)
 
 
 @pytest.mark.parametrize("u_max", [1.0 - 1e-14, 1.0 - 9e-9, 1.0, math.nan])
 def test_time_integration_rejects_the_separatrix(u_max):
     """Time integration from (u_max, 0) cannot follow an orbit within 1e-8
-    of the separatrix past the saddle (circle_quotient(4, 1 - 1e-14) came
-    out 74.61, above Y_4 = 61.56), so all three entry points refuse it."""
-    with pytest.raises(ValueError, match="separatrix"):
-        circle_quotient(4, u_max)
+    of the separatrix past the saddle, so return_time and integrate_orbit
+    refuse it. circle_quotient, a quadrature, refuses only u_max outside
+    the window."""
     with pytest.raises(ValueError, match="separatrix"):
         return_time(4, u_max)
     with pytest.raises(ValueError, match="separatrix"):
         integrate_orbit(4, u_max, 10.0)
+    if not u_max < 1.0:
+        with pytest.raises(ValueError, match="closed-orbit window"):
+            circle_quotient(4, u_max)
 
 
 def test_time_integration_at_the_separatrix_floor():
     """The closest start the floor admits still returns on the quadrature
-    period and keeps the quotient below the sphere invariant."""
-    u_max = 1.0 - periodic._TIME_DELTA_FLOOR
-    if 1.0 - u_max < periodic._TIME_DELTA_FLOOR:
-        u_max = math.nextafter(u_max, 0.0)
+    period and keeps the time-integrated quotient below the sphere
+    invariant."""
+    u_max = _time_floor()
     for n in (3, 5, 8):
         assert return_time(n, u_max) == pytest.approx(
             orbit_period(n, u_max), rel=1e-6)
-        assert 0.9999999 * yamabe_sphere(n) < circle_quotient(n, u_max) \
-            < yamabe_sphere(n)
+        assert 0.9999999 * yamabe_sphere(n) \
+            < circle_quotient_by_time(n, u_max) < yamabe_sphere(n)
 
 
 # float.hex of the period map on the separatrix distance (numpy 2.4.6,
