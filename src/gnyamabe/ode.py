@@ -14,8 +14,9 @@ The integrator is an embedded Dormand-Prince 5(4) pair with the standard
 quartic dense-output polynomial; event times are located by bisection on
 the dense step. A hand-rolled scalar stepper, with the right-hand side
 written out in each stage, keeps a full shooting run of thousands of
-shots within interactive time. The dense output takes a scalar or
-equal-length arrays, so a stored profile is sampled in one array pass.
+shots within interactive time; the undamped circle-factor flow of
+`periodic` runs on it too. The dense output takes a scalar or
+equal-length arrays, so stored steps are sampled in one array pass.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ def rhs(t: float, h: float, dh: float, d: Dims) -> tuple[float, float]:
     """Right-hand side (h', h'') of the radial system at t > 0.
 
     The nonlinearity is odd-extended as |h|^(q-1) h so trajectories stay
-    defined after a zero crossing. The stepper evaluates the same
-    expression inline, in the same operation order.
+    defined after a zero crossing. `_dp_steps` evaluates the same
+    expression inline with c1 = c2 = 1, which gives the same doubles.
     """
     if t <= 0.0:
         raise ValueError("rhs is singular at t = 0; use series_start")
@@ -245,69 +246,52 @@ def _step_control(err_a, sc_a, err_b, sc_b, rejected):
     return err, min(1.0, factor) if rejected else factor
 
 
-def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
-    """Core shot integration for alpha > 1.
+def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
+    """Yield the accepted Dormand-Prince 5(4) steps of h'' = -(nm1/t) h'
+    + c1 h - c2 |h|^qm1 h from (h, h') at time t to t_end, first trying
+    step dt, at tolerances rtol and atol, as (t_old, dt, h, h', six
+    h-slopes, six h'-slopes, h_new); the last h-slope is h' at the end.
+    Raises IntegrationFailure when the step size falls below 1e-13.
 
-    Returns (kind, t_event, y_event, steps) with kind one of "crossed",
-    "turned", "candidate", y_event the value of h at the event except for a
-    crossing, where h = 0 and y_event is the slope h' there instead, and
-    steps every accepted step. Raises IntegrationFailure when the series
-    start is not positive (alpha too large for _T_START), on step
-    underflow or on an unclassifiable endpoint.
-    """
-    nm1 = float(d.n - 1)
-    qm1 = d.q - 1.0
-    thresh = _DECAY_THRESHOLD
-    rtol, atol = ctrl.rtol, ctrl.atol
-
-    # each stage (k_h, k_d) = (h', h'') is rhs() written out: k_h is the
-    # stage's h'-argument and k_d = -(nm1 / t) h' + h - |h|^qm1 h, in
-    # rhs()'s operation order so every stage is the same double
-    t = _T_START
-    h, dh = series_start(alpha, t, d)
-    if not h > 0.0:
-        raise IntegrationFailure(
-            f"series start h({t:g}) = {h:.6g} is not positive: "
-            f"alpha={alpha!r} is too large to start at t={t:g}")
-    f1h, f1d = dh, -(nm1 / t) * dh + h - abs(h) ** qm1 * h
-    dt = 1e-3
-    steps = []
+    With c1 = c2 = 1 each stage is the double rhs() gives, and with
+    nm1 = 0 the damping term adds an exact zero; only an undamped flow
+    may start at t = 0."""
+    damping = -(nm1 / t) * dh if t else 0.0
+    f1d = damping + c1 * h - c2 * abs(h) ** qm1 * h
     rejected = False
-
-    while t < ctrl.t_max:
+    while t < t_end:
         if dt < 1e-13:
-            raise IntegrationFailure(
-                f"step underflow at t={t:.6g} (alpha={alpha!r})")
-        if t + dt > ctrl.t_max:
-            dt = ctrl.t_max - t
+            raise IntegrationFailure(f"step underflow at t={t:.6g}")
+        if t + dt > t_end:
+            dt = t_end - t
 
-        k1h, k1d = f1h, f1d
+        k1h, k1d = dh, f1d
         y = h + dt * _A21 * k1h
         k2h = dh + dt * _A21 * k1d
-        k2d = -(nm1 / (t + _C2 * dt)) * k2h + y - abs(y) ** qm1 * y
+        k2d = -(nm1 / (t + _C2 * dt)) * k2h + c1 * y - c2 * abs(y) ** qm1 * y
         y = h + dt * (_A31 * k1h + _A32 * k2h)
         k3h = dh + dt * (_A31 * k1d + _A32 * k2d)
-        k3d = -(nm1 / (t + _C3 * dt)) * k3h + y - abs(y) ** qm1 * y
+        k3d = -(nm1 / (t + _C3 * dt)) * k3h + c1 * y - c2 * abs(y) ** qm1 * y
         y = h + dt * (_A41 * k1h + _A42 * k2h + _A43 * k3h)
         k4h = dh + dt * (_A41 * k1d + _A42 * k2d + _A43 * k3d)
-        k4d = -(nm1 / (t + _C4 * dt)) * k4h + y - abs(y) ** qm1 * y
+        k4d = -(nm1 / (t + _C4 * dt)) * k4h + c1 * y - c2 * abs(y) ** qm1 * y
         y = h + dt * (_A51 * k1h + _A52 * k2h + _A53 * k3h + _A54 * k4h)
         k5h = dh + dt * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
-        k5d = -(nm1 / (t + _C5 * dt)) * k5h + y - abs(y) ** qm1 * y
+        k5d = -(nm1 / (t + _C5 * dt)) * k5h + c1 * y - c2 * abs(y) ** qm1 * y
         t_new = t + dt
         y = h + dt * (_A61 * k1h + _A62 * k2h + _A63 * k3h + _A64 * k4h
                       + _A65 * k5h)
         k6h = dh + dt * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d
                          + _A65 * k5d)
-        k6d = -(nm1 / t_new) * k6h + y - abs(y) ** qm1 * y
+        k6d = -(nm1 / t_new) * k6h + c1 * y - c2 * abs(y) ** qm1 * y
         hn = h + dt * (_B1 * k1h + _B3 * k3h + _B4 * k4h + _B5 * k5h
                        + _B6 * k6h)
         dhn = dh + dt * (_B1 * k1d + _B3 * k3d + _B4 * k4d + _B5 * k5d
                          + _B6 * k6d)
-        k7h, k7d = dhn, -(nm1 / t_new) * dhn + hn - abs(hn) ** qm1 * hn
+        k7d = -(nm1 / t_new) * dhn + c1 * hn - c2 * abs(hn) ** qm1 * hn
 
         err_h = dt * (_E1 * k1h + _E3 * k3h + _E4 * k4h + _E5 * k5h
-                      + _E6 * k6h + _E7 * k7h)
+                      + _E6 * k6h + _E7 * dhn)
         err_d = dt * (_E1 * k1d + _E3 * k3d + _E4 * k4d + _E5 * k5d
                       + _E6 * k6d + _E7 * k7d)
         sc_h = atol + rtol * max(abs(h), abs(hn))
@@ -318,67 +302,103 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
             rejected = True
             continue
 
-        step = (t, dt, h, dh, k1h, k3h, k4h, k5h, k6h, k7h,
-                k1d, k3d, k4d, k5d, k6d, k7d)
-        steps.append(step)
-
-        # events, in within-step time order
-        triggers = []
-        if h > thresh >= hn:
-            triggers.append((_locate(step, 0, thresh, False), "decay"))
-        if h > 0.0 >= hn:
-            triggers.append((_locate(step, 0, 0.0, False), "cross"))
-        if dh < 0.0 <= dhn:
-            triggers.append((_locate(step, 1, 0.0, True), "turn"))
-        triggers.sort()
-        for theta, kind in triggers:
-            te = t + theta * dt
-            he, dhe = _dense_eval(step, theta)
-            if kind == "decay":
-                linearized = -thresh * (1.0 + nm1 / (2.0 * te))
-                if abs(dhe - linearized) <= _CANDIDATE_SLOPE_BAND \
-                        * abs(linearized):
-                    return "candidate", te, he, steps
-            elif kind == "cross":
-                return "crossed", te, dhe, steps
-            else:
-                return "turned", te, he, steps
-
+        yield (t, dt, h, dh, k1h, k3h, k4h, k5h, k6h, dhn,
+               k1d, k3d, k4d, k5d, k6d, k7d, hn)
         t = t_new
         h, dh = hn, dhn
-        f1h, f1d = k7h, k7d  # first-same-as-last
+        f1d = k7d  # first-same-as-last
         dt *= factor
         rejected = False
 
-    if 0.0 < h < thresh and dh < 0.0:
-        return "candidate", ctrl.t_max, h, steps
+
+def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
+    """Core shot integration for alpha > 1.
+
+    Returns (kind, t_event, y_event, steps) with kind one of "crossed",
+    "turned", "candidate", y_event the value of h at the event except for a
+    crossing, where h = 0 and y_event is the slope h' there instead, and
+    steps every accepted step of `_dp_steps`. Raises IntegrationFailure
+    when the series start is not positive (alpha too large for _T_START),
+    on step underflow or on an unclassifiable endpoint.
+    """
+    nm1 = float(d.n - 1)
+    thresh = _DECAY_THRESHOLD
+    t = _T_START
+    h, dh = series_start(alpha, t, d)
+    if not h > 0.0:
+        raise IntegrationFailure(
+            f"series start h({t:g}) = {h:.6g} is not positive: "
+            f"alpha={alpha!r} is too large to start at t={t:g}")
+    steps = []
+    try:
+        for step in _dp_steps(t, h, dh, 1e-3, ctrl.t_max, nm1, 1.0, 1.0,
+                              d.q - 1.0, ctrl.rtol, ctrl.atol):
+            steps.append(step)
+            hn, dhn = step[16], step[9]
+            if hn > thresh and dhn < 0.0:
+                continue  # no event can lie in this step
+            t, dt, h, dh = step[:4]
+
+            # events, in within-step time order
+            triggers = []
+            if h > thresh >= hn:
+                triggers.append((_locate(step, 0, thresh, False), "decay"))
+            if h > 0.0 >= hn:
+                triggers.append((_locate(step, 0, 0.0, False), "cross"))
+            if dh < 0.0 <= dhn:
+                triggers.append((_locate(step, 1, 0.0, True), "turn"))
+            triggers.sort()
+            for theta, kind in triggers:
+                te = t + theta * dt
+                he, dhe = _dense_eval(step, theta)
+                if kind == "decay":
+                    linearized = -thresh * (1.0 + nm1 / (2.0 * te))
+                    if abs(dhe - linearized) <= _CANDIDATE_SLOPE_BAND \
+                            * abs(linearized):
+                        return "candidate", te, he, steps
+                elif kind == "cross":
+                    return "crossed", te, dhe, steps
+                else:
+                    return "turned", te, he, steps
+    except IntegrationFailure as exc:
+        raise IntegrationFailure(f"{exc} (alpha={alpha!r})") from exc
+
+    if 0.0 < hn < thresh and dhn < 0.0:
+        return "candidate", ctrl.t_max, hn, steps
     raise IntegrationFailure(
         f"shot unclassified at t_max={ctrl.t_max:g}: "
-        f"h={h:.6g}, h'={dh:.6g} (alpha={alpha!r})")
+        f"h={hn:.6g}, h'={dhn:.6g} (alpha={alpha!r})")
+
+
+def _sample_steps(steps, ts):
+    """(h, h') at the ascending times ts, in one array pass: each time is
+    evaluated in the first step whose end t_old + dt reaches it, or in the
+    last step if it lies beyond all of them."""
+    table = np.array(steps)
+    ends = table[:, 0] + table[:, 1]
+    cols = table[np.minimum(np.searchsorted(ends, ts), len(table) - 1)].T
+    return _dense_eval(cols, (ts - cols[0]) / cols[1])
 
 
 def _sample_profile(alpha, n, steps, t_stop):
     """Sample the dense output on a uniform grid and truncate the tail.
 
     The grid nodes j * PROFILE_SPACING up to t_stop and the end of the
-    last step are evaluated in one array pass, each in the first step
-    whose end t_old + dt reaches it. The grid is cut at the first node
-    with h below the decay threshold (that node is kept) or with h' >= 0
-    (that node is dropped), whichever comes first, keeping at least two
-    nodes; past the cut the stored shot has diverged from the true ground
-    state and carries no information. A shot that ends before the first
-    node has no profile: IntegrationFailure.
+    last step are evaluated by `_sample_steps`. The grid is cut at the
+    first node with h below the decay threshold (that node is kept) or
+    with h' >= 0 (that node is dropped), whichever comes first, keeping
+    at least two nodes; past the cut the stored shot has diverged from
+    the true ground state and carries no information. A shot that ends
+    before the first node has no profile: IntegrationFailure.
     """
-    table = np.array(steps)
-    ends = table[:, 0] + table[:, 1]
-    count = int(min(t_stop, ends[-1]) / PROFILE_SPACING)
+    last = steps[-1]
+    count = int(min(t_stop, last[0] + last[1]) / PROFILE_SPACING)
     if count < 1:
         raise IntegrationFailure(
             f"shot (alpha={alpha!r}) ended at t={t_stop:.6g}, before the "
             f"first profile node t={PROFILE_SPACING:g}")
     tq = np.arange(1, count + 1) * PROFILE_SPACING
-    cols = table[np.searchsorted(ends, tq, side="left")].T
-    hq, dhq = _dense_eval(cols, (tq - cols[0]) / cols[1])
+    hq, dhq = _sample_steps(steps, tq)
     ts = np.concatenate(([0.0], tq))
     hs = np.concatenate(([alpha], hq))
     dhs = np.concatenate(([0.0], dhq))

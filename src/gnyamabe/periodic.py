@@ -39,10 +39,10 @@ u'^2 integrate in closed form. It covers the whole window.
 
 Everything here runs on numpy and the stdlib. The time integrations
 behind `integrate_orbit` and `return_time`, which cross-check the
-quadrature, step the flow by Dormand-Prince 5(4) with the radial
-solver's tableau, written out stage by stage, its step-size control and
-its dense output; they refuse orbits within _TIME_DELTA_FLOOR of the
-separatrix, which they cannot follow past the saddle.
+quadrature, step the flow with the radial shots' Dormand-Prince 5(4)
+stepper, `ode._dp_steps`, without its damping term; they refuse orbits
+within _TIME_DELTA_FLOOR of the separatrix, which they cannot follow
+past the saddle.
 """
 
 from __future__ import annotations
@@ -513,70 +513,14 @@ def _check_time_window(u_max: float) -> None:
 
 
 def _orbit_steps(n: int, u_max: float, t_end: float):
-    """Yield the accepted Dormand-Prince 5(4) steps of the flow from
-    (u_max, 0) to t_end at _ORBIT_RTOL and _ORBIT_ATOL, each laid out as
-    the radial stepper stores one, (t, dt, u, u', six u-slopes, six
-    u'-slopes), so `ode._dense_eval` evaluates it."""
-    c1 = (n - 2) ** 2 / 4.0
-    c2 = n * (n - 2) / 4.0
-    qm1 = 4.0 / (n - 2)
-
-    # each stage (k_u, k_d) = (u', u'') written out: k_u is the stage's
-    # u'-argument and k_d = c1 y - c2 |y|^qm1 y at its u-argument y. The
-    # stage sums run left to right from the first slope, the operation
-    # order whose doubles tests/cli_bytes.json pins through periodic --dump
-    t, u, du = 0.0, u_max, 0.0
-    f_u, f_d = du, c1 * u - c2 * abs(u) ** qm1 * u
-    dt = 1e-2
-    rejected = False
-    while t < t_end:
-        if dt < 1e-13:
-            raise RuntimeError(
-                f"orbit integration failed: step underflow at t={t:.6g}")
-        dt = min(dt, t_end - t)
-        k1u, k1d = f_u, f_d
-        y = u + dt * (ode._A21 * k1u)
-        k2u = du + dt * (ode._A21 * k1d)
-        k2d = c1 * y - c2 * abs(y) ** qm1 * y
-        y = u + dt * (ode._A31 * k1u + ode._A32 * k2u)
-        k3u = du + dt * (ode._A31 * k1d + ode._A32 * k2d)
-        k3d = c1 * y - c2 * abs(y) ** qm1 * y
-        y = u + dt * (ode._A41 * k1u + ode._A42 * k2u + ode._A43 * k3u)
-        k4u = du + dt * (ode._A41 * k1d + ode._A42 * k2d + ode._A43 * k3d)
-        k4d = c1 * y - c2 * abs(y) ** qm1 * y
-        y = u + dt * (ode._A51 * k1u + ode._A52 * k2u + ode._A53 * k3u
-                      + ode._A54 * k4u)
-        k5u = du + dt * (ode._A51 * k1d + ode._A52 * k2d + ode._A53 * k3d
-                         + ode._A54 * k4d)
-        k5d = c1 * y - c2 * abs(y) ** qm1 * y
-        y = u + dt * (ode._A61 * k1u + ode._A62 * k2u + ode._A63 * k3u
-                      + ode._A64 * k4u + ode._A65 * k5u)
-        k6u = du + dt * (ode._A61 * k1d + ode._A62 * k2d + ode._A63 * k3d
-                         + ode._A64 * k4d + ode._A65 * k5d)
-        k6d = c1 * y - c2 * abs(y) ** qm1 * y
-        y = u + dt * (ode._B1 * k1u + ode._B3 * k3u + ode._B4 * k4u
-                      + ode._B5 * k5u + ode._B6 * k6u)
-        k7u = dy = du + dt * (ode._B1 * k1d + ode._B3 * k3d + ode._B4 * k4d
-                              + ode._B5 * k5d + ode._B6 * k6d)
-        k7d = c1 * y - c2 * abs(y) ** qm1 * y
-        err_u = dt * (ode._E1 * k1u + ode._E3 * k3u + ode._E4 * k4u
-                      + ode._E5 * k5u + ode._E6 * k6u + ode._E7 * k7u)
-        err_d = dt * (ode._E1 * k1d + ode._E3 * k3d + ode._E4 * k4d
-                      + ode._E5 * k5d + ode._E6 * k6d + ode._E7 * k7d)
-        sc_u = _ORBIT_ATOL + _ORBIT_RTOL * max(abs(u), abs(y))
-        sc_d = _ORBIT_ATOL + _ORBIT_RTOL * max(abs(du), abs(dy))
-        err, factor = ode._step_control(err_u, sc_u, err_d, sc_d, rejected)
-        if err > 1.0:
-            dt *= factor
-            rejected = True
-            continue
-        yield (t, dt, u, du, k1u, k3u, k4u, k5u, k6u, k7u,
-               k1d, k3d, k4d, k5d, k6d, k7d)
-        t += dt
-        u, du = y, dy
-        f_u, f_d = k7u, k7d
-        dt *= factor
-        rejected = False
+    """The accepted steps of `ode._dp_steps` on the undamped flow
+    u'' = ((n-2)^2/4) u - (n(n-2)/4) |u|^(4/(n-2)) u from (u_max, 0) to
+    t_end at _ORBIT_RTOL and _ORBIT_ATOL, each evaluated by
+    `ode._dense_eval`; tests/cli_bytes.json pins their doubles through
+    periodic --dump."""
+    return ode._dp_steps(0.0, u_max, 0.0, 1e-2, t_end, 0.0,
+                         (n - 2) ** 2 / 4.0, n * (n - 2) / 4.0,
+                         4.0 / (n - 2), _ORBIT_RTOL, _ORBIT_ATOL)
 
 
 def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049):
@@ -587,10 +531,7 @@ def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049):
     _check_dim(n)
     _check_time_window(u_max)
     ts = np.linspace(0.0, t_end, samples)
-    table = np.array(list(_orbit_steps(n, u_max, t_end)))
-    ends = table[:, 0] + table[:, 1]
-    cols = table[np.minimum(np.searchsorted(ends, ts), len(table) - 1)].T
-    us, dus = ode._dense_eval(cols, (ts - cols[0]) / cols[1])
+    us, dus = ode._sample_steps(list(_orbit_steps(n, u_max, t_end)), ts)
     return ts, us, dus
 
 

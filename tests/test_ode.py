@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnyamabe import ode
+from gnyamabe import ode, periodic
 from gnyamabe.geometry import Dims
 from gnyamabe.ode import (DEFAULT_CONTROLS, PROFILE_SPACING, Candidate,
                           CrossedZero, IntegrationControls, IntegrationFailure,
@@ -360,6 +360,17 @@ def test_event_before_first_profile_node_is_integration_failure():
     assert outcome.t_cross < PROFILE_SPACING
     with pytest.raises(IntegrationFailure, match="before the first profile"):
         shoot_profile(1e3, d)
+
+
+def test_step_underflow_is_integration_failure(monkeypatch):
+    """A step size driven below 1e-13 ends a shot, and an orbit, with
+    IntegrationFailure; the shot's message names its initial value."""
+    monkeypatch.setattr(ode, "_step_control", lambda *args: (2.0, 0.2))
+    with pytest.raises(IntegrationFailure,
+                       match=r"step underflow at t=.*\(alpha=2\.5\)"):
+        integrate_shot(2.5, D22)
+    with pytest.raises(IntegrationFailure, match="step underflow at t=0"):
+        periodic.return_time(4, 0.9)
 
 
 @pytest.mark.parametrize("alpha", [1e5, 1e6])

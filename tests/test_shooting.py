@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gnyamabe import shooting
+from gnyamabe.functional import gn_value
 from gnyamabe.geometry import Dims
 from gnyamabe.ode import (DEFAULT_CONTROLS, CrossedZero, TurnedUp,
                           integrate_shot, rhs)
@@ -102,6 +103,26 @@ def test_sech_alpha0_matches_closed_form():
         q, _ = exponents_m1(m)
         gs = find_ground_state(Dims(m, 1))
         assert abs(gs.alpha0 - sech_amplitude(q)) < 1e-9
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (1, 8), (1, 12), (2, 1),
+                                  (5, 1)])
+def test_m1_and_n1_rows_solve(m, n):
+    """Rows with a one-dimensional factor, outside the published table,
+    solve at the default controls. For n = 1 the ground state is the
+    closed-form sech profile; for m = 1 sigma_inv is checked against a
+    solve at tol_alpha = 1e-14 with tolerances ten times tighter."""
+    d = Dims(m, n)
+    gs = find_ground_state(d)
+    if n == 1:
+        amplitude = sech_amplitude(exponents_m1(m)[0])
+        assert abs(gs.alpha0 / amplitude - 1.0) <= 2e-12
+    else:
+        tight = find_ground_state(d, tol_alpha=1e-14,
+                                  ctrl=DEFAULT_CONTROLS.tightened(10.0))
+        sigma_inv = gn_value(gs.profile, d).sigma_inv
+        reference = gn_value(tight.profile, d).sigma_inv
+        assert abs(sigma_inv / reference - 1.0) <= 1e-12
 
 
 def test_tol_alpha_validation():
