@@ -10,12 +10,16 @@ zero (initial value too large), turning upward while 0 < h < 1 (too small),
 or decaying below the threshold while still falling (ground-state candidate
 at the working resolution).
 
-The integrator is an embedded Dormand-Prince 5(4) pair with the standard
-quartic dense-output polynomial; event times are located by bisection on
-the dense step. A hand-rolled scalar stepper, with the right-hand side
-written out in each stage, keeps a full shooting run of thousands of
-shots within interactive time; the undamped circle-factor flow of
-`periodic` runs on it too. The dense output takes a scalar or
+The integrator is DOP853, the 8th-order Dormand-Prince pair with its
+combined 5th- and 3rd-order error estimate and its 7th-order continuous
+extension (Hairer, Norsett & Wanner, Solving ODEs I, II.10); at the
+shots' tolerance of 1e-11 it takes about a fifth of the steps of a
+5th-order pair. Event times are located by bisection on the continuous
+extension, whose three extra stages are evaluated only for the steps
+that hold an event or a sample. A hand-rolled scalar stepper, with the
+right-hand side written out in each stage, keeps a full shooting run of
+thousands of shots within interactive time; the undamped circle-factor
+flow of `periodic` runs on it too. The extension takes a scalar or
 equal-length arrays, so stored steps are sampled in one array pass.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -30,35 +35,87 @@ from .geometry import Dims
 
 PROFILE_SPACING = 2.0 ** -8
 
-# Dormand-Prince 5(4) coefficients
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                           -2187.0 / 6784.0, 11.0 / 84.0)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
-                                71.0 / 1920.0, -17253.0 / 339200.0,
-                                22.0 / 525.0, -1.0 / 40.0)
-# quartic interpolant weights (Shampine); the k2 row vanishes identically
-_P = (
-    (1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
-     -12715105075.0 / 11282082432.0),
-    (0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
-     87487479700.0 / 32700410799.0),
-    (0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
-     -10690763975.0 / 1880347072.0),
-    (0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
-     701980252875.0 / 199316789632.0),
-    (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
-     -1453857185.0 / 822651844.0),
-    (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
-     69997945.0 / 29380423.0),
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): the 8th-order
+# Dormand-Prince pair with its 5th- and 3rd-order error estimates. Stage i
+# runs at t + C_i dt from h + dt sum_j A_ij K_j; stages 2-5 feed only the
+# stages, stage 12 runs at t + dt, and stage 13 is the slope at the new
+# point, which starts the next step (first-same-as-last).
+_C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11 = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571)
+_A21 = 0.05260015195876773
+_A31, _A32 = 0.0197250569845379, 0.0591751709536137
+_A41, _A43 = 0.02958758547680685, 0.08876275643042054
+_A51, _A53, _A54 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_A61, _A64, _A65 = (0.037037037037037035, 0.17082860872947386,
+                    0.12546768756682242)
+_A71, _A74, _A75, _A76 = (0.037109375, 0.17025221101954405,
+                          0.06021653898045596, -0.017578125)
+_A81, _A84, _A85, _A86, _A87 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
+    -0.015319437748624402, 0.008273789163814023)
+_A91, _A94, _A95, _A96, _A97, _A98 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726,
+    27.59209969944671, 20.154067550477894, -43.48988418106996)
+_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843,
+    21.230051448181193, 15.279233632882423, -33.28821096898486,
+    -0.020331201708508627)
+_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505,
+    2.4936055526796523, -3.0467644718982196)
+(_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10,
+ _A12_11) = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625,
+    -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+    -8.87285693353063, 12.360567175794303, 0.6433927460157636)
+_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+    0.20136540080403034, 0.04471061572777259)
+# 5th-order error weights; the 3rd-order estimate is the 8th-order
+# increment less _BHH1 K1 + _BHH9 K9 + _BHH12 K12
+_E1, _E6, _E7, _E8, _E9, _E10, _E11, _E12 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+    0.08192320648511571, -0.022355307863886294)
+_BHH1, _BHH9, _BHH12 = (0.2440944881889764, 0.7338466882816118,
+                        0.022058823529411766)
+# the 7th-order continuous extension: stages 14-16 as (C_i, A_ij over the
+# stored slopes K1, K6, K7, ..., K_(i-1)), then the four D rows over K1,
+# K6, ..., K16
+_DENSE_STAGES = (
+    (0.1, (0.056167502283047954, 0.0, 0.25350021021662483,
+           -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+           0.00820105229563469, 0.007567897660545699, -0.008298)),
+    (0.2, (0.03183464816350214, 0.028300909672366776, 0.053541988307438566,
+           -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932,
+           0.0003825710908356584, -0.00034046500868740456,
+           0.1413124436746325)),
+    (0.7777777777777778, (
+        -0.42889630158379194, -4.697621415361164, 7.683421196062599,
+        4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+        -0.0013990241651590145, 2.9475147891527724, -9.15095847217987)),
+)
+_D = (
+    (-8.428938276109013, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973,
+     2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+     18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264,
+     -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963,
+     -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163,
+     104.0996495089623, 29.8402934266605, -43.53345659001114,
+     96.32455395918828, -39.17726167561544, -149.72683625798564),
 )
 
 # a decay crossing counts as a candidate when the slope sits within this
@@ -173,8 +230,9 @@ def rhs(t: float, h: float, dh: float, d: Dims) -> tuple[float, float]:
     """Right-hand side (h', h'') of the radial system at t > 0.
 
     The nonlinearity is odd-extended as |h|^(q-1) h so trajectories stay
-    defined after a zero crossing. `_dp_steps` evaluates the same
-    expression inline with c1 = c2 = 1, which gives the same doubles.
+    defined after a zero crossing. The DOP853 stages of `_dp_steps` and
+    `_dense` evaluate the same expression inline with c1 = c2 = 1, which
+    gives the same doubles.
     """
     if t <= 0.0:
         raise ValueError("rhs is singular at t = 0; use series_start")
@@ -197,35 +255,66 @@ def series_start(alpha: float, t0: float, d: Dims) -> tuple[float, float]:
     return alpha + c * t0 * t0, 2.0 * c * t0
 
 
-def _dense_eval(step, theta):
-    """Evaluate the quartic interpolant of accepted steps at theta.
+def _dense(step):
+    """The 7th-order continuous extension of a stored step of `_dp_steps`,
+    as (t_old, dt, h_old, h'_old, seven h-coefficients F0..F6, seven
+    h'-coefficients) for `_dense_eval`. Its three extra stages are
+    evaluated here, in scalar code, and only for the steps that need
+    them: an array of these rows then gives the doubles a loop does."""
+    t, dt, h, dh, hn, dhn = step[:6]
+    nm1, c1, c2, qm1 = step[23]
+    slopes_h = list(step[6:14]) + [dhn]
+    slopes_d = list(step[14:23])
+    for c, row in _DENSE_STAGES:
+        y = h + dt * sum(map(mul, row, slopes_h))
+        dy = dh + dt * sum(map(mul, row, slopes_d))
+        slopes_h.append(dy)
+        slopes_d.append(-(nm1 / (t + c * dt)) * dy + c1 * y
+                        - c2 * abs(y) ** qm1 * y)
+    coeffs = []
+    for old, new, k in ((h, hn, slopes_h), (dh, dhn, slopes_d)):
+        rise = new - old
+        start, end = k[0], k[8]  # K1 and K13, the slopes at the step ends
+        coeffs += [rise, dt * start - rise, 2.0 * rise - dt * (end + start)]
+        coeffs += [dt * sum(map(mul, row, k)) for row in _D]
+    return (t, dt, h, dh, *coeffs)
 
-    `step` is one stored step (t_old, dt, h_old, dh_old, six h-slopes, six
-    h'-slopes) with a scalar theta, or the same sixteen fields as rows of
-    equal-length arrays with an array theta, one column per evaluation;
-    both give the same doubles.
-    """
-    dt, h, dh = step[1], step[2], step[3]
-    th2 = theta * theta
-    th3 = th2 * theta
-    th4 = th3 * theta
-    for i in range(6):
-        p = _P[i]
-        w = p[0] * theta + p[1] * th2 + p[2] * th3 + p[3] * th4
-        h = h + dt * w * step[4 + i]
-        dh = dh + dt * w * step[10 + i]
-    return h, dh
+
+def _extension(y, f, theta):
+    """One component y_old + theta (F0 + (1 - theta) (F1 + theta (F2
+    + ... F6))) of a continuous extension with coefficients f = F0..F6."""
+    rest = 1.0 - theta
+    acc = f[6] * theta
+    acc = (acc + f[5]) * rest
+    acc = (acc + f[4]) * theta
+    acc = (acc + f[3]) * rest
+    acc = (acc + f[2]) * theta
+    acc = (acc + f[1]) * rest
+    return y + (acc + f[0]) * theta
 
 
-def _locate(step, component, target, sign_left_negative):
-    """Bisect the dense step for component == target, to 1e-10 in t."""
-    dt = step[1]
+def _dense_eval(dense, theta):
+    """(h, h') at theta in [0, 1] of a continuous extension from `_dense`.
+
+    `dense` is one extension with a scalar theta, or the same eighteen
+    fields as rows of equal-length arrays with an array theta, one column
+    per evaluation; both give the same doubles."""
+    return (_extension(dense[2], dense[4:11], theta),
+            _extension(dense[3], dense[11:18], theta))
+
+
+def _locate(dense, component, target, sign_left_negative):
+    """Bisect the continuous extension for component == target, to 1e-10
+    in t."""
+    dt = dense[1]
+    y = dense[2 + component]
+    f = dense[4 + 7 * component:11 + 7 * component]
     lo, hi = 0.0, 1.0
     for _ in range(80):
         if (hi - lo) * dt <= _EVENT_LOCATION_TOL:
             break
         mid = 0.5 * (lo + hi)
-        val = _dense_eval(step, mid)[component] - target
+        val = _extension(y, f, mid) - target
         if (val < 0.0) == sign_left_negative:  # still on the entry side
             lo = mid
         else:
@@ -233,29 +322,33 @@ def _locate(step, component, target, sign_left_negative):
     return 0.5 * (lo + hi)
 
 
-def _step_control(err_a, sc_a, err_b, sc_b, rejected):
-    """(err, factor) for a two-component step with local errors err_a,
-    err_b and tolerance scales sc_a, sc_b: err is their RMS ratio, the
-    step is accepted when err <= 1, and factor multiplies the step size
-    next, shrinking at most 5x after a rejection and growing at most 10x
-    after an acceptance, not at all right after a rejection."""
-    err = math.sqrt(0.5 * ((err_a / sc_a) ** 2 + (err_b / sc_b) ** 2))
+def _step_control(e5, e3, dt, rejected):
+    """(err, factor) for a step of size dt whose 5th- and 3rd-order local
+    error estimates, each divided by its tolerance scale, have the squared
+    sums e5 and e3 over the two components. err = dt e5 / sqrt(2 (e5 +
+    e3 / 100)) is the DOP853 error norm, and the step is accepted when
+    err <= 1. factor multiplies the step size next: 0.9 err^(-1/8)
+    clamped to [0.2, 10], and at most 1 right after a rejection."""
+    err = dt * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)) if e5 or e3 else 0.0
     if err > 1.0:
-        return err, max(0.2, 0.9 * err ** -0.2)
-    factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
+        return err, max(0.2, 0.9 * err ** -0.125)
+    factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
     return err, min(1.0, factor) if rejected else factor
 
 
 def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
-    """Yield the accepted Dormand-Prince 5(4) steps of h'' = -(nm1/t) h'
-    + c1 h - c2 |h|^qm1 h from (h, h') at time t to t_end, first trying
-    step dt, at tolerances rtol and atol, as (t_old, dt, h, h', six
-    h-slopes, six h'-slopes, h_new); the last h-slope is h' at the end.
-    Raises IntegrationFailure when the step size falls below 1e-13.
+    """Yield the accepted DOP853 steps of h'' = -(nm1/t) h' + c1 h
+    - c2 |h|^qm1 h from (h, h') at time t to t_end, first trying step dt,
+    at tolerances rtol and atol. A step is stored as (t_old, dt, h, h',
+    h_new, h'_new, the h-slopes K1, K6..K12, the h'-slopes K1, K6..K13,
+    flow) with flow = (nm1, c1, c2, qm1): all that `_dense` needs. The
+    h-slope of K13 is h'_new. Raises IntegrationFailure when the step
+    size falls below 1e-13.
 
     With c1 = c2 = 1 each stage is the double rhs() gives, and with
     nm1 = 0 the damping term adds an exact zero; only an undamped flow
     may start at t = 0."""
+    flow = (nm1, c1, c2, qm1)
     damping = -(nm1 / t) * dh if t else 0.0
     f1d = damping + c1 * h - c2 * abs(h) ** qm1 * h
     rejected = False
@@ -272,41 +365,81 @@ def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
         y = h + dt * (_A31 * k1h + _A32 * k2h)
         k3h = dh + dt * (_A31 * k1d + _A32 * k2d)
         k3d = -(nm1 / (t + _C3 * dt)) * k3h + c1 * y - c2 * abs(y) ** qm1 * y
-        y = h + dt * (_A41 * k1h + _A42 * k2h + _A43 * k3h)
-        k4h = dh + dt * (_A41 * k1d + _A42 * k2d + _A43 * k3d)
+        y = h + dt * (_A41 * k1h + _A43 * k3h)
+        k4h = dh + dt * (_A41 * k1d + _A43 * k3d)
         k4d = -(nm1 / (t + _C4 * dt)) * k4h + c1 * y - c2 * abs(y) ** qm1 * y
-        y = h + dt * (_A51 * k1h + _A52 * k2h + _A53 * k3h + _A54 * k4h)
-        k5h = dh + dt * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
+        y = h + dt * (_A51 * k1h + _A53 * k3h + _A54 * k4h)
+        k5h = dh + dt * (_A51 * k1d + _A53 * k3d + _A54 * k4d)
         k5d = -(nm1 / (t + _C5 * dt)) * k5h + c1 * y - c2 * abs(y) ** qm1 * y
+        y = h + dt * (_A61 * k1h + _A64 * k4h + _A65 * k5h)
+        k6h = dh + dt * (_A61 * k1d + _A64 * k4d + _A65 * k5d)
+        k6d = -(nm1 / (t + _C6 * dt)) * k6h + c1 * y - c2 * abs(y) ** qm1 * y
+        y = h + dt * (_A71 * k1h + _A74 * k4h + _A75 * k5h + _A76 * k6h)
+        k7h = dh + dt * (_A71 * k1d + _A74 * k4d + _A75 * k5d + _A76 * k6d)
+        k7d = -(nm1 / (t + _C7 * dt)) * k7h + c1 * y - c2 * abs(y) ** qm1 * y
+        y = h + dt * (_A81 * k1h + _A84 * k4h + _A85 * k5h + _A86 * k6h
+                      + _A87 * k7h)
+        k8h = dh + dt * (_A81 * k1d + _A84 * k4d + _A85 * k5d + _A86 * k6d
+                         + _A87 * k7d)
+        k8d = -(nm1 / (t + _C8 * dt)) * k8h + c1 * y - c2 * abs(y) ** qm1 * y
+        y = h + dt * (_A91 * k1h + _A94 * k4h + _A95 * k5h + _A96 * k6h
+                      + _A97 * k7h + _A98 * k8h)
+        k9h = dh + dt * (_A91 * k1d + _A94 * k4d + _A95 * k5d + _A96 * k6d
+                         + _A97 * k7d + _A98 * k8d)
+        k9d = -(nm1 / (t + _C9 * dt)) * k9h + c1 * y - c2 * abs(y) ** qm1 * y
+        y = h + dt * (_A10_1 * k1h + _A10_4 * k4h + _A10_5 * k5h
+                      + _A10_6 * k6h + _A10_7 * k7h + _A10_8 * k8h
+                      + _A10_9 * k9h)
+        k10h = dh + dt * (_A10_1 * k1d + _A10_4 * k4d + _A10_5 * k5d
+                          + _A10_6 * k6d + _A10_7 * k7d + _A10_8 * k8d
+                          + _A10_9 * k9d)
+        k10d = (-(nm1 / (t + _C10 * dt)) * k10h + c1 * y
+                - c2 * abs(y) ** qm1 * y)
+        y = h + dt * (_A11_1 * k1h + _A11_4 * k4h + _A11_5 * k5h
+                      + _A11_6 * k6h + _A11_7 * k7h + _A11_8 * k8h
+                      + _A11_9 * k9h + _A11_10 * k10h)
+        k11h = dh + dt * (_A11_1 * k1d + _A11_4 * k4d + _A11_5 * k5d
+                          + _A11_6 * k6d + _A11_7 * k7d + _A11_8 * k8d
+                          + _A11_9 * k9d + _A11_10 * k10d)
+        k11d = (-(nm1 / (t + _C11 * dt)) * k11h + c1 * y
+                - c2 * abs(y) ** qm1 * y)
         t_new = t + dt
-        y = h + dt * (_A61 * k1h + _A62 * k2h + _A63 * k3h + _A64 * k4h
-                      + _A65 * k5h)
-        k6h = dh + dt * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d
-                         + _A65 * k5d)
-        k6d = -(nm1 / t_new) * k6h + c1 * y - c2 * abs(y) ** qm1 * y
-        hn = h + dt * (_B1 * k1h + _B3 * k3h + _B4 * k4h + _B5 * k5h
-                       + _B6 * k6h)
-        dhn = dh + dt * (_B1 * k1d + _B3 * k3d + _B4 * k4d + _B5 * k5d
-                         + _B6 * k6d)
-        k7d = -(nm1 / t_new) * dhn + c1 * hn - c2 * abs(hn) ** qm1 * hn
+        y = h + dt * (_A12_1 * k1h + _A12_4 * k4h + _A12_5 * k5h
+                      + _A12_6 * k6h + _A12_7 * k7h + _A12_8 * k8h
+                      + _A12_9 * k9h + _A12_10 * k10h + _A12_11 * k11h)
+        k12h = dh + dt * (_A12_1 * k1d + _A12_4 * k4d + _A12_5 * k5d
+                          + _A12_6 * k6d + _A12_7 * k7d + _A12_8 * k8d
+                          + _A12_9 * k9d + _A12_10 * k10d + _A12_11 * k11d)
+        k12d = -(nm1 / t_new) * k12h + c1 * y - c2 * abs(y) ** qm1 * y
 
-        err_h = dt * (_E1 * k1h + _E3 * k3h + _E4 * k4h + _E5 * k5h
-                      + _E6 * k6h + _E7 * dhn)
-        err_d = dt * (_E1 * k1d + _E3 * k3d + _E4 * k4d + _E5 * k5d
-                      + _E6 * k6d + _E7 * k7d)
+        inc_h = (_B1 * k1h + _B6 * k6h + _B7 * k7h + _B8 * k8h + _B9 * k9h
+                 + _B10 * k10h + _B11 * k11h + _B12 * k12h)
+        inc_d = (_B1 * k1d + _B6 * k6d + _B7 * k7d + _B8 * k8d + _B9 * k9d
+                 + _B10 * k10d + _B11 * k11d + _B12 * k12d)
+        hn = h + dt * inc_h
+        dhn = dh + dt * inc_d
         sc_h = atol + rtol * max(abs(h), abs(hn))
         sc_d = atol + rtol * max(abs(dh), abs(dhn))
-        err, factor = _step_control(err_h, sc_h, err_d, sc_d, rejected)
+        e5h = (_E1 * k1h + _E6 * k6h + _E7 * k7h + _E8 * k8h + _E9 * k9h
+               + _E10 * k10h + _E11 * k11h + _E12 * k12h) / sc_h
+        e5d = (_E1 * k1d + _E6 * k6d + _E7 * k7d + _E8 * k8d + _E9 * k9d
+               + _E10 * k10d + _E11 * k11d + _E12 * k12d) / sc_d
+        e3h = (inc_h - _BHH1 * k1h - _BHH9 * k9h - _BHH12 * k12h) / sc_h
+        e3d = (inc_d - _BHH1 * k1d - _BHH9 * k9d - _BHH12 * k12d) / sc_d
+        err, factor = _step_control(e5h * e5h + e5d * e5d,
+                                    e3h * e3h + e3d * e3d, dt, rejected)
         if err > 1.0:
             dt *= factor
             rejected = True
             continue
 
-        yield (t, dt, h, dh, k1h, k3h, k4h, k5h, k6h, dhn,
-               k1d, k3d, k4d, k5d, k6d, k7d, hn)
+        k13d = -(nm1 / t_new) * dhn + c1 * hn - c2 * abs(hn) ** qm1 * hn
+        yield (t, dt, h, dh, hn, dhn,
+               k1h, k6h, k7h, k8h, k9h, k10h, k11h, k12h,
+               k1d, k6d, k7d, k8d, k9d, k10d, k11d, k12d, k13d, flow)
         t = t_new
         h, dh = hn, dhn
-        f1d = k7d  # first-same-as-last
+        f1d = k13d  # first-same-as-last
         dt *= factor
         rejected = False
 
@@ -334,23 +467,28 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
         for step in _dp_steps(t, h, dh, 1e-3, ctrl.t_max, nm1, 1.0, 1.0,
                               d.q - 1.0, ctrl.rtol, ctrl.atol):
             steps.append(step)
-            hn, dhn = step[16], step[9]
+            hn, dhn = step[4], step[5]
             if hn > thresh and dhn < 0.0:
                 continue  # no event can lie in this step
             t, dt, h, dh = step[:4]
 
-            # events, in within-step time order
-            triggers = []
+            # events as (component, target, entry side negative, kind),
+            # then in within-step time order
+            events = []
             if h > thresh >= hn:
-                triggers.append((_locate(step, 0, thresh, False), "decay"))
+                events.append((0, thresh, False, "decay"))
             if h > 0.0 >= hn:
-                triggers.append((_locate(step, 0, 0.0, False), "cross"))
+                events.append((0, 0.0, False, "cross"))
             if dh < 0.0 <= dhn:
-                triggers.append((_locate(step, 1, 0.0, True), "turn"))
-            triggers.sort()
+                events.append((1, 0.0, True, "turn"))
+            if not events:
+                continue
+            dense = _dense(step)
+            triggers = sorted((_locate(dense, comp, target, left), kind)
+                              for comp, target, left, kind in events)
             for theta, kind in triggers:
                 te = t + theta * dt
-                he, dhe = _dense_eval(step, theta)
+                he, dhe = _dense_eval(dense, theta)
                 if kind == "decay":
                     linearized = -thresh * (1.0 + nm1 / (2.0 * te))
                     if abs(dhe - linearized) <= _CANDIDATE_SLOPE_BAND \
@@ -373,10 +511,13 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
 def _sample_steps(steps, ts):
     """(h, h') at the ascending times ts, in one array pass: each time is
     evaluated in the first step whose end t_old + dt reaches it, or in the
-    last step if it lies beyond all of them."""
-    table = np.array(steps)
-    ends = table[:, 0] + table[:, 1]
-    cols = table[np.minimum(np.searchsorted(ends, ts), len(table) - 1)].T
+    last step if it lies beyond all of them. Only the steps that hold a
+    time get their continuous extension."""
+    ends = np.array([step[0] + step[1] for step in steps])
+    index = np.minimum(np.searchsorted(ends, ts), len(steps) - 1)
+    used, rows = np.unique(index, return_inverse=True)
+    table = np.array([_dense(steps[i]) for i in used])
+    cols = table[rows].T
     return _dense_eval(cols, (ts - cols[0]) / cols[1])
 
 

@@ -39,10 +39,10 @@ u'^2 integrate in closed form. It covers the whole window.
 
 Everything here runs on numpy and the stdlib. The time integrations
 behind `integrate_orbit` and `return_time`, which cross-check the
-quadrature, step the flow with the radial shots' Dormand-Prince 5(4)
-stepper, `ode._dp_steps`, without its damping term; they refuse orbits
-within _TIME_DELTA_FLOOR of the separatrix, which they cannot follow
-past the saddle.
+quadrature, step the flow with the radial shots' DOP853 stepper,
+`ode._dp_steps`, without its damping term, and read it off its
+continuous extension; they refuse orbits within _TIME_DELTA_FLOOR of the
+separatrix, which they cannot follow past the saddle.
 """
 
 from __future__ import annotations
@@ -497,9 +497,9 @@ def count_periodic_solutions(n: int, r: float) -> int:
 
 # time integration from (u_max, 0) follows the orbit past the saddle only
 # for 1 - u_max above this: at 1e-8 the return time meets the quadrature
-# period to about 1e-6 relative and the Yamabe quotient stays below Y_n
-# for n = 3..8; at 1e-9 the quotient already exceeds Y_5 and Y_8, and
-# once u_max rounds to 1 the start sits on the separatrix
+# period to 1.5e-7 relative and the Yamabe quotient stays below Y_n for
+# n = 3..8; at 1e-9 the return time misses by up to 1.4e-6, and once
+# u_max rounds to 1 the start sits on the separatrix
 _TIME_DELTA_FLOOR = 1e-8
 
 
@@ -513,11 +513,11 @@ def _check_time_window(u_max: float) -> None:
 
 
 def _orbit_steps(n: int, u_max: float, t_end: float):
-    """The accepted steps of `ode._dp_steps` on the undamped flow
+    """The accepted DOP853 steps of `ode._dp_steps` on the undamped flow
     u'' = ((n-2)^2/4) u - (n(n-2)/4) |u|^(4/(n-2)) u from (u_max, 0) to
-    t_end at _ORBIT_RTOL and _ORBIT_ATOL, each evaluated by
-    `ode._dense_eval`; tests/cli_bytes.json pins their doubles through
-    periodic --dump."""
+    t_end at _ORBIT_RTOL and _ORBIT_ATOL, each read off its continuous
+    extension `ode._dense`; tests/cli_bytes.json pins their doubles
+    through periodic --dump."""
     return ode._dp_steps(0.0, u_max, 0.0, 1e-2, t_end, 0.0,
                          (n - 2) ** 2 / 4.0, n * (n - 2) / 4.0,
                          4.0 / (n - 2), _ORBIT_RTOL, _ORBIT_ATOL)
@@ -543,8 +543,9 @@ def return_time(n: int, u_max: float) -> float:
     _check_time_window(u_max)
     t_guess = orbit_period(n, u_max)
     for step in _orbit_steps(n, u_max, 1.5 * t_guess):
-        if step[0] > 0.5 * t_guess and step[3] > 0.0 >= step[9]:
-            return step[0] + ode._locate(step, 1, 0.0, False) * step[1]
+        if step[0] > 0.5 * t_guess and step[3] > 0.0 >= step[5]:
+            dense = ode._dense(step)
+            return step[0] + ode._locate(dense, 1, 0.0, False) * step[1]
     raise RuntimeError("orbit did not return within 1.5 periods")
 
 

@@ -13,6 +13,8 @@ integrate a circle-factor period and the Yamabe-quotient integrals of its
 orbit by mpmath tanh-sinh, with none of the substitutions the package
 uses. Nothing above `circle_quotient_by_time` touches the solver or the
 package quadrature, so these values can referee both.
+`shot_reference` steps a radial shot with scipy's DOP853 from the
+package's series start, to referee the package stepper's events.
 `circle_quotient_by_time` and `sample_profile_loop` are the package's
 former time-integrated circle quotient and node-by-node profile sampler,
 kept to referee their replacements.
@@ -22,7 +24,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad, simpson, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from gnyamabe import ode, periodic
@@ -241,10 +243,51 @@ def circle_quotient_by_time(n: int, u_max: float) -> float:
                                (dus * dus, us * us, np.abs(us) ** p)])
 
 
+def shot_reference(alpha: float, d, t_max: float = 50.0):
+    """(kind, t_event, y_event) of the radial shot from h(0) = alpha by
+    scipy's DOP853 at rtol 1e-13, atol 1e-16, from the package's series
+    start at t = 1e-4, in the convention of ode._integrate: the first of
+    a decay through 1e-6 with a tail-like slope ("candidate", y = h), a
+    zero crossing ("crossed", y = h') or a turn ("turned", y = h)."""
+    nm1, qm1, thresh = d.n - 1.0, d.q - 1.0, 1e-6
+
+    def flow(t, y):
+        return y[1], -(nm1 / t) * y[1] + y[0] - abs(y[0]) ** qm1 * y[0]
+
+    def decay(t, y):
+        return y[0] - thresh
+    decay.direction = -1.0
+
+    def cross(t, y):
+        return y[0]
+    cross.terminal, cross.direction = True, -1.0
+
+    def turn(t, y):
+        return y[1]
+    turn.terminal, turn.direction = True, 1.0
+
+    t0 = 1e-4
+    sol = solve_ivp(flow, (t0, t_max), ode.series_start(alpha, t0, d),
+                    method="DOP853", rtol=1e-13, atol=1e-16,
+                    events=(decay, cross, turn))
+    found = []
+    for te, (he, dhe) in zip(sol.t_events[0], sol.y_events[0]):
+        linearized = -thresh * (1.0 + nm1 / (2.0 * te))
+        if abs(dhe - linearized) <= 0.5 * abs(linearized):
+            found.append((te, "candidate", he))
+    for i, kind, component in ((1, "crossed", 1), (2, "turned", 0)):
+        if len(sol.t_events[i]):
+            found.append((sol.t_events[i][0], kind,
+                          sol.y_events[i][0][component]))
+    te, kind, ye = min(found)
+    return kind, te, ye
+
+
 def sample_profile_loop(alpha, n, steps, t_stop):
     """Node-by-node profile sampler: the grid accumulates
-    ode.PROFILE_SPACING, each node is evaluated by the scalar dense output
-    of the step it falls in, and the tail is cut as in ode._sample_profile.
+    ode.PROFILE_SPACING, each node is evaluated by the scalar continuous
+    extension of the step it falls in, and the tail is cut as in
+    ode._sample_profile.
     """
     ts = [0.0]
     hs = [alpha]
@@ -252,8 +295,9 @@ def sample_profile_loop(alpha, n, steps, t_stop):
     tq = ode.PROFILE_SPACING
     for step in steps:
         t_old, dt = step[0], step[1]
+        dense = ode._dense(step)
         while tq <= t_old + dt and tq <= t_stop:
-            he, dhe = ode._dense_eval(step, (tq - t_old) / dt)
+            he, dhe = ode._dense_eval(dense, (tq - t_old) / dt)
             ts.append(tq)
             hs.append(he)
             dhs.append(dhe)

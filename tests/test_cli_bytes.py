@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gnyamabe.cli import main
+from gnyamabe.periodic import hamiltonian, orbit_period, potential
 
 from oracles import exponents_m1, sech_dh, sech_h
 
@@ -62,3 +63,19 @@ def test_ground_state_dump_matches_sech(capsys, tmp_path):
     assert ts[0] == 0.0 and ts[-1] > 14.0  # reaches the h ~ 1e-6 cut
     assert float(np.abs(hs - sech_h(ts, q)).max()) < 2e-7
     assert float(np.abs(dhs - sech_dh(ts, q)).max()) < 2e-7
+
+
+def test_periodic_dump_matches_quadrature(capsys, tmp_path):
+    """The pinned n = 3 orbit dump conserves the energy of its start
+    (u_max, 0) and returns there after the quadrature period: its bytes
+    depend on the stepper, this referee does not."""
+    _, dump = run_case("periodic-dump", capsys, tmp_path)
+    ts, us, dus = np.loadtxt(dump, unpack=True)
+    u_max = us[0]
+    assert ts[0] == 0.0 and dus[0] == 0.0
+    # t is dumped to 12 significant digits
+    assert abs(ts[-1] - orbit_period(3, u_max)) <= 1e-11 * ts[-1]
+    energy = float(potential(u_max, 3))
+    drift = np.abs(hamiltonian(us, dus, 3) - energy)
+    assert float(drift.max()) <= 1e-10 * abs(energy)
+    assert abs(us[-1] - u_max) <= 1e-10 and abs(dus[-1]) <= 1e-10

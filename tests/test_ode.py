@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from gnyamabe.ode import (DEFAULT_CONTROLS, PROFILE_SPACING, Candidate,
                           TurnedUp, integrate_shot, rhs, series_start,
                           shoot_profile)
 from gnyamabe.products import table_pairs
-from gnyamabe.shooting import bracket_alpha
+from gnyamabe.shooting import _miss, bracket_alpha, find_ground_state
 
 from oracles import (exponents_m1, sample_profile_loop, sech_amplitude,
-                     sech_h)
+                     sech_h, shot_reference)
 
 D22 = Dims(2, 2)
 
@@ -184,51 +185,51 @@ def test_classification_monotone_in_alpha(mn, ab):
 # bytes. A change to the stepper or the sampler that is meant to be
 # exact must reproduce every one of them.
 _TABLE_PINS = [
-    (2, 2, '0x1.1a64ca390bf55p+1', '0x1.359a4148cd373p+1'),
-    (2, 3, '0x1.0c4531f3899cep+2', '0x1.f092a96235859p+1'),
-    (3, 2, '0x1.28ef2a8b4fb47p+1', '0x1.0e8aa8d14f6dap+1'),
-    (2, 4, '0x1.15807c5c7246ep+3', '0x1.6a80557d24949p+2'),
-    (3, 3, '0x1.0c44889521d1bp+2', '0x1.9981401947845p+1'),
-    (4, 2, '0x1.322ba09eaa16dp+1', '0x1.e71f42760e124p+0'),
-    (2, 5, '0x1.3218a5ba7b74fp+4', '0x1.ee0a3c8bc86d5p+2'),
-    (3, 4, '0x1.044b536502622p+3', '0x1.2288e2aadf58ap+2'),
-    (4, 3, '0x1.0da229f37bf79p+2', '0x1.6109b0c2d8412p+1'),
-    (5, 2, '0x1.3890a2ce5f302p+1', '0x1.c133e4bebe6b2p+0'),
-    (2, 6, '0x1.6374fbdeef1dbp+5', '0x1.400fc37154e42p+3'),
-    (3, 5, '0x1.0b2e37af9091bp+4', '0x1.86f08eeb09020p+2'),
-    (4, 4, '0x1.f86a00c08dd13p+2', '0x1.e86e353910034p+1'),
-    (5, 3, '0x1.0f215da302f20p+2', '0x1.3a528ea37a663p+1'),
-    (6, 2, '0x1.3d41e1c62c749p+1', '0x1.a580e9e5fb486p+0'),
-    (2, 7, '0x1.aed4ef00d9229p+6', '0x1.8f3edb593d267p+3'),
-    (3, 6, '0x1.1f417da851e9ep+5', '0x1.f86e1c4dad117p+2'),
-    (4, 5, '0x1.efa6de9403c31p+3', '0x1.44041c1707be1p+2'),
-    (5, 4, '0x1.ef62bdb888f16p+2', '0x1.a9113789abf28p+1'),
-    (6, 3, '0x1.107ffbea546bep+2', '0x1.1e6f98b3b42a6p+1'),
-    (7, 2, '0x1.40d939bdcee9fp+1', '0x1.9086e45f74ffep+0'),
+    (2, 2, '0x1.1a64ca3909707p+1', '0x1.359a4148cd370p+1'),
+    (2, 3, '0x1.0c4531f38cb41p+2', '0x1.f092a96235853p+1'),
+    (3, 2, '0x1.28ef2a8b4cad9p+1', '0x1.0e8aa8d14f6d7p+1'),
+    (2, 4, '0x1.15807c5c743a2p+3', '0x1.6a80557d24945p+2'),
+    (3, 3, '0x1.0c448895245bcp+2', '0x1.9981401947846p+1'),
+    (4, 2, '0x1.322ba09ea6b2ap+1', '0x1.e71f42760e121p+0'),
+    (2, 5, '0x1.3218a5ba7453ap+4', '0x1.ee0a3c8bc86d3p+2'),
+    (3, 4, '0x1.044b536504dbcp+3', '0x1.2288e2aadf58bp+2'),
+    (4, 3, '0x1.0da229f37dd10p+2', '0x1.6109b0c2d8415p+1'),
+    (5, 2, '0x1.3890a2ce5b720p+1', '0x1.c133e4bebe6b5p+0'),
+    (2, 6, '0x1.6374fbded856cp+5', '0x1.400fc37154e44p+3'),
+    (3, 5, '0x1.0b2e37af8e374p+4', '0x1.86f08eeb09021p+2'),
+    (4, 4, '0x1.f86a00c092e85p+2', '0x1.e86e35391003ap+1'),
+    (5, 3, '0x1.0f215da304283p+2', '0x1.3a528ea37a660p+1'),
+    (6, 2, '0x1.3d41e1c6284eep+1', '0x1.a580e9e5fb483p+0'),
+    (2, 7, '0x1.aed4ef009dfdep+6', '0x1.8f3edb593d267p+3'),
+    (3, 6, '0x1.1f417da847456p+5', '0x1.f86e1c4dad117p+2'),
+    (4, 5, '0x1.efa6de940223bp+3', '0x1.44041c1707bddp+2'),
+    (5, 4, '0x1.ef62bdb88ded7p+2', '0x1.a9113789abf27p+1'),
+    (6, 3, '0x1.107ffbea55116p+2', '0x1.1e6f98b3b42a5p+1'),
+    (7, 2, '0x1.40d939bdcab9ep+1', '0x1.9086e45f74fffp+0'),
 ]
 _CANDIDATE_PINS = [
-    (2, 2, '0x1.1a64ca390bf55p+1', 3521, 1.0,
-     'c65645f5314ef2ba20d0925788d54acf39eef63e9cdbf26e266327f2adce85a2'),
-    (2, 7, '0x1.aed4ef00d9229p+6', 3139, 1.0,
-     '719b68ede0444a1a10e1ac798839bb436d5837f90af6d6323bd9ac36720382c2'),
-    (3, 1, '0x1.6a09e667f5165p+0', 3814, 1.0,
-     '0f5960ee2af237ae1238d08ed703715fcf31cf4c6f680510bfad8614085851cb'),
-    (7, 2, '0x1.40d939bdcee9fp+1', 4112, 1.0,
-     '8bbc6dcf05a14743dbdc1b8c35d5072780b1e773569c738a6309ce88028e0c8f'),
+    (2, 2, '0x1.1a64ca3909707p+1', 3521, 1.0,
+     '233ce58bf6343688ed0d91cda75a733bdbc24fb857328f9e29c90c310513ceb7'),
+    (2, 7, '0x1.aed4ef009dfdep+6', 3139, 1.0,
+     'f9d93f135ab7d0843dddc667b63171396a7c710157753fdbc36cbb25ce649398'),
+    (3, 1, '0x1.6a09e667f396dp+0', 3808, 1.0,
+     '3f86a7720cdf1b64f6f357663600310b2a00a417870257c34be82f75538de3da'),
+    (7, 2, '0x1.40d939bdcab9ep+1', 4112, 1.0,
+     'e23ef964e1deec1b701de8818b248cbcb7554808f12de71e6696add7b1b45c27'),
 ]
 _SHOT_PINS = [
-    (2, 2, '0x1.1a9fbe76c8b44p+1', 'CrossedZero', 293,
-     '0x1.31723bdc77ac9p+2', '-0x1.b08d0451c30e2p-6',
+    (2, 2, '0x1.1a9fbe76c8b44p+1', 'CrossedZero', 52,
+     '0x1.31723bdb12529p+2', '-0x1.b08d045bfccbdp-6',
      1222, 1.0,
-     '69bfcea9bd16d13f8f286a0a66ff4da7c52183bda6139fcc6d7e27d85cced4de'),
-    (2, 2, '0x1.1a3d70a3d70a4p+1', 'TurnedUp', 305,
-     '0x1.451f11f9dd4bfp+2', '0x1.5a069e1a9a044p-6',
+     '32fb1d311be06d9468591cb0432a730b3fe44eb3bb4a9149fb1382ec8a3ea337'),
+    (2, 2, '0x1.1a3d70a3d70a4p+1', 'TurnedUp', 54,
+     '0x1.451f11fbda832p+2', '0x1.5a069e0e6959cp-6',
      1301, None,
-     '77d1565c566f51deaaf8898fdd7620f23a5ef054db6f7df1a1eed9aa685082b3'),
-    (4, 4, '0x1.f86a00c08dd13p+2', 'Candidate', 597,
-     '0x1.cab439224fc49p+3', '0x1.0c6f7a0b46bbap-20',
-     3670, 1.0,
-     '679d68480b3792516a65589f59973ec948d60f96ffd8e0648de03fa333030a35'),
+     '81258f8faa5296439a523f95c3152f1a989a4a711844929a19a9143ec75791c1'),
+    (4, 4, '0x1.f86a00c08dd13p+2', 'Candidate', 108,
+     '0x1.caea0bb8a35c5p+3', '0x1.0c6f7a0b61ecap-20',
+     3672, 1.0,
+     '8a578d371221281d6f3e300467f90ab3e3b6497b7573c39a1e18f775c97ad545'),
 ]
 
 
@@ -308,7 +309,7 @@ def test_sampler_matches_loop_with_stop_on_grid_node():
 
 def test_sampler_matches_loop_with_stop_past_last_step():
     alpha, n, _, steps = _shot(0)
-    steps = steps[:100]
+    steps = [step for step in steps if step[0] + step[1] < 1.0]
     profile = _same_as_loop(alpha, n, steps, _end(steps) + 1.0)
     assert profile.ts[-1] <= _end(steps) < profile.ts[-1] + PROFILE_SPACING
 
@@ -330,23 +331,30 @@ def test_sampler_matches_loop_on_slope_cut():
     assert profile.hs[-1] >= ode._DECAY_THRESHOLD
 
 
+def _linear_step(t_old, dt, h_old, dh_old):
+    """A stored step of the flow h'' = 0 (nm1 = c1 = c2 = 0) through
+    (h_old, h'_old): every h-slope is h'_old and every h'-slope is zero."""
+    return ((t_old, dt, h_old, dh_old, h_old + dt * dh_old, dh_old)
+            + (dh_old,) * 8 + (0.0,) * 9 + ((0.0, 0.0, 0.0, 1.0),))
+
+
 def test_sampler_matches_loop_with_node_on_step_end():
     # node 2 * PROFILE_SPACING ends the first step and starts the second;
     # it belongs to the first, whose end value differs from the second's
     # start here
     dt = 2 * PROFILE_SPACING
-    first = (0.0, dt, 1.0, -0.5) + (-0.5,) * 6 + (-0.25,) * 6
-    second = (dt, dt, 0.9, -0.5) + (-0.5,) * 6 + (-0.25,) * 6
+    first = _linear_step(0.0, dt, 1.0, -0.5)
+    second = _linear_step(dt, dt, 0.9, -0.5)
     profile = _same_as_loop(1.0, 2, [first, second], 1.0)
     assert profile.ts[2] == dt
-    assert profile.hs[2] == ode._dense_eval(first, 1.0)[0] != 0.9
+    assert profile.hs[2] == ode._dense_eval(ode._dense(first), 1.0)[0] != 0.9
 
 
 @pytest.mark.parametrize("h_old, dh_old", [(0.5, 0.0), (1e-7, -1.0)])
 def test_sampler_matches_loop_keeping_two_nodes(h_old, dh_old):
-    # a single step with zero slopes: its first node is flat (dropped, but
-    # two nodes stay) or already below the threshold (kept)
-    step = (1e-4, 1.0, h_old, dh_old) + (0.0,) * 12
+    # a single linear step: its first node is flat (dropped, but two nodes
+    # stay) or already below the threshold (kept)
+    step = _linear_step(1e-4, 1.0, h_old, dh_old)
     profile = _same_as_loop(2.0, 2, [step], 1.0)
     assert profile.ts.size == 2
 
@@ -388,3 +396,109 @@ def test_largest_positive_series_start_still_classifies():
     d = Dims(2, 2)
     assert series_start(1e4, 1e-4, d)[0] > 0.0
     assert isinstance(integrate_shot(1e4, d), CrossedZero)
+
+
+def _package_tableau():
+    """The package's DOP853 coefficients in scipy's layout: A (16 x 16,
+    with the weights B as row 12), C (16), E3 and E5 (13) and D (4 x 16)."""
+    a, c, e5 = np.zeros((16, 16)), np.zeros(16), np.zeros(13)
+    for name, value in vars(ode).items():
+        if match := re.fullmatch(r"_A(\d)(\d)|_A(\d+)_(\d+)", name):
+            i, j = (int(g) for g in match.groups() if g)
+            a[i - 1, j - 1] = value
+        elif match := re.fullmatch(r"_B(\d+)", name):
+            a[12, int(match[1]) - 1] = value
+        elif match := re.fullmatch(r"_C(\d+)", name):
+            c[int(match[1]) - 1] = value
+        elif match := re.fullmatch(r"_E(\d+)", name):
+            e5[int(match[1]) - 1] = value
+    c[11] = c[12] = 1.0  # stage 12 and the first-same-as-last slope
+    e3 = a[12, :13].copy()
+    e3[[0, 8, 11]] -= (ode._BHH1, ode._BHH9, ode._BHH12)
+    stored = [0, *range(5, 16)]  # K1, K6, ..., K16
+    for i, (ci, row) in enumerate(ode._DENSE_STAGES, start=13):
+        c[i] = ci
+        a[i, stored[:len(row)]] = row
+    d = np.zeros((4, 16))
+    d[:, stored] = ode._D
+    return a, c, e3, e5, d
+
+
+def test_dop853_tableau():
+    """The coefficients are scipy's DOP853 table exactly, satisfy the
+    order conditions, and the continuous extension starts and ends each
+    step where the step does."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    a, c, e3, e5, d = _package_tableau()
+    for got, want in ((a, ref.A), (c, ref.C), (e3, ref.E3), (e5, ref.E5),
+                      (d, ref.D)):
+        assert np.array_equal(got, want)
+
+    assert float(np.abs(a.sum(axis=1) - c).max()) < 1e-14
+    b, nodes = a[12, :12], c[:12]
+    for k in range(8):
+        assert abs(b @ nodes ** k - 1.0 / (k + 1)) < 1e-14
+    assert abs(b @ nodes ** 8 - 1.0 / 9) > 1e-6  # order 8, not 9
+
+    orbit = list(periodic._orbit_steps(4, 0.9, 10.0))
+    for step in _shot(2)[3] + orbit:
+        dense = ode._dense(step)
+        assert ode._dense_eval(dense, 0.0) == step[2:4]
+        for got, old, new in zip(ode._dense_eval(dense, 1.0), step[2:4],
+                                 step[4:6]):
+            assert abs(got - new) <= 2.0 ** -52 * max(abs(old), abs(new))
+
+
+@pytest.fixture(scope="module")
+def brackets(gs22):
+    """The final brackets of the (2, 2) and (2, 7) searches."""
+    return {(2, 2): gs22.bracket,
+            (2, 7): find_ground_state(Dims(2, 7)).bracket}
+
+
+# Event errors against oracles.shot_reference (scipy's DOP853 at rtol
+# 1e-13), as (shot, bound on the event time, bound on the signed miss of
+# shooting._miss); a shot is an index into _SHOT_PINS or (m, n, end of
+# the final bracket). Measured event-time and miss errors with the
+# Dormand-Prince 5(4) pair / with DOP853:
+#   pin-crossed    7.9e-10 / 5.1e-10   4.9e-12 / 3.6e-12
+#   pin-turned     1.1e-9  / 7.9e-10   5.1e-12 / 3.6e-12
+#   pin-candidate  4.9e-3  / 1.7e-3    -
+#   (2, 2) bracket 2.5e-2, 3.9e-2 / 1.7e-2, 3.0e-2   4.9e-12 / 3.6e-12
+#   (2, 7) bracket 1.2e-3, 1.1e-3 / 2.1e-4, 1.9e-4   6.5e-8 / 1.1e-8
+# Near alpha0 the event time is ill-conditioned, the miss is not. The
+# bounds are about twice the 5(4) errors.
+_REFEREE_CASES = [
+    (0, 3e-9, 1.2e-11),
+    (1, 3e-9, 1.2e-11),
+    (2, 1e-2, None),
+    ((2, 2, 0), 8e-2, 1.2e-11),
+    ((2, 2, 1), 8e-2, 1.2e-11),
+    ((2, 7, 0), 2.5e-3, 1.4e-7),
+    ((2, 7, 1), 2.5e-3, 1.4e-7),
+]
+
+
+@pytest.mark.parametrize("shot, t_bound, miss_bound", _REFEREE_CASES, ids=[
+    "pin-crossed", "pin-turned", "pin-candidate", "bracket-22-lo",
+    "bracket-22-hi", "bracket-27-lo", "bracket-27-hi"])
+def test_shot_events_match_scipy(shot, t_bound, miss_bound, brackets):
+    """The _SHOT_PINS shots and the bracket ends of the (2, 2) and (2, 7)
+    searches classify as scipy's DOP853 does, at nearly the same event
+    time and signed miss."""
+    if isinstance(shot, int):
+        m, n, alpha_hex = _SHOT_PINS[shot][:3]
+        alpha = float.fromhex(alpha_hex)
+    else:
+        m, n, end = shot
+        alpha = brackets[(m, n)][end]
+    d = Dims(m, n)
+    kind, te, ye, _ = ode._integrate(alpha, d, DEFAULT_CONTROLS)
+    ref_kind, ref_te, ref_ye = shot_reference(alpha, d)
+    assert kind == ref_kind
+    assert abs(te - ref_te) <= t_bound
+    if miss_bound is not None:
+        outcome = ode._outcome(kind, te, ye, None)
+        ref_outcome = ode._outcome(ref_kind, ref_te, ref_ye, None)
+        assert abs(_miss(outcome, n) - _miss(ref_outcome, n)) <= miss_bound

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gnyamabe import shooting
+from gnyamabe import build_table, ode, shooting
 from gnyamabe.functional import gn_value
 from gnyamabe.geometry import Dims
 from gnyamabe.ode import (DEFAULT_CONTROLS, CrossedZero, TurnedUp,
@@ -64,6 +64,26 @@ def test_shot_budget_per_table_row(monkeypatch):
         per_row[(m, n)] = len(shots)
     assert max(per_row.values()) <= 20, per_row
     assert sum(per_row.values()) <= 350, per_row
+
+
+def test_step_budget_per_table(monkeypatch):
+    """The whole table takes at most 40,000 accepted steps, and the (2, 7)
+    Candidate shot at most 250; the Dormand-Prince 5(4) pair took 139,135
+    and 882."""
+    shots = []
+    integrate = ode._integrate
+
+    def counted(alpha, d, ctrl):
+        kind, te, ye, steps = integrate(alpha, d, ctrl)
+        shots.append(((d.m, d.n), kind, len(steps)))
+        return kind, te, ye, steps
+
+    monkeypatch.setattr(ode, "_integrate", counted)
+    build_table(9)
+    assert sum(count for _, _, count in shots) <= 40_000
+    candidates = [count for mn, kind, count in shots
+                  if mn == (2, 7) and kind == "candidate"]
+    assert candidates and max(candidates) <= 250, candidates
 
 
 def test_profile_positive_and_decreasing(gs22):
