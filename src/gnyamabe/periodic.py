@@ -28,9 +28,9 @@ The period integral is split at the equilibrium u_c:
 Each panel uses one 64-node Gauss-Legendre rule built once per process,
 and each gap E - V is an array of differences of like powers with exact
 increments. Orbits within 2% of u_c use an exactly factored series of
-the well instead. `orbit_for_period` inverts the map by the Illinois
-variant of regula falsi (Dowell & Jarratt 1971) in log delta, between
-window ends whose periods are cached per dimension.
+the well instead. `orbit_for_period` inverts the map in log delta by
+the ground-state search's Illinois iteration, `shooting.Illinois`,
+between window ends whose periods are cached per dimension.
 
 `circle_quotient` takes the integrals of u'^2, u^2 and u^P over one
 period from the same nodes: each node's weight in the period sum is its
@@ -56,6 +56,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import ode
 from .geometry import surface_measure
+from .shooting import Illinois
 
 _ORBIT_RTOL = 1e-12
 _ORBIT_ATOL = 1e-14
@@ -422,10 +423,9 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
     window by the Illinois iteration in x = log delta.
 
     The bracket keeps the separatrix side (period too long) and the
-    harmonic side (too short); each step takes the regula-falsi point of
-    the misses at its ends, and when one end is kept twice in a row its
-    miss is halved, so neither end stalls. The orbit returned is the
-    evaluated one closest to the target.
+    harmonic side (too short); each step evaluates the `shooting.Illinois`
+    point of the misses, target minus period, at its ends. The orbit
+    returned is the evaluated one closest to the target.
 
     Raises ValueError when the requested period is at or below the
     harmonic minimum or beyond what the window resolves in doubles, or
@@ -447,31 +447,20 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
         raise ValueError(
             f"period {period:.6g} sits too close to the harmonic minimum "
             "to resolve the orbit amplitude")
-    f_a, f_b = t_a - period, t_b - period
+    f_a, f_b = period - t_a, period - t_b
+    search = Illinois(a, f_a, b, f_b)
     best = (abs(f_a), a, t_a) if abs(f_a) < abs(f_b) else (abs(f_b), b, t_b)
-    kept = None
     for _ in range(_INVERSE_STEPS):
         if best[0] <= _INVERSE_RTOL * period:
             break
-        x = a - f_a * (b - a) / (f_b - f_a)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-            if not a < x < b:
-                break
+        x = search.point()
+        if x is None:
+            break
         t_x = _period(n, math.exp(x))
-        f_x = t_x - period
+        f_x = period - t_x
         if abs(f_x) < best[0]:
             best = (abs(f_x), x, t_x)
-        if f_x > 0.0:
-            a, f_a = x, f_x
-            if kept == "b":
-                f_b *= 0.5
-            kept = "b"
-        else:
-            b, f_b = x, f_x
-            if kept == "a":
-                f_a *= 0.5
-            kept = "a"
+        search.update(x, f_x)
     miss, x, t_x = best
     if miss > _INVERSE_FAIL * period:
         raise RuntimeError(

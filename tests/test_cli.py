@@ -65,6 +65,17 @@ def test_numerical_failure_exit_code(capsys):
     assert "error:" in err
 
 
+def test_bracket_ceiling_exit_code(capsys):
+    """At default controls the (2, 16) ground state lies past the bracket
+    ceiling 2^20; the error names the pair and the ceiling and does not
+    blame the integration controls."""
+    code, out, err = run(capsys, "ground-state", "2", "16")
+    assert code == 1
+    assert out == ""
+    assert "(2, 16)" in err and "1.04858e+06" in err
+    assert "controls" not in err
+
+
 def test_table_json_single_row(capsys):
     code, out, _ = run(capsys, "table", "--max-dim", "4", "--format", "json")
     assert code == 0
