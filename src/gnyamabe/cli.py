@@ -25,6 +25,8 @@ from .shooting import ShootingError, find_ground_state
 _REGRESSION_BOUNDS = {(2, 2): 2.427458}
 
 _SANE_TOL_ALPHA = (1e-14, 1e-2)
+_TOL_ALPHA_HELP = ("relative tolerance of the alpha0 search: it stops on a "
+                   "bracket at most X * alpha0 wide (default 1e-12)")
 _SANE_TMAX = (1.0, 1000.0)
 
 
@@ -283,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="locate alpha0(m, n) and evaluate sigma_inv")
     gs.add_argument("m", type=int)
     gs.add_argument("n", type=int)
-    gs.add_argument("--tol-alpha", type=float, default=None)
+    gs.add_argument("--tol-alpha", type=float, default=None,
+                    help=_TOL_ALPHA_HELP)
     gs.add_argument("--tmax", type=float, default=None)
     gs.add_argument("--format", choices=("text", "csv", "json"),
                     default="text")
@@ -295,7 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tb = sub.add_parser("table", help="constants table for all m, n >= 2 "
                                       "with m + n <= MAX")
     tb.add_argument("--max-dim", type=int, default=9)
-    tb.add_argument("--tol-alpha", type=float, default=None)
+    tb.add_argument("--tol-alpha", type=float, default=None,
+                    help=_TOL_ALPHA_HELP)
     tb.add_argument("--tmax", type=float, default=None)
     tb.add_argument("--format", choices=("csv", "json", "text"),
                     default="csv")

@@ -6,9 +6,10 @@ The initial value problem is
 
 with q = (k+2)/(k-2) for total dimension k = m + n. Each shot is classified
 by where the trajectory first leaves the ground-state corridor: crossing
-zero (initial value too large), turning upward while 0 < h < 1 (too small),
-or decaying below the threshold while still falling (ground-state candidate
-at the working resolution).
+zero (initial value too large) or turning upward while 0 < h < 1 (too
+small). Near the critical initial value a shot follows the decaying
+ground state until its growing mode takes over, so every shot ends on
+one of the two events.
 
 The integrator is DOP853, the 8th-order Dormand-Prince pair with its
 combined 5th- and 3rd-order error estimate and its 7th-order continuous
@@ -26,7 +27,7 @@ equal-length arrays, so stored steps are sampled in one array pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
@@ -118,16 +119,10 @@ _D = (
      96.32455395918828, -39.17726167561544, -149.72683625798564),
 )
 
-# a decay crossing counts as a candidate when the slope sits within this
-# relative band of the linearized tail slope -h (1 + (n-1)/(2t)); shots
-# that merely pass through the threshold on their way to crossing or
-# turning carry a visible growing-mode component and fall outside
-_CANDIDATE_SLOPE_BAND = 0.5
-
 _EVENT_LOCATION_TOL = 1e-10
 
 # a shot starts from the series expansion at _T_START; h falling below
-# _DECAY_THRESHOLD is its decay event and bounds its stored profile
+# _DECAY_THRESHOLD bounds its stored profile
 _T_START = 1e-4
 _DECAY_THRESHOLD = 1e-6
 
@@ -202,28 +197,33 @@ class RadialProfile:
 @dataclass(frozen=True)
 class CrossedZero:
     """The shot reached h = 0 while decreasing: initial value too large.
-    `dh_cross` is the slope h' < 0 at the crossing."""
+    `dh_cross` is the slope h' < 0 at the crossing; `steps` are the
+    accepted steps of the shot, from which its profile is sampled."""
 
     t_cross: float
     dh_cross: float
+    steps: list = field(default=(), repr=False, compare=False)
+
+    @property
+    def t_event(self) -> float:
+        return self.t_cross
 
 
 @dataclass(frozen=True)
 class TurnedUp:
-    """h' reached 0 from below with 0 < h < 1: initial value too small."""
+    """h' reached 0 from below with 0 < h < 1: initial value too small.
+    `steps` as for CrossedZero; a shot from alpha <= 1 has none."""
 
     t_turn: float
     h_at_turn: float
+    steps: list = field(default=(), repr=False, compare=False)
+
+    @property
+    def t_event(self) -> float:
+        return self.t_turn
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """The shot tracked the decaying tail below the threshold."""
-
-    profile: RadialProfile
-
-
-ShotOutcome = CrossedZero | TurnedUp | Candidate
+ShotOutcome = CrossedZero | TurnedUp
 
 
 def rhs(t: float, h: float, dh: float, d: Dims) -> tuple[float, float]:
@@ -447,15 +447,14 @@ def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
 def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
     """Core shot integration for alpha > 1.
 
-    Returns (kind, t_event, y_event, steps) with kind one of "crossed",
-    "turned", "candidate", y_event the value of h at the event except for a
-    crossing, where h = 0 and y_event is the slope h' there instead, and
-    steps every accepted step of `_dp_steps`. Raises IntegrationFailure
-    when the series start is not positive (alpha too large for _T_START),
-    on step underflow or on an unclassifiable endpoint.
+    Returns (kind, t_event, y_event, steps) with kind "crossed" or
+    "turned", y_event the value of h at the turn or the slope h' at the
+    crossing, and steps every accepted step of `_dp_steps`. Raises
+    IntegrationFailure when the series start is not positive (alpha too
+    large for _T_START), on step underflow or when neither event happens
+    by t_max.
     """
     nm1 = float(d.n - 1)
-    thresh = _DECAY_THRESHOLD
     t = _T_START
     h, dh = series_start(alpha, t, d)
     if not h > 0.0:
@@ -468,41 +467,28 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
                               d.q - 1.0, ctrl.rtol, ctrl.atol):
             steps.append(step)
             hn, dhn = step[4], step[5]
-            if hn > thresh and dhn < 0.0:
+            if hn > 0.0 and dhn < 0.0:
                 continue  # no event can lie in this step
             t, dt, h, dh = step[:4]
 
-            # events as (component, target, entry side negative, kind),
-            # then in within-step time order
+            # events as (component, entry side negative, kind), then in
+            # within-step time order
             events = []
-            if h > thresh >= hn:
-                events.append((0, thresh, False, "decay"))
             if h > 0.0 >= hn:
-                events.append((0, 0.0, False, "cross"))
+                events.append((0, False, "crossed"))
             if dh < 0.0 <= dhn:
-                events.append((1, 0.0, True, "turn"))
+                events.append((1, True, "turned"))
             if not events:
                 continue
             dense = _dense(step)
-            triggers = sorted((_locate(dense, comp, target, left), kind)
-                              for comp, target, left, kind in events)
-            for theta, kind in triggers:
-                te = t + theta * dt
-                he, dhe = _dense_eval(dense, theta)
-                if kind == "decay":
-                    linearized = -thresh * (1.0 + nm1 / (2.0 * te))
-                    if abs(dhe - linearized) <= _CANDIDATE_SLOPE_BAND \
-                            * abs(linearized):
-                        return "candidate", te, he, steps
-                elif kind == "cross":
-                    return "crossed", te, dhe, steps
-                else:
-                    return "turned", te, he, steps
+            theta, kind = min((_locate(dense, comp, 0.0, left), kind)
+                              for comp, left, kind in events)
+            he, dhe = _dense_eval(dense, theta)
+            y_event = dhe if kind == "crossed" else he
+            return kind, t + theta * dt, y_event, steps
     except IntegrationFailure as exc:
         raise IntegrationFailure(f"{exc} (alpha={alpha!r})") from exc
 
-    if 0.0 < hn < thresh and dhn < 0.0:
-        return "candidate", ctrl.t_max, hn, steps
     raise IntegrationFailure(
         f"shot unclassified at t_max={ctrl.t_max:g}: "
         f"h={hn:.6g}, h'={dhn:.6g} (alpha={alpha!r})")
@@ -557,45 +543,38 @@ def _sample_profile(alpha, n, steps, t_stop):
 
 
 def _outcome(kind: str, t_event: float, y_event: float,
-             profile: RadialProfile | None) -> ShotOutcome:
-    """The classification of an integrated shot; `profile` is carried by
-    a Candidate."""
+             steps=()) -> ShotOutcome:
+    """The classification of an integrated shot, carrying its steps."""
     if kind == "crossed":
-        return CrossedZero(t_cross=t_event, dh_cross=y_event)
-    if kind == "turned":
-        return TurnedUp(t_turn=t_event, h_at_turn=y_event)
-    return Candidate(profile=profile)
+        return CrossedZero(t_event, y_event, steps)
+    return TurnedUp(t_event, y_event, steps)
 
 
 def integrate_shot(alpha: float, d: Dims,
                    ctrl: IntegrationControls = DEFAULT_CONTROLS) -> ShotOutcome:
     """Integrate one shot from h(0) = alpha and classify it.
 
-    alpha <= 1 cannot produce a decaying ground state (h''(0) >= 0 there)
-    and short-circuits to TurnedUp without integration.
+    The outcome carries the shot's accepted steps, so its profile can be
+    sampled without shooting again. alpha <= 1 cannot produce a decaying
+    ground state (h''(0) >= 0 there) and short-circuits to TurnedUp
+    without integration.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if alpha <= 1.0:
         return TurnedUp(t_turn=0.0, h_at_turn=alpha)
-    kind, te, ye, steps = _integrate(alpha, d, ctrl)
-    profile = None
-    if kind == "candidate":
-        profile = _sample_profile(alpha, d.n, steps, te)
-    return _outcome(kind, te, ye, profile)
+    return _outcome(*_integrate(alpha, d, ctrl))
 
 
 def shoot_profile(alpha: float, d: Dims,
                   ctrl: IntegrationControls = DEFAULT_CONTROLS,
                   ) -> tuple[ShotOutcome, RadialProfile]:
-    """Classify a shot and also return its truncated profile.
-
-    Unlike integrate_shot, the profile is produced for every outcome, so a
-    near-critical shot that eventually crosses or turns still yields its
-    usable pre-divergence part. Requires alpha > 1.
+    """Classify a shot and also return its truncated profile, so that a
+    near-critical shot yields its usable pre-divergence part. Requires
+    alpha > 1.
     """
     if alpha <= 1.0:
         raise ValueError("profiles only exist for alpha > 1")
-    kind, te, ye, steps = _integrate(alpha, d, ctrl)
-    profile = _sample_profile(alpha, d.n, steps, te)
-    return _outcome(kind, te, ye, profile), profile
+    outcome = _outcome(*_integrate(alpha, d, ctrl))
+    return outcome, _sample_profile(alpha, d.n, outcome.steps,
+                                    outcome.t_event)

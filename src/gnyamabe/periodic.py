@@ -29,8 +29,9 @@ Each panel uses one 64-node Gauss-Legendre rule built once per process,
 and each gap E - V is an array of differences of like powers with exact
 increments. Orbits within 2% of u_c use an exactly factored series of
 the well instead. `orbit_for_period` inverts the map in log delta by
-the ground-state search's Illinois iteration, `shooting.Illinois`,
-between window ends whose periods are cached per dimension.
+the ground-state search's safeguarded secant iteration,
+`shooting.Illinois`, between window ends whose periods are cached per
+dimension.
 
 `circle_quotient` takes the integrals of u'^2, u^2 and u^P over one
 period from the same nodes: each node's weight in the period sum is its
@@ -420,7 +421,7 @@ _INVERSE_STEPS = 100
 
 def orbit_for_period(n: int, period: float) -> CircleOrbit:
     """Invert the (strictly decreasing in delta) period map on the orbit
-    window by the Illinois iteration in x = log delta.
+    window by the safeguarded secant iteration in x = log delta.
 
     The bracket keeps the separatrix side (period too long) and the
     harmonic side (too short); each step evaluates the `shooting.Illinois`

@@ -94,14 +94,28 @@ def build_table(max_total_dim: int = 9,
                 collect_errors: list | None = None) -> list[ConstantsRow]:
     """Compute one ConstantsRow per pair, both factors round spheres.
 
-    A solver failure skips that row; the exception is appended to
-    `collect_errors` when a list is supplied, and re-raised otherwise.
+    Each search starts from a guess at alpha0 out of the rows already
+    solved: alpha0(m - 1, n), else alpha0(m, n - 1)^2 / alpha0(m, n - 2),
+    else 2 alpha0(m, n - 1), else none. A solver failure skips that row;
+    the exception is appended to `collect_errors` when a list is
+    supplied, and re-raised otherwise.
     """
     rows = []
+    alpha0 = {}
     for m, n in table_pairs(max_total_dim):
         d = Dims(m, n)
+        if (m - 1, n) in alpha0:
+            guess = alpha0[m - 1, n]
+        elif (m, n - 2) in alpha0 and (m, n - 1) in alpha0:
+            guess = alpha0[m, n - 1] ** 2 / alpha0[m, n - 2]
+        elif (m, n - 1) in alpha0:
+            guess = 2.0 * alpha0[m, n - 1]
+        else:
+            guess = None
         try:
-            gs = find_ground_state(d, tol_alpha=tol_alpha, ctrl=ctrl)
+            gs = find_ground_state(d, tol_alpha=tol_alpha, ctrl=ctrl,
+                                   guess=guess)
+            alpha0[m, n] = gs.alpha0
             sigma_inv = gn_value(gs.profile, d).sigma_inv
             y_inf = y_infinity(d, unit_volume_sphere_scalar(m), sigma_inv)
             row = ConstantsRow(m=m, n=n, sigma_inv=sigma_inv, y_inf=y_inf,

@@ -1,31 +1,40 @@
-"""Illinois search on the initial value to locate the ground state.
+"""Bracketed search on the initial value to locate the ground state.
 
 Above the critical initial value every shot crosses zero once; below it
 every shot stays positive and turns back up. Uniqueness of the positive
 decaying solution makes the classification boundary a single point
 alpha0(m, n), which a bracket of one shot of each kind encloses.
 
-The bracket keeps the last doubling shot (alpha = 2, 4, 8, ...) that
-turned up and the first that crossed. `Illinois`, the Illinois variant of
-regula falsi (Dowell & Jarratt 1971) that also inverts the circle-factor
-period map, shrinks it on a continuous signed miss: -h^2 t^(n-1) at the
-turn of a TurnedUp shot, +h'^2 t^(n-1) at the crossing of a CrossedZero
-shot. Near alpha0 a shot is h ~ t^(-(n-1)/2) (A e^(-t) + eps B e^t) with
-eps proportional to alpha - alpha0, and both quantities equal
-4 A B |eps| t^(-(n-1)) to leading order, so the weighted miss is linear in
-alpha - alpha0 with the same slope on both sides.
+The bracket comes from shots that double from 2, or that step away from
+a guess by growing factors, until the classification flips. `Illinois`
+shrinks it on a continuous signed miss: -h^2 t^(n-1) at the turn of a
+TurnedUp shot, +h'^2 t^(n-1) at the crossing of a CrossedZero shot. Near
+alpha0 a shot is h ~ t^(-(n-1)/2) (A e^(-t) + eps B e^t) with eps
+proportional to alpha - alpha0, and both quantities equal
+4 A B |eps| t^(-(n-1)) to leading order, so the weighted miss is linear
+in alpha - alpha0 with the same slope on both sides, and secant steps
+converge superlinearly. Far from alpha0 the weight makes the misses of
+the two ends differ by many orders of magnitude; regula falsi with the
+Illinois modification (Dowell & Jarratt 1971) guards the secant there.
+The same class inverts the circle-factor period map.
+
+The search runs until the bracket is at most tol_alpha * alpha wide, and
+every shot runs to its turn or its crossing: no shot is accepted as the
+ground state on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from .geometry import Dims
-from .ode import (DEFAULT_CONTROLS, Candidate, CrossedZero, IntegrationControls,
-                  RadialProfile, integrate_shot, shoot_profile)
+from .ode import (DEFAULT_CONTROLS, CrossedZero, IntegrationControls,
+                  RadialProfile, _sample_profile, integrate_shot)
 
 _BRACKET_CEILING = 2.0 ** 20
+_SECANT_REACH = 1e3
 
 
 class ShootingError(RuntimeError):
@@ -33,24 +42,41 @@ class ShootingError(RuntimeError):
 
 
 class Illinois:
-    """Regula falsi on a bracket [lo, hi] with misses f_lo < 0 < f_hi; an
-    end kept twice in a row has its miss halved, so neither end stalls."""
+    """Secant steps on a bracket [lo, hi] with misses f_lo < 0 < f_hi,
+    safeguarded by regula falsi; an end kept twice in a row has its miss
+    halved, so neither end stalls."""
 
     def __init__(self, lo: float, f_lo: float, hi: float, f_hi: float):
         self.lo, self.f_lo, self.hi, self.f_hi = lo, f_lo, hi, f_hi
         self._moved = None
+        self._last = ((lo, f_lo), (hi, f_hi))
 
     def point(self) -> float | None:
-        """The regula-falsi point, or the midpoint when that point is not
-        strictly inside, or None when the bracket cannot be split."""
+        """The secant point of the two latest evaluations when it is
+        strictly inside the bracket, else the regula-falsi point of the
+        ends, else the midpoint; None when the bracket cannot be split.
+
+        A secant step reaches at most _SECANT_REACH times the distance
+        between the two evaluations: from two nearly equal misses on a
+        flat stretch it would otherwise leap across the bracket to a
+        point that barely moves its far end, again and again."""
         lo, hi = self.lo, self.hi
+        (x0, f0), (x1, f1) = self._last
+        if f1 != f0:
+            step = f1 * (x0 - x1) / (f1 - f0)
+            reach = _SECANT_REACH * abs(x1 - x0)
+            x = x1 + math.copysign(min(abs(step), reach), step)
+            if lo < x < hi:
+                return x
         x = lo - self.f_lo * (hi - lo) / (self.f_hi - self.f_lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
         return x if lo < x < hi else None
 
     def update(self, x: float, f: float) -> None:
-        """Move the end on the side of the miss f to x."""
+        """Record the evaluation f at x and move the end on its side to
+        x."""
+        self._last = (self._last[1], (x, f))
         if f < 0.0:
             if self._moved == "lo":
                 self.f_hi *= 0.5
@@ -66,12 +92,10 @@ class GroundState:
     """Located ground state: critical initial value and its profile.
 
     The bracket keeps TurnedUp on the low side and CrossedZero on the high
-    side. Its width is at most the search tolerance unless the Illinois
-    search ended early on a Candidate shot; alpha0 is then that shot's
-    initial value, known only to the window of initial values whose shots
-    classify as Candidate. Against a tight-control reference the published
-    table's alpha0 errs by up to 2.3e-8, for (m, n) = (2, 6), and its
-    sigma_inv by up to 3.8e-12 relative.
+    side, and is at most tol_alpha * alpha0 wide. alpha0 is the end whose
+    shot followed the ground state furthest, and the profile is that
+    shot's, truncated where it stops being trustworthy (h below the decay
+    threshold or h' >= 0).
     """
 
     d: Dims
@@ -90,64 +114,72 @@ def _miss(outcome, n: int) -> float:
 
 def bracket_alpha(d: Dims,
                   ctrl: IntegrationControls = DEFAULT_CONTROLS,
+                  guess: float | None = None,
                   ) -> tuple[float, float, float, float]:
     """Initial bracket (lo, miss at lo, hi, miss at hi) around the
     critical value, with the misses of `_miss`.
 
-    hi doubles from 2 until a shot crosses zero; lo is the doubling shot
-    before it, which turned up, or alpha = 1 with miss -1 (it turns up at
-    t = 0) when the shot at 2 already crosses. alpha0 beyond
-    _BRACKET_CEILING is refused.
+    Without a guess the shots double from 2 until one crosses zero; lo is
+    the doubling shot before it, which turned up, or alpha = 1 with miss
+    -1 (it turns up at t = 0) when the shot at 2 already crosses. With a
+    guess the first shot is at the guess, and the next ones step away
+    from it, towards alpha0, by the factors 1.1, 1.1^2, 1.1^4, ... until
+    the classification flips; a step down to alpha <= 1 ends at 1 as
+    above. alpha0 beyond _BRACKET_CEILING is refused.
     """
-    lo, f_lo, hi = 1.0, -1.0, 2.0
-    while hi <= _BRACKET_CEILING:
-        outcome = integrate_shot(hi, d, ctrl)
-        if isinstance(outcome, Candidate):
+    if guess is None:
+        x, factors = 2.0, itertools.repeat(2.0)
+    elif math.isfinite(guess) and guess > 0.0:
+        x, factors = guess, (1.1 ** 2 ** k for k in itertools.count())
+    else:
+        raise ValueError(f"guess must be finite and positive, got {guess}")
+    prev = None
+    for factor in factors:
+        if x > _BRACKET_CEILING:
             raise ShootingError(
-                f"bracketing shot at alpha={hi} landed on a ground-state "
-                "candidate; widen the doubling sequence")
-        f = _miss(outcome, d.n)
-        if isinstance(outcome, CrossedZero):
-            return lo, f_lo, hi, f
-        lo, f_lo, hi = hi, f, 2.0 * hi
-    raise ShootingError(
-        f"no zero crossing up to alpha={_BRACKET_CEILING:g} for (m, n) = "
-        f"({d.m}, {d.n}): its ground state lies beyond the bracket ceiling")
+                f"no zero crossing up to alpha={_BRACKET_CEILING:g} for "
+                f"(m, n) = ({d.m}, {d.n}): its ground state lies beyond the "
+                "bracket ceiling")
+        if x <= 1.0:
+            x, f = 1.0, -1.0
+        else:
+            f = _miss(integrate_shot(x, d, ctrl), d.n)
+        if prev is not None and (prev[1] < 0.0) != (f < 0.0):
+            return (x, f, *prev) if f < 0.0 else (*prev, x, f)
+        prev = (x, f)
+        x = x * factor if f < 0.0 else x / factor
 
 
 def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
                       ctrl: IntegrationControls = DEFAULT_CONTROLS,
-                      ) -> GroundState:
-    """Illinois search for the ground-state initial value, then its profile.
+                      guess: float | None = None) -> GroundState:
+    """Illinois search for the ground-state initial value and its profile.
 
-    From the bracket of `bracket_alpha`, each step shoots the `Illinois`
-    point of the signed misses at the two ends. A shot that classifies as
-    a Candidate ends the search early and its profile is accepted
-    directly; otherwise the profile comes from one final shot at the
-    bracket midpoint, truncated where the near-critical trajectory stops
-    being trustworthy (h below the decay threshold or h' >= 0).
-
-    `tol_alpha` bounds the bracket only for a search that ends without a
-    Candidate shot. A Candidate stop fixes alpha0 only to the window of
-    initial values whose shots classify as Candidate, which is far wider:
-    against a tight-control reference alpha0 errs by 1.0e-8 for
-    (m, n) = (2, 7) and by up to 2.3e-8 on the published table.
+    From the bracket of `bracket_alpha` (around `guess`, when one is
+    given), each step shoots the `Illinois` point of the signed misses,
+    until the bracket is at most tol_alpha * alpha wide: the tolerance is
+    relative. Every shot runs to its turn or its crossing, and the latest
+    shot on each side of the bracket keeps its steps. Of those two, the
+    one whose event comes later followed the ground state furthest: its
+    initial value is alpha0 and its profile is sampled from its steps.
     """
     if not math.isfinite(tol_alpha):
         raise ValueError(f"tol_alpha must be finite, got {tol_alpha}")
     if tol_alpha < 1e-14:
         raise ValueError("tol_alpha below double-precision resolution")
-    search = Illinois(*bracket_alpha(d, ctrl))
-    while search.hi - search.lo > tol_alpha:
+    search = Illinois(*bracket_alpha(d, ctrl, guess))
+    shots = {}  # the latest (alpha, outcome) on each side, by f < 0
+    while search.hi - search.lo > tol_alpha * search.hi:
         x = search.point()
         if x is None:
             break
         outcome = integrate_shot(x, d, ctrl)
-        if isinstance(outcome, Candidate):
-            return GroundState(d=d, alpha0=x, bracket=(search.lo, search.hi),
-                               profile=outcome.profile)
-        search.update(x, _miss(outcome, d.n))
-    alpha0 = 0.5 * (search.lo + search.hi)
-    _, profile = shoot_profile(alpha0, d, ctrl)
+        f = _miss(outcome, d.n)
+        shots[f < 0.0] = (x, outcome)
+        search.update(x, f)
+    if not shots:  # the initial bracket was already narrow enough
+        shots[False] = (search.hi, integrate_shot(search.hi, d, ctrl))
+    alpha0, shot = max(shots.values(), key=lambda s: s[1].t_event)
+    profile = _sample_profile(alpha0, d.n, shot.steps, shot.t_event)
     return GroundState(d=d, alpha0=alpha0, bracket=(search.lo, search.hi),
                        profile=profile)

@@ -247,16 +247,11 @@ def shot_reference(alpha: float, d, t_max: float = 50.0):
     """(kind, t_event, y_event) of the radial shot from h(0) = alpha by
     scipy's DOP853 at rtol 1e-13, atol 1e-16, from the package's series
     start at t = 1e-4, in the convention of ode._integrate: the first of
-    a decay through 1e-6 with a tail-like slope ("candidate", y = h), a
-    zero crossing ("crossed", y = h') or a turn ("turned", y = h)."""
-    nm1, qm1, thresh = d.n - 1.0, d.q - 1.0, 1e-6
+    a zero crossing ("crossed", y = h') or a turn ("turned", y = h)."""
+    nm1, qm1 = d.n - 1.0, d.q - 1.0
 
     def flow(t, y):
         return y[1], -(nm1 / t) * y[1] + y[0] - abs(y[0]) ** qm1 * y[0]
-
-    def decay(t, y):
-        return y[0] - thresh
-    decay.direction = -1.0
 
     def cross(t, y):
         return y[0]
@@ -269,13 +264,9 @@ def shot_reference(alpha: float, d, t_max: float = 50.0):
     t0 = 1e-4
     sol = solve_ivp(flow, (t0, t_max), ode.series_start(alpha, t0, d),
                     method="DOP853", rtol=1e-13, atol=1e-16,
-                    events=(decay, cross, turn))
+                    events=(cross, turn))
     found = []
-    for te, (he, dhe) in zip(sol.t_events[0], sol.y_events[0]):
-        linearized = -thresh * (1.0 + nm1 / (2.0 * te))
-        if abs(dhe - linearized) <= 0.5 * abs(linearized):
-            found.append((te, "candidate", he))
-    for i, kind, component in ((1, "crossed", 1), (2, "turned", 0)):
+    for i, kind, component in ((0, "crossed", 1), (1, "turned", 0)):
         if len(sol.t_events[i]):
             found.append((sol.t_events[i][0], kind,
                           sol.y_events[i][0][component]))

@@ -55,8 +55,8 @@ def test_table_csv_and_json_records(capsys, tmp_path):
 
 def test_ground_state_dump_matches_sech(capsys, tmp_path):
     """The pinned (3, 1) dump against the closed form sqrt(2) sech(t): its
-    bytes depend on where the search lands within the candidate window,
-    this referee does not."""
+    bytes depend on which shot of the converged bracket the profile comes
+    from, this referee does not."""
     _, dump = run_case("ground-state-dump", capsys, tmp_path)
     ts, hs, dhs = np.loadtxt(dump, unpack=True)
     q, _ = exponents_m1(3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gnyamabe import build_table, ode, shooting
+from gnyamabe import build_table, ode, products, shooting
 from gnyamabe.functional import gn_value
 from gnyamabe.geometry import Dims
 from gnyamabe.ode import (DEFAULT_CONTROLS, CrossedZero, TurnedUp,
@@ -32,6 +32,32 @@ def test_bracket_contains_sech_amplitude():
     q, _ = exponents_m1(3)
     lo, _, hi, _ = bracket_alpha(Dims(3, 1))
     assert lo < sech_amplitude(q) < hi
+
+
+@pytest.mark.parametrize("guess, lo, hi", [
+    (2.4, 2.4 / 1.1, 2.4),               # 9% high: one step down
+    (2.0, 2.0 * 1.1, 2.0 * 1.1 ** 3),    # 9% low: a step of 1.1, then 1.21
+    (100.0, 1.0, 100.0 / 1.1 ** 31),     # steps of 1.1 ... 1.1^16, then 1
+    (0.5, 1.1 ** 7, 1.1 ** 15),          # from 1: 1.1, 1.21, 1.46, 2.14
+], ids=["high", "low", "far-high", "below-one"])
+def test_bracket_from_a_guess(guess, lo, hi):
+    """From a guess the shots step towards alpha0 = 2.2062 of (2, 2) by
+    1.1, 1.21, 1.4641, ..., each step the square of the one before,
+    until the classification flips; alpha <= 1 turns up unshot, with
+    miss -1."""
+    got_lo, f_lo, got_hi, f_hi = bracket_alpha(Dims(2, 2), guess=guess)
+    assert got_lo == pytest.approx(lo, rel=1e-14)
+    assert got_hi == pytest.approx(hi, rel=1e-14)
+    assert got_lo < 2.2062 < got_hi
+    assert f_lo < 0.0 < f_hi
+    if lo == 1.0:
+        assert f_lo == -1.0
+
+
+@pytest.mark.parametrize("guess", [0.0, -2.0, math.nan, math.inf])
+def test_bracket_rejects_an_invalid_guess(guess):
+    with pytest.raises(ValueError, match="guess"):
+        bracket_alpha(Dims(2, 2), guess=guess)
 
 
 def _illinois(f, lo, hi, tol=0.0):
@@ -102,15 +128,53 @@ def test_illinois_refuses_an_unsplittable_bracket():
     assert Illinois(1.0, -1.0, 1.0, 1.0).point() is None
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.69, 0.71), (-50.0, 3.0),
+                                    (0.7 - 1e-9, 1e6)])
+def test_illinois_solves_a_linear_miss_in_one_step(lo, hi):
+    """On a linear miss the first point is the root, from any bracket, and
+    so is the secant point after an evaluation beside it."""
+    def f(x):
+        return 3.0 * (x - 0.7)
+
+    search = Illinois(lo, f(lo), hi, f(hi))
+    x = search.point()
+    assert abs(x - 0.7) <= 1e-15 * max(1.0, abs(lo), abs(hi))
+    search = Illinois(0.0, f(0.0), 1.0, f(1.0))
+    search.update(0.9, f(0.9))
+    assert abs(search.point() - 0.7) <= 1e-15
+
+
+def test_illinois_secant_outside_falls_back():
+    # the secant of the latest two evaluations, (1, 1) and (0.9, 0.95),
+    # points to -1.0, outside [0, 0.9]: regula falsi of the ends instead
+    search = Illinois(0.0, -1.0, 1.0, 1.0)
+    search.update(0.9, 0.95)
+    assert search.point() == 0.0 + 1.0 * (0.9 - 0.0) / (0.95 + 1.0)
+    # ...and the midpoint when that point rounds onto an end
+    search = Illinois(1.0, -1e-300, 2.0, 3.0)
+    search.update(1.5, 1e300)
+    assert search.point() == 1.25
+
+
+def test_illinois_secant_reach_is_bounded():
+    # two nearly equal misses would send the secant 1e3 away; it reaches
+    # only _SECANT_REACH times their distance
+    search = Illinois(0.0, -1.0, 10.0, 1.0)
+    search.update(1e-6, -1.0 + 1e-9)
+    search.update(2e-6, -1.0 + 2e-9)
+    reach = shooting._SECANT_REACH * (2e-6 - 1e-6)
+    assert search.point() == 2e-6 + reach
+
+
 def test_ground_state_anchor_22(gs22):
     assert abs(gs22.alpha0 - 2.2062) < 5e-4
     lo, hi = gs22.bracket
-    assert lo < gs22.alpha0 <= hi
-    if hi - lo > 1e-12:
-        # the search ended early on a candidate shot, which certifies
-        # alpha0 directly; the shot must reproduce that classification
-        from gnyamabe.ode import Candidate
-        assert isinstance(integrate_shot(gs22.alpha0, Dims(2, 2)), Candidate)
+    # alpha0 is the end of the converged bracket whose shot ran longest
+    assert gs22.alpha0 in (lo, hi)
+    assert hi - lo <= 1e-12 * gs22.alpha0
+    ends = [integrate_shot(x, Dims(2, 2)) for x in (lo, hi)]
+    assert max(ends, key=lambda shot: shot.t_event).t_event \
+        == ends[(lo, hi).index(gs22.alpha0)].t_event
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 7), (7, 2), (3, 1)])
@@ -122,9 +186,70 @@ def test_bracket_labels_survive(m, n):
 
 
 def test_shot_budget_per_table_row(monkeypatch):
-    """Bracket and Illinois search together take at most 20 shots on every
-    table row and 300 on the whole table; with a bracket that dropped its
-    turned-up doubling shot they took 319."""
+    """Bracket and Illinois search together take at most 14 shots on every
+    row of build_table(9) and 230 on the whole table. The search stopped
+    on a Candidate shot before it converged, with regula-falsi steps and
+    unseeded brackets, took up to 18 and 281; the converged search takes
+    up to 12 and 204."""
+    per_row = {}
+
+    def counted(alpha, d, *args, **kwargs):
+        per_row[(d.m, d.n)] = per_row.get((d.m, d.n), 0) + 1
+        return integrate_shot(alpha, d, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate_shot", counted)
+    build_table(9)
+    assert set(per_row) == set(table_pairs(9))
+    assert max(per_row.values()) <= 14, per_row
+    assert sum(per_row.values()) <= 230, per_row
+
+
+def test_step_budget_per_table(monkeypatch):
+    """The whole table takes at most 22,000 accepted steps, the (2, 7) row
+    at most 2,200 and no shot more than 250. The converged search takes
+    19,509, 2,012 and 182; the Candidate-stopped search took 24,430,
+    2,545 and 172 (its (2, 7) Candidate shot), and the Dormand-Prince 5(4)
+    pair 139,135 steps over 319 shots."""
+    shots = []
+    integrate = ode._integrate
+
+    def counted(alpha, d, ctrl):
+        kind, te, ye, steps = integrate(alpha, d, ctrl)
+        shots.append(((d.m, d.n), len(steps)))
+        return kind, te, ye, steps
+
+    monkeypatch.setattr(ode, "_integrate", counted)
+    build_table(9)
+    assert sum(count for _, count in shots) <= 22_000
+    assert sum(count for mn, count in shots if mn == (2, 7)) <= 2_200
+    assert max(count for _, count in shots) <= 250
+
+
+def test_table_rows_converge(monkeypatch):
+    """Every row of build_table(9) ends on a bracket at most tol_alpha
+    times alpha0 wide (at most 5.1e-13 measured); the Candidate stops of
+    the search before it converged left up to 7.8e-7."""
+    found = []
+    search = products.find_ground_state
+
+    def recorded(d, *args, **kwargs):
+        found.append(search(d, *args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(products, "find_ground_state", recorded)
+    rows = build_table(9, tol_alpha=1e-12)
+    assert len(found) == len(rows) == 21
+    for gs, row in zip(found, rows):
+        lo, hi = gs.bracket
+        assert gs.alpha0 == row.alpha0 in (lo, hi)
+        assert hi - lo <= 1e-12 * gs.alpha0, (gs.d, lo, hi)
+
+
+def test_m1_row_takes_few_shots(monkeypatch):
+    """(1, 12), whose turned-up bracket end misses by -1.9e13 against
+    +7.6e6, takes at most 30 shots: 28 with secant steps, 46 with
+    regula falsi, which halved that end's miss many times before it
+    moved."""
     shots = []
 
     def counted(*args, **kwargs):
@@ -132,33 +257,19 @@ def test_shot_budget_per_table_row(monkeypatch):
         return integrate_shot(*args, **kwargs)
 
     monkeypatch.setattr(shooting, "integrate_shot", counted)
-    per_row = {}
-    for m, n in table_pairs(9):
-        shots.clear()
-        find_ground_state(Dims(m, n))
-        per_row[(m, n)] = len(shots)
-    assert max(per_row.values()) <= 20, per_row
-    assert sum(per_row.values()) <= 300, per_row
+    gs = find_ground_state(Dims(1, 12))
+    assert len(shots) <= 30, len(shots)
+    lo, hi = gs.bracket
+    assert hi - lo <= 1e-12 * gs.alpha0
 
 
-def test_step_budget_per_table(monkeypatch):
-    """The whole table takes at most 40,000 accepted steps, and the (2, 7)
-    Candidate shot at most 250. The DOP853 stepper takes 24,430 and 172;
-    the Dormand-Prince 5(4) pair took 139,135 and 882 (over 319 shots)."""
-    shots = []
-    integrate = ode._integrate
-
-    def counted(alpha, d, ctrl):
-        kind, te, ye, steps = integrate(alpha, d, ctrl)
-        shots.append(((d.m, d.n), kind, len(steps)))
-        return kind, te, ye, steps
-
-    monkeypatch.setattr(ode, "_integrate", counted)
-    build_table(9)
-    assert sum(count for _, _, count in shots) <= 40_000
-    candidates = [count for mn, kind, count in shots
-                  if mn == (2, 7) and kind == "candidate"]
-    assert candidates and max(candidates) <= 250, candidates
+def test_large_alpha0_bracket_is_relative():
+    """tol_alpha is relative: (2, 15), with alpha0 = 3.6e5, ends on a
+    bracket at most 1e-12 alpha0 wide (7.4e-14 measured), not 8.3e-3 as
+    when the search stopped on a Candidate shot."""
+    gs = find_ground_state(Dims(2, 15))
+    lo, hi = gs.bracket
+    assert hi - lo <= 1e-12 * gs.alpha0
 
 
 def test_profile_positive_and_decreasing(gs22):
@@ -230,23 +341,24 @@ def test_tol_alpha_validation():
 # Errors of the default ground state against a tight-control reference
 # (decay threshold 1e-10, tolerances ten times tighter, tol_alpha 1e-14),
 # as (m, n, bound on the alpha0 error, bound on the relative sigma_inv
-# error). Measured, with a bracket that dropped its turned-up doubling
-# shot / with one that keeps it:
-#   (2, 2)  1.7e-12 / 3.2e-13    2.2e-16 / 1.4e-14
-#   (4, 4)  6.3e-11 / 1.3e-11    2.0e-14 / 8.9e-16
-#   (2, 7)  1.1e-8  / 1.0e-8     9.6e-14 / 8.0e-14
-# All three stop on a Candidate shot, so alpha0 is known only to the
-# Candidate window, not to tol_alpha; the bounds are about twice the
-# larger error.
+# error). Measured:
+#   (2, 2)  1.7e-12   2.2e-16
+#   (4, 4)  4.0e-12   1.1e-16
+#   (2, 7)  4.6e-10   1.8e-14
+# Both searches converge, so this is the error of the shots, no longer
+# of a Candidate window (up to 1.0e-8 for (2, 7)). The bounds are about
+# twice the errors, and for sigma_inv at least 1e-15, a few rounding
+# errors.
 _TIGHT_REFEREE_CASES = [
-    (2, 2, 4e-12, 3e-14),
-    (4, 4, 1.5e-10, 5e-14),
-    (2, 7, 2.5e-8, 2e-13),
+    (2, 2, 4e-12, 1e-15),
+    (4, 4, 8e-12, 1e-15),
+    (2, 7, 1e-9, 4e-14),
 ]
 
 
 @pytest.mark.parametrize("m, n, alpha_bound, sigma_bound",
-                         _TIGHT_REFEREE_CASES)
+                         _TIGHT_REFEREE_CASES,
+                         ids=[f"{m}-{n}" for m, n, *_ in _TIGHT_REFEREE_CASES])
 def test_ground_state_matches_tight_controls(m, n, alpha_bound, sigma_bound,
                                              monkeypatch):
     d = Dims(m, n)
