@@ -20,15 +20,18 @@ extension, whose three extra stages are evaluated only for the steps
 that hold an event or a sample. A hand-rolled scalar stepper, with the
 right-hand side written out in each stage, keeps a full shooting run of
 thousands of shots within interactive time; the undamped circle-factor
-flow of `periodic` runs on it too. The extension takes a scalar or
-equal-length arrays, so stored steps are sampled in one array pass.
+flow of `periodic` runs on it too. One routine, `_dense`, builds the
+extension of a single stored step, for an event, or of a column table of
+steps, for the samples: the steps a profile or an orbit is sampled from
+are extended in one array pass, with the doubles a loop over the steps
+gives. Its stage sums are written out and add left to right, so the
+doubles do not depend on the Python version.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 
@@ -259,25 +262,70 @@ def _dense(step):
     """The 7th-order continuous extension of a stored step of `_dp_steps`,
     as (t_old, dt, h_old, h'_old, seven h-coefficients F0..F6, seven
     h'-coefficients) for `_dense_eval`. Its three extra stages are
-    evaluated here, in scalar code, and only for the steps that need
-    them: an array of these rows then gives the doubles a loop does."""
-    t, dt, h, dh, hn, dhn = step[:6]
-    nm1, c1, c2, qm1 = step[23]
-    slopes_h = list(step[6:14]) + [dhn]
-    slopes_d = list(step[14:23])
-    for c, row in _DENSE_STAGES:
-        y = h + dt * sum(map(mul, row, slopes_h))
-        dy = dh + dt * sum(map(mul, row, slopes_d))
-        slopes_h.append(dy)
-        slopes_d.append(-(nm1 / (t + c * dt)) * dy + c1 * y
-                        - c2 * abs(y) ** qm1 * y)
-    coeffs = []
-    for old, new, k in ((h, hn, slopes_h), (dh, dhn, slopes_d)):
-        rise = new - old
-        start, end = k[0], k[8]  # K1 and K13, the slopes at the step ends
-        coeffs += [rise, dt * start - rise, 2.0 * rise - dt * (end + start)]
-        coeffs += [dt * sum(map(mul, row, k)) for row in _D]
-    return (t, dt, h, dh, *coeffs)
+    evaluated here, and only for the steps that need them.
+
+    `step` is one stored step of floats (an event), or the same fields as
+    rows of equal-length arrays, one column per step, with one shared flow
+    (`_sample_steps`): one array pass then gives the doubles a loop over
+    the steps does. Every stage sum adds left to right, as written, for
+    floats and arrays alike, so the doubles do not depend on the Python
+    version (sum() of floats is compensated from Python 3.12 on), and
+    |y|^qm1 is libm's pow, as in the stepper, for arrays too."""
+    (t, dt, h, dh, hn, dhn, k1h, k6h, k7h, k8h, k9h, k10h, k11h, k12h,
+     k1d, k6d, k7d, k8d, k9d, k10d, k11d, k12d, k13d, flow) = step
+    nm1, c1, c2, qm1 = flow
+    power = pow if isinstance(h, float) else _libm_power
+    k13h = dhn
+    (c14, row14), (c15, row15), (c16, row16) = _DENSE_STAGES
+    a1, a6, a7, a8, a9, a10, a11, a12, a13 = row14
+    b1, b6, b7, b8, b9, b10, b11, b12, b13, b14 = row15
+    e1, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15 = row16
+    y = h + dt * (a1 * k1h + a6 * k6h + a7 * k7h + a8 * k8h + a9 * k9h
+                  + a10 * k10h + a11 * k11h + a12 * k12h + a13 * k13h)
+    k14h = dh + dt * (a1 * k1d + a6 * k6d + a7 * k7d + a8 * k8d + a9 * k9d
+                      + a10 * k10d + a11 * k11d + a12 * k12d + a13 * k13d)
+    k14d = (-(nm1 / (t + c14 * dt)) * k14h + c1 * y
+            - c2 * power(abs(y), qm1) * y)
+    y = h + dt * (b1 * k1h + b6 * k6h + b7 * k7h + b8 * k8h + b9 * k9h
+                  + b10 * k10h + b11 * k11h + b12 * k12h + b13 * k13h
+                  + b14 * k14h)
+    k15h = dh + dt * (b1 * k1d + b6 * k6d + b7 * k7d + b8 * k8d + b9 * k9d
+                      + b10 * k10d + b11 * k11d + b12 * k12d + b13 * k13d
+                      + b14 * k14d)
+    k15d = (-(nm1 / (t + c15 * dt)) * k15h + c1 * y
+            - c2 * power(abs(y), qm1) * y)
+    y = h + dt * (e1 * k1h + e6 * k6h + e7 * k7h + e8 * k8h + e9 * k9h
+                  + e10 * k10h + e11 * k11h + e12 * k12h + e13 * k13h
+                  + e14 * k14h + e15 * k15h)
+    k16h = dh + dt * (e1 * k1d + e6 * k6d + e7 * k7d + e8 * k8d + e9 * k9d
+                      + e10 * k10d + e11 * k11d + e12 * k12d + e13 * k13d
+                      + e14 * k14d + e15 * k15d)
+    k16d = (-(nm1 / (t + c16 * dt)) * k16h + c1 * y
+            - c2 * power(abs(y), qm1) * y)
+    return (t, dt, h, dh,
+            *_coefficients(dt, h, hn, k1h, k6h, k7h, k8h, k9h, k10h, k11h,
+                           k12h, k13h, k14h, k15h, k16h),
+            *_coefficients(dt, dh, dhn, k1d, k6d, k7d, k8d, k9d, k10d, k11d,
+                           k12d, k13d, k14d, k15d, k16d))
+
+
+def _coefficients(dt, old, new, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14,
+                  k15, k16):
+    """F0..F6 of one component of `_dense` from its value at the step ends
+    and its slopes K1, K6, ..., K16; K1 and K13 are the end slopes."""
+    rise = new - old
+    coeffs = [rise, dt * k1 - rise, 2.0 * rise - dt * (k13 + k1)]
+    for d1, d6, d7, d8, d9, d10, d11, d12, d13, d14, d15, d16 in _D:
+        coeffs.append(dt * (d1 * k1 + d6 * k6 + d7 * k7 + d8 * k8 + d9 * k9
+                            + d10 * k10 + d11 * k11 + d12 * k12 + d13 * k13
+                            + d14 * k14 + d15 * k15 + d16 * k16))
+    return coeffs
+
+
+def _libm_power(a, e):
+    """a ** e elementwise by libm's pow, as Python floats take it: numpy's
+    vectorized power may differ from it in the last bit."""
+    return np.array([x ** e for x in a.tolist()])
 
 
 def _extension(y, f, theta):
@@ -498,13 +546,14 @@ def _sample_steps(steps, ts):
     """(h, h') at the ascending times ts, in one array pass: each time is
     evaluated in the first step whose end t_old + dt reaches it, or in the
     last step if it lies beyond all of them. Only the steps that hold a
-    time get their continuous extension."""
+    time get their continuous extension, all in one call of `_dense` on
+    the column table of those steps."""
     ends = np.array([step[0] + step[1] for step in steps])
     index = np.minimum(np.searchsorted(ends, ts), len(steps) - 1)
     used, rows = np.unique(index, return_inverse=True)
-    table = np.array([_dense(steps[i]) for i in used])
-    cols = table[rows].T
-    return _dense_eval(cols, (ts - cols[0]) / cols[1])
+    table = np.array([steps[i][:23] for i in used]).T
+    dense = np.array(_dense((*table, steps[0][23])))[:, rows]
+    return _dense_eval(dense, (ts - dense[0]) / dense[1])
 
 
 def _sample_profile(alpha, n, steps, t_stop):

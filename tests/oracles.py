@@ -15,9 +15,12 @@ uses. Nothing above `circle_quotient_by_time` touches the solver or the
 package quadrature, so these values can referee both.
 `shot_reference` steps a radial shot with scipy's DOP853 from the
 package's series start, to referee the package stepper's events.
+`piecewise_linear_integrals` integrates a piecewise-linear test function
+by mpmath tanh-sinh, segment by segment.
 `circle_quotient_by_time` and `sample_profile_loop` are the package's
 former time-integrated circle quotient and node-by-node profile sampler,
-kept to referee their replacements.
+kept to referee their replacements; `sample_steps_loop` samples stored
+steps one time at a time, by the scalar continuous extension.
 """
 
 import math
@@ -133,6 +136,31 @@ def hermite_integrals(profile, d, refine: int = 64):
             for i, f in enumerate(tails):
                 ints[i] += float(mpmath.quad(f, [tc, mpmath.inf]))
     return tuple(omega * float(v) for v in ints)
+
+
+def piecewise_linear_integrals(ts, hs, d, digits: int = 30):
+    """(I_grad, I_sq, I_p) of the piecewise-linear function through the
+    breakpoints (ts, hs) on R^n, by mpmath tanh-sinh on each segment at
+    `digits` digits, with the exact exponent p = 2k/(k-2). Tanh-sinh
+    keeps its accuracy where |h|^p is not smooth, as at a zero of h."""
+    n = d.n
+    with mpmath.workdps(digits):
+        p = mpmath.mpf(2 * d.k) / (d.k - 2)
+        half = mpmath.mpf(n) / 2
+        omega = 2 * mpmath.pi ** half / mpmath.gamma(half)
+        totals = [mpmath.mpf(0)] * 3
+        for t0, t1, h0, h1 in zip(ts[:-1], ts[1:], hs[:-1], hs[1:]):
+            t0, t1, h0, h1 = (mpmath.mpf(float(v)) for v in (t0, t1, h0, h1))
+            slope = (h1 - h0) / (t1 - t0)
+
+            def h(t):
+                return h0 + slope * (t - t0)
+
+            for i, f in enumerate((lambda t: slope ** 2 * t ** (n - 1),
+                                   lambda t: h(t) ** 2 * t ** (n - 1),
+                                   lambda t: abs(h(t)) ** p * t ** (n - 1))):
+                totals[i] += mpmath.quad(f, [t0, t1])
+        return tuple(float(omega * v) for v in totals)
 
 
 def _orbit_reference(n: int, delta: float, digits: int, integrands):
@@ -306,3 +334,20 @@ def sample_profile_loop(alpha, n, steps, t_stop):
     tail = 1.0 if 0.0 < h_end <= 100.0 * ode._DECAY_THRESHOLD else None
     return ode.RadialProfile(np.array(ts[:cut]), np.array(hs[:cut]),
                              np.array(dhs[:cut]), alpha, n, tail_rate=tail)
+
+
+def sample_steps_loop(steps, ts):
+    """(h, h') at the ascending times ts, one time at a time: each by the
+    scalar continuous extension of the first step whose end reaches it,
+    or of the last step past them all, as ode._sample_steps assigns them.
+    """
+    hs, dhs = [], []
+    i = 0
+    for t in ts.tolist():
+        while i < len(steps) - 1 and steps[i][0] + steps[i][1] < t:
+            i += 1
+        step = steps[i]
+        h, dh = ode._dense_eval(ode._dense(step), (t - step[0]) / step[1])
+        hs.append(h)
+        dhs.append(dh)
+    return np.array(hs), np.array(dhs)

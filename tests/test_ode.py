@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import math
 import re
@@ -15,8 +16,8 @@ from gnyamabe.ode import (DEFAULT_CONTROLS, PROFILE_SPACING, CrossedZero,
 from gnyamabe.products import table_pairs
 from gnyamabe.shooting import _miss, bracket_alpha, find_ground_state
 
-from oracles import (exponents_m1, sample_profile_loop, sech_amplitude,
-                     sech_h, shot_reference)
+from oracles import (exponents_m1, sample_profile_loop, sample_steps_loop,
+                     sech_amplitude, sech_h, shot_reference)
 
 D22 = Dims(2, 2)
 
@@ -188,25 +189,25 @@ def test_classification_monotone_in_alpha(mn, ab):
 # exact must reproduce every one of them.
 _TABLE_PINS = [
     (2, 2, '0x1.1a64ca3909688p+1', '0x1.359a4148cd373p+1'),
-    (2, 3, '0x1.0c4531f38b683p+2', '0x1.f092a9623583bp+1'),
-    (3, 2, '0x1.28ef2a8b4c84bp+1', '0x1.0e8aa8d14f6d2p+1'),
+    (2, 3, '0x1.0c4531f38b683p+2', '0x1.f092a9623583cp+1'),
+    (3, 2, '0x1.28ef2a8b4c84bp+1', '0x1.0e8aa8d14f6d5p+1'),
     (2, 4, '0x1.15807c5c7119dp+3', '0x1.6a80557d2493dp+2'),
-    (3, 3, '0x1.0c448895223e1p+2', '0x1.998140194780fp+1'),
+    (3, 3, '0x1.0c448895223e1p+2', '0x1.998140194780dp+1'),
     (4, 2, '0x1.322ba09ea4d37p+1', '0x1.e71f42760e027p+0'),
-    (2, 5, '0x1.3218a5b7f2dc2p+4', '0x1.ee0a3c8bb433ap+2'),
-    (3, 4, '0x1.044b5364fca60p+3', '0x1.2288e2aadf529p+2'),
+    (2, 5, '0x1.3218a5b7f2dc2p+4', '0x1.ee0a3c8bb4338p+2'),
+    (3, 4, '0x1.044b5364fca60p+3', '0x1.2288e2aadf52dp+2'),
     (4, 3, '0x1.0da229f37b25bp+2', '0x1.6109b0c2d83d8p+1'),
-    (5, 2, '0x1.3890a2ce59d18p+1', '0x1.c133e4bebe63bp+0'),
-    (2, 6, '0x1.6374fbddf934cp+5', '0x1.400fc37154683p+3'),
-    (3, 5, '0x1.0b2e37af84612p+4', '0x1.86f08eeb08ff6p+2'),
-    (4, 4, '0x1.f86a00c082aaep+2', '0x1.e86e35390ff91p+1'),
-    (5, 3, '0x1.0f215da302971p+2', '0x1.3a528ea37a653p+1'),
+    (5, 2, '0x1.3890a2ce59d18p+1', '0x1.c133e4bebe638p+0'),
+    (2, 6, '0x1.6374fbddf934cp+5', '0x1.400fc37154685p+3'),
+    (3, 5, '0x1.0b2e37af84612p+4', '0x1.86f08eeb08ffap+2'),
+    (4, 4, '0x1.f86a00c082aaep+2', '0x1.e86e35390ff94p+1'),
+    (5, 3, '0x1.0f215da302971p+2', '0x1.3a528ea37a652p+1'),
     (6, 2, '0x1.3d41e1c62799ep+1', '0x1.a580e9e5fb473p+0'),
-    (2, 7, '0x1.aed4eeffd32e5p+6', '0x1.8f3edb593d043p+3'),
-    (3, 6, '0x1.1f417da826a13p+5', '0x1.f86e1c4dad073p+2'),
-    (4, 5, '0x1.efa6de928b4dap+3', '0x1.44041c1704affp+2'),
-    (5, 4, '0x1.ef62bdb8892e6p+2', '0x1.a9113789abf1ep+1'),
-    (6, 3, '0x1.107ffbea54d54p+2', '0x1.1e6f98b3b42a4p+1'),
+    (2, 7, '0x1.aed4eeffd32e5p+6', '0x1.8f3edb593d046p+3'),
+    (3, 6, '0x1.1f417da826a13p+5', '0x1.f86e1c4dad075p+2'),
+    (4, 5, '0x1.efa6de928b4dap+3', '0x1.44041c1704b02p+2'),
+    (5, 4, '0x1.ef62bdb8892e6p+2', '0x1.a9113789abf1bp+1'),
+    (6, 3, '0x1.107ffbea54d54p+2', '0x1.1e6f98b3b42a6p+1'),
     (7, 2, '0x1.40d939bdc744cp+1', '0x1.9086e45f74f05p+0'),
 ]
 # The ground-state candidates find_ground_state accepts at the default
@@ -256,7 +257,12 @@ def test_table_pinned_bit_for_bit(table9):
 
 
 def test_candidate_profiles_pinned_bit_for_bit(gs22, gs31):
-    found = {(2, 2): gs22, (3, 1): gs31}
+    _assert_candidate_pins({(2, 2): gs22, (3, 1): gs31})
+
+
+def _assert_candidate_pins(found):
+    """Every _CANDIDATE_PINS ground state, from `found` by (m, n) or
+    searched here, has its pinned alpha0 and profile."""
     for m, n, alpha_hex, size, tail_rate, digest in _CANDIDATE_PINS:
         gs = found.get((m, n)) or find_ground_state(Dims(m, n))
         assert gs.alpha0.hex() == alpha_hex
@@ -336,6 +342,37 @@ def test_sampler_matches_loop_on_slope_cut():
     assert profile.dhs[-1] < 0.0
     assert profile.ts[-1] + PROFILE_SPACING <= _end(steps)
     assert profile.hs[-1] >= ode._DECAY_THRESHOLD
+
+
+@pytest.mark.parametrize("n, u_max", [(3, None), (4, 0.9), (8, 0.999)])
+def test_orbit_sampler_matches_per_step_extension(n, u_max):
+    """integrate_orbit samples the undamped flow (nm1 = 0) in one array
+    pass of the extension; every sample has the doubles of the scalar
+    extension of its own step."""
+    if u_max is None:
+        u_max = 0.5 * (periodic.constant_solution(n) + 1.0)
+    t_end = 1.5 * periodic.orbit_period(n, u_max)
+    ts, us, dus = periodic.integrate_orbit(n, u_max, t_end)
+    ref_us, ref_dus = sample_steps_loop(
+        list(periodic._orbit_steps(n, u_max, t_end)), ts)
+    assert us.tobytes() == ref_us.tobytes()
+    assert dus.tobytes() == ref_dus.tobytes()
+
+
+def test_extension_independent_of_compensated_sum(monkeypatch):
+    """From Python 3.12 on, sum() of floats is compensated. The extension
+    adds its stage sums left to right as written, so under a compensated
+    sum its doubles and the pinned ground states stay the same."""
+    steps = _shot(2)[3] + list(periodic._orbit_steps(4, 0.9, 10.0))
+
+    def extensions():
+        return [tuple(map(float.hex, ode._dense(step))) for step in steps]
+
+    before = extensions()
+    monkeypatch.setattr(builtins, "sum",
+                        lambda items, start=0: start + math.fsum(items))
+    assert extensions() == before
+    _assert_candidate_pins({})
 
 
 def _linear_step(t_old, dt, h_old, dh_old):

@@ -225,6 +225,29 @@ def test_step_budget_per_table(monkeypatch):
     assert max(count for _, count in shots) <= 250
 
 
+def test_extension_budget_per_table(monkeypatch):
+    """build_table(9) evaluates the continuous extension at most once per
+    shot (its event) plus once per row (its profile, all the steps it
+    samples in one array pass): 225 calls for 204 shots and 21 rows.
+    Sampled one step at a time, the profiles took 2,061 calls."""
+    calls, shots = [], []
+    dense, integrate = ode._dense, ode._integrate
+
+    def counted_dense(step):
+        calls.append(step)
+        return dense(step)
+
+    def counted_integrate(*args):
+        shots.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(ode, "_dense", counted_dense)
+    monkeypatch.setattr(ode, "_integrate", counted_integrate)
+    rows = build_table(9)
+    assert len(calls) <= len(shots) + len(rows), (len(calls), len(shots))
+    assert len(calls) <= 225, len(calls)
+
+
 def test_table_rows_converge(monkeypatch):
     """Every row of build_table(9) ends on a bracket at most tol_alpha
     times alpha0 wide (at most 5.1e-13 measured); the Candidate stops of
