@@ -30,6 +30,7 @@ doubles do not depend on the Python version.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -548,11 +549,16 @@ def _sample_steps(steps, ts):
     last step if it lies beyond all of them. Only the steps that hold a
     time get their continuous extension, all in one call of `_dense` on
     the column table of those steps."""
-    ends = np.array([step[0] + step[1] for step in steps])
-    index = np.minimum(np.searchsorted(ends, ts), len(steps) - 1)
-    used, rows = np.unique(index, return_inverse=True)
-    table = np.array([steps[i][:23] for i in used]).T
-    dense = np.array(_dense((*table, steps[0][23])))[:, rows]
+    ends = np.array([step[0] + step[1] for step in steps[:-1]])
+    # how many of the times each step holds; the last one takes the rest
+    counts = np.diff(np.searchsorted(ts, ends, side="right"), prepend=0,
+                     append=len(ts))
+    used = np.flatnonzero(counts)
+    fields = itertools.chain.from_iterable(steps[i][:23]
+                                           for i in used.tolist())
+    table = np.fromiter(fields, float, 23 * used.size).reshape(-1, 23).T
+    dense = np.array(_dense((*table, steps[0][23])))
+    dense = dense[:, np.repeat(np.arange(used.size), counts[used])]
     return _dense_eval(dense, (ts - dense[0]) / dense[1])
 
 

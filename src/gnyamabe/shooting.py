@@ -7,20 +7,33 @@ alpha0(m, n), which a bracket of one shot of each kind encloses.
 
 The bracket comes from shots that double from 2, or that step away from
 a guess by growing factors, until the classification flips. `Illinois`
-shrinks it on a continuous signed miss: -h^2 t^(n-1) at the turn of a
-TurnedUp shot, +h'^2 t^(n-1) at the crossing of a CrossedZero shot. Near
-alpha0 a shot is h ~ t^(-(n-1)/2) (A e^(-t) + eps B e^t) with eps
-proportional to alpha - alpha0, and both quantities equal
-4 A B |eps| t^(-(n-1)) to leading order, so the weighted miss is linear
-in alpha - alpha0 with the same slope on both sides, and secant steps
-converge superlinearly. Far from alpha0 the weight makes the misses of
+shrinks it on a continuous signed miss: -h^2 t^(n-1) w_(n/2)(t) at the
+turn of a TurnedUp shot, +h'^2 t^(n-1) w_((n-2)/2)(t) at the crossing of
+a CrossedZero shot, with the weight w_mu(t) = 2 t I_mu(t) K_mu(t). Near
+alpha0 a shot follows the linearized far field
+h = t^(-nu) (A K_nu(t) + eps B I_nu(t)), nu = (n-2)/2, with eps
+proportional to alpha - alpha0, and the Wronskian
+I_nu K_(nu+1) + I_(nu+1) K_nu = 1/t makes both weighted quantities
+2 A B |eps| whatever the event time: the miss is linear in
+alpha - alpha0, with one slope on both sides. Unweighted, its slope
+drifted with the event time as 1 - (4 mu^2 - 1) / (8 t^2). What is left
+of the drift comes from the nonlinearity, of relative size about
+e^(-(q-1) t) at the event, so a secant step still gains only a factor of
+about 1e-3 at k = 9, and more at small k. Far from alpha0 the misses of
 the two ends differ by many orders of magnitude; regula falsi with the
 Illinois modification (Dowell & Jarratt 1971) guards the secant there.
 The same class inverts the circle-factor period map.
 
 The search runs until the bracket is at most tol_alpha * alpha wide, and
 every shot runs to its turn or its crossing: no shot is accepted as the
-ground state on its own.
+ground state on its own. Secant steps approach alpha0 from one side, so
+once the Illinois point lies within _CLOSE tol_alpha of the latest shot,
+that shot has converged and the next one closes the bracket from it,
+0.5 tol_alpha to the other side of alpha0, instead of creeping up to
+alpha0. alpha0 is the converged shot, and its profile magnifies its
+error about e^t times, hence the small _CLOSE: a (3, 1) shot 2.3e-14
+short of its Illinois point misses the closed form by 1.8e-10 at t = 10,
+the shot at that point by 3.6e-11.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from .ode import (DEFAULT_CONTROLS, CrossedZero, IntegrationControls,
 
 _BRACKET_CEILING = 2.0 ** 20
 _SECANT_REACH = 1e3
+_CLOSE = 0.015
 
 
 class ShootingError(RuntimeError):
@@ -92,7 +106,7 @@ class GroundState:
     """Located ground state: critical initial value and its profile.
 
     The bracket keeps TurnedUp on the low side and CrossedZero on the high
-    side, and is at most tol_alpha * alpha0 wide (at most 5.1e-13 alpha0
+    side, and is at most tol_alpha * alpha0 wide (at most 6.6e-13 alpha0
     over build_table(9) at the defaults). It bounds the search, not the
     error of alpha0, which the shots' own integration error dominates:
     against a tight-control reference alpha0 errs by up to 4.4e-12
@@ -107,12 +121,26 @@ class GroundState:
     profile: RadialProfile
 
 
+def _bessel_weight(t: float, mu: float) -> float:
+    """2 t I_mu(t) K_mu(t) to second order in 1/t^2 (DLMF 10.40.6), with
+    c = 4 mu^2. Below t = 2 it holds its value at 2, which is positive
+    for every mu: shots that end so early lie far from alpha0, where only
+    the sign of the miss counts."""
+    x, c = 1.0 / max(t, 2.0) ** 2, 4.0 * mu * mu
+    return (1.0 - (c - 1.0) * x / 8.0
+            + 3.0 * (c - 1.0) * (c - 9.0) * x * x / 128.0)
+
+
 def _miss(outcome, n: int) -> float:
     """Signed miss of an integrated TurnedUp (< 0) or CrossedZero (> 0)
-    shot, linear in alpha - alpha0 near alpha0."""
+    shot, linear in alpha - alpha0 near alpha0: -h^2 t^(n-1) at the turn
+    and h'^2 t^(n-1) at the crossing, each weighted by 2 t I_mu K_mu."""
     if isinstance(outcome, CrossedZero):
-        return outcome.dh_cross ** 2 * outcome.t_cross ** (n - 1)
-    return -outcome.h_at_turn ** 2 * outcome.t_turn ** (n - 1)
+        t = outcome.t_cross
+        return (outcome.dh_cross ** 2 * t ** (n - 1)
+                * _bessel_weight(t, 0.5 * n - 1.0))
+    t = outcome.t_turn
+    return -outcome.h_at_turn ** 2 * t ** (n - 1) * _bessel_weight(t, 0.5 * n)
 
 
 def bracket_alpha(d: Dims,
@@ -128,29 +156,32 @@ def bracket_alpha(d: Dims,
     guess the first shot is at the guess, and the next ones step away
     from it, towards alpha0, by the factors 1.1, 1.1^2, 1.1^4, ... until
     the classification flips; a step down to alpha <= 1 ends at 1 as
-    above. alpha0 beyond _BRACKET_CEILING is refused.
+    above. A step up stops at _BRACKET_CEILING, and so does a guess above
+    it; when the shot there turns up too, alpha0 lies beyond the ceiling
+    and is refused.
     """
     if guess is None:
         x, factors = 2.0, itertools.repeat(2.0)
     elif math.isfinite(guess) and guess > 0.0:
-        x, factors = guess, (1.1 ** 2 ** k for k in itertools.count())
+        x = min(guess, _BRACKET_CEILING)
+        factors = (1.1 ** 2 ** k for k in itertools.count())
     else:
         raise ValueError(f"guess must be finite and positive, got {guess}")
     prev = None
     for factor in factors:
-        if x > _BRACKET_CEILING:
-            raise ShootingError(
-                f"no zero crossing up to alpha={_BRACKET_CEILING:g} for "
-                f"(m, n) = ({d.m}, {d.n}): its ground state lies beyond the "
-                "bracket ceiling")
         if x <= 1.0:
             x, f = 1.0, -1.0
         else:
             f = _miss(integrate_shot(x, d, ctrl), d.n)
         if prev is not None and (prev[1] < 0.0) != (f < 0.0):
             return (x, f, *prev) if f < 0.0 else (*prev, x, f)
+        if f < 0.0 and x >= _BRACKET_CEILING:
+            raise ShootingError(
+                f"no zero crossing up to alpha={_BRACKET_CEILING:g} for "
+                f"(m, n) = ({d.m}, {d.n}): its ground state lies beyond the "
+                "bracket ceiling")
         prev = (x, f)
-        x = x * factor if f < 0.0 else x / factor
+        x = min(x * factor, _BRACKET_CEILING) if f < 0.0 else x / factor
 
 
 def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
@@ -161,10 +192,13 @@ def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
     From the bracket of `bracket_alpha` (around `guess`, when one is
     given), each step shoots the `Illinois` point of the signed misses,
     until the bracket is at most tol_alpha * alpha wide: the tolerance is
-    relative. Every shot runs to its turn or its crossing, and the latest
-    shot on each side of the bracket keeps its steps. Of those two, the
-    one whose event comes later followed the ground state furthest: its
-    initial value is alpha0 and its profile is sampled from its steps.
+    relative. Once that point lies within _CLOSE tol_alpha of the latest
+    shot, the step shoots 0.5 tol_alpha from that shot, across alpha0,
+    instead; the bracket closes unless alpha0 lies farther off. Every
+    shot runs to its turn or its crossing, and the latest shot on each
+    side of the bracket keeps its steps. Of those two, the one whose
+    event comes later followed the ground state furthest: its initial
+    value is alpha0 and its profile is sampled from its steps.
     """
     if not math.isfinite(tol_alpha):
         raise ValueError(f"tol_alpha must be finite, got {tol_alpha}")
@@ -172,14 +206,20 @@ def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
         raise ValueError("tol_alpha below double-precision resolution")
     search = Illinois(*bracket_alpha(d, ctrl, guess))
     shots = {}  # the latest (alpha, outcome) on each side, by f < 0
+    last = None  # (alpha, miss) of the latest shot
     while search.hi - search.lo > tol_alpha * search.hi:
         x = search.point()
         if x is None:
             break
+        if last is not None and abs(x - last[0]) <= _CLOSE * tol_alpha * x:
+            across = last[0] + math.copysign(0.5 * tol_alpha * x, -last[1])
+            if search.lo < across < search.hi:
+                x = across
         outcome = integrate_shot(x, d, ctrl)
         f = _miss(outcome, d.n)
         shots[f < 0.0] = (x, outcome)
         search.update(x, f)
+        last = (x, f)
     if not shots:  # the initial bracket was already narrow enough
         shots[False] = (search.hi, integrate_shot(search.hi, d, ctrl))
     alpha0, shot = max(shots.values(), key=lambda s: s[1].t_event)
