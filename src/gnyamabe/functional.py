@@ -191,47 +191,12 @@ def gn_value(profile, d: Dims) -> GNResult:
                     lp_norm=i_p ** (1.0 / d.p), sigma_inv=sigma_inv)
 
 
-def yamabe_quotient(profile, d: Dims, s_g: float) -> float:
-    """Yamabe quotient (a_k I_grad + s_g I_sq) / I_p^(2/p) of a radial
-    function of the flat factor, for a unit-volume first factor of constant
-    scalar curvature s_g."""
-    if s_g <= 0.0:
-        raise ValueError("scalar curvature must be positive")
-    i_grad, i_sq, i_p = radial_integrals(profile, d)
-    return (d.a * i_grad + s_g * i_sq) / i_p ** (2.0 / d.p)
-
-
-def dilate(profile, lam: float):
-    """The dilated profile h_lambda(t) = h(lambda t) on the rescaled grid."""
-    if lam <= 0.0:
-        raise ValueError("dilation factor must be positive")
-    if isinstance(profile, RadialProfile):
-        tail = None if profile.tail_rate is None else lam * profile.tail_rate
-        return RadialProfile(profile.ts / lam, profile.hs.copy(),
-                             lam * profile.dhs, profile.alpha, profile.n,
-                             tail_rate=tail)
-    if isinstance(profile, PiecewiseLinearProfile):
-        return PiecewiseLinearProfile(profile.ts / lam, profile.hs.copy())
-    raise TypeError(f"unsupported profile type {type(profile)!r}")
-
-
-def scale(profile, c: float):
-    """The rescaled profile c h(t) for c > 0."""
-    if c <= 0.0:
-        raise ValueError("scaling factor must be positive")
-    if isinstance(profile, RadialProfile):
-        return RadialProfile(profile.ts.copy(), c * profile.hs,
-                             c * profile.dhs, c * profile.alpha, profile.n,
-                             tail_rate=profile.tail_rate)
-    if isinstance(profile, PiecewiseLinearProfile):
-        return PiecewiseLinearProfile(profile.ts.copy(), c * profile.hs)
-    raise TypeError(f"unsupported profile type {type(profile)!r}")
-
-
 def _parse_breakpoints(lines, source) -> PiecewiseLinearProfile:
-    """Parse "t h" lines: finite entries, strictly increasing t from 0,
-    non-negative h, final h = 0. Blank lines and lines starting with '#'
-    are skipped; errors name `source` and the line number."""
+    """Parse "t h" lines: two finite entries each, strictly increasing t,
+    non-negative h; blank lines and lines starting with '#' are skipped.
+    A bad line is named by its number; the whole-file conditions (at least
+    two breakpoints, t from 0, final h = 0) are PiecewiseLinearProfile's.
+    Every error names `source`."""
     ts = []
     hs = []
     for lineno, raw in enumerate(lines, start=1):
@@ -260,13 +225,10 @@ def _parse_breakpoints(lines, source) -> PiecewiseLinearProfile:
                 f"{source}: line {lineno}: negative value {h}")
         ts.append(t)
         hs.append(h)
-    if len(ts) < 2:
-        raise ProfileFormatError(f"{source}: fewer than two breakpoints")
-    if ts[0] != 0.0:
-        raise ProfileFormatError(f"{source}: first breakpoint must be t = 0")
-    if hs[-1] != 0.0:
-        raise ProfileFormatError(f"{source}: final value must be 0")
-    return PiecewiseLinearProfile(np.array(ts), np.array(hs))
+    try:
+        return PiecewiseLinearProfile(np.array(ts), np.array(hs))
+    except ValueError as exc:
+        raise ProfileFormatError(f"{source}: {exc}") from None
 
 
 def read_profile_file(path) -> PiecewiseLinearProfile:

@@ -24,8 +24,8 @@ flow of `periodic` runs on it too. One routine, `_dense`, builds the
 extension of a single stored step, for an event, or of a column table of
 steps, for the samples: the steps a profile or an orbit is sampled from
 are extended in one array pass, with the doubles a loop over the steps
-gives. Its stage sums are written out and add left to right, so the
-doubles do not depend on the Python version.
+gives. Its stage sums run over its coefficient table and add left to
+right, so the doubles do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -153,11 +153,6 @@ class IntegrationControls:
         if self.rtol < 1e-13 or self.atol <= 0.0:
             raise ValueError("tolerances too tight for double precision")
 
-    def tightened(self, factor: float) -> "IntegrationControls":
-        """Same controls with both tolerances divided by `factor`."""
-        return IntegrationControls(self.t_max, self.rtol / factor,
-                                   self.atol / factor)
-
 
 DEFAULT_CONTROLS = IntegrationControls()
 
@@ -268,59 +263,42 @@ def _dense(step):
     `step` is one stored step of floats (an event), or the same fields as
     rows of equal-length arrays, one column per step, with one shared flow
     (`_sample_steps`): one array pass then gives the doubles a loop over
-    the steps does. Every stage sum adds left to right, as written, for
-    floats and arrays alike, so the doubles do not depend on the Python
-    version (sum() of floats is compensated from Python 3.12 on), and
-    |y|^qm1 is libm's pow, as in the stepper, for arrays too."""
-    (t, dt, h, dh, hn, dhn, k1h, k6h, k7h, k8h, k9h, k10h, k11h, k12h,
-     k1d, k6d, k7d, k8d, k9d, k10d, k11d, k12d, k13d, flow) = step
-    nm1, c1, c2, qm1 = flow
+    the steps does. Every stage sum runs over its row of `_DENSE_STAGES`
+    or `_D` and adds left to right, for floats and arrays alike, so the
+    doubles do not depend on the Python version (sum() of floats is
+    compensated from Python 3.12 on), and |y|^qm1 is libm's pow, as in
+    the stepper, for arrays too."""
+    t, dt, h, dh, hn, dhn = step[:6]
+    nm1, c1, c2, qm1 = step[23]
     power = pow if isinstance(h, float) else _libm_power
-    k13h = dhn
-    (c14, row14), (c15, row15), (c16, row16) = _DENSE_STAGES
-    a1, a6, a7, a8, a9, a10, a11, a12, a13 = row14
-    b1, b6, b7, b8, b9, b10, b11, b12, b13, b14 = row15
-    e1, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15 = row16
-    y = h + dt * (a1 * k1h + a6 * k6h + a7 * k7h + a8 * k8h + a9 * k9h
-                  + a10 * k10h + a11 * k11h + a12 * k12h + a13 * k13h)
-    k14h = dh + dt * (a1 * k1d + a6 * k6d + a7 * k7d + a8 * k8d + a9 * k9d
-                      + a10 * k10d + a11 * k11d + a12 * k12d + a13 * k13d)
-    k14d = (-(nm1 / (t + c14 * dt)) * k14h + c1 * y
-            - c2 * power(abs(y), qm1) * y)
-    y = h + dt * (b1 * k1h + b6 * k6h + b7 * k7h + b8 * k8h + b9 * k9h
-                  + b10 * k10h + b11 * k11h + b12 * k12h + b13 * k13h
-                  + b14 * k14h)
-    k15h = dh + dt * (b1 * k1d + b6 * k6d + b7 * k7d + b8 * k8d + b9 * k9d
-                      + b10 * k10d + b11 * k11d + b12 * k12d + b13 * k13d
-                      + b14 * k14d)
-    k15d = (-(nm1 / (t + c15 * dt)) * k15h + c1 * y
-            - c2 * power(abs(y), qm1) * y)
-    y = h + dt * (e1 * k1h + e6 * k6h + e7 * k7h + e8 * k8h + e9 * k9h
-                  + e10 * k10h + e11 * k11h + e12 * k12h + e13 * k13h
-                  + e14 * k14h + e15 * k15h)
-    k16h = dh + dt * (e1 * k1d + e6 * k6d + e7 * k7d + e8 * k8d + e9 * k9d
-                      + e10 * k10d + e11 * k11d + e12 * k12d + e13 * k13d
-                      + e14 * k14d + e15 * k15d)
-    k16d = (-(nm1 / (t + c16 * dt)) * k16h + c1 * y
-            - c2 * power(abs(y), qm1) * y)
-    return (t, dt, h, dh,
-            *_coefficients(dt, h, hn, k1h, k6h, k7h, k8h, k9h, k10h, k11h,
-                           k12h, k13h, k14h, k15h, k16h),
-            *_coefficients(dt, dh, dhn, k1d, k6d, k7d, k8d, k9d, k10d, k11d,
-                           k12d, k13d, k14d, k15d, k16d))
+    kh = [*step[6:14], dhn]  # K1, K6..K13 of each component; K13 of h is h'
+    kd = list(step[14:23])
+    for c, row in _DENSE_STAGES:
+        sh, sd = _row_sums(row, kh, kd)
+        y = h + dt * sh
+        kh.append(dh + dt * sd)
+        kd.append(-(nm1 / (t + c * dt)) * kh[-1] + c1 * y
+                  - c2 * power(abs(y), qm1) * y)
+    fh, fd = [], []
+    for old, new, k, f in ((h, hn, kh, fh), (dh, dhn, kd, fd)):
+        rise = new - old  # F0..F2 from the end values and slopes K1, K13
+        f += [rise, dt * k[0] - rise, 2.0 * rise - dt * (k[8] + k[0])]
+    for row in _D:  # F3..F6
+        sh, sd = _row_sums(row, kh, kd)
+        fh.append(dt * sh)
+        fd.append(dt * sd)
+    return (t, dt, h, dh, *fh, *fd)
 
 
-def _coefficients(dt, old, new, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14,
-                  k15, k16):
-    """F0..F6 of one component of `_dense` from its value at the step ends
-    and its slopes K1, K6, ..., K16; K1 and K13 are the end slopes."""
-    rise = new - old
-    coeffs = [rise, dt * k1 - rise, 2.0 * rise - dt * (k13 + k1)]
-    for d1, d6, d7, d8, d9, d10, d11, d12, d13, d14, d15, d16 in _D:
-        coeffs.append(dt * (d1 * k1 + d6 * k6 + d7 * k7 + d8 * k8 + d9 * k9
-                            + d10 * k10 + d11 * k11 + d12 * k12 + d13 * k13
-                            + d14 * k14 + d15 * k15 + d16 * k16))
-    return coeffs
+def _row_sums(row, kh, kd):
+    """(row . kh, row . kd), each added left to right."""
+    terms = zip(row, kh, kd)
+    a, xh, xd = next(terms)
+    sh, sd = a * xh, a * xd
+    for a, xh, xd in terms:
+        sh += a * xh
+        sd += a * xd
+    return sh, sd
 
 
 def _libm_power(a, e):
@@ -496,12 +474,10 @@ def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
 def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
     """Core shot integration for alpha > 1.
 
-    Returns (kind, t_event, y_event, steps) with kind "crossed" or
-    "turned", y_event the value of h at the turn or the slope h' at the
-    crossing, and steps every accepted step of `_dp_steps`. Raises
-    IntegrationFailure when the series start is not positive (alpha too
-    large for _T_START), on step underflow or when neither event happens
-    by t_max.
+    Returns the CrossedZero or TurnedUp of the first event, carrying every
+    accepted step of `_dp_steps`. Raises IntegrationFailure when the
+    series start is not positive (alpha too large for _T_START), on step
+    underflow or when neither event happens by t_max.
     """
     nm1 = float(d.n - 1)
     t = _T_START
@@ -520,21 +496,22 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
                 continue  # no event can lie in this step
             t, dt, h, dh = step[:4]
 
-            # events as (component, entry side negative, kind), then in
-            # within-step time order
+            # the components that reach 0 in this step: h falling (a
+            # crossing) and h' rising (a turn); the earlier event wins
             events = []
             if h > 0.0 >= hn:
-                events.append((0, False, "crossed"))
+                events.append(0)
             if dh < 0.0 <= dhn:
-                events.append((1, True, "turned"))
+                events.append(1)
             if not events:
                 continue
             dense = _dense(step)
-            theta, kind = min((_locate(dense, comp, 0.0, left), kind)
-                              for comp, left, kind in events)
+            theta, comp = min((_locate(dense, c, 0.0, c == 1), c)
+                              for c in events)
             he, dhe = _dense_eval(dense, theta)
-            y_event = dhe if kind == "crossed" else he
-            return kind, t + theta * dt, y_event, steps
+            if comp == 0:
+                return CrossedZero(t + theta * dt, dhe, steps)
+            return TurnedUp(t + theta * dt, he, steps)
     except IntegrationFailure as exc:
         raise IntegrationFailure(f"{exc} (alpha={alpha!r})") from exc
 
@@ -597,14 +574,6 @@ def _sample_profile(alpha, n, steps, t_stop):
                          tail_rate=tail)
 
 
-def _outcome(kind: str, t_event: float, y_event: float,
-             steps=()) -> ShotOutcome:
-    """The classification of an integrated shot, carrying its steps."""
-    if kind == "crossed":
-        return CrossedZero(t_event, y_event, steps)
-    return TurnedUp(t_event, y_event, steps)
-
-
 def integrate_shot(alpha: float, d: Dims,
                    ctrl: IntegrationControls = DEFAULT_CONTROLS) -> ShotOutcome:
     """Integrate one shot from h(0) = alpha and classify it.
@@ -618,7 +587,7 @@ def integrate_shot(alpha: float, d: Dims,
         raise ValueError("alpha must be positive")
     if alpha <= 1.0:
         return TurnedUp(t_turn=0.0, h_at_turn=alpha)
-    return _outcome(*_integrate(alpha, d, ctrl))
+    return _integrate(alpha, d, ctrl)
 
 
 def shoot_profile(alpha: float, d: Dims,
@@ -630,6 +599,6 @@ def shoot_profile(alpha: float, d: Dims,
     """
     if alpha <= 1.0:
         raise ValueError("profiles only exist for alpha > 1")
-    outcome = _outcome(*_integrate(alpha, d, ctrl))
+    outcome = _integrate(alpha, d, ctrl)
     return outcome, _sample_profile(alpha, d.n, outcome.steps,
                                     outcome.t_event)

@@ -394,11 +394,6 @@ def _orbit(n: int, delta: float, period: float) -> CircleOrbit:
                        energy=c * _energy_ratio(n, delta), delta=delta)
 
 
-def circle_orbit(n: int, u_max: float) -> CircleOrbit:
-    """Bundle an orbit's amplitude with its period and energy."""
-    return _orbit(n, 1.0 - u_max, orbit_period(n, u_max))
-
-
 @lru_cache(maxsize=None)
 def _period_window(n: int) -> tuple[float, float, float, float]:
     """The window in x = log delta searched by orbit_for_period, (x_sep,

@@ -21,16 +21,20 @@ by mpmath tanh-sinh, segment by segment.
 former time-integrated circle quotient and node-by-node profile sampler,
 kept to referee their replacements; `sample_steps_loop` samples stored
 steps one time at a time, by the scalar continuous extension.
+`tightened`, `profile_quotient`, `dilate`, `scale` and `circle_orbit`
+build the controls, quotients, transformed profiles and orbits the tests
+compare; the package itself needs none of them.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad, simpson, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
-from gnyamabe import ode, periodic
+from gnyamabe import functional, ode, periodic
 from gnyamabe.geometry import surface_measure
 
 
@@ -272,10 +276,10 @@ def circle_quotient_by_time(n: int, u_max: float) -> float:
 
 
 def shot_reference(alpha: float, d, t_max: float = 50.0):
-    """(kind, t_event, y_event) of the radial shot from h(0) = alpha by
-    scipy's DOP853 at rtol 1e-13, atol 1e-16, from the package's series
-    start at t = 1e-4, in the convention of ode._integrate: the first of
-    a zero crossing ("crossed", y = h') or a turn ("turned", y = h)."""
+    """The CrossedZero or TurnedUp, without steps, of the radial shot from
+    h(0) = alpha by scipy's DOP853 at rtol 1e-13, atol 1e-16, from the
+    package's series start at t = 1e-4: the first of a zero crossing or a
+    turn, as ode._integrate classifies them."""
     nm1, qm1 = d.n - 1.0, d.q - 1.0
 
     def flow(t, y):
@@ -294,12 +298,12 @@ def shot_reference(alpha: float, d, t_max: float = 50.0):
                     method="DOP853", rtol=1e-13, atol=1e-16,
                     events=(cross, turn))
     found = []
-    for i, kind, component in ((0, "crossed", 1), (1, "turned", 0)):
+    for i, component in ((0, 1), (1, 0)):
         if len(sol.t_events[i]):
-            found.append((sol.t_events[i][0], kind,
+            found.append((sol.t_events[i][0], i,
                           sol.y_events[i][0][component]))
-    te, kind, ye = min(found)
-    return kind, te, ye
+    te, i, ye = min(found)
+    return (ode.CrossedZero, ode.TurnedUp)[i](te, ye)
 
 
 def sample_profile_loop(alpha, n, steps, t_stop):
@@ -351,3 +355,38 @@ def sample_steps_loop(steps, ts):
         hs.append(h)
         dhs.append(dh)
     return np.array(hs), np.array(dhs)
+
+
+def tightened(ctrl, factor: float):
+    """The controls `ctrl` with both tolerances divided by `factor`."""
+    return replace(ctrl, rtol=ctrl.rtol / factor, atol=ctrl.atol / factor)
+
+
+def profile_quotient(profile, d, s_g: float) -> float:
+    """Yamabe quotient (a_k I_grad + s_g I_sq) / I_p^(2/p) of a radial
+    function of the flat factor, for a unit-volume first factor of
+    constant scalar curvature s_g."""
+    i_grad, i_sq, i_p = functional.radial_integrals(profile, d)
+    return (d.a * i_grad + s_g * i_sq) / i_p ** (2.0 / d.p)
+
+
+def dilate(profile, lam: float):
+    """The dilated profile h(lam t) on the rescaled grid."""
+    if isinstance(profile, functional.PiecewiseLinearProfile):
+        return replace(profile, ts=profile.ts / lam)
+    tail = None if profile.tail_rate is None else lam * profile.tail_rate
+    return replace(profile, ts=profile.ts / lam, dhs=lam * profile.dhs,
+                   tail_rate=tail)
+
+
+def scale(profile, c: float):
+    """The rescaled profile c h(t)."""
+    if isinstance(profile, functional.PiecewiseLinearProfile):
+        return replace(profile, hs=c * profile.hs)
+    return replace(profile, hs=c * profile.hs, dhs=c * profile.dhs,
+                   alpha=c * profile.alpha)
+
+
+def circle_orbit(n: int, u_max: float):
+    """The circle-factor orbit through (u_max, 0) with its period."""
+    return periodic._orbit(n, 1.0 - u_max, periodic.orbit_period(n, u_max))

@@ -14,7 +14,7 @@ from gnyamabe import (Dims, bound_from_profile, build_table,
                       hamiltonian, integrate_orbit, integrate_shot,
                       orbit_period, potential, unit_volume_sphere_scalar,
                       yamabe_sphere)
-from gnyamabe.functional import dilate, radial_integrals, scale
+from gnyamabe.functional import radial_integrals
 from gnyamabe.geometry import coupling_constant, sphere_volume
 from gnyamabe.ode import DEFAULT_CONTROLS, CrossedZero, TurnedUp
 from gnyamabe.periodic import return_time
@@ -22,8 +22,8 @@ from gnyamabe.products import optimal_dilation, reference_constants
 
 from golden import (ALPHA0_22, GOLDEN_TABLE, SIGMA_TOL, TESTFN_BOUND_22,
                     Y_INF_TOL, Y_SPHERE_TOL)
-from oracles import (exponents_m1, hermite_integrals, ode_residual,
-                     sech_amplitude, sech_sigma_inv)
+from oracles import (dilate, exponents_m1, hermite_integrals, ode_residual,
+                     scale, sech_amplitude, sech_sigma_inv, tightened)
 
 
 def _report(num, text):
@@ -162,7 +162,7 @@ def test_criterion_7_periodic_properties():
 
 def test_criterion_8_robustness(table9, gs22):
     rows, _ = table9
-    tight_rows = build_table(9, ctrl=DEFAULT_CONTROLS.tightened(10.0))
+    tight_rows = build_table(9, ctrl=tightened(DEFAULT_CONTROLS, 10.0))
     for r, t in zip(rows, tight_rows):
         for field in ("alpha0", "sigma_inv", "y_inf", "y_sphere"):
             a = f"{getattr(r, field):.5g}"

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from gnyamabe.functional import (GNResult, PiecewiseLinearProfile,
                                  ProfileFormatError, bundled_test_function,
-                                 dilate, gn_value, radial_integrals,
-                                 read_profile_file, scale, yamabe_quotient)
+                                 gn_value, radial_integrals,
+                                 read_profile_file)
 from gnyamabe.geometry import Dims, surface_measure, unit_volume_sphere_scalar
 from gnyamabe.ode import RadialProfile
 from gnyamabe.products import optimal_dilation
 from gnyamabe.shooting import find_ground_state
 
-from oracles import (hermite_integrals, piecewise_linear_integrals,
-                     sech_integrals, sech_sigma_inv, triangle_integrals_n2)
+from oracles import (dilate, hermite_integrals, piecewise_linear_integrals,
+                     profile_quotient, scale, sech_integrals, sech_sigma_inv,
+                     triangle_integrals_n2)
 
 D22 = Dims(2, 2)
 
@@ -47,7 +48,7 @@ def test_yamabe_quotient_triangle_closed_form():
     s_g = 8 * math.pi
     expected = (6 * math.pi + 8 * math.pi * math.pi / 6) \
         / math.sqrt(math.pi / 15)
-    assert yamabe_quotient(triangle(), D22, s_g) == pytest.approx(
+    assert profile_quotient(triangle(), D22, s_g) == pytest.approx(
         expected, rel=1e-12)
 
 
@@ -55,7 +56,7 @@ def test_quotient_bounded_below_by_dilation_minimum(gs22):
     s_g = unit_volume_sphere_scalar(2)
     for profile in (triangle(), gs22.profile):
         res = gn_value(profile, D22)
-        q = yamabe_quotient(profile, D22, s_g)
+        q = profile_quotient(profile, D22, s_g)
         i_grad, i_sq, i_p = res.grad_sq, res.l2_sq, res.lp_norm ** D22.p
         denom = i_p ** (2.0 / D22.p)
         _, f_min = optimal_dilation(D22.a * i_grad / denom,
@@ -70,7 +71,7 @@ def test_dilated_quotient_attains_minimum(gs22, testfn22):
         denom = i_p ** (2.0 / D22.p)
         lam0, f_min = optimal_dilation(D22.a * i_grad / denom,
                                        s_g * i_sq / denom, D22)
-        attained = yamabe_quotient(dilate(profile, lam0), D22, s_g)
+        attained = profile_quotient(dilate(profile, lam0), D22, s_g)
         assert attained == pytest.approx(f_min, rel=1e-9)
 
 

@@ -1,4 +1,5 @@
 """The package imports no scipy; only the tests use it, as a referee.
+And it defines no public function or method that only the tests call.
 
 The sources are parsed, not imported, so the static tests see every
 import statement, including those inside functions: no module imports
@@ -8,6 +9,8 @@ that importing the package, running each subcommand (the orbit dump
 included), time-integrating an orbit and taking its Yamabe quotient load
 no scipy module at all, and no OpenSSL through `_hashlib` either: only
 `functional.bundled_test_function`, which no subcommand calls, hashes.
+The last test parses the package, the demos and the benchmark: every
+public function and method must be named outside its own definition.
 """
 
 import ast
@@ -15,11 +18,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "gnyamabe"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "gnyamabe"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "periodic.py")
 # the functions allowed to import scipy inside their bodies: none since
 # the time integrations stopped using solve_ivp and simpson
@@ -106,3 +111,45 @@ def test_default_paths_load_no_scipy(tmp_path):
                             "ground-state", "table", "periodic",
                             "return_time, circle_quotient"]
     assert all(mods == [] for mods in loaded.values()), loaded
+
+
+def _references(node, names: bool) -> Counter:
+    """How often each identifier is referred to under `node`: as an
+    attribute, an imported name or a string constant (the benchmark's
+    tracer names its targets in strings) and, when `names` is set, as a
+    plain name too."""
+    found = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            found[child.name] += 1
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            found[child.value] += 1
+        elif names and isinstance(child, ast.Name):
+            found[child.id] += 1
+    return found
+
+
+def test_every_public_function_is_used_outside_the_tests():
+    """Each public function and method of the package is referred to
+    somewhere in the package, the demos or the benchmark outside its own
+    definition; dunder methods are exempt. The benchmark's plain names
+    are its local variables and do not count: its `run.py` has a local
+    `scale`."""
+    used = Counter()
+    defined = []
+    for path in [*PACKAGE.rglob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used += _references(tree, names=True)
+        classes = [cls for cls in tree.body if isinstance(cls, ast.ClassDef)]
+        for body in [tree.body] + [cls.body for cls in classes]:
+            defined += [node for node in body
+                        if isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")]
+    for path in (ROOT / "perfbench").glob("*.py"):
+        used += _references(ast.parse(path.read_text(), filename=str(path)),
+                            names=False)
+    unused = [node.name for node in defined
+              if used[node.name] <= _references(node, names=True)[node.name]]
+    assert unused == [], unused

@@ -17,7 +17,7 @@ from gnyamabe.products import table_pairs
 from gnyamabe.shooting import _miss, bracket_alpha, find_ground_state
 
 from oracles import (exponents_m1, sample_profile_loop, sample_steps_loop,
-                     sech_amplitude, sech_h, shot_reference)
+                     sech_amplitude, sech_h, shot_reference, tightened)
 
 D22 = Dims(2, 2)
 
@@ -134,7 +134,7 @@ def test_monotone_classification_grid():
 def test_event_time_stable_under_tolerance_refinement():
     for alpha in (2.208, 2.205):
         coarse = integrate_shot(alpha, D22, DEFAULT_CONTROLS)
-        fine = integrate_shot(alpha, D22, DEFAULT_CONTROLS.tightened(10.0))
+        fine = integrate_shot(alpha, D22, tightened(DEFAULT_CONTROLS, 10.0))
         t_coarse = getattr(coarse, "t_cross", None) or coarse.t_turn
         t_fine = getattr(fine, "t_cross", None) or fine.t_turn
         assert type(coarse) is type(fine)
@@ -275,8 +275,10 @@ def test_shoot_profile_pinned_bit_for_bit():
     for (m, n, alpha_hex, kind, n_steps, t_hex, y_hex, size, tail_rate,
          digest) in _SHOT_PINS:
         alpha, d = float.fromhex(alpha_hex), Dims(m, n)
-        _, te, ye, steps = ode._integrate(alpha, d, DEFAULT_CONTROLS)
-        assert (len(steps), te.hex(), ye.hex()) == (n_steps, t_hex, y_hex)
+        shot = ode._integrate(alpha, d, DEFAULT_CONTROLS)
+        ye = shot.dh_cross if isinstance(shot, CrossedZero) else shot.h_at_turn
+        assert (len(shot.steps), shot.t_event.hex(), ye.hex()) == (
+            n_steps, t_hex, y_hex)
         out, profile = shoot_profile(alpha, d)
         assert type(out).__name__ == kind
         assert profile.ts.size == size
@@ -300,8 +302,8 @@ def _shot(index):
     """(alpha, n, t_event, steps) of the _SHOT_PINS shot at `index`."""
     m, n, alpha_hex = _SHOT_PINS[index][:3]
     alpha = float.fromhex(alpha_hex)
-    _, te, _, steps = ode._integrate(alpha, Dims(m, n), DEFAULT_CONTROLS)
-    return alpha, n, te, steps
+    shot = ode._integrate(alpha, Dims(m, n), DEFAULT_CONTROLS)
+    return alpha, n, shot.t_event, shot.steps
 
 
 def _end(steps):
@@ -542,12 +544,12 @@ def test_shot_events_match_scipy(shot, t_bound, miss_bound, brackets):
         m, n, end = shot
         alpha = brackets[(m, n)][end]
     d = Dims(m, n)
-    kind, te, ye, _ = ode._integrate(alpha, d, DEFAULT_CONTROLS)
-    ref_kind, ref_te, ref_ye = shot_reference(alpha, d)
-    ref_miss = _miss(ode._outcome(ref_kind, ref_te, ref_ye), n)
-    assert abs(_miss(ode._outcome(kind, te, ye), n) - ref_miss) <= miss_bound
+    out = ode._integrate(alpha, d, DEFAULT_CONTROLS)
+    ref = shot_reference(alpha, d)
+    ref_miss = _miss(ref, n)
+    assert abs(_miss(out, n) - ref_miss) <= miss_bound
     if isinstance(shot, int):
         assert abs(ref_miss) > miss_bound
     if abs(ref_miss) > miss_bound:
-        assert kind == ref_kind
-        assert abs(te - ref_te) <= t_bound
+        assert type(out) is type(ref)
+        assert abs(out.t_event - ref.t_event) <= t_bound

@@ -5,14 +5,15 @@ import pytest
 
 from gnyamabe import periodic
 from gnyamabe.geometry import yamabe_sphere
-from gnyamabe.periodic import (CircleOrbit, circle_orbit, circle_quotient,
+from gnyamabe.periodic import (CircleOrbit, circle_quotient,
                                constant_solution, count_periodic_solutions,
                                hamiltonian, integrate_orbit, minimal_period,
                                orbit_for_period, orbit_period, potential,
                                return_time)
 
-from oracles import (circle_quotient_by_time, orbit_integrals_reference,
-                     period_reference, yamabe_quotient)
+from oracles import (circle_orbit, circle_quotient_by_time,
+                     orbit_integrals_reference, period_reference,
+                     yamabe_quotient)
 
 
 def test_constant_solution_values():

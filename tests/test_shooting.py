@@ -13,7 +13,7 @@ from gnyamabe.products import table_pairs
 from gnyamabe.shooting import (Illinois, _miss, bracket_alpha,
                                find_ground_state)
 
-from oracles import exponents_m1, sech_amplitude
+from oracles import exponents_m1, sech_amplitude, tightened
 
 
 def test_bracket_22():
@@ -283,9 +283,9 @@ def test_step_budget_per_table(monkeypatch):
     integrate = ode._integrate
 
     def counted(alpha, d, ctrl):
-        kind, te, ye, steps = integrate(alpha, d, ctrl)
-        shots.append(((d.m, d.n), len(steps)))
-        return kind, te, ye, steps
+        outcome = integrate(alpha, d, ctrl)
+        shots.append(((d.m, d.n), len(outcome.steps)))
+        return outcome
 
     monkeypatch.setattr(ode, "_integrate", counted)
     build_table(9)
@@ -387,7 +387,8 @@ def test_profile_ode_residual(gs22):
 
 
 def test_alpha0_invariant_under_tolerance_halving(gs22):
-    tighter = find_ground_state(Dims(2, 2), ctrl=DEFAULT_CONTROLS.tightened(2.0))
+    tighter = find_ground_state(Dims(2, 2),
+                                ctrl=tightened(DEFAULT_CONTROLS, 2.0))
     assert abs(tighter.alpha0 - gs22.alpha0) < 1e-8
 
 
@@ -418,7 +419,7 @@ def test_m1_and_n1_rows_solve(m, n):
         assert abs(gs.alpha0 / amplitude - 1.0) <= 2e-12
     else:
         tight = find_ground_state(d, tol_alpha=1e-14,
-                                  ctrl=DEFAULT_CONTROLS.tightened(10.0))
+                                  ctrl=tightened(DEFAULT_CONTROLS, 10.0))
         sigma_inv = gn_value(gs.profile, d).sigma_inv
         reference = gn_value(tight.profile, d).sigma_inv
         assert abs(sigma_inv / reference - 1.0) <= 1e-12
@@ -459,7 +460,7 @@ def test_ground_state_matches_tight_controls(m, n, alpha_bound, sigma_bound,
     sigma_inv = gn_value(gs.profile, d).sigma_inv
     monkeypatch.setattr(ode, "_DECAY_THRESHOLD", 1e-10)
     tight = find_ground_state(d, tol_alpha=1e-14,
-                              ctrl=DEFAULT_CONTROLS.tightened(10.0))
+                              ctrl=tightened(DEFAULT_CONTROLS, 10.0))
     reference = gn_value(tight.profile, d).sigma_inv
     assert abs(gs.alpha0 - tight.alpha0) <= alpha_bound
     assert abs(sigma_inv / reference - 1.0) <= sigma_bound
