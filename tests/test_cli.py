@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnyamabe.cli import main
+from gnyamabe.cli import _build_parser, main
 from gnyamabe.periodic import count_periodic_solutions, orbit_for_period
 
 TESTFN_PATH = str(resources.files("gnyamabe.data").joinpath("testfn_2_2.dat"))
@@ -278,3 +279,86 @@ def test_byte_identical_reruns(capsys, tmp_path):
     assert main(["constants", "--out", str(c1)]) == 0
     assert main(["constants", "--out", str(c2)]) == 0
     assert c1.read_bytes() == c2.read_bytes()
+
+
+# every argument of the parser, as (flags, dest, default, choices, type
+# name, help), read from the parser objects: formatted help text changes
+# between Python versions, these do not
+_HELP_ARG = (("-h", "--help"), "help", argparse.SUPPRESS, None, None,
+             "show this help message and exit")
+_OUT_ARG = (("--out",), "out", None, None, None, None)
+_TOL_ARG = (("--tol-alpha",), "tol_alpha", None, None, "float",
+            "relative tolerance of the alpha0 search: it stops on a "
+            "bracket at most X * alpha0 wide (default 1e-12)")
+_TMAX_ARG = (("--tmax",), "tmax", None, None, "float", None)
+_PARSER_PINS = {
+    None: (None, None, [
+        _HELP_ARG,
+        ((), "command", None,
+         ("ground-state", "table", "bound", "periodic", "constants"),
+         None, None)]),
+    "ground-state": ("locate alpha0(m, n) and evaluate sigma_inv",
+                     "_cmd_ground_state", [
+        _HELP_ARG,
+        ((), "m", None, None, "int", None),
+        ((), "n", None, None, "int", None),
+        _TOL_ARG,
+        _TMAX_ARG,
+        (("--format",), "format", "text", ("text", "csv", "json"), None,
+         None),
+        _OUT_ARG,
+        (("--dump",), "dump", None, None, None,
+         "write the profile as 't h dh' rows")]),
+    "table": ("constants table for all m, n >= 2 with m + n <= MAX",
+              "_cmd_table", [
+        _HELP_ARG,
+        (("--max-dim",), "max_dim", 9, None, "int", None),
+        _TOL_ARG,
+        _TMAX_ARG,
+        (("--format",), "format", "csv", ("csv", "json", "text"), None,
+         None),
+        _OUT_ARG]),
+    "bound": ("upper bound from a piecewise-linear profile file",
+              "_cmd_bound", [
+        _HELP_ARG,
+        ((), "profile", None, None, None, "breakpoint file, 't h' per line"),
+        ((), "m", None, None, "int", None),
+        ((), "n", None, None, "int", None),
+        (("--format",), "format", "text", ("text", "json"), None, None),
+        _OUT_ARG]),
+    "periodic": ("circle-factor periodic solutions", "_cmd_periodic", [
+        _HELP_ARG,
+        ((), "n", None, None, "int", None),
+        ((), "r", None, None, "float", None),
+        (("--format",), "format", "text", ("text", "json"), None, None),
+        _OUT_ARG,
+        (("--dump",), "dump", None, None, None,
+         "write the longest listed orbit that time integration can "
+         "follow, delta >= 1e-08, as 't u du' rows")]),
+    "constants": ("closed-form sphere constants and reference values",
+                  "_cmd_constants", [
+        _HELP_ARG,
+        (("--format",), "format", "text", ("text", "csv", "json"), None,
+         None),
+        _OUT_ARG]),
+}
+
+
+def _arguments(parser):
+    return [(tuple(a.option_strings), a.dest, a.default,
+             None if a.choices is None else tuple(a.choices),
+             None if a.type is None else a.type.__name__, a.help)
+            for a in parser._actions]
+
+
+def test_parser_arguments_pinned():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {None: (None, None, _arguments(parser))}
+    for choice in sub._choices_actions:
+        cmd = sub.choices[choice.dest]
+        found[choice.dest] = (choice.help, cmd.get_default("func").__name__,
+                              _arguments(cmd))
+    assert found == _PARSER_PINS
+    assert list(found) == list(_PARSER_PINS)

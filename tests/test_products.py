@@ -198,3 +198,15 @@ def test_reference_constants():
     assert abs(ref["Y_S2xS2_product"] - 50.26548) <= 1e-5
     assert ref["Y_S2xS2_product"] < ref["Y_CP2"]
 
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 5)])
+def test_bound_is_y_infinity_of_the_gn_value(testfn22, m, n):
+    """The bound is the limiting constant at the profile's functional
+    value, bit for bit: one closed form serves both."""
+    d = Dims(m, n)
+    s_g = unit_volume_sphere_scalar(m)
+    tri = PiecewiseLinearProfile(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    for profile in (testfn22, tri):
+        assert bound_from_profile(profile, d, s_g) == y_infinity(
+            d, s_g, gn_value(profile, d).sigma_inv)
