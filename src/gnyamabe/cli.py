@@ -281,57 +281,40 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Yamabe constants of Riemannian products")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gs = sub.add_parser("ground-state",
-                        help="locate alpha0(m, n) and evaluate sigma_inv")
-    gs.add_argument("m", type=int)
-    gs.add_argument("n", type=int)
-    gs.add_argument("--tol-alpha", type=float, default=None,
-                    help=_TOL_ALPHA_HELP)
-    gs.add_argument("--tmax", type=float, default=None)
-    gs.add_argument("--format", choices=("text", "csv", "json"),
-                    default="text")
-    gs.add_argument("--out", default=None)
-    gs.add_argument("--dump", default=None,
-                    help="write the profile as 't h dh' rows")
-    gs.set_defaults(func=_cmd_ground_state)
+    def command(name, help, func, formats, *own, search=False, dump=None):
+        """Subcommand `name`: its `own` arguments, (name, keywords) pairs,
+        then the options the subcommands share. The first of `formats` is
+        the default; `search` adds the search controls, `dump` the help
+        of --dump."""
+        cmd = sub.add_parser(name, help=help)
+        for arg, keywords in own:
+            cmd.add_argument(arg, **keywords)
+        if search:
+            cmd.add_argument("--tol-alpha", type=float, default=None,
+                             help=_TOL_ALPHA_HELP)
+            cmd.add_argument("--tmax", type=float, default=None)
+        cmd.add_argument("--format", choices=formats, default=formats[0])
+        cmd.add_argument("--out", default=None)
+        if dump is not None:
+            cmd.add_argument("--dump", default=None, help=dump)
+        cmd.set_defaults(func=func)
 
-    tb = sub.add_parser("table", help="constants table for all m, n >= 2 "
-                                      "with m + n <= MAX")
-    tb.add_argument("--max-dim", type=int, default=9)
-    tb.add_argument("--tol-alpha", type=float, default=None,
-                    help=_TOL_ALPHA_HELP)
-    tb.add_argument("--tmax", type=float, default=None)
-    tb.add_argument("--format", choices=("csv", "json", "text"),
-                    default="csv")
-    tb.add_argument("--out", default=None)
-    tb.set_defaults(func=_cmd_table)
-
-    bd = sub.add_parser("bound", help="upper bound from a piecewise-linear "
-                                      "profile file")
-    bd.add_argument("profile", help="breakpoint file, 't h' per line")
-    bd.add_argument("m", type=int)
-    bd.add_argument("n", type=int)
-    bd.add_argument("--format", choices=("text", "json"), default="text")
-    bd.add_argument("--out", default=None)
-    bd.set_defaults(func=_cmd_bound)
-
-    pd = sub.add_parser("periodic", help="circle-factor periodic solutions")
-    pd.add_argument("n", type=int)
-    pd.add_argument("r", type=float)
-    pd.add_argument("--format", choices=("text", "json"), default="text")
-    pd.add_argument("--out", default=None)
-    pd.add_argument("--dump", default=None,
-                    help="write the longest listed orbit that time "
-                         "integration can follow, delta >= "
-                         f"{_TIME_DELTA_FLOOR:g}, as 't u du' rows")
-    pd.set_defaults(func=_cmd_periodic)
-
-    ct = sub.add_parser("constants", help="closed-form sphere constants and "
-                                          "reference values")
-    ct.add_argument("--format", choices=("text", "csv", "json"),
-                    default="text")
-    ct.add_argument("--out", default=None)
-    ct.set_defaults(func=_cmd_constants)
+    m_n = (("m", dict(type=int)), ("n", dict(type=int)))
+    command("ground-state", "locate alpha0(m, n) and evaluate sigma_inv",
+            _cmd_ground_state, ("text", "csv", "json"), *m_n, search=True,
+            dump="write the profile as 't h dh' rows")
+    command("table", "constants table for all m, n >= 2 with m + n <= MAX",
+            _cmd_table, ("csv", "json", "text"),
+            ("--max-dim", dict(type=int, default=9)), search=True)
+    command("bound", "upper bound from a piecewise-linear profile file",
+            _cmd_bound, ("text", "json"),
+            ("profile", dict(help="breakpoint file, 't h' per line")), *m_n)
+    command("periodic", "circle-factor periodic solutions", _cmd_periodic,
+            ("text", "json"), ("n", dict(type=int)), ("r", dict(type=float)),
+            dump="write the longest listed orbit that time integration can "
+                 f"follow, delta >= {_TIME_DELTA_FLOOR:g}, as 't u du' rows")
+    command("constants", "closed-form sphere constants and reference values",
+            _cmd_constants, ("text", "csv", "json"))
     return parser
 
 

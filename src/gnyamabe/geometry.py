@@ -59,18 +59,10 @@ def _gamma_half(twice: int) -> float:
     """
     if twice < 1:
         raise ValueError("argument must be positive")
-    if twice % 2 == 0:
-        val = 1.0
-        x = 1.0
-        while 2 * x < twice:
-            val *= x
-            x += 1.0
-    else:
-        val = math.sqrt(math.pi)
-        x = 0.5
-        while 2 * x < twice:
-            val *= x
-            x += 1.0
+    val, x = (1.0, 1.0) if twice % 2 == 0 else (math.sqrt(math.pi), 0.5)
+    while 2 * x < twice:
+        val *= x
+        x += 1.0
     return val
 
 
@@ -101,7 +93,7 @@ def yamabe_sphere(k: int) -> float:
     """Yamabe invariant of the round k-sphere, k(k-1) Vol(S^k)^(2/k)."""
     if k < 3:
         raise ValueError(f"need k >= 3 for a finite critical exponent, got {k}")
-    return k * (k - 1) * sphere_volume(k) ** (2.0 / k)
+    return unit_volume_sphere_scalar(k)
 
 
 def sobolev_constant(n: int) -> float:

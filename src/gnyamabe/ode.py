@@ -330,19 +330,19 @@ def _dense_eval(dense, theta):
             _extension(dense[3], dense[11:18], theta))
 
 
-def _locate(dense, component, target, sign_left_negative):
-    """Bisect the continuous extension for component == target, to 1e-10
-    in t."""
+def _locate(dense, component):
+    """Bisect the continuous extension for the zero of `component`, to
+    1e-10 in t; the step enters from the side of its start value."""
     dt = dense[1]
     y = dense[2 + component]
     f = dense[4 + 7 * component:11 + 7 * component]
+    negative = y < 0.0
     lo, hi = 0.0, 1.0
     for _ in range(80):
         if (hi - lo) * dt <= _EVENT_LOCATION_TOL:
             break
         mid = 0.5 * (lo + hi)
-        val = _extension(y, f, mid) - target
-        if (val < 0.0) == sign_left_negative:  # still on the entry side
+        if (_extension(y, f, mid) < 0.0) == negative:  # the entry side
             lo = mid
         else:
             hi = mid
@@ -506,8 +506,7 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
             if not events:
                 continue
             dense = _dense(step)
-            theta, comp = min((_locate(dense, c, 0.0, c == 1), c)
-                              for c in events)
+            theta, comp = min((_locate(dense, c), c) for c in events)
             he, dhe = _dense_eval(dense, theta)
             if comp == 0:
                 return CrossedZero(t + theta * dt, dhe, steps)

@@ -530,7 +530,7 @@ def return_time(n: int, u_max: float) -> float:
     for step in _orbit_steps(n, u_max, 1.5 * t_guess):
         if step[0] > 0.5 * t_guess and step[3] > 0.0 >= step[5]:
             dense = ode._dense(step)
-            return step[0] + ode._locate(dense, 1, 0.0, False) * step[1]
+            return step[0] + ode._locate(dense, 1) * step[1]
     raise RuntimeError("orbit did not return within 1.5 periods")
 
 

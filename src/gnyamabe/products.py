@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .functional import gn_value, radial_integrals
+from .functional import gn_value
 from .geometry import Dims, coupling_constant, unit_volume_sphere_scalar, yamabe_sphere
 from .ode import DEFAULT_CONTROLS, IntegrationControls
 from .shooting import find_ground_state
@@ -64,14 +64,11 @@ def bound_from_profile(profile, d: Dims, s_g: float) -> float:
     it. Cross-checked internally against the dilation-minimum route, which
     must agree to rounding.
     """
-    if s_g <= 0.0:
-        raise ValueError("scalar curvature must be positive")
-    i_grad, i_sq, i_p = radial_integrals(profile, d)
-    denom = i_p ** (2.0 / d.p)
-    lam0, f_min = optimal_dilation(d.a * i_grad / denom, s_g * i_sq / denom, d)
-    k = d.k
-    l_val = i_grad ** (d.n / k) * i_sq ** (d.m / k) / denom
-    bound = coupling_constant(d) * s_g ** (d.m / k) * l_val
+    res = gn_value(profile, d)
+    bound = y_infinity(d, s_g, res.sigma_inv)
+    denom = res.lp_norm ** 2
+    _, f_min = optimal_dilation(d.a * res.grad_sq / denom,
+                                s_g * res.l2_sq / denom, d)
     if abs(f_min - bound) > 1e-9 * bound:
         raise AssertionError(
             f"dilation-minimum cross-check failed: {f_min!r} vs {bound!r}")
