@@ -26,8 +26,13 @@ _REGRESSION_BOUNDS = {(2, 2): 2.427458}
 
 _SANE_TOL_ALPHA = (1e-14, 1e-2)
 _TOL_ALPHA_HELP = ("relative tolerance of the alpha0 search: it stops on a "
-                   "bracket at most X * alpha0 wide (default 1e-12)")
+                   "bracket at most X * alpha0 wide; X in "
+                   f"[{_SANE_TOL_ALPHA[0]:g}, {_SANE_TOL_ALPHA[1]:g}] "
+                   "(default 1e-12)")
 _SANE_TMAX = (1.0, 1000.0)
+_TMAX_HELP = ("horizon of each shot: one that has neither crossed zero nor "
+              f"turned up by t = X fails; X in ({_SANE_TMAX[0]:g}, "
+              f"{_SANE_TMAX[1]:g}] (default {DEFAULT_CONTROLS.t_max:g})")
 
 
 def _sig7(x: float) -> float:
@@ -292,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if search:
             cmd.add_argument("--tol-alpha", type=float, default=None,
                              help=_TOL_ALPHA_HELP)
-            cmd.add_argument("--tmax", type=float, default=None)
+            cmd.add_argument("--tmax", type=float, default=None,
+                             help=_TMAX_HELP)
         cmd.add_argument("--format", choices=formats, default=formats[0])
         cmd.add_argument("--out", default=None)
         if dump is not None:

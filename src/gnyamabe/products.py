@@ -4,7 +4,10 @@ For a unit-volume first factor of constant scalar curvature s, the limit
 of the second-factor Yamabe constants of (M^m x N^n, g + r h) as r grows
 is C(m, n) s^(m/k) / sigma_{m,n}. This module assembles those values for
 round-sphere factors, compares them against the sphere invariant Y_{m+n},
-and turns explicit test functions into rigorous upper bounds.
+and turns explicit test functions into upper bounds. Those bounds are
+evaluated in floating point, with 16-node Gauss-Legendre for I_p, so
+they hold up to quadrature and rounding error; certifying them with
+directed error bounds is open (ROADMAP.md, item 2).
 """
 
 from __future__ import annotations
@@ -58,7 +61,10 @@ def optimal_dilation(A: float, B: float, d: Dims) -> tuple[float, float]:
 
 
 def bound_from_profile(profile, d: Dims, s_g: float) -> float:
-    """Rigorous upper bound C(m,n) s_g^(m/k) L(f) for the limiting constant.
+    """Upper bound C(m,n) s_g^(m/k) L(f) for the limiting constant, up to
+    quadrature and rounding error: L(f) is evaluated in floating point,
+    with 16-node Gauss-Legendre for I_p on a piecewise-linear function's
+    segments that do not end at 0.
 
     Any admissible radial test function gives one; the ground state attains
     it. Cross-checked internally against the dilation-minimum route, which

@@ -289,8 +289,11 @@ _HELP_ARG = (("-h", "--help"), "help", argparse.SUPPRESS, None, None,
 _OUT_ARG = (("--out",), "out", None, None, None, None)
 _TOL_ARG = (("--tol-alpha",), "tol_alpha", None, None, "float",
             "relative tolerance of the alpha0 search: it stops on a "
-            "bracket at most X * alpha0 wide (default 1e-12)")
-_TMAX_ARG = (("--tmax",), "tmax", None, None, "float", None)
+            "bracket at most X * alpha0 wide; X in [1e-14, 0.01] "
+            "(default 1e-12)")
+_TMAX_ARG = (("--tmax",), "tmax", None, None, "float",
+             "horizon of each shot: one that has neither crossed zero nor "
+             "turned up by t = X fails; X in (1, 1000] (default 50)")
 _PARSER_PINS = {
     None: (None, None, [
         _HELP_ARG,
