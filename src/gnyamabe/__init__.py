@@ -1,27 +1,36 @@
 """Best Gagliardo-Nirenberg constants by ODE shooting, and the limiting
 Yamabe constants of Riemannian products they determine. The top level
-exports what the README quick start and the demos use; every other name
-is imported from its submodule."""
+exports what the README quick start and the demos use, each loaded from
+its submodule on first access (PEP 562), so that `import gnyamabe` loads
+no submodule and no numpy; every other name is imported from its
+submodule."""
 
-from .geometry import Dims, unit_volume_sphere_scalar, yamabe_sphere
-from .ode import integrate_shot, rhs, series_start
-from .shooting import find_ground_state
-from .functional import PiecewiseLinearProfile, bundled_test_function, gn_value
-from .products import bound_from_profile, build_table, y_infinity
-from .periodic import (circle_quotient, constant_solution,
-                       count_periodic_solutions, hamiltonian, integrate_orbit,
-                       minimal_period, orbit_for_period, orbit_period,
-                       potential)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dims", "unit_volume_sphere_scalar", "yamabe_sphere",
-    "integrate_shot", "rhs", "series_start",
-    "find_ground_state",
-    "PiecewiseLinearProfile", "bundled_test_function", "gn_value",
-    "bound_from_profile", "build_table", "y_infinity",
-    "circle_quotient", "constant_solution", "count_periodic_solutions",
-    "hamiltonian", "integrate_orbit", "minimal_period", "orbit_for_period",
-    "orbit_period", "potential",
-]
+# the submodules, each with the names it exports
+_EXPORTS = {
+    "geometry": ("Dims", "unit_volume_sphere_scalar", "yamabe_sphere"),
+    "ode": ("integrate_shot", "rhs", "series_start"),
+    "shooting": ("find_ground_state",),
+    "functional": ("PiecewiseLinearProfile", "bundled_test_function",
+                   "gn_value"),
+    "products": ("bound_from_profile", "build_table", "y_infinity"),
+    "periodic": ("circle_quotient", "constant_solution",
+                 "count_periodic_solutions", "hamiltonian", "integrate_orbit",
+                 "minimal_period", "orbit_for_period", "orbit_period",
+                 "potential"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _SOURCE:
+        return getattr(__getattr__(_SOURCE[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

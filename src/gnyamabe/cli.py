@@ -11,15 +11,13 @@ import json
 import math
 import sys
 
-from .functional import (ProfileFormatError, gn_value, read_profile_file)
-from .geometry import (Dims, sobolev_constant, sphere_volume,
-                       unit_volume_sphere_scalar, yamabe_sphere)
-from .ode import DEFAULT_CONTROLS, IntegrationControls, IntegrationFailure
-from .periodic import (_TIME_DELTA_FLOOR, constant_solution,
-                       count_periodic_solutions, integrate_orbit,
-                       minimal_period, orbit_for_period)
-from .products import bound_from_profile, build_table, reference_constants
-from .shooting import ShootingError, find_ground_state
+from .geometry import (Dims, reference_constants, sobolev_constant,
+                       sphere_volume, unit_volume_sphere_scalar,
+                       yamabe_sphere)
+
+# Each handler imports the modules it runs, so `constants` loads no numpy;
+# the help texts spell out ode.DEFAULT_CONTROLS.t_max (50) and
+# periodic._TIME_DELTA_FLOOR (1e-08), held to the code by tests/test_cli.py.
 
 # published upper bounds certified by bundled/known test functions
 _REGRESSION_BOUNDS = {(2, 2): 2.427458}
@@ -32,7 +30,7 @@ _TOL_ALPHA_HELP = ("relative tolerance of the alpha0 search: it stops on a "
 _SANE_TMAX = (1.0, 1000.0)
 _TMAX_HELP = ("horizon of each shot: one that has neither crossed zero nor "
               f"turned up by t = X fails; X in ({_SANE_TMAX[0]:g}, "
-              f"{_SANE_TMAX[1]:g}] (default {DEFAULT_CONTROLS.t_max:g})")
+              f"{_SANE_TMAX[1]:g}] (default 50)")
 
 
 def _sig7(x: float) -> float:
@@ -89,7 +87,8 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _controls(args, parser) -> IntegrationControls:
+def _controls(args, parser):
+    from .ode import DEFAULT_CONTROLS, IntegrationControls
     tmax = getattr(args, "tmax", None)
     if tmax is None:
         return DEFAULT_CONTROLS
@@ -110,6 +109,8 @@ def _tol_alpha(args, parser) -> float:
 
 
 def _cmd_ground_state(args, parser) -> int:
+    from .functional import gn_value
+    from .shooting import find_ground_state
     if args.m < 1 or args.n < 1 or args.m + args.n < 3:
         parser.error("need m >= 1, n >= 1 and m + n >= 3")
     d = Dims(args.m, args.n)
@@ -142,6 +143,7 @@ _TABLE_COLUMNS = ("m", "n", "alpha0", "sigma_inv", "y_inf", "y_sphere")
 
 
 def _cmd_table(args, parser) -> int:
+    from .products import build_table
     if args.max_dim < 4:
         parser.error("--max-dim must be at least 4")
     ctrl = _controls(args, parser)
@@ -162,6 +164,8 @@ def _cmd_table(args, parser) -> int:
 
 
 def _cmd_bound(args, parser) -> int:
+    from .functional import gn_value, read_profile_file
+    from .products import _bound_from_value
     if args.m < 2 or args.n < 1:
         parser.error("need m >= 2 (positive first-factor curvature) and "
                      "n >= 1")
@@ -169,7 +173,7 @@ def _cmd_bound(args, parser) -> int:
     profile = read_profile_file(args.profile)
     res = gn_value(profile, d)
     s_g = unit_volume_sphere_scalar(d.m)
-    bound = bound_from_profile(profile, d, s_g)
+    bound = _bound_from_value(res, s_g)
     y_sph = yamabe_sphere(d.k)
     rec = {
         "m": d.m, "n": d.n,
@@ -199,6 +203,9 @@ _MAX_LISTED = 1000
 
 
 def _cmd_periodic(args, parser) -> int:
+    from .periodic import (_TIME_DELTA_FLOOR, constant_solution,
+                           count_periodic_solutions, integrate_orbit,
+                           minimal_period, orbit_for_period)
     if args.n < 3:
         parser.error("total dimension n must be at least 3")
     if not 0.0 < args.r < math.inf:
@@ -318,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("periodic", "circle-factor periodic solutions", _cmd_periodic,
             ("text", "json"), ("n", dict(type=int)), ("r", dict(type=float)),
             dump="write the longest listed orbit that time integration can "
-                 f"follow, delta >= {_TIME_DELTA_FLOOR:g}, as 't u du' rows")
+                 "follow, delta >= 1e-08, as 't u du' rows")
     command("constants", "closed-form sphere constants and reference values",
             _cmd_constants, ("text", "csv", "json"))
     return parser
@@ -329,8 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ShootingError, IntegrationFailure, ProfileFormatError,
-            OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -133,3 +133,11 @@ def unit_volume_sphere_scalar(m: int) -> float:
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     return m * (m - 1) * sphere_volume(m) ** (2.0 / m)
+
+
+def reference_constants() -> dict[str, float]:
+    """Known 4-dimensional comparison values for reporting context:
+    the Yamabe invariant of CP^2 and the Yamabe constant of the product
+    conformal class on S^2 x S^2."""
+    return {"Y_CP2": 12.0 * math.sqrt(2.0) * math.pi,
+            "Y_S2xS2_product": 16.0 * math.pi}

@@ -70,7 +70,12 @@ def bound_from_profile(profile, d: Dims, s_g: float) -> float:
     it. Cross-checked internally against the dilation-minimum route, which
     must agree to rounding.
     """
-    res = gn_value(profile, d)
+    return _bound_from_value(gn_value(profile, d), s_g)
+
+
+def _bound_from_value(res, s_g: float) -> float:
+    """`bound_from_profile` from the profile's GNResult `res`."""
+    d = res.d
     bound = y_infinity(d, s_g, res.sigma_inv)
     denom = res.lp_norm ** 2
     _, f_min = optimal_dilation(d.a * res.grad_sq / denom,
@@ -136,14 +141,3 @@ def build_table(max_total_dim: int = 9,
                 raise
             collect_errors.append((m, n, exc))
     return rows
-
-
-def reference_constants() -> dict[str, float]:
-    """Known 4-dimensional comparison values for reporting context:
-    the Yamabe invariant of CP^2 and the Yamabe constant of the product
-    conformal class on S^2 x S^2."""
-    return {
-        "Y_CP2": 12.0 * math.sqrt(2.0) * math.pi,
-        "Y_S2xS2_product": 16.0 * math.pi,
-    }
-

@@ -15,10 +15,11 @@ from gnyamabe import (Dims, bound_from_profile, build_table,
                       orbit_period, potential, unit_volume_sphere_scalar,
                       yamabe_sphere)
 from gnyamabe.functional import radial_integrals
-from gnyamabe.geometry import coupling_constant, sphere_volume
+from gnyamabe.geometry import (coupling_constant, reference_constants,
+                               sphere_volume)
 from gnyamabe.ode import DEFAULT_CONTROLS, CrossedZero, TurnedUp
 from gnyamabe.periodic import return_time
-from gnyamabe.products import optimal_dilation, reference_constants
+from gnyamabe.products import optimal_dilation
 
 from golden import (ALPHA0_22, GOLDEN_TABLE, SIGMA_TOL, TESTFN_BOUND_22,
                     Y_INF_TOL, Y_SPHERE_TOL)

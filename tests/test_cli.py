@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gnyamabe import functional, ode, periodic
 from gnyamabe.cli import _build_parser, main
 from gnyamabe.periodic import count_periodic_solutions, orbit_for_period
 
@@ -137,6 +138,21 @@ def test_bound_malformed_file(capsys, tmp_path, text, line):
 def test_bound_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "bound", str(tmp_path / "nope.dat"), "2", "2")
     assert code == 1
+
+
+def test_bound_runs_one_quadrature(capsys, monkeypatch):
+    """L(f) and the bound come from one evaluation of the integrals."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return radial_integrals(*args)
+
+    radial_integrals = functional.radial_integrals
+    monkeypatch.setattr(functional, "radial_integrals", counted)
+    code, out, _ = run(capsys, "bound", TESTFN_PATH, "2", "2")
+    assert code == 0 and "bound < Y_4: PASS" in out
+    assert len(calls) == 1
 
 
 def test_periodic_small_radius(capsys):
@@ -365,3 +381,18 @@ def test_parser_arguments_pinned():
                               _arguments(cmd))
     assert found == _PARSER_PINS
     assert list(found) == list(_PARSER_PINS)
+
+
+def test_help_numbers_are_the_codes():
+    """The parser is built without importing `ode` or `periodic`, so the
+    help texts write out their numbers; these must be the code's."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {(name, a.dest): a.help for name, cmd in sub.choices.items()
+             for a in cmd._actions}
+    for name in ("ground-state", "table"):
+        assert helps[name, "tmax"].endswith(
+            f"(default {ode.DEFAULT_CONTROLS.t_max:g})")
+    assert (f"delta >= {periodic._TIME_DELTA_FLOOR:g},"
+            in helps["periodic", "dump"])

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from gnyamabe.geometry import (Dims, coupling_constant, sobolev_constant,
-                               sphere_volume, surface_measure,
-                               unit_volume_sphere_scalar, yamabe_sphere)
+from gnyamabe.geometry import (Dims, coupling_constant, reference_constants,
+                               sobolev_constant, sphere_volume,
+                               surface_measure, unit_volume_sphere_scalar,
+                               yamabe_sphere)
 
 
 def test_sphere_volume_low_dims():
@@ -115,3 +116,12 @@ def test_dims_exponents():
         k = d.k
         assert d.a == pytest.approx(4 * (k - 1) / (k - 2), rel=1e-15)
         assert d.q == pytest.approx(d.p - 1.0, rel=1e-15)
+
+
+def test_reference_constants():
+    ref = reference_constants()
+    assert ref["Y_CP2"] == pytest.approx(12 * math.sqrt(2) * math.pi,
+                                         rel=1e-15)
+    assert abs(ref["Y_CP2"] - 53.31459) <= 1e-5
+    assert abs(ref["Y_S2xS2_product"] - 50.26548) <= 1e-5
+    assert ref["Y_S2xS2_product"] < ref["Y_CP2"]

@@ -9,11 +9,16 @@ that importing the package, running each subcommand (the orbit dump
 included), time-integrating an orbit and taking its Yamabe quotient load
 no scipy module at all, and no OpenSSL through `_hashlib` either: only
 `functional.bundled_test_function`, which no subcommand calls, hashes.
+One fresh subprocess per case checks that the package and each
+subcommand load only the modules they run: `import gnyamabe` loads no
+submodule and no numpy, `constants` only `cli` and `geometry`. The
+package's exports resolve on first access to their submodules' objects.
 The last test parses the package, the demos and the benchmark: every
 public function and method must be named outside its own definition.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -99,19 +104,87 @@ print(json.dumps(loaded))
 """
 
 
-def test_default_paths_load_no_scipy(tmp_path):
+def _run_child(code: str, *args: str):
+    """What the fresh interpreter running `code` prints last, as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(tmp_path / "orbit.dat")],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_default_paths_load_no_scipy(tmp_path):
+    loaded = _run_child(_CHILD, str(tmp_path / "orbit.dat"))
     assert list(loaded) == ["import gnyamabe", "constants", "bound",
                             "ground-state", "table", "periodic",
                             "return_time, circle_quotient"]
     assert all(mods == [] for mods in loaded.values()), loaded
 
+
+# `python -m gnyamabe ARGV...` (a bare `import gnyamabe` when ARGV is
+# empty), then the package modules and numpy it has loaded
+_LOADS_CHILD = """
+import contextlib, io, json, runpy, sys
+argv = sys.argv[1:]
+import gnyamabe
+if argv:
+    sys.argv = ["gnyamabe", *argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("gnyamabe", run_name="__main__")
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "numpy" or m.split(".")[0] == "gnyamabe")))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], ["gnyamabe"]),
+    (["constants"], ["gnyamabe", "gnyamabe.cli", "gnyamabe.geometry"]),
+], ids=["import", "constants"])
+def test_loads_only_these(argv, loaded):
+    assert _run_child(_LOADS_CHILD, *argv) == loaded
+
+
+@pytest.mark.parametrize("argv, skipped", [
+    (["ground-state", "2", "2"], {"gnyamabe.periodic"}),
+    (["periodic", "4", "3"], {"gnyamabe.functional", "gnyamabe.products"}),
+], ids=["ground-state", "periodic"])
+def test_subcommand_skips_what_it_does_not_run(argv, skipped):
+    loaded = _run_child(_LOADS_CHILD, *argv)
+    assert "numpy" in loaded
+    assert skipped & set(loaded) == set()
+
+
+def test_submodule_resolves_after_bare_import():
+    code = """
+import json, sys
+import gnyamabe
+before = "gnyamabe.periodic" in sys.modules
+print(json.dumps([before, gnyamabe.periodic.__name__]))
+"""
+    assert _run_child(code) == [False, "gnyamabe.periodic"]
+
+
+def test_exports_are_their_submodules_objects():
+    import gnyamabe
+
+    assert len(gnyamabe.__all__) == len(set(gnyamabe.__all__)) == 22
+    for name in gnyamabe.__all__:
+        obj = getattr(gnyamabe, name)
+        module = importlib.import_module(obj.__module__)
+        assert module.__name__.startswith("gnyamabe.")
+        assert obj is getattr(module, name)
+
+
+def test_unknown_attribute_raises():
+    import gnyamabe
+
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        gnyamabe.nope
 
 def _references(node, names: bool) -> Counter:
     """How often each identifier is referred to under `node`: as an

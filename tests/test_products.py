@@ -7,8 +7,7 @@ import gnyamabe.products as products
 from gnyamabe.functional import PiecewiseLinearProfile, gn_value
 from gnyamabe.geometry import Dims, unit_volume_sphere_scalar, yamabe_sphere
 from gnyamabe.products import (bound_from_profile, build_table,
-                               optimal_dilation, reference_constants,
-                               table_pairs, y_infinity)
+                               optimal_dilation, table_pairs, y_infinity)
 
 from golden import GOLDEN_TABLE
 
@@ -189,14 +188,6 @@ def test_build_table_reports_rows_not_below_sphere(monkeypatch):
     with pytest.warns(UserWarning, match="not below the sphere"):
         products.build_table(4)
 
-
-def test_reference_constants():
-    ref = reference_constants()
-    assert ref["Y_CP2"] == pytest.approx(12 * math.sqrt(2) * math.pi,
-                                         rel=1e-15)
-    assert abs(ref["Y_CP2"] - 53.31459) <= 1e-5
-    assert abs(ref["Y_S2xS2_product"] - 50.26548) <= 1e-5
-    assert ref["Y_S2xS2_product"] < ref["Y_CP2"]
 
 
 
