@@ -165,7 +165,7 @@ def _cmd_table(args, parser) -> int:
 
 def _cmd_bound(args, parser) -> int:
     from .functional import gn_value, read_profile_file
-    from .products import _bound_from_value
+    from .products import _bound_from_result
     if args.m < 2 or args.n < 1:
         parser.error("need m >= 2 (positive first-factor curvature) and "
                      "n >= 1")
@@ -173,7 +173,7 @@ def _cmd_bound(args, parser) -> int:
     profile = read_profile_file(args.profile)
     res = gn_value(profile, d)
     s_g = unit_volume_sphere_scalar(d.m)
-    bound = _bound_from_value(res, s_g)
+    bound = _bound_from_result(res, s_g)
     y_sph = yamabe_sphere(d.k)
     rec = {
         "m": d.m, "n": d.n,

@@ -70,10 +70,10 @@ def bound_from_profile(profile, d: Dims, s_g: float) -> float:
     it. Cross-checked internally against the dilation-minimum route, which
     must agree to rounding.
     """
-    return _bound_from_value(gn_value(profile, d), s_g)
+    return _bound_from_result(gn_value(profile, d), s_g)
 
 
-def _bound_from_value(res, s_g: float) -> float:
+def _bound_from_result(res, s_g: float) -> float:
     """`bound_from_profile` from the profile's GNResult `res`."""
     d = res.d
     bound = y_infinity(d, s_g, res.sigma_inv)

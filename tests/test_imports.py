@@ -186,6 +186,7 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         gnyamabe.nope
 
+
 def _references(node, names: bool) -> Counter:
     """How often each identifier is referred to under `node`: as an
     attribute, an imported name or a string constant (the benchmark's
