@@ -11,12 +11,13 @@ __version__ = "0.1.0"
 
 # the submodules, each with the names it exports
 _EXPORTS = {
-    "geometry": ("Dims", "unit_volume_sphere_scalar", "yamabe_sphere"),
+    "geometry": ("Dims", "unit_volume_sphere_scalar", "y_infinity",
+                 "yamabe_sphere"),
     "ode": ("integrate_shot", "rhs", "series_start"),
     "shooting": ("find_ground_state",),
     "functional": ("PiecewiseLinearProfile", "bundled_test_function",
                    "gn_value"),
-    "products": ("bound_from_profile", "build_table", "y_infinity"),
+    "products": ("bound_from_profile", "build_table"),
     "periodic": ("circle_quotient", "constant_solution",
                  "count_periodic_solutions", "hamiltonian", "integrate_orbit",
                  "minimal_period", "orbit_for_period", "orbit_period",

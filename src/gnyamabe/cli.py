@@ -12,7 +12,7 @@ import math
 import sys
 
 from .geometry import (Dims, reference_constants, sobolev_constant,
-                       sphere_volume, unit_volume_sphere_scalar,
+                       sphere_volume, unit_volume_sphere_scalar, y_infinity,
                        yamabe_sphere)
 
 # Each handler imports the modules it runs, so `constants` loads no numpy;
@@ -165,7 +165,6 @@ def _cmd_table(args, parser) -> int:
 
 def _cmd_bound(args, parser) -> int:
     from .functional import gn_value, read_profile_file
-    from .products import _bound_from_result
     if args.m < 2 or args.n < 1:
         parser.error("need m >= 2 (positive first-factor curvature) and "
                      "n >= 1")
@@ -173,7 +172,7 @@ def _cmd_bound(args, parser) -> int:
     profile = read_profile_file(args.profile)
     res = gn_value(profile, d)
     s_g = unit_volume_sphere_scalar(d.m)
-    bound = _bound_from_result(res, s_g)
+    bound = y_infinity(d, s_g, res.sigma_inv)
     y_sph = yamabe_sphere(d.k)
     rec = {
         "m": d.m, "n": d.n,

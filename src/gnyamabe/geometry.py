@@ -3,7 +3,7 @@
 Round-sphere volumes and Yamabe invariants, critical Sobolev exponents,
 the best Sobolev constant, and the dimensional coefficient that converts
 a Gagliardo-Nirenberg constant into the limiting Yamabe constant of a
-product with a flat factor.
+product with a flat factor, and that limiting constant.
 """
 
 from __future__ import annotations
@@ -121,6 +121,17 @@ def coupling_constant(d: Dims) -> float:
     log_c = (n / k) * math.log(d.a) + math.log(k) \
         - (n / k) * math.log(n) - (m / k) * math.log(m)
     return math.exp(log_c)
+
+
+def y_infinity(d: Dims, s_g: float, sigma_inv: float) -> float:
+    """Limiting Yamabe constant C(m,n) s_g^(m/k) sigma_inv of the product.
+
+    s_g is the (constant, positive) scalar curvature of the unit-volume
+    first factor; sigma_inv the inverse Gagliardo-Nirenberg constant.
+    """
+    if s_g <= 0.0 or sigma_inv < 0.0:
+        raise ValueError("s_g must be positive and sigma_inv non-negative")
+    return coupling_constant(d) * s_g ** (d.m / d.k) * sigma_inv
 
 
 def unit_volume_sphere_scalar(m: int) -> float:

@@ -12,12 +12,12 @@ directed error bounds is open (ROADMAP.md, item 2).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 from .functional import gn_value
-from .geometry import Dims, coupling_constant, unit_volume_sphere_scalar, yamabe_sphere
+from .geometry import (Dims, unit_volume_sphere_scalar, y_infinity,
+                       yamabe_sphere)
 from .ode import DEFAULT_CONTROLS, IntegrationControls
 from .shooting import find_ground_state
 
@@ -34,56 +34,16 @@ class ConstantsRow:
     alpha0: float
 
 
-def y_infinity(d: Dims, s_g: float, sigma_inv: float) -> float:
-    """Limiting Yamabe constant C(m,n) s_g^(m/k) sigma_inv of the product.
-
-    s_g is the (constant, positive) scalar curvature of the unit-volume
-    first factor; sigma_inv the inverse Gagliardo-Nirenberg constant.
-    """
-    if s_g <= 0.0 or sigma_inv < 0.0:
-        raise ValueError("s_g must be positive and sigma_inv non-negative")
-    return coupling_constant(d) * s_g ** (d.m / d.k) * sigma_inv
-
-
-def optimal_dilation(A: float, B: float, d: Dims) -> tuple[float, float]:
-    """Minimize F(lambda) = lambda^(2m/k) A + lambda^(-2n/k) B over lambda.
-
-    Returns (lambda0, F(lambda0)) with lambda0 = sqrt(nB/(mA)) and
-    F(lambda0) = A^(n/k) B^(m/k) m^(-m/k) n^(-n/k) (m + n).
-    """
-    if A <= 0.0 or B <= 0.0:
-        raise ValueError("A and B must be positive")
-    m, n, k = d.m, d.n, d.k
-    lam0 = math.sqrt(n * B / (m * A))
-    f_min = math.exp((n / k) * math.log(A) + (m / k) * math.log(B)
-                     - (m / k) * math.log(m) - (n / k) * math.log(n)) * k
-    return lam0, f_min
-
-
 def bound_from_profile(profile, d: Dims, s_g: float) -> float:
     """Upper bound C(m,n) s_g^(m/k) L(f) for the limiting constant, up to
     quadrature and rounding error: L(f) is evaluated in floating point,
     with 16-node Gauss-Legendre for I_p on a piecewise-linear function's
     segments that do not end at 0.
 
-    Any admissible radial test function gives one; the ground state attains
-    it. Cross-checked internally against the dilation-minimum route, which
-    must agree to rounding.
+    Any admissible radial test function gives one; the ground state
+    attains it.
     """
-    return _bound_from_result(gn_value(profile, d), s_g)
-
-
-def _bound_from_result(res, s_g: float) -> float:
-    """`bound_from_profile` from the profile's GNResult `res`."""
-    d = res.d
-    bound = y_infinity(d, s_g, res.sigma_inv)
-    denom = res.lp_norm ** 2
-    _, f_min = optimal_dilation(d.a * res.grad_sq / denom,
-                                s_g * res.l2_sq / denom, d)
-    if abs(f_min - bound) > 1e-9 * bound:
-        raise AssertionError(
-            f"dilation-minimum cross-check failed: {f_min!r} vs {bound!r}")
-    return bound
+    return y_infinity(d, s_g, gn_value(profile, d).sigma_inv)
 
 
 def table_pairs(max_total_dim: int) -> list[tuple[int, int]]:

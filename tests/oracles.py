@@ -23,7 +23,9 @@ kept to referee their replacements; `sample_steps_loop` samples stored
 steps one time at a time, by the scalar continuous extension.
 `tightened`, `profile_quotient`, `dilate`, `scale` and `circle_orbit`
 build the controls, quotients, transformed profiles and orbits the tests
-compare; the package itself needs none of them.
+compare; the package itself needs none of them. `optimal_dilation`
+minimizes a quotient over dilations in closed form, the route to the
+limiting constant that `geometry.y_infinity` does not take.
 """
 
 import math
@@ -368,6 +370,20 @@ def profile_quotient(profile, d, s_g: float) -> float:
     constant scalar curvature s_g."""
     i_grad, i_sq, i_p = functional.radial_integrals(profile, d)
     return (d.a * i_grad + s_g * i_sq) / i_p ** (2.0 / d.p)
+
+
+def optimal_dilation(A: float, B: float, d) -> tuple[float, float]:
+    """Minimize F(lambda) = lambda^(2m/k) A + lambda^(-2n/k) B over lambda.
+
+    Returns (lambda0, F(lambda0)) with lambda0 = sqrt(nB/(mA)) and
+    F(lambda0) = A^(n/k) B^(m/k) m^(-m/k) n^(-n/k) (m + n). With A and B
+    a profile's two quotient terms this is the package's bound reached
+    by another route, the dilation minimum of the quotient."""
+    m, n, k = d.m, d.n, d.k
+    lam0 = math.sqrt(n * B / (m * A))
+    f_min = math.exp((n / k) * math.log(A) + (m / k) * math.log(B)
+                     - (m / k) * math.log(m) - (n / k) * math.log(n)) * k
+    return lam0, f_min
 
 
 def dilate(profile, lam: float):

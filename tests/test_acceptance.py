@@ -19,12 +19,12 @@ from gnyamabe.geometry import (coupling_constant, reference_constants,
                                sphere_volume)
 from gnyamabe.ode import DEFAULT_CONTROLS, CrossedZero, TurnedUp
 from gnyamabe.periodic import return_time
-from gnyamabe.products import optimal_dilation
 
 from golden import (ALPHA0_22, GOLDEN_TABLE, SIGMA_TOL, TESTFN_BOUND_22,
                     Y_INF_TOL, Y_SPHERE_TOL)
 from oracles import (dilate, exponents_m1, hermite_integrals, ode_residual,
-                     scale, sech_amplitude, sech_sigma_inv, tightened)
+                     optimal_dilation, scale, sech_amplitude, sech_sigma_inv,
+                     tightened)
 
 
 def _report(num, text):

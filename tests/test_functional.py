@@ -12,12 +12,11 @@ from gnyamabe.functional import (GNResult, PiecewiseLinearProfile,
                                  read_profile_file)
 from gnyamabe.geometry import Dims, surface_measure, unit_volume_sphere_scalar
 from gnyamabe.ode import RadialProfile
-from gnyamabe.products import optimal_dilation
 from gnyamabe.shooting import find_ground_state
 
-from oracles import (dilate, hermite_integrals, piecewise_linear_integrals,
-                     profile_quotient, scale, sech_integrals, sech_sigma_inv,
-                     triangle_integrals_n2)
+from oracles import (dilate, hermite_integrals, optimal_dilation,
+                     piecewise_linear_integrals, profile_quotient, scale,
+                     sech_integrals, sech_sigma_inv, triangle_integrals_n2)
 
 D22 = Dims(2, 2)
 

@@ -5,11 +5,12 @@ import pytest
 
 import gnyamabe.products as products
 from gnyamabe.functional import PiecewiseLinearProfile, gn_value
-from gnyamabe.geometry import Dims, unit_volume_sphere_scalar, yamabe_sphere
-from gnyamabe.products import (bound_from_profile, build_table,
-                               optimal_dilation, table_pairs, y_infinity)
+from gnyamabe.geometry import (Dims, unit_volume_sphere_scalar, y_infinity,
+                               yamabe_sphere)
+from gnyamabe.products import bound_from_profile, build_table, table_pairs
 
 from golden import GOLDEN_TABLE
+from oracles import optimal_dilation
 
 D22 = Dims(2, 2)
 
