@@ -129,8 +129,9 @@ def y_infinity(d: Dims, s_g: float, sigma_inv: float) -> float:
     s_g is the (constant, positive) scalar curvature of the unit-volume
     first factor; sigma_inv the inverse Gagliardo-Nirenberg constant.
     """
-    if s_g <= 0.0 or sigma_inv < 0.0:
-        raise ValueError("s_g must be positive and sigma_inv non-negative")
+    if not (0.0 < s_g < math.inf and 0.0 <= sigma_inv < math.inf):
+        raise ValueError("s_g must be positive and sigma_inv non-negative, "
+                         "both finite")
     return coupling_constant(d) * s_g ** (d.m / d.k) * sigma_inv
 
 

@@ -512,9 +512,11 @@ def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049):
     """Time-integrate the orbit from (u_max, 0); returns (t, u, u') arrays
     at `samples` equally spaced times on [0, t_end], read off the dense
     output of the step each falls in. Raises ValueError when 1 - u_max
-    is below _TIME_DELTA_FLOOR."""
+    is below _TIME_DELTA_FLOOR or t_end is not positive and finite."""
     _check_dim(n)
     _check_time_window(u_max)
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     ts = np.linspace(0.0, t_end, samples)
     us, dus = ode._sample_steps(list(_orbit_steps(n, u_max, t_end)), ts)
     return ts, us, dus

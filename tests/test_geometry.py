@@ -5,7 +5,7 @@ import pytest
 from gnyamabe.geometry import (Dims, coupling_constant, reference_constants,
                                sobolev_constant, sphere_volume,
                                surface_measure, unit_volume_sphere_scalar,
-                               yamabe_sphere)
+                               y_infinity, yamabe_sphere)
 
 
 def test_sphere_volume_low_dims():
@@ -83,6 +83,15 @@ def test_coupling_constant_log_space_agrees_with_naive():
             val = coupling_constant(d)
             assert val > 0
             assert val == pytest.approx(naive, rel=1e-14)
+
+
+@pytest.mark.parametrize("s_g, sigma_inv", [
+    (math.nan, 2.4), (math.inf, 2.4), (8 * math.pi, math.nan),
+    (8 * math.pi, math.inf)], ids=["s_g-nan", "s_g-inf", "sigma_inv-nan",
+                                   "sigma_inv-inf"])
+def test_y_infinity_rejects_non_finite(s_g, sigma_inv):
+    with pytest.raises(ValueError, match="finite"):
+        y_infinity(Dims(2, 2), s_g, sigma_inv)
 
 
 def test_unit_volume_sphere_scalar():

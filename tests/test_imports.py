@@ -11,8 +11,9 @@ no scipy module at all, and no OpenSSL through `_hashlib` either: only
 `functional.bundled_test_function`, which no subcommand calls, hashes.
 One fresh subprocess per case checks that the package and each
 subcommand load only the modules they run: `import gnyamabe` loads no
-submodule and no numpy, `constants` only `cli` and `geometry`. The
-package's exports resolve on first access to their submodules' objects.
+submodule and no numpy, `constants` only `cli` and `geometry`, `bound`
+neither `products`, `shooting` nor `periodic`. The package's exports
+resolve on first access to their submodules' objects.
 The last test parses the package, the demos and the benchmark: every
 public function and method must be named outside its own definition.
 """
@@ -30,10 +31,7 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "gnyamabe"
-MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "periodic.py")
-# the functions allowed to import scipy inside their bodies: none since
-# the time integrations stopped using solve_ivp and simpson
-SCIPY_REFEREES = set()
+MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
 def _imports(path: Path) -> list[tuple[str, str | None]]:
@@ -71,10 +69,6 @@ def test_modules_found():
                          ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_scipy_import(path):
     assert _scipy_owners(path) == set()
-
-
-def test_periodic_imports_scipy_only_in_referees():
-    assert _scipy_owners(PACKAGE / "periodic.py") == SCIPY_REFEREES
 
 
 _CHILD = """
@@ -152,7 +146,9 @@ def test_loads_only_these(argv, loaded):
 @pytest.mark.parametrize("argv, skipped", [
     (["ground-state", "2", "2"], {"gnyamabe.periodic"}),
     (["periodic", "4", "3"], {"gnyamabe.functional", "gnyamabe.products"}),
-], ids=["ground-state", "periodic"])
+    (["bound", str(PACKAGE / "data" / "testfn_2_2.dat"), "2", "2"],
+     {"gnyamabe.products", "gnyamabe.shooting", "gnyamabe.periodic"}),
+], ids=["ground-state", "periodic", "bound"])
 def test_subcommand_skips_what_it_does_not_run(argv, skipped):
     loaded = _run_child(_LOADS_CHILD, *argv)
     assert "numpy" in loaded

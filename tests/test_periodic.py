@@ -131,6 +131,12 @@ def test_time_integration_matches_scipy(n):
         assert return_time(n, u_max) == pytest.approx(t_ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+def test_integrate_orbit_rejects_bad_t_end(t_end):
+    with pytest.raises(ValueError, match="t_end"):
+        integrate_orbit(4, 0.9, t_end)
+
+
 def test_energy_conservation_along_orbit():
     for n in (3, 4, 5):
         uc = constant_solution(n)
