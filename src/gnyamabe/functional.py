@@ -56,6 +56,8 @@ class PiecewiseLinearProfile:
             raise ValueError("breakpoints must be strictly increasing")
         if np.any(self.hs < 0.0):
             raise ValueError("values must be non-negative")
+        if not np.any(self.hs > 0.0):
+            raise ValueError("the values must not all be 0")
         if self.hs[-1] != 0.0:
             raise ValueError("the final value must be 0 (compact support)")
 
@@ -183,8 +185,12 @@ def radial_integrals(profile, d: Dims):
 
 def gn_value(profile, d: Dims) -> GNResult:
     """Assemble the functional value L = I_grad^(n/k) I_sq^(m/k) / I_p^(2/p)
-    from the integrals of `radial_integrals`."""
+    from the integrals of `radial_integrals`. Raises ValueError when I_p
+    is 0 or not finite, as for a profile too small or too large for
+    doubles."""
     i_grad, i_sq, i_p = radial_integrals(profile, d)
+    if not 0.0 < i_p < math.inf:
+        raise ValueError(f"I_p = {i_p!r} is not positive and finite")
     k = d.k
     sigma_inv = i_grad ** (d.n / k) * i_sq ** (d.m / k) / i_p ** (2.0 / d.p)
     return GNResult(d=d, grad_sq=i_grad, l2_sq=i_sq,

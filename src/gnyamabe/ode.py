@@ -20,12 +20,14 @@ extension, whose three extra stages are evaluated only for the steps
 that hold an event or a sample. A hand-rolled scalar stepper, with the
 right-hand side written out in each stage, keeps a full shooting run of
 thousands of shots within interactive time; the undamped circle-factor
-flow of `periodic` runs on it too. One routine, `_dense`, builds the
-extension of a single stored step, for an event, or of a column table of
-steps, for the samples: the steps a profile or an orbit is sampled from
-are extended in one array pass, with the doubles a loop over the steps
-gives. Its stage sums run over its coefficient table and add left to
-right, so the doubles do not depend on the Python version.
+flow of `periodic` runs on it too. Its step loop makes no builtin call
+and reads the tableau from locals, with the doubles abs() would give.
+One routine, `_dense`, builds the extension of a single stored step, for
+an event, or of a column table of steps, for the samples: the steps a
+profile or an orbit is sampled from are extended in one array pass, with
+the doubles a loop over the steps gives. Its stage sums run over its
+coefficient table and add left to right, so the doubles do not depend
+on the Python version.
 """
 
 from __future__ import annotations
@@ -355,12 +357,14 @@ def _step_control(e5, e3, dt, rejected):
     sums e5 and e3 over the two components. err = dt e5 / sqrt(2 (e5 +
     e3 / 100)) is the DOP853 error norm, and the step is accepted when
     err <= 1. factor multiplies the step size next: 0.9 err^(-1/8)
-    clamped to [0.2, 10], and at most 1 right after a rejection."""
+    clamped to [0.2, 10], and at most 1 right after a rejection; a NaN
+    err gives 0.2."""
     err = dt * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)) if e5 or e3 else 0.0
-    if err > 1.0:
-        return err, max(0.2, 0.9 * err ** -0.125)
-    factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
-    return err, min(1.0, factor) if rejected else factor
+    factor = 0.9 * err ** -0.125 if err else 10.0
+    if not factor > 0.2:  # NaN too
+        return err, 0.2
+    top = 1.0 if rejected else 10.0
+    return err, top if factor > top else factor
 
 
 def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
@@ -374,7 +378,26 @@ def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
 
     With c1 = c2 = 1 each stage is the double rhs() gives, and with
     nm1 = 0 the damping term adds an exact zero; only an undamped flow
-    may start at t = 0."""
+    may start at t = 0.
+
+    The loop makes no builtin call and reads the tableau from locals bound
+    once per call: |y| and max are comparisons, which give the doubles of
+    abs() and max() (a -0.0 that stays negative in a tolerance scale adds
+    nothing to atol > 0)."""
+    (C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, A21, A31, A32, A41, A43, A51,
+     A53, A54, A61, A64, A65, A71, A74, A75, A76, A81, A84, A85, A86, A87, A91,
+     A94, A95, A96, A97, A98, A10_1, A10_4, A10_5, A10_6, A10_7, A10_8, A10_9,
+     A11_1, A11_4, A11_5, A11_6, A11_7, A11_8, A11_9, A11_10, A12_1, A12_4,
+     A12_5, A12_6, A12_7, A12_8, A12_9, A12_10, A12_11, B1, B6, B7, B8, B9,
+     B10, B11, B12, BHH1, BHH9, BHH12, E1, E6, E7, E8, E9, E10, E11, E12) = (
+        _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _A21, _A31, _A32,
+        _A41, _A43, _A51, _A53, _A54, _A61, _A64, _A65, _A71, _A74, _A75, _A76,
+        _A81, _A84, _A85, _A86, _A87, _A91, _A94, _A95, _A96, _A97, _A98,
+        _A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9, _A11_1, _A11_4,
+        _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10, _A12_1, _A12_4,
+        _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11, _B1, _B6,
+        _B7, _B8, _B9, _B10, _B11, _B12, _BHH1, _BHH9, _BHH12, _E1, _E6, _E7,
+        _E8, _E9, _E10, _E11, _E12)
     flow = (nm1, c1, c2, qm1)
     damping = -(nm1 / t) * dh if t else 0.0
     f1d = damping + c1 * h - c2 * abs(h) ** qm1 * h
@@ -386,73 +409,84 @@ def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
             dt = t_end - t
 
         k1h, k1d = dh, f1d
-        y = h + dt * _A21 * k1h
-        k2h = dh + dt * _A21 * k1d
-        k2d = -(nm1 / (t + _C2 * dt)) * k2h + c1 * y - c2 * abs(y) ** qm1 * y
-        y = h + dt * (_A31 * k1h + _A32 * k2h)
-        k3h = dh + dt * (_A31 * k1d + _A32 * k2d)
-        k3d = -(nm1 / (t + _C3 * dt)) * k3h + c1 * y - c2 * abs(y) ** qm1 * y
-        y = h + dt * (_A41 * k1h + _A43 * k3h)
-        k4h = dh + dt * (_A41 * k1d + _A43 * k3d)
-        k4d = -(nm1 / (t + _C4 * dt)) * k4h + c1 * y - c2 * abs(y) ** qm1 * y
-        y = h + dt * (_A51 * k1h + _A53 * k3h + _A54 * k4h)
-        k5h = dh + dt * (_A51 * k1d + _A53 * k3d + _A54 * k4d)
-        k5d = -(nm1 / (t + _C5 * dt)) * k5h + c1 * y - c2 * abs(y) ** qm1 * y
-        y = h + dt * (_A61 * k1h + _A64 * k4h + _A65 * k5h)
-        k6h = dh + dt * (_A61 * k1d + _A64 * k4d + _A65 * k5d)
-        k6d = -(nm1 / (t + _C6 * dt)) * k6h + c1 * y - c2 * abs(y) ** qm1 * y
-        y = h + dt * (_A71 * k1h + _A74 * k4h + _A75 * k5h + _A76 * k6h)
-        k7h = dh + dt * (_A71 * k1d + _A74 * k4d + _A75 * k5d + _A76 * k6d)
-        k7d = -(nm1 / (t + _C7 * dt)) * k7h + c1 * y - c2 * abs(y) ** qm1 * y
-        y = h + dt * (_A81 * k1h + _A84 * k4h + _A85 * k5h + _A86 * k6h
-                      + _A87 * k7h)
-        k8h = dh + dt * (_A81 * k1d + _A84 * k4d + _A85 * k5d + _A86 * k6d
-                         + _A87 * k7d)
-        k8d = -(nm1 / (t + _C8 * dt)) * k8h + c1 * y - c2 * abs(y) ** qm1 * y
-        y = h + dt * (_A91 * k1h + _A94 * k4h + _A95 * k5h + _A96 * k6h
-                      + _A97 * k7h + _A98 * k8h)
-        k9h = dh + dt * (_A91 * k1d + _A94 * k4d + _A95 * k5d + _A96 * k6d
-                         + _A97 * k7d + _A98 * k8d)
-        k9d = -(nm1 / (t + _C9 * dt)) * k9h + c1 * y - c2 * abs(y) ** qm1 * y
-        y = h + dt * (_A10_1 * k1h + _A10_4 * k4h + _A10_5 * k5h
-                      + _A10_6 * k6h + _A10_7 * k7h + _A10_8 * k8h
-                      + _A10_9 * k9h)
-        k10h = dh + dt * (_A10_1 * k1d + _A10_4 * k4d + _A10_5 * k5d
-                          + _A10_6 * k6d + _A10_7 * k7d + _A10_8 * k8d
-                          + _A10_9 * k9d)
-        k10d = (-(nm1 / (t + _C10 * dt)) * k10h + c1 * y
-                - c2 * abs(y) ** qm1 * y)
-        y = h + dt * (_A11_1 * k1h + _A11_4 * k4h + _A11_5 * k5h
-                      + _A11_6 * k6h + _A11_7 * k7h + _A11_8 * k8h
-                      + _A11_9 * k9h + _A11_10 * k10h)
-        k11h = dh + dt * (_A11_1 * k1d + _A11_4 * k4d + _A11_5 * k5d
-                          + _A11_6 * k6d + _A11_7 * k7d + _A11_8 * k8d
-                          + _A11_9 * k9d + _A11_10 * k10d)
-        k11d = (-(nm1 / (t + _C11 * dt)) * k11h + c1 * y
-                - c2 * abs(y) ** qm1 * y)
+        y = h + dt * A21 * k1h
+        k2h = dh + dt * A21 * k1d
+        k2d = -(nm1 / (t + C2 * dt)) * k2h + c1 * y - c2 * (
+            y if y > 0.0 else -y if y < 0.0 else 0.0) ** qm1 * y
+        y = h + dt * (A31 * k1h + A32 * k2h)
+        k3h = dh + dt * (A31 * k1d + A32 * k2d)
+        k3d = -(nm1 / (t + C3 * dt)) * k3h + c1 * y - c2 * (
+            y if y > 0.0 else -y if y < 0.0 else 0.0) ** qm1 * y
+        y = h + dt * (A41 * k1h + A43 * k3h)
+        k4h = dh + dt * (A41 * k1d + A43 * k3d)
+        k4d = -(nm1 / (t + C4 * dt)) * k4h + c1 * y - c2 * (
+            y if y > 0.0 else -y if y < 0.0 else 0.0) ** qm1 * y
+        y = h + dt * (A51 * k1h + A53 * k3h + A54 * k4h)
+        k5h = dh + dt * (A51 * k1d + A53 * k3d + A54 * k4d)
+        k5d = -(nm1 / (t + C5 * dt)) * k5h + c1 * y - c2 * (
+            y if y > 0.0 else -y if y < 0.0 else 0.0) ** qm1 * y
+        y = h + dt * (A61 * k1h + A64 * k4h + A65 * k5h)
+        k6h = dh + dt * (A61 * k1d + A64 * k4d + A65 * k5d)
+        k6d = -(nm1 / (t + C6 * dt)) * k6h + c1 * y - c2 * (
+            y if y > 0.0 else -y if y < 0.0 else 0.0) ** qm1 * y
+        y = h + dt * (A71 * k1h + A74 * k4h + A75 * k5h + A76 * k6h)
+        k7h = dh + dt * (A71 * k1d + A74 * k4d + A75 * k5d + A76 * k6d)
+        k7d = -(nm1 / (t + C7 * dt)) * k7h + c1 * y - c2 * (
+            y if y > 0.0 else -y if y < 0.0 else 0.0) ** qm1 * y
+        y = h + dt * (A81 * k1h + A84 * k4h + A85 * k5h + A86 * k6h
+                      + A87 * k7h)
+        k8h = dh + dt * (A81 * k1d + A84 * k4d + A85 * k5d + A86 * k6d
+                         + A87 * k7d)
+        k8d = -(nm1 / (t + C8 * dt)) * k8h + c1 * y - c2 * (
+            y if y > 0.0 else -y if y < 0.0 else 0.0) ** qm1 * y
+        y = h + dt * (A91 * k1h + A94 * k4h + A95 * k5h + A96 * k6h
+                      + A97 * k7h + A98 * k8h)
+        k9h = dh + dt * (A91 * k1d + A94 * k4d + A95 * k5d + A96 * k6d
+                         + A97 * k7d + A98 * k8d)
+        k9d = -(nm1 / (t + C9 * dt)) * k9h + c1 * y - c2 * (
+            y if y > 0.0 else -y if y < 0.0 else 0.0) ** qm1 * y
+        y = h + dt * (A10_1 * k1h + A10_4 * k4h + A10_5 * k5h
+                      + A10_6 * k6h + A10_7 * k7h + A10_8 * k8h
+                      + A10_9 * k9h)
+        k10h = dh + dt * (A10_1 * k1d + A10_4 * k4d + A10_5 * k5d
+                          + A10_6 * k6d + A10_7 * k7d + A10_8 * k8d
+                          + A10_9 * k9d)
+        k10d = -(nm1 / (t + C10 * dt)) * k10h + c1 * y - c2 * (
+            y if y > 0.0 else -y if y < 0.0 else 0.0) ** qm1 * y
+        y = h + dt * (A11_1 * k1h + A11_4 * k4h + A11_5 * k5h
+                      + A11_6 * k6h + A11_7 * k7h + A11_8 * k8h
+                      + A11_9 * k9h + A11_10 * k10h)
+        k11h = dh + dt * (A11_1 * k1d + A11_4 * k4d + A11_5 * k5d
+                          + A11_6 * k6d + A11_7 * k7d + A11_8 * k8d
+                          + A11_9 * k9d + A11_10 * k10d)
+        k11d = -(nm1 / (t + C11 * dt)) * k11h + c1 * y - c2 * (
+            y if y > 0.0 else -y if y < 0.0 else 0.0) ** qm1 * y
         t_new = t + dt
-        y = h + dt * (_A12_1 * k1h + _A12_4 * k4h + _A12_5 * k5h
-                      + _A12_6 * k6h + _A12_7 * k7h + _A12_8 * k8h
-                      + _A12_9 * k9h + _A12_10 * k10h + _A12_11 * k11h)
-        k12h = dh + dt * (_A12_1 * k1d + _A12_4 * k4d + _A12_5 * k5d
-                          + _A12_6 * k6d + _A12_7 * k7d + _A12_8 * k8d
-                          + _A12_9 * k9d + _A12_10 * k10d + _A12_11 * k11d)
-        k12d = -(nm1 / t_new) * k12h + c1 * y - c2 * abs(y) ** qm1 * y
+        y = h + dt * (A12_1 * k1h + A12_4 * k4h + A12_5 * k5h
+                      + A12_6 * k6h + A12_7 * k7h + A12_8 * k8h
+                      + A12_9 * k9h + A12_10 * k10h + A12_11 * k11h)
+        k12h = dh + dt * (A12_1 * k1d + A12_4 * k4d + A12_5 * k5d
+                          + A12_6 * k6d + A12_7 * k7d + A12_8 * k8d
+                          + A12_9 * k9d + A12_10 * k10d + A12_11 * k11d)
+        k12d = -(nm1 / t_new) * k12h + c1 * y - c2 * (
+            y if y > 0.0 else -y if y < 0.0 else 0.0) ** qm1 * y
 
-        inc_h = (_B1 * k1h + _B6 * k6h + _B7 * k7h + _B8 * k8h + _B9 * k9h
-                 + _B10 * k10h + _B11 * k11h + _B12 * k12h)
-        inc_d = (_B1 * k1d + _B6 * k6d + _B7 * k7d + _B8 * k8d + _B9 * k9d
-                 + _B10 * k10d + _B11 * k11d + _B12 * k12d)
+        inc_h = (B1 * k1h + B6 * k6h + B7 * k7h + B8 * k8h + B9 * k9h
+                 + B10 * k10h + B11 * k11h + B12 * k12h)
+        inc_d = (B1 * k1d + B6 * k6d + B7 * k7d + B8 * k8d + B9 * k9d
+                 + B10 * k10d + B11 * k11d + B12 * k12d)
         hn = h + dt * inc_h
         dhn = dh + dt * inc_d
-        sc_h = atol + rtol * max(abs(h), abs(hn))
-        sc_d = atol + rtol * max(abs(dh), abs(dhn))
-        e5h = (_E1 * k1h + _E6 * k6h + _E7 * k7h + _E8 * k8h + _E9 * k9h
-               + _E10 * k10h + _E11 * k11h + _E12 * k12h) / sc_h
-        e5d = (_E1 * k1d + _E6 * k6d + _E7 * k7d + _E8 * k8d + _E9 * k9d
-               + _E10 * k10d + _E11 * k11d + _E12 * k12d) / sc_d
-        e3h = (inc_h - _BHH1 * k1h - _BHH9 * k9h - _BHH12 * k12h) / sc_h
-        e3d = (inc_d - _BHH1 * k1d - _BHH9 * k9d - _BHH12 * k12d) / sc_d
+        sh, shn = (-h if h < 0.0 else h), (-hn if hn < 0.0 else hn)
+        sc_h = atol + rtol * (shn if shn > sh else sh)
+        sd, sdn = (-dh if dh < 0.0 else dh), (-dhn if dhn < 0.0 else dhn)
+        sc_d = atol + rtol * (sdn if sdn > sd else sd)
+        e5h = (E1 * k1h + E6 * k6h + E7 * k7h + E8 * k8h + E9 * k9h
+               + E10 * k10h + E11 * k11h + E12 * k12h) / sc_h
+        e5d = (E1 * k1d + E6 * k6d + E7 * k7d + E8 * k8d + E9 * k9d
+               + E10 * k10d + E11 * k11d + E12 * k12d) / sc_d
+        e3h = (inc_h - BHH1 * k1h - BHH9 * k9h - BHH12 * k12h) / sc_h
+        e3d = (inc_d - BHH1 * k1d - BHH9 * k9d - BHH12 * k12d) / sc_d
         err, factor = _step_control(e5h * e5h + e5d * e5d,
                                     e3h * e3h + e3d * e3d, dt, rejected)
         if err > 1.0:
@@ -460,7 +494,8 @@ def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
             rejected = True
             continue
 
-        k13d = -(nm1 / t_new) * dhn + c1 * hn - c2 * abs(hn) ** qm1 * hn
+        k13d = -(nm1 / t_new) * dhn + c1 * hn - c2 * (
+            hn if hn > 0.0 else -hn if hn < 0.0 else 0.0) ** qm1 * hn
         yield (t, dt, h, dh, hn, dhn,
                k1h, k6h, k7h, k8h, k9h, k10h, k11h, k12h,
                k1d, k6d, k7d, k8d, k9d, k10d, k11d, k12d, k13d, flow)

@@ -26,6 +26,8 @@ build the controls, quotients, transformed profiles and orbits the tests
 compare; the package itself needs none of them. `optimal_dilation`
 minimizes a quotient over dilations in closed form, the route to the
 limiting constant that `geometry.y_infinity` does not take.
+`step_control_reference` is the DOP853 step-size controller written with
+max and min, kept to referee `ode._step_control`.
 """
 
 import math
@@ -406,3 +408,15 @@ def scale(profile, c: float):
 def circle_orbit(n: int, u_max: float):
     """The circle-factor orbit through (u_max, 0) with its period."""
     return periodic._orbit(n, 1.0 - u_max, periodic.orbit_period(n, u_max))
+
+
+def step_control_reference(e5, e3, dt, rejected):
+    """(err, factor) of the DOP853 controller as `ode._step_control` once
+    wrote it, with max and min: err = dt e5 / sqrt(2 (e5 + e3 / 100)),
+    factor 0.9 err^(-1/8) clamped to [0.2, 10], at most 1 right after a
+    rejection, and a rejected step's factor left below 1 by the clamp."""
+    err = dt * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)) if e5 or e3 else 0.0
+    if err > 1.0:
+        return err, max(0.2, 0.9 * err ** -0.125)
+    factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
+    return err, min(1.0, factor) if rejected else factor

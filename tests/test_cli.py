@@ -135,6 +135,22 @@ def test_bound_malformed_file(capsys, tmp_path, text, line):
     assert out == ""
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 0\n1 0\n", "must not all be 0"),
+    ("0 1e-200\n1 0\n", "I_p = 0.0 is not positive and finite"),
+], ids=["all-zero", "underflow"])
+def test_bound_degenerate_profile(capsys, tmp_path, text, message):
+    """A profile with no mass, or one whose L^p integral underflows, ends
+    in one error line and exit 1, not a ZeroDivisionError."""
+    path = tmp_path / "degenerate.dat"
+    path.write_text(text)
+    code, out, err = run(capsys, "bound", str(path), "2", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_bound_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "bound", str(tmp_path / "nope.dat"), "2", "2")
     assert code == 1

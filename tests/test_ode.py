@@ -17,7 +17,8 @@ from gnyamabe.products import table_pairs
 from gnyamabe.shooting import _miss, bracket_alpha, find_ground_state
 
 from oracles import (exponents_m1, sample_profile_loop, sample_steps_loop,
-                     sech_amplitude, sech_h, shot_reference, tightened)
+                     sech_amplitude, sech_h, shot_reference,
+                     step_control_reference, tightened)
 
 D22 = Dims(2, 2)
 
@@ -425,6 +426,55 @@ def test_step_underflow_is_integration_failure(monkeypatch):
         integrate_shot(2.5, D22)
     with pytest.raises(IntegrationFailure, match="step underflow at t=0"):
         periodic.return_time(4, 0.9)
+
+
+# (e5, e3, dt) for the step controller; with e3 = 0 and e5 = 2 the error
+# norm is dt itself
+_CONTROL_CASES = [
+    (0.0, 0.0, 1e-3),  # err = 0
+    (0.0, 5.0, 1e-3),  # err = 0 from e5 = 0 alone
+    (2.0, 0.0, 1e-300),  # err tiny: factor clamped to 10
+    (2.0, 0.0, 0.01),  # factor between 1 and 10
+    (2.0, 0.0, 0.5),  # below 1
+    (2.0, 0.0, 1.0),  # exactly 1: accepted
+    (2.0, 0.0, 1.5),  # above 1
+    (2.0, 0.0, 1e300),  # huge: factor clamped to 0.2
+    (2.0, 0.0, math.inf),  # inf
+    (math.nan, 0.0, 1e-3),  # NaN: (nan, 0.2), the step shrinks
+    (math.inf, 1.0, 1e-3),  # NaN from inf / inf
+    (3.7e-20, 5.1e-18, 0.0625),
+]
+
+
+@pytest.mark.parametrize("rejected", [False, True])
+@pytest.mark.parametrize("case", _CONTROL_CASES)
+def test_step_control_matches_reference(case, rejected):
+    """The controller gives the referee's doubles on every kind of error
+    norm, after an accepted step and after a rejected one."""
+    got = ode._step_control(*case, rejected)
+    want = step_control_reference(*case, rejected)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 4), (3, 3), (2, 7)])
+def test_steps_odd_in_the_state(m, n):
+    """The radial flow is odd in (h, h'), and so is every stage of the
+    stepper: from (-h, -h') it takes the same steps, at the same t and dt,
+    with every stored h, h' and slope negated. The runs cross zero, so
+    the stages see both signs of h."""
+    d = Dims(m, n)
+    alpha = 1.01 * float.fromhex(next(
+        pin[2] for pin in _TABLE_PINS if pin[:2] == (m, n)))
+    h, dh = series_start(alpha, 1e-4, d)
+    args = (n - 1.0, 1.0, 1.0, d.q - 1.0, DEFAULT_CONTROLS.rtol,
+            DEFAULT_CONTROLS.atol)
+    plus = list(ode._dp_steps(1e-4, h, dh, 1e-3, 20.0, *args))
+    minus = list(ode._dp_steps(1e-4, -h, -dh, 1e-3, 20.0, *args))
+    assert sum(step[2] < 0.0 for step in plus) > 50
+    assert len(minus) == len(plus)
+    for a, b in zip(plus, minus):
+        assert b[:2] == a[:2] and b[23] == a[23]
+        assert list(b[2:23]) == [-x for x in a[2:23]]
 
 
 @pytest.mark.parametrize("alpha", [1e5, 1e6])
