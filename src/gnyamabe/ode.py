@@ -11,6 +11,11 @@ small). Near the critical initial value a shot follows the decaying
 ground state until its growing mode takes over, so every shot ends on
 one of the two events.
 
+A shot starts where the 24-term Taylor series of the regular solution
+is exact to double precision; the outcome carries this series head, for
+the profile's first nodes. It spares the stepper the (n-1)/t singularity:
+build_table(9) takes 8,454 steps, 16,812 from a two-term start at 1e-4.
+
 The integrator is DOP853, the 8th-order Dormand-Prince pair with its
 combined 5th- and 3rd-order error estimate and its 7th-order continuous
 extension (Hairer, Norsett & Wanner, Solving ODEs I, II.10); at the
@@ -127,8 +132,11 @@ _D = (
 
 _EVENT_LOCATION_TOL = 1e-10
 
-# a shot starts from the series expansion at _T_START; h falling below
-# _DECAY_THRESHOLD bounds its stored profile
+# a shot starts where the last two of the _HEAD_TERMS terms of its series
+# head are below _HEAD_TOL alpha; t_max must exceed _T_START. h falling
+# below _DECAY_THRESHOLD bounds its stored profile
+_HEAD_TERMS = 24
+_HEAD_TOL = 1e-17
 _T_START = 1e-4
 _DECAY_THRESHOLD = 1e-6
 
@@ -198,12 +206,13 @@ class RadialProfile:
 @dataclass(frozen=True)
 class CrossedZero:
     """The shot reached h = 0 while decreasing: initial value too large.
-    `dh_cross` is the slope h' < 0 at the crossing; `steps` are the
-    accepted steps of the shot, from which its profile is sampled."""
+    `dh_cross` is the slope h' < 0 at the crossing; the shot's profile is
+    sampled from its series `head` and its accepted `steps`."""
 
     t_cross: float
     dh_cross: float
     steps: list = field(default=(), repr=False, compare=False)
+    head: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def t_event(self) -> float:
@@ -213,11 +222,12 @@ class CrossedZero:
 @dataclass(frozen=True)
 class TurnedUp:
     """h' reached 0 from below with 0 < h < 1: initial value too small.
-    `steps` as for CrossedZero; a shot from alpha <= 1 has none."""
+    `head` and `steps` as for CrossedZero; alpha <= 1 has neither."""
 
     t_turn: float
     h_at_turn: float
     steps: list = field(default=(), repr=False, compare=False)
+    head: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def t_event(self) -> float:
@@ -254,6 +264,46 @@ def series_start(alpha: float, t0: float, d: Dims) -> tuple[float, float]:
         raise ValueError("t0 must lie in (0, 1e-3]")
     c = (alpha - alpha ** d.q) / (2.0 * d.n)
     return alpha + c * t0 * t0, 2.0 * c * t0
+
+
+def _series_head(alpha: float, d: Dims, t_cap: float = 1.0) -> tuple:
+    """The Taylor series of the regular solution from h(0) = alpha > 1 as
+    (t0, alpha, w, ch, cd) for `_head_eval`, exact to double precision up
+    to t0. In s = t^2, h = sum a_j s^j has 2j (2j + n - 2) a_j = a_(j-1)
+    - u_(j-1), with u = h^q by Miller's recurrence u_j = sum_(i=1..j)
+    ((q+1) i - j) a_i u_(j-i) / (j a_0). It runs on b_j = a_j / (alpha
+    w^j), w = alpha^(q-1), bounded for every alpha; ch holds alpha b_j and
+    cd 2 alpha w j b_j (j >= 1). t0 <= t_cap is the largest t where each
+    of the last two terms is below _HEAD_TOL alpha. Sums add left to
+    right, so the doubles do not depend on the Python version."""
+    q, w = d.q, alpha ** (d.q - 1.0)
+    # b_1 = (1/w - 1) / (2n) by expm1: 1/w - 1 cancels as alpha nears 1
+    b = [1.0, math.expm1((1.0 - q) * math.log(alpha)) / (2 * d.n)]
+    v = [1.0]  # the coefficients of (h / alpha)^q in x
+    for j in range(2, _HEAD_TERMS + 1):
+        acc = 0.0  # v_(j-1) by Miller's recurrence, from b_1..b_(j-1)
+        for i in range(1, j):
+            acc += ((q + 1.0) * i - (j - 1)) * b[i] * v[j - 1 - i]
+        v.append(acc / (j - 1))
+        b.append((b[j - 1] / w - v[j - 1]) / (2 * j * (2 * j + d.n - 2)))
+    x0 = w * t_cap * t_cap
+    for j in (_HEAD_TERMS - 1, _HEAD_TERMS):
+        if b[j]:
+            x0 = min(x0, (_HEAD_TOL / abs(b[j])) ** (1.0 / j))
+    return (math.sqrt(x0 / w), alpha, w, tuple(alpha * c for c in b[1:]),
+            tuple(2.0 * alpha * w * j * b[j] for j in range(1, len(b))))
+
+
+def _head_eval(head, t):
+    """(h, h') of the series head from `_series_head` at t, a float or an
+    array of times (by Horner; both give the same doubles)."""
+    _, alpha, w, ch, cd = head
+    x = w * (t * t)
+    ph, pd = ch[-1], cd[-1]
+    for a, c in zip(ch[-2::-1], cd[-2::-1]):
+        ph = ph * x + a
+        pd = pd * x + c
+    return alpha + x * ph, t * pd
 
 
 def _dense(step):
@@ -509,22 +559,23 @@ def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
 def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
     """Core shot integration for alpha > 1.
 
-    Returns the CrossedZero or TurnedUp of the first event, carrying every
-    accepted step of `_dp_steps`. Raises IntegrationFailure when the
-    series start is not positive (alpha too large for _T_START), on step
+    Returns the CrossedZero or TurnedUp of the first event, carrying the
+    series head (its t0 at most t_max / 2) and every accepted step of
+    `_dp_steps` from t0. Raises IntegrationFailure when the head does not
+    descend at t0 (h > 0 > h', so no event lies in it), on step
     underflow or when neither event happens by t_max.
     """
-    nm1 = float(d.n - 1)
-    t = _T_START
-    h, dh = series_start(alpha, t, d)
-    if not h > 0.0:
+    head = _series_head(alpha, d, min(1.0, 0.5 * ctrl.t_max))
+    t = head[0]
+    h, dh = _head_eval(head, t)
+    if not (h > 0.0 and dh < 0.0):
         raise IntegrationFailure(
-            f"series start h({t:g}) = {h:.6g} is not positive: "
-            f"alpha={alpha!r} is too large to start at t={t:g}")
+            f"series head (h, h')({t:.6g}) = ({h:.6g}, {dh:.6g}) does not "
+            f"descend (alpha={alpha!r})")
     steps = []
     try:
-        for step in _dp_steps(t, h, dh, 1e-3, ctrl.t_max, nm1, 1.0, 1.0,
-                              d.q - 1.0, ctrl.rtol, ctrl.atol):
+        for step in _dp_steps(t, h, dh, 0.5 * t, ctrl.t_max, float(d.n - 1),
+                              1.0, 1.0, d.q - 1.0, ctrl.rtol, ctrl.atol):
             steps.append(step)
             hn, dhn = step[4], step[5]
             if hn > 0.0 and dhn < 0.0:
@@ -544,8 +595,8 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
             theta, comp = min((_locate(dense, c), c) for c in events)
             he, dhe = _dense_eval(dense, theta)
             if comp == 0:
-                return CrossedZero(t + theta * dt, dhe, steps)
-            return TurnedUp(t + theta * dt, he, steps)
+                return CrossedZero(t + theta * dt, dhe, steps, head)
+            return TurnedUp(t + theta * dt, he, steps, head)
     except IntegrationFailure as exc:
         raise IntegrationFailure(f"{exc} (alpha={alpha!r})") from exc
 
@@ -573,16 +624,17 @@ def _sample_steps(steps, ts):
     return _dense_eval(dense, (ts - dense[0]) / dense[1])
 
 
-def _sample_profile(alpha, n, steps, t_stop):
+def _sample_profile(alpha, n, head, steps, t_stop):
     """Sample the dense output on a uniform grid and truncate the tail.
 
     The grid nodes j * PROFILE_SPACING up to t_stop and the end of the
-    last step are evaluated by `_sample_steps`. The grid is cut at the
-    first node with h below the decay threshold (that node is kept) or
-    with h' >= 0 (that node is dropped), whichever comes first, keeping
-    at least two nodes; past the cut the stored shot has diverged from
-    the true ground state and carries no information. A shot that ends
-    before the first node has no profile: IntegrationFailure.
+    last step are evaluated by `_head_eval` up to the head's t0, if any,
+    and by `_sample_steps` after it. The grid is cut at the first node
+    with h below the decay threshold (that node is kept) or with h' >= 0
+    (that node is dropped), whichever comes first, keeping at least two
+    nodes; past the cut the stored shot has diverged from the true ground
+    state and carries no information. A shot that ends before the first
+    node has no profile: IntegrationFailure.
     """
     last = steps[-1]
     count = int(min(t_stop, last[0] + last[1]) / PROFILE_SPACING)
@@ -591,7 +643,11 @@ def _sample_profile(alpha, n, steps, t_stop):
             f"shot (alpha={alpha!r}) ended at t={t_stop:.6g}, before the "
             f"first profile node t={PROFILE_SPACING:g}")
     tq = np.arange(1, count + 1) * PROFILE_SPACING
-    hq, dhq = _sample_steps(steps, tq)
+    split = 0 if head is None else int(np.searchsorted(tq, head[0], "right"))
+    hq, dhq = _sample_steps(steps, tq[split:])
+    if split:
+        ha, dha = _head_eval(head, tq[:split])
+        hq, dhq = np.concatenate((ha, hq)), np.concatenate((dha, dhq))
     ts = np.concatenate(([0.0], tq))
     hs = np.concatenate(([alpha], hq))
     dhs = np.concatenate(([0.0], dhq))
@@ -634,5 +690,5 @@ def shoot_profile(alpha: float, d: Dims,
     if alpha <= 1.0:
         raise ValueError("profiles only exist for alpha > 1")
     outcome = _integrate(alpha, d, ctrl)
-    return outcome, _sample_profile(alpha, d.n, outcome.steps,
+    return outcome, _sample_profile(alpha, d.n, outcome.head, outcome.steps,
                                     outcome.t_event)

@@ -223,6 +223,7 @@ def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
     if not shots:  # the initial bracket was already narrow enough
         shots[False] = (search.hi, integrate_shot(search.hi, d, ctrl))
     alpha0, shot = max(shots.values(), key=lambda s: s[1].t_event)
-    profile = _sample_profile(alpha0, d.n, shot.steps, shot.t_event)
+    profile = _sample_profile(alpha0, d.n, shot.head, shot.steps,
+                              shot.t_event)
     return GroundState(d=d, alpha0=alpha0, bracket=(search.lo, search.hi),
                        profile=profile)

@@ -15,6 +15,8 @@ uses. Nothing above `circle_quotient_by_time` touches the solver or the
 package quadrature, so these values can referee both.
 `shot_reference` steps a radial shot with scipy's DOP853 from the
 package's series start, to referee the package stepper's events.
+`series_head_reference` carries the series of the regular solution to
+120 terms in mpmath, to referee the series head a shot starts from.
 `piecewise_linear_integrals` integrates a piecewise-linear test function
 by mpmath tanh-sinh, segment by segment.
 `circle_quotient_by_time` and `sample_profile_loop` are the package's
@@ -310,16 +312,52 @@ def shot_reference(alpha: float, d, t_max: float = 50.0):
     return (ode.CrossedZero, ode.TurnedUp)[i](te, ye)
 
 
-def sample_profile_loop(alpha, n, steps, t_stop):
+def series_head_reference(alpha: float, d, t: float | None = None,
+                          digits: int = 50, terms: int = 120):
+    """(t0, h(t), h'(t)) of the Taylor series of the regular solution from
+    h(0) = alpha, at t0 when t is None: h = sum a_j s^j in s = t^2 with
+    2j (2j + n - 2) a_j = a_(j-1) - u_(j-1) and u = h^q by Miller's
+    recurrence, in mpmath at `digits` digits to `terms` terms. t0 follows
+    the package's rule: the largest t, at most 1, where each of the last
+    two of ode._HEAD_TERMS terms is below ode._HEAD_TOL alpha."""
+    with mpmath.workdps(digits):
+        q = mpmath.mpf(d.k + 2) / (d.k - 2)
+        a, u = [mpmath.mpf(alpha)], [mpmath.mpf(alpha) ** q]
+        for j in range(1, terms + 1):
+            a.append((a[j - 1] - u[j - 1]) / (2 * j * (2 * j + d.n - 2)))
+            u.append(mpmath.fsum(((q + 1) * i - j) * a[i] * u[j - i]
+                                 for i in range(1, j + 1)) / (j * a[0]))
+        s0 = mpmath.mpf(1)
+        for j in (ode._HEAD_TERMS - 1, ode._HEAD_TERMS):
+            if a[j]:
+                s0 = min(s0, (ode._HEAD_TOL * a[0] / abs(a[j]))
+                         ** (mpmath.mpf(1) / j))
+        t0 = mpmath.sqrt(s0)
+        x = t0 if t is None else mpmath.mpf(t)
+        s = x * x
+        h = mpmath.polyval(a[::-1], s)
+        dh = 2 * x * mpmath.polyval([j * a[j] for j in range(terms, 0, -1)],
+                                    s)
+        return float(t0), float(h), float(dh)
+
+
+def sample_profile_loop(alpha, n, head, steps, t_stop):
     """Node-by-node profile sampler: the grid accumulates
-    ode.PROFILE_SPACING, each node is evaluated by the scalar continuous
-    extension of the step it falls in, and the tail is cut as in
-    ode._sample_profile.
+    ode.PROFILE_SPACING, each node up to the series head's t0 is
+    evaluated by the scalar series (none when head is None), each later
+    one by the scalar continuous extension of the step it falls in, and
+    the tail is cut as in ode._sample_profile.
     """
     ts = [0.0]
     hs = [alpha]
     dhs = [0.0]
     tq = ode.PROFILE_SPACING
+    while head is not None and tq <= head[0] and tq <= t_stop:
+        he, dhe = ode._head_eval(head, tq)
+        ts.append(tq)
+        hs.append(he)
+        dhs.append(dhe)
+        tq += ode.PROFILE_SPACING
     for step in steps:
         t_old, dt = step[0], step[1]
         dense = ode._dense(step)
