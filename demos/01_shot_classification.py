@@ -10,7 +10,7 @@
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from gnyamabe import Dims, integrate_shot, rhs, series_start
+from gnyamabe import Dims, integrate_shot, rhs
 
 d = Dims(2, 2)
 
@@ -21,10 +21,13 @@ for alpha in (2.208, 2.205):
 # To see the oscillations past the first classification event, integrate
 # the same right-hand side without stopping. The package classifies shots
 # by their first event; everything after it belongs to plots like these.
+# scipy starts at t0 = 1e-4 from the two-term series of the regular
+# solution, h = alpha + c t^2 with c = (alpha - alpha^q) / (2n).
 t0 = 1e-4
 fig_data = {}
 for alpha in (2.208, 2.205):
-    y0 = series_start(alpha, t0, d)
+    c = (alpha - alpha ** d.q) / (2.0 * d.n)
+    y0 = (alpha + c * t0 * t0, 2.0 * c * t0)
     sol = solve_ivp(lambda t, y: rhs(t, y[0], y[1], d), (t0, 15.0), y0,
                     rtol=1e-10, atol=1e-12, dense_output=True)
     ts = np.linspace(t0, 15.0, 2000)

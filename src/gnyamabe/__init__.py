@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "geometry": ("Dims", "unit_volume_sphere_scalar", "y_infinity",
                  "yamabe_sphere"),
-    "ode": ("integrate_shot", "rhs", "series_start"),
+    "ode": ("integrate_shot", "rhs"),
     "shooting": ("find_ground_state",),
     "functional": ("PiecewiseLinearProfile", "bundled_test_function",
                    "gn_value"),

@@ -106,15 +106,22 @@ def _zero_end_p(t0: float, span: float, h0: float, h1: float, n: int,
     and s^j h^p integrates over [0, 1] to h0^p B(j+1, p+1) when h falls,
     h = h0 (1 - s), or to h1^p / (j+p+1) when it rises, h = h1 s: a sum of
     positive terms, so nothing cancels. Gauss-Legendre converges slowly
-    here, as for non-integer p, |h|^p is not smooth where h = 0."""
+    here, as for non-integer p, |h|^p is not smooth where h = 0. Raises
+    ValueError when a power leaves the double range."""
     falls = h1 == 0.0
     weight = 1.0 / (p + 1.0)  # B(1, p+1) and 1/(p+1) alike
     total = 0.0
-    for j in range(n):
-        if j:  # B(j+1, p+1) = j! / ((p+1) (p+2) ... (p+j+1))
-            weight *= (j if falls else p + j) / (p + j + 1.0)
-        total += math.comb(n - 1, j) * t0 ** (n - 1 - j) * span ** j * weight
-    return span * (h0 if falls else h1) ** p * total
+    try:
+        for j in range(n):
+            if j:  # B(j+1, p+1) = j! / ((p+1) (p+2) ... (p+j+1))
+                weight *= (j if falls else p + j) / (p + j + 1.0)
+            total += (math.comb(n - 1, j) * t0 ** (n - 1 - j) * span ** j
+                      * weight)
+        return span * (h0 if falls else h1) ** p * total
+    except OverflowError:
+        raise ValueError(
+            f"I_p on the segment t in [{t0:g}, {t0 + span:g}], h from {h0:g} "
+            f"to {h1:g}, leaves the double range") from None
 
 
 def radial_integrals(profile, d: Dims):

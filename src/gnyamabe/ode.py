@@ -12,25 +12,26 @@ ground state until its growing mode takes over, so every shot ends on
 one of the two events.
 
 A shot starts where the 24-term Taylor series of the regular solution
-is exact to double precision; the outcome carries this series head, for
-the profile's first nodes. It spares the stepper the (n-1)/t singularity:
-build_table(9) takes 8,454 steps, 16,812 from a two-term start at 1e-4.
+is exact to double precision, which spares the stepper the (n-1)/t
+singularity; the outcome carries this series head, for the profile's
+first nodes.
 
 The integrator is DOP853, the 8th-order Dormand-Prince pair with its
 combined 5th- and 3rd-order error estimate and its 7th-order continuous
 extension (Hairer, Norsett & Wanner, Solving ODEs I, II.10); at the
 shots' tolerance of 1e-11 it takes about a fifth of the steps of a
 5th-order pair. Event times are located by bisection on the continuous
-extension, whose three extra stages are evaluated only for the steps
-that hold an event or a sample. A hand-rolled scalar stepper, with the
-right-hand side written out in each stage, keeps a full shooting run of
-thousands of shots within interactive time; the undamped circle-factor
-flow of `periodic` runs on it too. Its step loop makes no builtin call
-and reads the tableau from locals, with the doubles abs() would give.
-One routine, `_dense`, builds the extension of a single stored step, for
-an event, or of a column table of steps, for the samples: the steps a
-profile or an orbit is sampled from are extended in one array pass, with
-the doubles a loop over the steps gives. Its stage sums run over its
+extension, whose three extra stages are evaluated only for the step
+that holds an event and for the steps a profile or an orbit is sampled
+from. A hand-rolled scalar stepper, with the right-hand side written
+out in each stage, keeps a full shooting run of thousands of shots
+within interactive time; the undamped circle-factor flow of `periodic`
+runs on it too. Its step loop makes no builtin call and reads the
+tableau from locals, with the doubles abs() would give. One routine,
+`_dense`, builds the extension of a single stored step, for an event,
+or of a column table of steps, for the samples: every step a profile
+or an orbit is sampled from is extended in one array pass, with the
+doubles a loop over the steps gives. Its stage sums run over its
 coefficient table and add left to right, so the doubles do not depend
 on the Python version.
 """
@@ -133,11 +134,11 @@ _D = (
 _EVENT_LOCATION_TOL = 1e-10
 
 # a shot starts where the last two of the _HEAD_TERMS terms of its series
-# head are below _HEAD_TOL alpha; t_max must exceed _T_START. h falling
-# below _DECAY_THRESHOLD bounds its stored profile
+# head are below _HEAD_TOL alpha; t_max must exceed _T_MAX_FLOOR. h
+# falling below _DECAY_THRESHOLD bounds its stored profile
 _HEAD_TERMS = 24
 _HEAD_TOL = 1e-17
-_T_START = 1e-4
+_T_MAX_FLOOR = 1e-4
 _DECAY_THRESHOLD = 1e-6
 
 
@@ -158,8 +159,8 @@ class IntegrationControls:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.t_max <= _T_START:
-            raise ValueError(f"t_max must exceed the start time {_T_START:g}")
+        if self.t_max <= _T_MAX_FLOOR:
+            raise ValueError(f"t_max must exceed {_T_MAX_FLOOR:g}")
         if self.rtol < 1e-13 or self.atol <= 0.0:
             raise ValueError("tolerances too tight for double precision")
 
@@ -246,24 +247,10 @@ def rhs(t: float, h: float, dh: float, d: Dims) -> tuple[float, float]:
     gives the same doubles.
     """
     if t <= 0.0:
-        raise ValueError("rhs is singular at t = 0; use series_start")
+        raise ValueError("rhs is singular at t = 0")
     nm1 = float(d.n - 1)
     qm1 = d.q - 1.0
     return dh, -(nm1 / t) * dh + h - abs(h) ** qm1 * h
-
-
-def series_start(alpha: float, t0: float, d: Dims) -> tuple[float, float]:
-    """Second-order Taylor start at small t0, regularizing the origin.
-
-    Matching the equation at t -> 0 under h'(0) = 0 gives
-    h(t) = alpha + c t^2 + O(t^4) with c = (alpha - alpha^q) / (2n).
-    """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if not (0.0 < t0 <= 1e-3):
-        raise ValueError("t0 must lie in (0, 1e-3]")
-    c = (alpha - alpha ** d.q) / (2.0 * d.n)
-    return alpha + c * t0 * t0, 2.0 * c * t0
 
 
 def _series_head(alpha: float, d: Dims, t_cap: float = 1.0) -> tuple:
@@ -310,16 +297,16 @@ def _dense(step):
     """The 7th-order continuous extension of a stored step of `_dp_steps`,
     as (t_old, dt, h_old, h'_old, seven h-coefficients F0..F6, seven
     h'-coefficients) for `_dense_eval`. Its three extra stages are
-    evaluated here, and only for the steps that need them.
+    evaluated here.
 
     `step` is one stored step of floats (an event), or the same fields as
     rows of equal-length arrays, one column per step, with one shared flow
-    (`_sample_steps`): one array pass then gives the doubles a loop over
-    the steps does. Every stage sum runs over its row of `_DENSE_STAGES`
-    or `_D` and adds left to right, for floats and arrays alike, so the
-    doubles do not depend on the Python version (sum() of floats is
-    compensated from Python 3.12 on), and |y|^qm1 is libm's pow, as in
-    the stepper, for arrays too."""
+    (`_sample_steps`): each column is computed on its own, so one array
+    pass gives the doubles a loop over the steps does. Every stage sum
+    runs over its row of `_DENSE_STAGES` or `_D` and adds left to right,
+    for floats and arrays alike, so the doubles do not depend on the
+    Python version (sum() of floats is compensated from Python 3.12 on),
+    and |y|^qm1 is libm's pow, as in the stepper, for arrays too."""
     t, dt, h, dh, hn, dhn = step[:6]
     nm1, c1, c2, qm1 = step[23]
     power = pow if isinstance(h, float) else _libm_power
@@ -561,11 +548,16 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
 
     Returns the CrossedZero or TurnedUp of the first event, carrying the
     series head (its t0 at most t_max / 2) and every accepted step of
-    `_dp_steps` from t0. Raises IntegrationFailure when the head does not
-    descend at t0 (h > 0 > h', so no event lies in it), on step
-    underflow or when neither event happens by t_max.
+    `_dp_steps` from t0. Raises IntegrationFailure when alpha^(q-1)
+    overflows, when the head does not descend at t0 (h > 0 > h', so no
+    event lies in it), on step underflow or when neither event happens by
+    t_max.
     """
-    head = _series_head(alpha, d, min(1.0, 0.5 * ctrl.t_max))
+    try:
+        head = _series_head(alpha, d, min(1.0, 0.5 * ctrl.t_max))
+    except OverflowError:
+        raise IntegrationFailure(
+            f"alpha^(q-1) overflows (alpha={alpha!r})") from None
     t = head[0]
     h, dh = _head_eval(head, t)
     if not (h > 0.0 and dh < 0.0):
@@ -608,19 +600,13 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
 def _sample_steps(steps, ts):
     """(h, h') at the ascending times ts, in one array pass: each time is
     evaluated in the first step whose end t_old + dt reaches it, or in the
-    last step if it lies beyond all of them. Only the steps that hold a
-    time get their continuous extension, all in one call of `_dense` on
-    the column table of those steps."""
+    last step if it lies beyond all of them. Every step gets its
+    continuous extension, in one call of `_dense` on their column table."""
     ends = np.array([step[0] + step[1] for step in steps[:-1]])
-    # how many of the times each step holds; the last one takes the rest
-    counts = np.diff(np.searchsorted(ts, ends, side="right"), prepend=0,
-                     append=len(ts))
-    used = np.flatnonzero(counts)
-    fields = itertools.chain.from_iterable(steps[i][:23]
-                                           for i in used.tolist())
-    table = np.fromiter(fields, float, 23 * used.size).reshape(-1, 23).T
+    fields = itertools.chain.from_iterable(step[:23] for step in steps)
+    table = np.fromiter(fields, float, 23 * len(steps)).reshape(-1, 23).T
     dense = np.array(_dense((*table, steps[0][23])))
-    dense = dense[:, np.repeat(np.arange(used.size), counts[used])]
+    dense = dense[:, np.searchsorted(ends, ts)]
     return _dense_eval(dense, (ts - dense[0]) / dense[1])
 
 
@@ -673,8 +659,8 @@ def integrate_shot(alpha: float, d: Dims,
     ground state (h''(0) >= 0 there) and short-circuits to TurnedUp
     without integration.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if alpha <= 1.0:
         return TurnedUp(t_turn=0.0, h_at_turn=alpha)
     return _integrate(alpha, d, ctrl)
@@ -687,8 +673,9 @@ def shoot_profile(alpha: float, d: Dims,
     near-critical shot yields its usable pre-divergence part. Requires
     alpha > 1.
     """
-    if alpha <= 1.0:
-        raise ValueError("profiles only exist for alpha > 1")
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(
+            f"profiles only exist for finite alpha > 1, got {alpha!r}")
     outcome = _integrate(alpha, d, ctrl)
     return outcome, _sample_profile(alpha, d.n, outcome.head, outcome.steps,
                                     outcome.t_event)

@@ -14,7 +14,8 @@ orbit by mpmath tanh-sinh, with none of the substitutions the package
 uses. Nothing above `circle_quotient_by_time` touches the solver or the
 package quadrature, so these values can referee both.
 `shot_reference` steps a radial shot with scipy's DOP853 from the
-package's series start, to referee the package stepper's events.
+two-term series start `series_start`, to referee the package stepper's
+events.
 `series_head_reference` carries the series of the regular solution to
 120 terms in mpmath, to referee the series head a shot starts from.
 `piecewise_linear_integrals` integrates a piecewise-linear test function
@@ -281,11 +282,20 @@ def circle_quotient_by_time(n: int, u_max: float) -> float:
                                (dus * dus, us * us, np.abs(us) ** p)])
 
 
+def series_start(alpha: float, t0: float, d) -> tuple[float, float]:
+    """(h, h') at a small t0 > 0 of the two-term Taylor series of the
+    regular solution from h(0) = alpha: matching the equation at t -> 0
+    under h'(0) = 0 gives h(t) = alpha + c t^2 + O(t^4) with
+    c = (alpha - alpha^q) / (2n). The scipy referees start from it."""
+    c = (alpha - alpha ** d.q) / (2.0 * d.n)
+    return alpha + c * t0 * t0, 2.0 * c * t0
+
+
 def shot_reference(alpha: float, d, t_max: float = 50.0):
     """The CrossedZero or TurnedUp, without steps, of the radial shot from
-    h(0) = alpha by scipy's DOP853 at rtol 1e-13, atol 1e-16, from the
-    package's series start at t = 1e-4: the first of a zero crossing or a
-    turn, as ode._integrate classifies them."""
+    h(0) = alpha by scipy's DOP853 at rtol 1e-13, atol 1e-16, from
+    `series_start` at t = 1e-4: the first of a zero crossing or a turn,
+    as ode._integrate classifies them."""
     nm1, qm1 = d.n - 1.0, d.q - 1.0
 
     def flow(t, y):
@@ -300,7 +310,7 @@ def shot_reference(alpha: float, d, t_max: float = 50.0):
     turn.terminal, turn.direction = True, 1.0
 
     t0 = 1e-4
-    sol = solve_ivp(flow, (t0, t_max), ode.series_start(alpha, t0, d),
+    sol = solve_ivp(flow, (t0, t_max), series_start(alpha, t0, d),
                     method="DOP853", rtol=1e-13, atol=1e-16,
                     events=(cross, turn))
     found = []

@@ -135,16 +135,21 @@ def test_bound_malformed_file(capsys, tmp_path, text, line):
     assert out == ""
 
 
-@pytest.mark.parametrize("text, message", [
-    ("0 0\n1 0\n", "must not all be 0"),
-    ("0 1e-200\n1 0\n", "I_p = 0.0 is not positive and finite"),
-], ids=["all-zero", "underflow"])
-def test_bound_degenerate_profile(capsys, tmp_path, text, message):
-    """A profile with no mass, or one whose L^p integral underflows, ends
-    in one error line and exit 1, not a ZeroDivisionError."""
+@pytest.mark.parametrize("text, m, n, message", [
+    ("0 0\n1 0\n", 2, 2, "must not all be 0"),
+    ("0 1e-200\n1 0\n", 2, 2, "I_p = 0.0 is not positive and finite"),
+    ("0 1e200\n1 0\n", 2, 2, "I_p on the segment t in [0, 1], h from "
+     "1e+200 to 0, leaves the double range"),
+    ("0 1\n1 1\n1e160 0\n", 2, 7, "I_p on the segment t in [1, 1e+160], "
+     "h from 1 to 0, leaves the double range"),
+], ids=["all-zero", "underflow", "overflow-h", "overflow-t"])
+def test_bound_degenerate_profile(capsys, tmp_path, text, m, n, message):
+    """A profile with no mass, or one whose L^p integral underflows or
+    overflows, ends in one error line and exit 1, not a ZeroDivisionError
+    or an OverflowError."""
     path = tmp_path / "degenerate.dat"
     path.write_text(text)
-    code, out, err = run(capsys, "bound", str(path), "2", "2")
+    code, out, err = run(capsys, "bound", str(path), str(m), str(n))
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

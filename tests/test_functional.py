@@ -224,6 +224,16 @@ def test_profile_validation():
                                np.array([1.0, 0.5, 0.0]))
 
 
+@pytest.mark.parametrize("ts, hs, match", [
+    ([0.0, 0.5, 1.0], [1.0, 0.0], ">= 2 breakpoints"),
+    ([0.0], [0.0], ">= 2 breakpoints"),
+    ([0.0, 0.5, 1.0], [1.0, -0.5, 0.0], "non-negative"),
+], ids=["shapes", "one-breakpoint", "negative"])
+def test_profile_rejects_bad_breakpoints(ts, hs, match):
+    with pytest.raises(ValueError, match=match):
+        PiecewiseLinearProfile(np.array(ts), np.array(hs))
+
+
 @pytest.mark.parametrize("ts, hs", [([0.0, 0.5, 1.0], [1.0, math.nan, 0.0]),
                                     ([0.0, math.inf], [1.0, 0.0])],
                          ids=["nan-value", "inf-breakpoint"])

@@ -22,6 +22,16 @@ def test_sphere_volume_rejects_degenerate():
         sphere_volume(-3)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: Dims(2.5, 2), "integers"),
+    (lambda: Dims(2, 1.5), "integers"),
+    (lambda: surface_measure(0), "ambient dimension must be >= 1"),
+], ids=["m-fraction", "n-fraction", "surface-measure-0"])
+def test_dimension_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_sphere_volume_recurrence():
     for k in range(3, 13):
         expected = 2 * math.pi * sphere_volume(k - 2) / (k - 1)

@@ -168,7 +168,7 @@ print(json.dumps([before, gnyamabe.periodic.__name__]))
 def test_exports_are_their_submodules_objects():
     import gnyamabe
 
-    assert len(gnyamabe.__all__) == len(set(gnyamabe.__all__)) == 22
+    assert len(gnyamabe.__all__) == len(set(gnyamabe.__all__)) == 21
     for name in gnyamabe.__all__:
         obj = getattr(gnyamabe, name)
         module = importlib.import_module(obj.__module__)

@@ -12,12 +12,12 @@ from gnyamabe import ode, periodic
 from gnyamabe.geometry import Dims
 from gnyamabe.ode import (DEFAULT_CONTROLS, PROFILE_SPACING, CrossedZero,
                           IntegrationControls, IntegrationFailure, TurnedUp,
-                          integrate_shot, rhs, series_start, shoot_profile)
+                          integrate_shot, rhs, shoot_profile)
 from gnyamabe.products import table_pairs
 from gnyamabe.shooting import _miss, bracket_alpha, find_ground_state
 
 from oracles import (exponents_m1, sample_profile_loop, sample_steps_loop,
-                     sech_amplitude, sech_h, shot_reference,
+                     sech_amplitude, sech_h, series_start, shot_reference,
                      step_control_reference, tightened)
 
 D22 = Dims(2, 2)
@@ -49,28 +49,6 @@ def test_rhs_value_22():
 def test_rhs_rejects_origin():
     with pytest.raises(ValueError):
         rhs(0.0, 1.0, 0.0, D22)
-
-
-def test_series_start_equilibrium():
-    h, dh = series_start(1.0, 1e-4, D22)
-    assert h == 1.0
-    assert dh == 0.0
-
-
-def test_series_start_values():
-    h, dh = series_start(2.0, 1e-3, D22)  # c = (2 - 8)/4 = -1.5
-    assert h == pytest.approx(2.0 - 1.5e-6, rel=1e-15)
-    assert dh == pytest.approx(-3.0e-3, rel=1e-15)
-    h, dh = series_start(0.5, 1e-3, D22)  # c = 0.09375 > 0
-    assert h > 0.5
-    assert dh > 0.0
-
-
-def test_series_start_rejects_bad_input():
-    with pytest.raises(ValueError):
-        series_start(-1.0, 1e-4, D22)
-    with pytest.raises(ValueError):
-        series_start(2.0, 1e-2, D22)
 
 
 def test_classification_anchors_22():
@@ -157,6 +135,25 @@ def test_controls_validation():
         IntegrationControls(rtol=1e-16)
     with pytest.raises(ValueError):
         IntegrationControls(t_max=1e-5)
+
+
+_PROFILE = {"ts": [0.0, 1.0], "hs": [2.0, 1.0], "dhs": [0.0, -1.0],
+            "alpha": 2.0, "n": 2}
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"dhs": [0.0, -1.0, -1.0]}, "matching shapes"),
+    ({"ts": [0.0], "hs": [2.0], "dhs": [0.0]}, "at least two nodes"),
+    ({"ts": [0.5, 1.0]}, "start at t = 0"),
+    ({"ts": [0.0, 0.0]}, "strictly increasing"),
+    ({"alpha": 3.0}, r"h\(0\) = alpha"),
+    ({"dhs": [-1.0, -1.0]}, r"h'\(0\) = 0"),
+    ({"n": 0}, "radial dimension"),
+], ids=["shapes", "one-node", "start", "increasing", "alpha", "slope", "n"])
+def test_radial_profile_validation(change, match):
+    ode.RadialProfile(**_PROFILE)
+    with pytest.raises(ValueError, match=match):
+        ode.RadialProfile(**{**_PROFILE, **change})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -421,6 +418,30 @@ def test_sampler_matches_loop_with_node_on_step_end():
     profile = _same_as_loop(1.0, 2, None, [first, second], 1.0)
     assert profile.ts[2] == dt
     assert profile.hs[2] == ode._dense_eval(ode._dense(first), 1.0)[0] != 0.9
+
+
+@pytest.mark.parametrize("case", ["linear", "shot"])
+def test_sampler_matches_loop_with_steps_that_hold_no_time(case):
+    """Fewer times than steps, so some steps hold none: before the first
+    time and between two times (linear), and after the last (shot). Each
+    time keeps the doubles of the scalar extension of its own step, also
+    the one past the last linear step."""
+    if case == "linear":  # h' = -0.5, widths in PROFILE_SPACING
+        steps, t, h = [], 0.0, 1.0
+        for width in (0.3, 0.3, 0.3, 1.5, 0.2, 0.2, 2.0, 0.1):
+            dt = width * PROFILE_SPACING
+            steps.append(_linear_step(t, dt, h, -0.5))
+            t, h = t + dt, h - 0.5 * dt
+        ts = np.arange(1, 6) * PROFILE_SPACING
+        assert ts[-1] > _end(steps)
+    else:
+        steps = _shot(2)[4]
+        ts = np.arange(1.0, _end(steps) - 1.0, 2.0)
+    assert ts.size < len(steps)
+    hs, dhs = ode._sample_steps(steps, ts)
+    ref_hs, ref_dhs = sample_steps_loop(steps, ts)
+    assert hs.tobytes() == ref_hs.tobytes()
+    assert dhs.tobytes() == ref_dhs.tobytes()
 
 
 @pytest.mark.parametrize("h_old, dh_old", [(0.5, 0.0), (1e-7, -1.0)])

@@ -201,6 +201,17 @@ def test_orbit_for_period_rejects_non_finite():
         orbit_for_period(4, math.inf)
 
 
+@pytest.mark.parametrize("n", [5, 12, 24])
+def test_orbit_for_period_rejects_period_next_to_harmonic_minimum(n):
+    """Between the minimal period and the period at the harmonic end of
+    the orbit window, 2 to 5 ulps above it for these n, no amplitude can
+    be resolved in doubles."""
+    period = math.nextafter(periodic._period_window(n)[3], 0.0)
+    assert period > minimal_period(n)
+    with pytest.raises(ValueError, match="too close to the harmonic minimum"):
+        orbit_for_period(n, period)
+
+
 def test_orbit_for_period_fails_loudly_without_convergence(monkeypatch):
     """An inversion stopped short of its target raises rather than return
     its closest orbit as if it had converged."""

@@ -15,11 +15,11 @@ from gnyamabe import ode
 from gnyamabe.geometry import Dims
 from gnyamabe.ode import (DEFAULT_CONTROLS, CrossedZero, IntegrationControls,
                           IntegrationFailure, TurnedUp, integrate_shot,
-                          series_start)
+                          shoot_profile)
 from gnyamabe.shooting import bracket_alpha
 
 from oracles import (exponents_m1, sech_amplitude, series_head_reference,
-                     shot_reference)
+                     series_start, shot_reference)
 
 
 def _ulps(got, want):
@@ -139,3 +139,18 @@ def test_head_that_does_not_descend_is_integration_failure(monkeypatch):
     monkeypatch.setattr(ode, "_HEAD_TOL", 0.1)
     with pytest.raises(IntegrationFailure, match="does not descend"):
         integrate_shot(3.0, Dims(2, 2))
+
+
+@pytest.mark.parametrize("alpha, error, match", [
+    (1e200, IntegrationFailure, r"alpha\^\(q-1\) overflows \(alpha=1e\+200\)"),
+    (math.inf, ValueError, "finite.*, got inf"),
+    (math.nan, ValueError, "finite.*, got nan"),
+], ids=["overflow", "inf", "nan"])
+@pytest.mark.parametrize("shoot", [integrate_shot, shoot_profile],
+                         ids=lambda f: f.__name__)
+def test_alpha_beyond_doubles_is_refused(shoot, alpha, error, match):
+    """A non-finite alpha is refused on input, and one whose alpha^(q-1)
+    overflows, where the head is formed, is an IntegrationFailure that
+    names it: neither ends in an OverflowError."""
+    with pytest.raises(error, match=match):
+        shoot(alpha, Dims(2, 2))
