@@ -16,7 +16,8 @@ from .geometry import (Dims, reference_constants, sobolev_constant,
                        yamabe_sphere)
 
 # Each handler imports the modules it runs, so `constants` loads no numpy;
-# the help texts spell out ode.DEFAULT_CONTROLS.t_max (50) and
+# the help texts spell out ode.DEFAULT_T_MAX (50), the tol_alpha default
+# (1e-12) of find_ground_state and build_table, and
 # periodic._TIME_DELTA_FLOOR (1e-08), held to the code by tests/test_cli.py.
 
 # published upper bounds certified by bundled/known test functions
@@ -87,25 +88,22 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _controls(args, parser):
-    from .ode import DEFAULT_CONTROLS, IntegrationControls
-    tmax = getattr(args, "tmax", None)
-    if tmax is None:
-        return DEFAULT_CONTROLS
-    if not (_SANE_TMAX[0] < tmax <= _SANE_TMAX[1]):
-        parser.error(f"--tmax must lie in ({_SANE_TMAX[0]:g}, "
-                     f"{_SANE_TMAX[1]:g}]")
-    return IntegrationControls(t_max=tmax)
-
-
-def _tol_alpha(args, parser) -> float:
-    tol = getattr(args, "tol_alpha", None)
-    if tol is None:
-        return 1e-12
-    if not (_SANE_TOL_ALPHA[0] <= tol <= _SANE_TOL_ALPHA[1]):
-        parser.error(f"--tol-alpha must lie in [{_SANE_TOL_ALPHA[0]:g}, "
-                     f"{_SANE_TOL_ALPHA[1]:g}]")
-    return tol
+def _search_options(args, parser) -> dict:
+    """The search controls given on the command line, range-checked, as
+    keywords of find_ground_state and build_table; an option left out
+    keeps the library's default."""
+    options = {}
+    if args.tmax is not None:
+        if not (_SANE_TMAX[0] < args.tmax <= _SANE_TMAX[1]):
+            parser.error(f"--tmax must lie in ({_SANE_TMAX[0]:g}, "
+                         f"{_SANE_TMAX[1]:g}]")
+        options["t_max"] = args.tmax
+    if args.tol_alpha is not None:
+        if not (_SANE_TOL_ALPHA[0] <= args.tol_alpha <= _SANE_TOL_ALPHA[1]):
+            parser.error(f"--tol-alpha must lie in [{_SANE_TOL_ALPHA[0]:g}, "
+                         f"{_SANE_TOL_ALPHA[1]:g}]")
+        options["tol_alpha"] = args.tol_alpha
+    return options
 
 
 def _cmd_ground_state(args, parser) -> int:
@@ -114,8 +112,7 @@ def _cmd_ground_state(args, parser) -> int:
     if args.m < 1 or args.n < 1 or args.m + args.n < 3:
         parser.error("need m >= 1, n >= 1 and m + n >= 3")
     d = Dims(args.m, args.n)
-    ctrl = _controls(args, parser)
-    gs = find_ground_state(d, tol_alpha=_tol_alpha(args, parser), ctrl=ctrl)
+    gs = find_ground_state(d, **_search_options(args, parser))
     res = gn_value(gs.profile, d)
     rec = {
         "m": d.m,
@@ -146,10 +143,9 @@ def _cmd_table(args, parser) -> int:
     from .products import build_table
     if args.max_dim < 4:
         parser.error("--max-dim must be at least 4")
-    ctrl = _controls(args, parser)
     errors: list = []
-    rows = build_table(args.max_dim, tol_alpha=_tol_alpha(args, parser),
-                       ctrl=ctrl, collect_errors=errors)
+    rows = build_table(args.max_dim, collect_errors=errors,
+                       **_search_options(args, parser))
     recs = [{"m": r.m, "n": r.n, "alpha0": _sig7(r.alpha0),
              "sigma_inv": _sig7(r.sigma_inv), "y_inf": _sig7(r.y_inf),
              "y_sphere": _sig7(r.y_sphere)} for r in rows]

@@ -66,7 +66,6 @@ class PiecewiseLinearProfile:
 class GNResult:
     """The functional value together with its three constituent norms."""
 
-    d: Dims
     grad_sq: float
     l2_sq: float
     lp_norm: float
@@ -124,6 +123,7 @@ def _zero_end_p(t0: float, span: float, h0: float, h1: float, n: int,
             f"to {h1:g}, leaves the double range") from None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def radial_integrals(profile, d: Dims):
     """The three weighted integrals (I_grad, I_sq, I_p) over R^n:
 
@@ -141,6 +141,9 @@ def radial_integrals(profile, d: Dims):
       a segment (the interpolant is then the line) and _GAUSS_NODES
       nodes. The I_p part of a segment that ends at h = 0, its final one
       always, is `_zero_end_p` in closed form.
+
+    An integral that leaves the double range comes out inf or nan, without
+    a numpy warning; `gn_value` refuses it.
     """
     if isinstance(profile, RadialProfile):
         if profile.n != d.n:
@@ -192,15 +195,16 @@ def radial_integrals(profile, d: Dims):
 
 def gn_value(profile, d: Dims) -> GNResult:
     """Assemble the functional value L = I_grad^(n/k) I_sq^(m/k) / I_p^(2/p)
-    from the integrals of `radial_integrals`. Raises ValueError when I_p
-    is 0 or not finite, as for a profile too small or too large for
-    doubles."""
+    from the integrals of `radial_integrals`. Raises ValueError naming the
+    first of I_p, I_grad and I_sq that is 0 or not finite, as for a
+    profile too small or too large for doubles."""
     i_grad, i_sq, i_p = radial_integrals(profile, d)
-    if not 0.0 < i_p < math.inf:
-        raise ValueError(f"I_p = {i_p!r} is not positive and finite")
+    for name, value in (("I_p", i_p), ("I_grad", i_grad), ("I_sq", i_sq)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} = {value!r} is not positive and finite")
     k = d.k
     sigma_inv = i_grad ** (d.n / k) * i_sq ** (d.m / k) / i_p ** (2.0 / d.p)
-    return GNResult(d=d, grad_sq=i_grad, l2_sq=i_sq,
+    return GNResult(grad_sq=i_grad, l2_sq=i_sq,
                     lp_norm=i_p ** (1.0 / d.p), sigma_inv=sigma_inv)
 
 

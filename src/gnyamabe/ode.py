@@ -133,9 +133,14 @@ _D = (
 
 _EVENT_LOCATION_TOL = 1e-10
 
-# a shot starts where the last two of the _HEAD_TERMS terms of its series
-# head are below _HEAD_TOL alpha; t_max must exceed _T_MAX_FLOOR. h
-# falling below _DECAY_THRESHOLD bounds its stored profile
+# every shot steps at the tolerances _RTOL and _ATOL, up to t_max
+# (DEFAULT_T_MAX unless a caller gives one), which must exceed
+# _T_MAX_FLOOR. A shot starts where the last two of the _HEAD_TERMS terms
+# of its series head are below _HEAD_TOL alpha. h falling below
+# _DECAY_THRESHOLD bounds its stored profile
+_RTOL = 1e-11
+_ATOL = 1e-13
+DEFAULT_T_MAX = 50.0
 _HEAD_TERMS = 24
 _HEAD_TOL = 1e-17
 _T_MAX_FLOOR = 1e-4
@@ -144,28 +149,6 @@ _DECAY_THRESHOLD = 1e-6
 
 class IntegrationFailure(RuntimeError):
     """Step-size underflow or an unclassifiable trajectory."""
-
-
-@dataclass(frozen=True)
-class IntegrationControls:
-    """Tolerances and horizons for one shot."""
-
-    t_max: float = 50.0
-    rtol: float = 1e-11
-    atol: float = 1e-13
-
-    def __post_init__(self):
-        for name in ("t_max", "rtol", "atol"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.t_max <= _T_MAX_FLOOR:
-            raise ValueError(f"t_max must exceed {_T_MAX_FLOOR:g}")
-        if self.rtol < 1e-13 or self.atol <= 0.0:
-            raise ValueError("tolerances too tight for double precision")
-
-
-DEFAULT_CONTROLS = IntegrationControls()
 
 
 @dataclass
@@ -543,18 +526,22 @@ def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
         rejected = False
 
 
-def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
-    """Core shot integration for alpha > 1.
+def _integrate(alpha: float, d: Dims, t_max: float):
+    """Core shot integration for alpha > 1, at _RTOL and _ATOL.
 
     Returns the CrossedZero or TurnedUp of the first event, carrying the
     series head (its t0 at most t_max / 2) and every accepted step of
-    `_dp_steps` from t0. Raises IntegrationFailure when alpha^(q-1)
+    `_dp_steps` from t0. Raises ValueError unless t_max is finite and
+    above _T_MAX_FLOOR, and IntegrationFailure when alpha^(q-1)
     overflows, when the head does not descend at t0 (h > 0 > h', so no
     event lies in it), on step underflow or when neither event happens by
     t_max.
     """
+    if not _T_MAX_FLOOR < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and exceed "
+                         f"{_T_MAX_FLOOR:g}, got {t_max}")
     try:
-        head = _series_head(alpha, d, min(1.0, 0.5 * ctrl.t_max))
+        head = _series_head(alpha, d, min(1.0, 0.5 * t_max))
     except OverflowError:
         raise IntegrationFailure(
             f"alpha^(q-1) overflows (alpha={alpha!r})") from None
@@ -566,8 +553,8 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
             f"descend (alpha={alpha!r})")
     steps = []
     try:
-        for step in _dp_steps(t, h, dh, 0.5 * t, ctrl.t_max, float(d.n - 1),
-                              1.0, 1.0, d.q - 1.0, ctrl.rtol, ctrl.atol):
+        for step in _dp_steps(t, h, dh, 0.5 * t, t_max, float(d.n - 1),
+                              1.0, 1.0, d.q - 1.0, _RTOL, _ATOL):
             steps.append(step)
             hn, dhn = step[4], step[5]
             if hn > 0.0 and dhn < 0.0:
@@ -593,7 +580,7 @@ def _integrate(alpha: float, d: Dims, ctrl: IntegrationControls):
         raise IntegrationFailure(f"{exc} (alpha={alpha!r})") from exc
 
     raise IntegrationFailure(
-        f"shot unclassified at t_max={ctrl.t_max:g}: "
+        f"shot unclassified at t_max={t_max:g}: "
         f"h={hn:.6g}, h'={dhn:.6g} (alpha={alpha!r})")
 
 
@@ -651,7 +638,7 @@ def _sample_profile(alpha, n, head, steps, t_stop):
 
 
 def integrate_shot(alpha: float, d: Dims,
-                   ctrl: IntegrationControls = DEFAULT_CONTROLS) -> ShotOutcome:
+                   t_max: float = DEFAULT_T_MAX) -> ShotOutcome:
     """Integrate one shot from h(0) = alpha and classify it.
 
     The outcome carries the shot's accepted steps, so its profile can be
@@ -663,11 +650,10 @@ def integrate_shot(alpha: float, d: Dims,
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if alpha <= 1.0:
         return TurnedUp(t_turn=0.0, h_at_turn=alpha)
-    return _integrate(alpha, d, ctrl)
+    return _integrate(alpha, d, t_max)
 
 
-def shoot_profile(alpha: float, d: Dims,
-                  ctrl: IntegrationControls = DEFAULT_CONTROLS,
+def shoot_profile(alpha: float, d: Dims, t_max: float = DEFAULT_T_MAX,
                   ) -> tuple[ShotOutcome, RadialProfile]:
     """Classify a shot and also return its truncated profile, so that a
     near-critical shot yields its usable pre-divergence part. Requires
@@ -676,6 +662,6 @@ def shoot_profile(alpha: float, d: Dims,
     if not 1.0 < alpha < math.inf:
         raise ValueError(
             f"profiles only exist for finite alpha > 1, got {alpha!r}")
-    outcome = _integrate(alpha, d, ctrl)
+    outcome = _integrate(alpha, d, t_max)
     return outcome, _sample_profile(alpha, d.n, outcome.head, outcome.steps,
                                     outcome.t_event)

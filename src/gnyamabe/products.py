@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .functional import gn_value
 from .geometry import (Dims, unit_volume_sphere_scalar, y_infinity,
                        yamabe_sphere)
-from .ode import DEFAULT_CONTROLS, IntegrationControls
+from .ode import DEFAULT_T_MAX
 from .shooting import find_ground_state
 
 
@@ -58,7 +58,7 @@ def table_pairs(max_total_dim: int) -> list[tuple[int, int]]:
 
 def build_table(max_total_dim: int = 9,
                 tol_alpha: float = 1e-12,
-                ctrl: IntegrationControls = DEFAULT_CONTROLS,
+                t_max: float = DEFAULT_T_MAX,
                 collect_errors: list | None = None) -> list[ConstantsRow]:
     """Compute one ConstantsRow per pair, both factors round spheres.
 
@@ -81,7 +81,7 @@ def build_table(max_total_dim: int = 9,
         else:
             guess = None
         try:
-            gs = find_ground_state(d, tol_alpha=tol_alpha, ctrl=ctrl,
+            gs = find_ground_state(d, tol_alpha=tol_alpha, t_max=t_max,
                                    guess=guess)
             alpha0[m, n] = gs.alpha0
             sigma_inv = gn_value(gs.profile, d).sigma_inv

@@ -43,8 +43,8 @@ import math
 from dataclasses import dataclass
 
 from .geometry import Dims
-from .ode import (DEFAULT_CONTROLS, CrossedZero, IntegrationControls,
-                  RadialProfile, _sample_profile, integrate_shot)
+from .ode import (DEFAULT_T_MAX, CrossedZero, RadialProfile,
+                  _sample_profile, integrate_shot)
 
 _BRACKET_CEILING = 2.0 ** 20
 _SECANT_REACH = 1e3
@@ -143,8 +143,7 @@ def _miss(outcome, n: int) -> float:
     return -outcome.h_at_turn ** 2 * t ** (n - 1) * _bessel_weight(t, 0.5 * n)
 
 
-def bracket_alpha(d: Dims,
-                  ctrl: IntegrationControls = DEFAULT_CONTROLS,
+def bracket_alpha(d: Dims, t_max: float = DEFAULT_T_MAX,
                   guess: float | None = None,
                   ) -> tuple[float, float, float, float]:
     """Initial bracket (lo, miss at lo, hi, miss at hi) around the
@@ -172,7 +171,7 @@ def bracket_alpha(d: Dims,
         if x <= 1.0:
             x, f = 1.0, -1.0
         else:
-            f = _miss(integrate_shot(x, d, ctrl), d.n)
+            f = _miss(integrate_shot(x, d, t_max), d.n)
         if prev is not None and (prev[1] < 0.0) != (f < 0.0):
             return (x, f, *prev) if f < 0.0 else (*prev, x, f)
         if f < 0.0 and x >= _BRACKET_CEILING:
@@ -185,7 +184,7 @@ def bracket_alpha(d: Dims,
 
 
 def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
-                      ctrl: IntegrationControls = DEFAULT_CONTROLS,
+                      t_max: float = DEFAULT_T_MAX,
                       guess: float | None = None) -> GroundState:
     """Illinois search for the ground-state initial value and its profile.
 
@@ -204,7 +203,7 @@ def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
         raise ValueError(f"tol_alpha must be finite, got {tol_alpha}")
     if tol_alpha < 1e-14:
         raise ValueError("tol_alpha below double-precision resolution")
-    search = Illinois(*bracket_alpha(d, ctrl, guess))
+    search = Illinois(*bracket_alpha(d, t_max, guess))
     shots = {}  # the latest (alpha, outcome) on each side, by f < 0
     last = None  # (alpha, miss) of the latest shot
     while search.hi - search.lo > tol_alpha * search.hi:
@@ -215,13 +214,13 @@ def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
             across = last[0] + math.copysign(0.5 * tol_alpha * x, -last[1])
             if search.lo < across < search.hi:
                 x = across
-        outcome = integrate_shot(x, d, ctrl)
+        outcome = integrate_shot(x, d, t_max)
         f = _miss(outcome, d.n)
         shots[f < 0.0] = (x, outcome)
         search.update(x, f)
         last = (x, f)
     if not shots:  # the initial bracket was already narrow enough
-        shots[False] = (search.hi, integrate_shot(search.hi, d, ctrl))
+        shots[False] = (search.hi, integrate_shot(search.hi, d, t_max))
     alpha0, shot = max(shots.values(), key=lambda s: s[1].t_event)
     profile = _sample_profile(alpha0, d.n, shot.head, shot.steps,
                               shot.t_event)

@@ -24,9 +24,10 @@ by mpmath tanh-sinh, segment by segment.
 former time-integrated circle quotient and node-by-node profile sampler,
 kept to referee their replacements; `sample_steps_loop` samples stored
 steps one time at a time, by the scalar continuous extension.
-`tightened`, `profile_quotient`, `dilate`, `scale` and `circle_orbit`
-build the controls, quotients, transformed profiles and orbits the tests
-compare; the package itself needs none of them. `optimal_dilation`
+`tighten` divides the shot tolerances for the rest of a test;
+`profile_quotient`, `dilate`, `scale` and `circle_orbit` build the
+quotients, transformed profiles and orbits the tests compare; the
+package itself needs none of them. `optimal_dilation`
 minimizes a quotient over dilations in closed form, the route to the
 limiting constant that `geometry.y_infinity` does not take.
 `step_control_reference` is the DOP853 step-size controller written with
@@ -409,9 +410,11 @@ def sample_steps_loop(steps, ts):
     return np.array(hs), np.array(dhs)
 
 
-def tightened(ctrl, factor: float):
-    """The controls `ctrl` with both tolerances divided by `factor`."""
-    return replace(ctrl, rtol=ctrl.rtol / factor, atol=ctrl.atol / factor)
+def tighten(monkeypatch, factor: float) -> None:
+    """Divide both shot tolerances, ode._RTOL and ode._ATOL, by `factor`
+    until `monkeypatch` is undone."""
+    monkeypatch.setattr(ode, "_RTOL", ode._RTOL / factor)
+    monkeypatch.setattr(ode, "_ATOL", ode._ATOL / factor)
 
 
 def profile_quotient(profile, d, s_g: float) -> float:

@@ -17,14 +17,14 @@ from gnyamabe import (Dims, bound_from_profile, build_table,
 from gnyamabe.functional import radial_integrals
 from gnyamabe.geometry import (coupling_constant, reference_constants,
                                sphere_volume)
-from gnyamabe.ode import DEFAULT_CONTROLS, CrossedZero, TurnedUp
+from gnyamabe.ode import CrossedZero, TurnedUp
 from gnyamabe.periodic import return_time
 
 from golden import (ALPHA0_22, GOLDEN_TABLE, SIGMA_TOL, TESTFN_BOUND_22,
                     Y_INF_TOL, Y_SPHERE_TOL)
 from oracles import (dilate, exponents_m1, hermite_integrals, ode_residual,
                      optimal_dilation, scale, sech_amplitude, sech_sigma_inv,
-                     tightened)
+                     tighten)
 
 
 def _report(num, text):
@@ -161,9 +161,11 @@ def test_criterion_7_periodic_properties():
                "non-decreasing on 50-point grids")
 
 
-def test_criterion_8_robustness(table9, gs22):
+def test_criterion_8_robustness(table9, gs22, monkeypatch):
     rows, _ = table9
-    tight_rows = build_table(9, ctrl=tightened(DEFAULT_CONTROLS, 10.0))
+    with monkeypatch.context() as tight:
+        tighten(tight, 10.0)
+        tight_rows = build_table(9)
     for r, t in zip(rows, tight_rows):
         for field in ("alpha0", "sigma_inv", "y_inf", "y_sphere"):
             a = f"{getattr(r, field):.5g}"

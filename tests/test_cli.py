@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnyamabe import functional, ode, periodic
+from gnyamabe import functional, ode, periodic, products, shooting
 from gnyamabe.cli import _build_parser, main
 from gnyamabe.periodic import count_periodic_solutions, orbit_for_period
 
@@ -61,6 +62,36 @@ def test_tol_alpha_range_enforced():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tmax", ["1", "1000.5", "-3", "nan", "inf"])
+@pytest.mark.parametrize("command", [["ground-state", "2", "2"], ["table"]],
+                         ids=["ground-state", "table"])
+def test_tmax_range_enforced(capsys, command, tmax):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--tmax", tmax])
+    assert exc.value.code == 2
+    assert "--tmax must lie in (1, 1000]" in capsys.readouterr().err
+
+
+def test_tol_alpha_reaches_the_search(capsys, monkeypatch):
+    """A valid --tol-alpha is passed to the search, and it is the only
+    keyword passed: the search keeps its own default t_max."""
+    calls = []
+    search = shooting.find_ground_state
+
+    def spy(d, **options):
+        calls.append(options)
+        return search(d, **options)
+
+    monkeypatch.setattr(shooting, "find_ground_state", spy)
+    code, out, _ = run(capsys, "ground-state", "3", "1", "--tol-alpha",
+                       "1e-8", "--format", "json")
+    assert code == 0
+    assert calls == [{"tol_alpha": 1e-8}]
+    # alpha0 is reported to 7 digits, so both tolerances print sqrt 2
+    assert json.loads(out)["alpha0"] == pytest.approx(math.sqrt(2),
+                                                       rel=1e-6)
+
+
 def test_numerical_failure_exit_code(capsys):
     code, out, err = run(capsys, "ground-state", "2", "2", "--tmax", "2.0")
     assert code == 1
@@ -104,6 +135,17 @@ def test_table_usage_error():
     assert exc.value.code == 2
 
 
+def test_table_rows_fail_at_a_short_horizon(capsys):
+    """--tmax 1.5 leaves no shot time to turn up or cross: every row
+    fails, each on its own stderr line, and the table exits 1."""
+    code, out, err = run(capsys, "table", "--max-dim", "5", "--tmax", "1.5")
+    assert code == 1
+    assert out == "m,n,alpha0,sigma_inv,y_inf,y_sphere\n"
+    lines = err.splitlines()
+    assert [line.split(" failed:")[0] for line in lines] == [
+        "row (2, 2)", "row (2, 3)", "row (3, 2)"]
+
+
 def test_bound_bundled_profile(capsys):
     code, out, _ = run(capsys, "bound", TESTFN_PATH, "2", "2")
     assert code == 0
@@ -125,7 +167,10 @@ def test_bound_triangle_file(capsys, tmp_path):
     ("0 1\n2 0.5\n1 0\n", "line 3"),
     ("0 1\n0.5 nan\n1 0\n", "line 2"),
     ("0 1\ninf 0\n", "line 2"),
-], ids=["unordered", "nan-value", "inf-breakpoint"])
+    ("0 1\n0.5 1 2\n1 0\n", "line 2: expected 't h'"),
+    ("0 1\n0.5 -1\n1 0\n", "line 2: negative value"),
+], ids=["unordered", "nan-value", "inf-breakpoint", "three-fields",
+        "negative-value"])
 def test_bound_malformed_file(capsys, tmp_path, text, line):
     path = tmp_path / "bad.dat"
     path.write_text(text)
@@ -142,11 +187,16 @@ def test_bound_malformed_file(capsys, tmp_path, text, line):
      "1e+200 to 0, leaves the double range"),
     ("0 1\n1 1\n1e160 0\n", 2, 7, "I_p on the segment t in [1, 1e+160], "
      "h from 1 to 0, leaves the double range"),
-], ids=["all-zero", "underflow", "overflow-h", "overflow-t"])
+    ("0 1\n1e-300 0\n", 2, 1, "I_grad = inf is not positive and finite"),
+    ("0 1\n1e200 0\n", 2, 1, "I_grad = 0.0 is not positive and finite"),
+], ids=["all-zero", "underflow", "overflow-h", "overflow-t", "steep",
+        "flat"])
 def test_bound_degenerate_profile(capsys, tmp_path, text, m, n, message):
     """A profile with no mass, or one whose L^p integral underflows or
     overflows, ends in one error line and exit 1, not a ZeroDivisionError
-    or an OverflowError."""
+    or an OverflowError. So does one whose gradient integral leaves the
+    double range: the error names I_grad, and a flat profile no longer
+    reports an upper bound of 0."""
     path = tmp_path / "degenerate.dat"
     path.write_text(text)
     code, out, err = run(capsys, "bound", str(path), str(m), str(n))
@@ -156,9 +206,34 @@ def test_bound_degenerate_profile(capsys, tmp_path, text, m, n, message):
     assert message in err
 
 
+@pytest.mark.parametrize("text, m, n", [
+    ("0 1e200\n1 0\n", 2, 2),
+    ("0 1\n1 1\n1e160 0\n", 2, 7),
+    ("0 1\n1e-300 0\n", 2, 1),
+], ids=["overflow-h", "overflow-t", "steep"])
+def test_bound_out_of_range_prints_one_line(tmp_path, text, m, n):
+    """In a process of its own, where numpy's warnings are not captured,
+    a profile whose integrals leave the double range prints its error
+    line and nothing else."""
+    path = tmp_path / "degenerate.dat"
+    path.write_text(text)
+    proc = _child("-W", "default", "-m", "gnyamabe", "bound", str(path),
+                  str(m), str(n))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_bound_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "bound", str(tmp_path / "nope.dat"), "2", "2")
     assert code == 1
+
+
+def test_bound_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", TESTFN_PATH, "1", "2"])
+    assert exc.value.code == 2
 
 
 def test_bound_runs_one_quadrature(capsys, monkeypatch):
@@ -218,14 +293,18 @@ def test_periodic_text_matches_json(capsys):
             for o in json.loads(out)["orbits"]]
 
 
-def _periodic_child(*argv):
+def _child(*argv):
+    """`python *argv` in a process of its own, on this checkout's src."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "gnyamabe", "periodic", *argv],
-        env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _periodic_child(*argv):
+    return _child("-m", "gnyamabe", "periodic", *argv)
 
 
 def test_periodic_listing_is_bounded():
@@ -273,6 +352,17 @@ def test_periodic_dump_skips_orbits_at_the_separatrix(capsys, tmp_path):
     ts, us, dus = np.loadtxt(dump, unpack=True)
     assert ts[-1] == pytest.approx(orbit["period"], rel=1e-6)
     assert abs(us[-1] - us[0]) < 1e-8 and abs(dus[-1]) < 1e-5
+
+
+def test_periodic_dump_without_a_listed_orbit(capsys, tmp_path):
+    """A radius with no nonconstant solution lists no orbit: --dump says
+    so on stderr and writes no file."""
+    dump = tmp_path / "orbit.dat"
+    code, out, err = run(capsys, "periodic", "4", "0.5", "--dump", str(dump))
+    assert code == 0
+    assert "nonconstant solutions: 0" in out
+    assert err == "no listed orbit with delta >= 1e-08 to dump\n"
+    assert not dump.exists()
 
 
 def test_periodic_usage_error():
@@ -405,15 +495,21 @@ def test_parser_arguments_pinned():
 
 
 def test_help_numbers_are_the_codes():
-    """The parser is built without importing `ode` or `periodic`, so the
-    help texts write out their numbers; these must be the code's."""
+    """The parser is built without importing `ode`, `shooting`,
+    `products` or `periodic`, so the help texts write out their numbers;
+    these must be the code's."""
     parser = _build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
     helps = {(name, a.dest): a.help for name, cmd in sub.choices.items()
              for a in cmd._actions}
+    # the one default of both searches: a set of one value
+    (tol_alpha,) = {
+        inspect.signature(search).parameters["tol_alpha"].default
+        for search in (shooting.find_ground_state, products.build_table)}
     for name in ("ground-state", "table"):
         assert helps[name, "tmax"].endswith(
-            f"(default {ode.DEFAULT_CONTROLS.t_max:g})")
+            f"(default {ode.DEFAULT_T_MAX:g})")
+        assert helps[name, "tol_alpha"].endswith(f"(default {tol_alpha:g})")
     assert (f"delta >= {periodic._TIME_DELTA_FLOOR:g},"
             in helps["periodic", "dump"])

@@ -10,19 +10,16 @@ from hypothesis import strategies as st
 
 from gnyamabe import ode, periodic
 from gnyamabe.geometry import Dims
-from gnyamabe.ode import (DEFAULT_CONTROLS, PROFILE_SPACING, CrossedZero,
-                          IntegrationControls, IntegrationFailure, TurnedUp,
-                          integrate_shot, rhs, shoot_profile)
+from gnyamabe.ode import (PROFILE_SPACING, CrossedZero, IntegrationFailure,
+                          TurnedUp, integrate_shot, rhs, shoot_profile)
 from gnyamabe.products import table_pairs
 from gnyamabe.shooting import _miss, bracket_alpha, find_ground_state
 
 from oracles import (exponents_m1, sample_profile_loop, sample_steps_loop,
                      sech_amplitude, sech_h, series_start, shot_reference,
-                     step_control_reference, tightened)
+                     step_control_reference, tighten)
 
 D22 = Dims(2, 2)
-
-FAST = IntegrationControls(rtol=1e-9, atol=1e-11)
 
 
 def test_rhs_equilibrium():
@@ -73,7 +70,7 @@ def test_crossed_zero_event_has_descending_slope():
     assert out.dh_cross < 0.0
 
 
-def test_candidate_at_sech_amplitude():
+def test_candidate_at_sech_amplitude(monkeypatch):
     """For n = 1 the ground state is the closed form: amplitude sqrt 2 for
     m = 3 and 1.5 for m = 5. The search converged to tol_alpha 1e-14 on
     shots at ten times tighter tolerances lands on it to 1e-12 relative
@@ -81,10 +78,10 @@ def test_candidate_at_sech_amplitude():
     up to t = 10 (measured 4.4e-12 and 2.3e-12). At the default controls
     the shots' classification is noisy at 1e-13 relative, so whether the
     profile met the bound there depended on where the secant landed."""
+    tighten(monkeypatch, 10.0)
     for m in (3, 5):
         q, _ = exponents_m1(m)
-        gs = find_ground_state(Dims(m, 1), tol_alpha=1e-14,
-                               ctrl=tightened(DEFAULT_CONTROLS, 10.0))
+        gs = find_ground_state(Dims(m, 1), tol_alpha=1e-14)
         assert abs(gs.alpha0 / sech_amplitude(q) - 1.0) <= 1e-12
         profile = gs.profile
         mask = profile.ts <= 10.0
@@ -92,19 +89,22 @@ def test_candidate_at_sech_amplitude():
         assert float(err.max()) < 1e-10
 
 
-def test_monotone_classification_grid():
-    """No crossing shot below any turned-up shot, on every valid pair."""
+def test_monotone_classification_grid(monkeypatch):
+    """No crossing shot below any turned-up shot, on every valid pair, at
+    coarser tolerances than the default."""
+    monkeypatch.setattr(ode, "_RTOL", 1e-9)
+    monkeypatch.setattr(ode, "_ATOL", 1e-11)
     pairs = [(m, n) for m in range(1, 9) for n in range(1, 9)
              if 3 <= m + n <= 9]
     assert len(pairs) == 35
     for m, n in pairs:
         d = Dims(m, n)
-        lo, _, hi, _ = bracket_alpha(d, FAST)
+        lo, _, hi, _ = bracket_alpha(d)
         grid = np.linspace(1.01, hi, 100)
         turned = []
         crossed = []
         for alpha in grid:
-            out = integrate_shot(float(alpha), d, FAST)
+            out = integrate_shot(float(alpha), d)
             if isinstance(out, TurnedUp):
                 turned.append(alpha)
             elif isinstance(out, CrossedZero):
@@ -114,10 +114,12 @@ def test_monotone_classification_grid():
             assert max(turned) < min(crossed), f"order violated at ({m}, {n})"
 
 
-def test_event_time_stable_under_tolerance_refinement():
-    for alpha in (2.208, 2.205):
-        coarse = integrate_shot(alpha, D22, DEFAULT_CONTROLS)
-        fine = integrate_shot(alpha, D22, tightened(DEFAULT_CONTROLS, 10.0))
+def test_event_time_stable_under_tolerance_refinement(monkeypatch):
+    alphas = (2.208, 2.205)
+    coarse_shots = [integrate_shot(alpha, D22) for alpha in alphas]
+    tighten(monkeypatch, 10.0)
+    for alpha, coarse in zip(alphas, coarse_shots):
+        fine = integrate_shot(alpha, D22)
         t_coarse = getattr(coarse, "t_cross", None) or coarse.t_turn
         t_fine = getattr(fine, "t_cross", None) or fine.t_turn
         assert type(coarse) is type(fine)
@@ -125,16 +127,13 @@ def test_event_time_stable_under_tolerance_refinement():
 
 
 def test_unclassifiable_horizon_raises():
-    short = IntegrationControls(t_max=2.0)
     with pytest.raises(IntegrationFailure):
-        integrate_shot(1.5, D22, short)
+        integrate_shot(1.5, D22, t_max=2.0)
 
 
 def test_controls_validation():
-    with pytest.raises(ValueError):
-        IntegrationControls(rtol=1e-16)
-    with pytest.raises(ValueError):
-        IntegrationControls(t_max=1e-5)
+    with pytest.raises(ValueError, match="t_max must be finite and exceed"):
+        integrate_shot(1.5, D22, t_max=1e-5)
 
 
 _PROFILE = {"ts": [0.0, 1.0], "hs": [2.0, 1.0], "dhs": [0.0, -1.0],
@@ -157,12 +156,10 @@ def test_radial_profile_validation(change, match):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("field", ["t_max", "rtol", "atol"])
+@pytest.mark.parametrize("field", ["t_max"])
 def test_controls_reject_non_finite(field, value):
-    # atol = inf or rtol = inf used to accept every step and return
-    # alpha0 = 26.2 for (2, 2); nan ended in a misleading step underflow
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        IntegrationControls(**{field: value})
+        integrate_shot(1.5, D22, **{field: value})
 
 
 _RANK = {TurnedUp: 0, CrossedZero: 1}
@@ -277,7 +274,7 @@ def test_shoot_profile_pinned_bit_for_bit():
     for (m, n, alpha_hex, kind, n_steps, t_hex, y_hex, size, tail_rate,
          digest) in _SHOT_PINS:
         alpha, d = float.fromhex(alpha_hex), Dims(m, n)
-        shot = ode._integrate(alpha, d, DEFAULT_CONTROLS)
+        shot = ode._integrate(alpha, d, ode.DEFAULT_T_MAX)
         ye = shot.dh_cross if isinstance(shot, CrossedZero) else shot.h_at_turn
         assert (len(shot.steps), shot.t_event.hex(), ye.hex()) == (
             n_steps, t_hex, y_hex)
@@ -305,7 +302,7 @@ def _shot(index):
     `index`."""
     m, n, alpha_hex = _SHOT_PINS[index][:3]
     alpha = float.fromhex(alpha_hex)
-    shot = ode._integrate(alpha, Dims(m, n), DEFAULT_CONTROLS)
+    shot = ode._integrate(alpha, Dims(m, n), ode.DEFAULT_T_MAX)
     return alpha, n, shot.t_event, shot.head, shot.steps
 
 
@@ -337,7 +334,7 @@ def test_head_nodes_join_step_nodes(index):
     assert (profile.hs[i - 1], profile.dhs[i - 1]) == last
     series = ode._head_eval(head, profile.ts[i])
     for got, want in zip((profile.hs[i], profile.dhs[i]), series):
-        assert abs(got - want) <= DEFAULT_CONTROLS.rtol * abs(want)
+        assert abs(got - want) <= ode._RTOL * abs(want)
 
 
 def test_sampler_matches_loop_with_stop_on_grid_node():
@@ -513,8 +510,7 @@ def test_steps_odd_in_the_state(m, n):
     alpha = 1.01 * float.fromhex(next(
         pin[2] for pin in _TABLE_PINS if pin[:2] == (m, n)))
     h, dh = series_start(alpha, 1e-4, d)
-    args = (n - 1.0, 1.0, 1.0, d.q - 1.0, DEFAULT_CONTROLS.rtol,
-            DEFAULT_CONTROLS.atol)
+    args = (n - 1.0, 1.0, 1.0, d.q - 1.0, ode._RTOL, ode._ATOL)
     plus = list(ode._dp_steps(1e-4, h, dh, 1e-3, 20.0, *args))
     minus = list(ode._dp_steps(1e-4, -h, -dh, 1e-3, 20.0, *args))
     assert sum(step[2] < 0.0 for step in plus) > 50
@@ -646,7 +642,7 @@ def test_shot_events_match_scipy(shot, t_bound, miss_bound, brackets):
         m, n, end = shot
         alpha = brackets[(m, n)][end]
     d = Dims(m, n)
-    out = ode._integrate(alpha, d, DEFAULT_CONTROLS)
+    out = ode._integrate(alpha, d, ode.DEFAULT_T_MAX)
     ref = shot_reference(alpha, d)
     ref_miss = _miss(ref, n)
     assert abs(_miss(out, n) - ref_miss) <= miss_bound

@@ -101,8 +101,8 @@ def test_table_spot_values(table9):
 
 
 # sigma_inv of every table row from the tight-control reference:
-# find_ground_state(Dims(m, n), tol_alpha=1e-14,
-# ctrl=tightened(DEFAULT_CONTROLS, 10.0)) with ode._DECAY_THRESHOLD = 1e-10,
+# find_ground_state(Dims(m, n), tol_alpha=1e-14) after tighten(monkeypatch,
+# 10.0) and with ode._DECAY_THRESHOLD = 1e-10,
 # whose brackets are at most 1e-14 alpha0 wide. The default table agrees
 # to 1.8e-14 relative, (2, 7) being the farthest; tests/golden.py pins the
 # same values only to 5e-4.

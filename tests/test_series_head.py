@@ -13,9 +13,8 @@ from scipy.integrate import solve_ivp
 
 from gnyamabe import ode
 from gnyamabe.geometry import Dims
-from gnyamabe.ode import (DEFAULT_CONTROLS, CrossedZero, IntegrationControls,
-                          IntegrationFailure, TurnedUp, integrate_shot,
-                          shoot_profile)
+from gnyamabe.ode import (CrossedZero, IntegrationFailure, TurnedUp,
+                          integrate_shot, shoot_profile)
 from gnyamabe.shooting import bracket_alpha
 
 from oracles import (exponents_m1, sech_amplitude, series_head_reference,
@@ -116,12 +115,11 @@ def test_edge_shots_classify_or_fail(m, n, alpha, t_max, expected):
     monotone order above alpha0 where it is not (1e5 and 1e6, where that
     start has already crossed zero)."""
     d = Dims(m, n)
-    ctrl = IntegrationControls(t_max=t_max)
     if expected is IntegrationFailure:
         with pytest.raises(IntegrationFailure, match="unclassified"):
-            integrate_shot(alpha, d, ctrl)
+            integrate_shot(alpha, d, t_max)
         return
-    out = integrate_shot(alpha, d, ctrl)
+    out = integrate_shot(alpha, d, t_max)
     assert type(out) is expected
     t0 = out.head[0]
     h, dh = ode._head_eval(out.head, t0)

@@ -7,13 +7,12 @@ from scipy.special import ive, kve
 from gnyamabe import build_table, ode, products, shooting
 from gnyamabe.functional import gn_value
 from gnyamabe.geometry import Dims
-from gnyamabe.ode import (DEFAULT_CONTROLS, CrossedZero, TurnedUp,
-                          integrate_shot, rhs)
+from gnyamabe.ode import CrossedZero, TurnedUp, integrate_shot, rhs
 from gnyamabe.products import table_pairs
 from gnyamabe.shooting import (Illinois, _miss, bracket_alpha,
                                find_ground_state)
 
-from oracles import exponents_m1, sech_amplitude, tightened
+from oracles import exponents_m1, sech_amplitude, tighten
 
 
 def test_bracket_22():
@@ -284,8 +283,8 @@ def test_step_budget_per_table(monkeypatch):
     shots = []
     integrate = ode._integrate
 
-    def counted(alpha, d, ctrl):
-        outcome = integrate(alpha, d, ctrl)
+    def counted(alpha, d, t_max):
+        outcome = integrate(alpha, d, t_max)
         shots.append(((d.m, d.n), len(outcome.steps)))
         return outcome
 
@@ -388,9 +387,9 @@ def test_profile_ode_residual(gs22):
     assert float(np.abs(ddh_fd - ddh_rhs).max()) < 1e-6
 
 
-def test_alpha0_invariant_under_tolerance_halving(gs22):
-    tighter = find_ground_state(Dims(2, 2),
-                                ctrl=tightened(DEFAULT_CONTROLS, 2.0))
+def test_alpha0_invariant_under_tolerance_halving(gs22, monkeypatch):
+    tighten(monkeypatch, 2.0)
+    tighter = find_ground_state(Dims(2, 2))
     assert abs(tighter.alpha0 - gs22.alpha0) < 1e-8
 
 
@@ -409,7 +408,7 @@ def test_sech_alpha0_matches_closed_form():
 
 @pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (1, 8), (1, 12), (2, 1),
                                   (5, 1)])
-def test_m1_and_n1_rows_solve(m, n):
+def test_m1_and_n1_rows_solve(m, n, monkeypatch):
     """Rows with a one-dimensional factor, outside the published table,
     solve at the default controls. For n = 1 the ground state is the
     closed-form sech profile; for m = 1 sigma_inv is checked against a
@@ -420,8 +419,8 @@ def test_m1_and_n1_rows_solve(m, n):
         amplitude = sech_amplitude(exponents_m1(m)[0])
         assert abs(gs.alpha0 / amplitude - 1.0) <= 2e-12
     else:
-        tight = find_ground_state(d, tol_alpha=1e-14,
-                                  ctrl=tightened(DEFAULT_CONTROLS, 10.0))
+        tighten(monkeypatch, 10.0)
+        tight = find_ground_state(d, tol_alpha=1e-14)
         sigma_inv = gn_value(gs.profile, d).sigma_inv
         reference = gn_value(tight.profile, d).sigma_inv
         assert abs(sigma_inv / reference - 1.0) <= 1e-12
@@ -461,8 +460,8 @@ def test_ground_state_matches_tight_controls(m, n, alpha_bound, sigma_bound,
     gs = find_ground_state(d)
     sigma_inv = gn_value(gs.profile, d).sigma_inv
     monkeypatch.setattr(ode, "_DECAY_THRESHOLD", 1e-10)
-    tight = find_ground_state(d, tol_alpha=1e-14,
-                              ctrl=tightened(DEFAULT_CONTROLS, 10.0))
+    tighten(monkeypatch, 10.0)
+    tight = find_ground_state(d, tol_alpha=1e-14)
     reference = gn_value(tight.profile, d).sigma_inv
     assert abs(gs.alpha0 - tight.alpha0) <= alpha_bound
     assert abs(sigma_inv / reference - 1.0) <= sigma_bound
