@@ -16,8 +16,8 @@ from .geometry import (Dims, reference_constants, sobolev_constant,
                        yamabe_sphere)
 
 # Each handler imports the modules it runs, so `constants` loads no numpy;
-# the help texts spell out ode.DEFAULT_T_MAX (50), the tol_alpha default
-# (1e-12) of find_ground_state and build_table, and
+# the help texts spell out ode.DEFAULT_T_MAX (50),
+# shooting.DEFAULT_TOL_ALPHA (1e-12) and
 # periodic._TIME_DELTA_FLOOR (1e-08), held to the code by tests/test_cli.py.
 
 # published upper bounds certified by bundled/known test functions

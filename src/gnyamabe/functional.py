@@ -179,16 +179,16 @@ def radial_integrals(profile, d: Dims):
         return i_grad, i_sq, i_p
     i_p = w * float(np.sum(np.abs(hq) ** p * base))
 
-    if profile.tail_rate is not None:
-        # beyond t_c, h = h_c e^(-r (t - t_c)) (t_c / t)^((n-1)/2): then
-        # h^2 t^(n-1) = h_c^2 t_c^(n-1) e^(-2r (t - t_c)), h' = -h (r + half/t)
-        tc, hc, r = float(ts[-1]), float(hs[-1]), profile.tail_rate
+    if profile.tail:
+        # beyond t_c, h = h_c e^(-(t - t_c)) (t_c / t)^((n-1)/2): then
+        # h^2 t^(n-1) = h_c^2 t_c^(n-1) e^(-2 (t - t_c)), h' = -h (1 + half/t)
+        tc, hc = float(ts[-1]), float(hs[-1])
         half = 0.5 * (n - 1)
-        sq_tail = w * hc * hc * tc ** (n - 1) / (2.0 * r)
+        sq_tail = w * hc * hc * tc ** (n - 1) / 2.0
         i_sq += sq_tail
-        i_grad += sq_tail * float(wl @ (r + half / (tc + xl / (2.0 * r))) ** 2)
-        t = tc + xl / (p * r)
-        i_p += w * hc ** p / (p * r) * float(
+        i_grad += sq_tail * float(wl @ (1.0 + half / (tc + xl / 2.0)) ** 2)
+        t = tc + xl / p
+        i_p += w * hc ** p / p * float(
             wl @ ((tc / t) ** (p * half) * t ** (n - 1)))
     return i_grad, i_sq, i_p
 

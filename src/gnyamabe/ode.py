@@ -153,21 +153,22 @@ class IntegrationFailure(RuntimeError):
 
 @dataclass
 class RadialProfile:
-    """A sampled radial function h(t) with derivative samples.
+    """A sampled radial function h(t) with derivative samples, from
+    h(0) = hs[0] with h'(0) = 0.
 
-    When `tail_rate` is set, the profile extends beyond its last node as
+    With `tail` set, the profile extends beyond its last node as
 
-        h(t) = h(t_c) exp(-rate (t - t_c)) (t_c / t)^((n-1)/2),  t > t_c,
+        h(t) = h(t_c) exp(-(t - t_c)) (t_c / t)^((n-1)/2),  t > t_c,
 
-    the linearized far-field decay; quadrature uses it to close the domain.
+    the decay at rate 1 of the linearized far field
+    h'' + (n-1)/t h' - h = 0; quadrature uses it to close the domain.
     """
 
     ts: np.ndarray
     hs: np.ndarray
     dhs: np.ndarray
-    alpha: float
     n: int
-    tail_rate: float | None = None
+    tail: bool = False
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -181,8 +182,8 @@ class RadialProfile:
             raise ValueError("profile grid must start at t = 0")
         if np.any(np.diff(self.ts) <= 0):
             raise ValueError("profile grid must be strictly increasing")
-        if self.hs[0] != self.alpha or self.dhs[0] != 0.0:
-            raise ValueError("profile must carry h(0) = alpha, h'(0) = 0")
+        if self.dhs[0] != 0.0:
+            raise ValueError("profile must carry h'(0) = 0")
         if self.n < 1:
             raise ValueError("radial dimension must be >= 1")
 
@@ -190,32 +191,27 @@ class RadialProfile:
 @dataclass(frozen=True)
 class CrossedZero:
     """The shot reached h = 0 while decreasing: initial value too large.
-    `dh_cross` is the slope h' < 0 at the crossing; the shot's profile is
-    sampled from its series `head` and its accepted `steps`."""
+    `t_event` is the time of the crossing and `dh_cross` the slope
+    h' < 0 there; the shot's profile is sampled from its series `head`
+    and its accepted `steps`."""
 
-    t_cross: float
+    t_event: float
     dh_cross: float
     steps: list = field(default=(), repr=False, compare=False)
     head: tuple | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def t_event(self) -> float:
-        return self.t_cross
 
 
 @dataclass(frozen=True)
 class TurnedUp:
     """h' reached 0 from below with 0 < h < 1: initial value too small.
-    `head` and `steps` as for CrossedZero; alpha <= 1 has neither."""
+    `t_event` is the time of the turn and `h_at_turn` the value of h
+    there; `head` and `steps` as for CrossedZero, and alpha <= 1 has
+    neither."""
 
-    t_turn: float
+    t_event: float
     h_at_turn: float
     steps: list = field(default=(), repr=False, compare=False)
     head: tuple | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def t_event(self) -> float:
-        return self.t_turn
 
 
 ShotOutcome = CrossedZero | TurnedUp
@@ -632,9 +628,8 @@ def _sample_profile(alpha, n, head, steps, t_stop):
         cut = i + 2 if below[i] else i + 1
     cut = max(cut, 2)
     h_end = hs[cut - 1]
-    tail = 1.0 if 0.0 < h_end <= 100.0 * _DECAY_THRESHOLD else None
-    return RadialProfile(ts[:cut], hs[:cut], dhs[:cut], alpha, n,
-                         tail_rate=tail)
+    return RadialProfile(ts[:cut], hs[:cut], dhs[:cut], n,
+                         tail=bool(0.0 < h_end <= 100.0 * _DECAY_THRESHOLD))
 
 
 def integrate_shot(alpha: float, d: Dims,
@@ -649,19 +644,19 @@ def integrate_shot(alpha: float, d: Dims,
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if alpha <= 1.0:
-        return TurnedUp(t_turn=0.0, h_at_turn=alpha)
+        return TurnedUp(0.0, alpha)
     return _integrate(alpha, d, t_max)
 
 
-def shoot_profile(alpha: float, d: Dims, t_max: float = DEFAULT_T_MAX,
-                  ) -> tuple[ShotOutcome, RadialProfile]:
-    """Classify a shot and also return its truncated profile, so that a
-    near-critical shot yields its usable pre-divergence part. Requires
-    alpha > 1.
+def shoot_profile(alpha: float,
+                  d: Dims) -> tuple[ShotOutcome, RadialProfile]:
+    """Classify a shot up to DEFAULT_T_MAX and also return its truncated
+    profile, so that a near-critical shot yields its usable
+    pre-divergence part. Requires alpha > 1.
     """
     if not 1.0 < alpha < math.inf:
         raise ValueError(
             f"profiles only exist for finite alpha > 1, got {alpha!r}")
-    outcome = _integrate(alpha, d, t_max)
+    outcome = _integrate(alpha, d, DEFAULT_T_MAX)
     return outcome, _sample_profile(alpha, d.n, outcome.head, outcome.steps,
                                     outcome.t_event)

@@ -366,16 +366,16 @@ def _period(n: int, delta: float) -> float:
 
 @dataclass(frozen=True)
 class CircleOrbit:
-    """One closed phase-plane orbit: amplitude, period, energy level.
+    """One closed phase-plane orbit: amplitude and period.
 
     `delta` = 1 - u_max is the separatrix distance that parametrizes the
     orbit; `u_max` is 1 - delta rounded, which is 1.0 for delta below
-    1.1e-16."""
+    1.1e-16. The orbit's energy E follows from delta, as in the module
+    docstring."""
 
     n: int
     u_max: float
     period: float
-    energy: float
     delta: float
 
 
@@ -385,13 +385,6 @@ def orbit_period(n: int, u_max: float) -> float:
     every u_max in the window (Sterbenz)."""
     _check_window(constant_solution(n), u_max)
     return _period(n, 1.0 - u_max)
-
-
-def _orbit(n: int, delta: float, period: float) -> CircleOrbit:
-    """The orbit at separatrix distance delta, whose period is known."""
-    c = (n - 2) ** 2 / 8.0
-    return CircleOrbit(n=n, u_max=1.0 - delta, period=period,
-                       energy=c * _energy_ratio(n, delta), delta=delta)
 
 
 @lru_cache(maxsize=None)
@@ -463,7 +456,8 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
             f"period inversion did not converge for n={n}, "
             f"period={period!r}: the closest orbit misses by "
             f"{miss / period:.3g} relative")
-    return _orbit(n, math.exp(x), t_x)
+    delta = math.exp(x)
+    return CircleOrbit(n=n, u_max=1.0 - delta, period=t_x, delta=delta)
 
 
 def count_periodic_solutions(n: int, r: float) -> int:
@@ -508,16 +502,16 @@ def _orbit_steps(n: int, u_max: float, t_end: float):
                          4.0 / (n - 2), _ORBIT_RTOL, _ORBIT_ATOL)
 
 
-def integrate_orbit(n: int, u_max: float, t_end: float, samples: int = 2049):
+def integrate_orbit(n: int, u_max: float, t_end: float):
     """Time-integrate the orbit from (u_max, 0); returns (t, u, u') arrays
-    at `samples` equally spaced times on [0, t_end], read off the dense
-    output of the step each falls in. Raises ValueError when 1 - u_max
+    at 2049 equally spaced times on [0, t_end], read off the dense output
+    of the step each falls in. Raises ValueError when 1 - u_max
     is below _TIME_DELTA_FLOOR or t_end is not positive and finite."""
     _check_dim(n)
     _check_time_window(u_max)
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    ts = np.linspace(0.0, t_end, samples)
+    ts = np.linspace(0.0, t_end, 2049)
     us, dus = ode._sample_steps(list(_orbit_steps(n, u_max, t_end)), ts)
     return ts, us, dus
 

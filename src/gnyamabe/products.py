@@ -19,7 +19,7 @@ from .functional import gn_value
 from .geometry import (Dims, unit_volume_sphere_scalar, y_infinity,
                        yamabe_sphere)
 from .ode import DEFAULT_T_MAX
-from .shooting import find_ground_state
+from .shooting import DEFAULT_TOL_ALPHA, find_ground_state
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def table_pairs(max_total_dim: int) -> list[tuple[int, int]]:
 
 
 def build_table(max_total_dim: int = 9,
-                tol_alpha: float = 1e-12,
+                tol_alpha: float = DEFAULT_TOL_ALPHA,
                 t_max: float = DEFAULT_T_MAX,
                 collect_errors: list | None = None) -> list[ConstantsRow]:
     """Compute one ConstantsRow per pair, both factors round spheres.

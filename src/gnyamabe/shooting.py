@@ -46,6 +46,9 @@ from .geometry import Dims
 from .ode import (DEFAULT_T_MAX, CrossedZero, RadialProfile,
                   _sample_profile, integrate_shot)
 
+# the search stops on a bracket at most tol_alpha alpha wide, at
+# DEFAULT_TOL_ALPHA unless a caller gives one
+DEFAULT_TOL_ALPHA = 1e-12
 _BRACKET_CEILING = 2.0 ** 20
 _SECANT_REACH = 1e3
 _CLOSE = 0.015
@@ -103,7 +106,9 @@ class Illinois:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Located ground state: critical initial value and its profile.
+    """Located ground state: critical initial value, the bracket the
+    search ended on and the profile. The dimensions are the caller's,
+    who searched them; the record does not repeat them.
 
     The bracket keeps TurnedUp on the low side and CrossedZero on the high
     side, and is at most tol_alpha * alpha0 wide (at most 6.6e-13 alpha0
@@ -115,7 +120,6 @@ class GroundState:
     stops being trustworthy (h below the decay threshold or h' >= 0).
     """
 
-    d: Dims
     alpha0: float
     bracket: tuple[float, float]
     profile: RadialProfile
@@ -135,11 +139,10 @@ def _miss(outcome, n: int) -> float:
     """Signed miss of an integrated TurnedUp (< 0) or CrossedZero (> 0)
     shot, linear in alpha - alpha0 near alpha0: -h^2 t^(n-1) at the turn
     and h'^2 t^(n-1) at the crossing, each weighted by 2 t I_mu K_mu."""
+    t = outcome.t_event
     if isinstance(outcome, CrossedZero):
-        t = outcome.t_cross
         return (outcome.dh_cross ** 2 * t ** (n - 1)
                 * _bessel_weight(t, 0.5 * n - 1.0))
-    t = outcome.t_turn
     return -outcome.h_at_turn ** 2 * t ** (n - 1) * _bessel_weight(t, 0.5 * n)
 
 
@@ -183,7 +186,7 @@ def bracket_alpha(d: Dims, t_max: float = DEFAULT_T_MAX,
         x = min(x * factor, _BRACKET_CEILING) if f < 0.0 else x / factor
 
 
-def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
+def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
                       t_max: float = DEFAULT_T_MAX,
                       guess: float | None = None) -> GroundState:
     """Illinois search for the ground-state initial value and its profile.
@@ -224,5 +227,5 @@ def find_ground_state(d: Dims, tol_alpha: float = 1e-12,
     alpha0, shot = max(shots.values(), key=lambda s: s[1].t_event)
     profile = _sample_profile(alpha0, d.n, shot.head, shot.steps,
                               shot.t_event)
-    return GroundState(d=d, alpha0=alpha0, bracket=(search.lo, search.hi),
+    return GroundState(alpha0=alpha0, bracket=(search.lo, search.hi),
                        profile=profile)

@@ -25,8 +25,9 @@ former time-integrated circle quotient and node-by-node profile sampler,
 kept to referee their replacements; `sample_steps_loop` samples stored
 steps one time at a time, by the scalar continuous extension.
 `tighten` divides the shot tolerances for the rest of a test;
-`profile_quotient`, `dilate`, `scale` and `circle_orbit` build the
-quotients, transformed profiles and orbits the tests compare; the
+`profile_quotient`, `dilate`, `scale`, `circle_orbit` and
+`orbit_samples` build the quotients, transformed profiles, orbits and
+orbit samples the tests compare; the
 package itself needs none of them. `optimal_dilation`
 minimizes a quotient over dilations in closed form, the route to the
 limiting constant that `geometry.y_infinity` does not take.
@@ -114,7 +115,7 @@ def hermite_integrals(profile, d, refine: int = 64):
     The stored samples (t, h, h') define scipy's cubic Hermite spline; the
     finite part is composite Simpson on each stored interval cut into
     `refine` (even) equal pieces, so no Simpson panel straddles a node, and
-    the tail h_c e^(-r (t - t_c)) (t_c / t)^((n-1)/2) is integrated by
+    the tail h_c e^(-(t - t_c)) (t_c / t)^((n-1)/2) is integrated by
     mpmath to 30 digits.
     """
     n, p = d.n, d.p
@@ -129,18 +130,17 @@ def hermite_integrals(profile, d, refine: int = 64):
     wgt = tf ** (n - 1)
     ints = [simpson(df * df * wgt, x=tf), simpson(hf * hf * wgt, x=tf),
             simpson(np.abs(hf) ** p * wgt, x=tf)]
-    if profile.tail_rate is not None:
+    if profile.tail:
         with mpmath.workdps(30):
             tc = mpmath.mpf(float(ts[-1]))
             hc = mpmath.mpf(float(profile.hs[-1]))
-            r = mpmath.mpf(profile.tail_rate)
             half = mpmath.mpf(n - 1) / 2
 
             def h(t):
-                return hc * mpmath.exp(-r * (t - tc)) * (tc / t) ** half
+                return hc * mpmath.exp(-(t - tc)) * (tc / t) ** half
 
             def dh(t):
-                return -h(t) * (r + half / t)
+                return -h(t) * (1 + half / t)
 
             tails = [lambda t: dh(t) ** 2 * t ** (n - 1),
                      lambda t: h(t) ** 2 * t ** (n - 1),
@@ -273,7 +273,7 @@ def circle_quotient_by_time(n: int, u_max: float) -> float:
     The package's former `circle_quotient`, kept to referee the
     quadrature one; like the integration, it needs 1 - u_max >= 1e-8."""
     period = periodic.orbit_period(n, u_max)
-    ts, us, dus = periodic.integrate_orbit(n, u_max, period, samples=4097)
+    ts, us, dus = orbit_samples(n, u_max, period, 4097)
     weights = np.full(ts.size, 2.0)
     weights[1::2] = 4.0
     weights[[0, -1]] = 1.0
@@ -388,9 +388,9 @@ def sample_profile_loop(alpha, n, head, steps, t_stop):
             break
     cut = max(cut, 2)
     h_end = hs[cut - 1]
-    tail = 1.0 if 0.0 < h_end <= 100.0 * ode._DECAY_THRESHOLD else None
-    return ode.RadialProfile(np.array(ts[:cut]), np.array(hs[:cut]),
-                             np.array(dhs[:cut]), alpha, n, tail_rate=tail)
+    return ode.RadialProfile(
+        np.array(ts[:cut]), np.array(hs[:cut]), np.array(dhs[:cut]), n,
+        tail=0.0 < h_end <= 100.0 * ode._DECAY_THRESHOLD)
 
 
 def sample_steps_loop(steps, ts):
@@ -440,25 +440,49 @@ def optimal_dilation(A: float, B: float, d) -> tuple[float, float]:
 
 
 def dilate(profile, lam: float):
-    """The dilated profile h(lam t) on the rescaled grid."""
+    """The dilated profile h(lam t) on the rescaled grid.
+
+    A solver profile's tail decays at rate 1 and its dilation's at rate
+    lam, which the profile cannot carry: unless lam is 1, the tail is
+    written out on the profile's node spacing up to 40 past its last
+    node, where h^2 has fallen by a further e^-80, and the dilation has
+    no tail."""
     if isinstance(profile, functional.PiecewiseLinearProfile):
         return replace(profile, ts=profile.ts / lam)
-    tail = None if profile.tail_rate is None else lam * profile.tail_rate
-    return replace(profile, ts=profile.ts / lam, dhs=lam * profile.dhs,
-                   tail_rate=tail)
+    if profile.tail and lam != 1.0:
+        tc, hc, half = profile.ts[-1], profile.hs[-1], 0.5 * (profile.n - 1)
+        spacing = tc - profile.ts[-2]
+        t = tc + spacing * np.arange(1, round(40.0 / spacing) + 1)
+        h = hc * np.exp(-(t - tc)) * (tc / t) ** half
+        profile = replace(profile, ts=np.append(profile.ts, t),
+                          hs=np.append(profile.hs, h),
+                          dhs=np.append(profile.dhs, -h * (1.0 + half / t)),
+                          tail=False)
+    return replace(profile, ts=profile.ts / lam, dhs=lam * profile.dhs)
 
 
 def scale(profile, c: float):
     """The rescaled profile c h(t)."""
     if isinstance(profile, functional.PiecewiseLinearProfile):
         return replace(profile, hs=c * profile.hs)
-    return replace(profile, hs=c * profile.hs, dhs=c * profile.dhs,
-                   alpha=c * profile.alpha)
+    return replace(profile, hs=c * profile.hs, dhs=c * profile.dhs)
 
 
 def circle_orbit(n: int, u_max: float):
     """The circle-factor orbit through (u_max, 0) with its period."""
-    return periodic._orbit(n, 1.0 - u_max, periodic.orbit_period(n, u_max))
+    delta = 1.0 - u_max
+    return periodic.CircleOrbit(n=n, u_max=1.0 - delta, delta=delta,
+                                period=periodic.orbit_period(n, u_max))
+
+
+def orbit_samples(n: int, u_max: float, t_end: float, samples: int):
+    """(t, u, u') of the package's time-integrated orbit from (u_max, 0)
+    at `samples` equally spaced times on [0, t_end], where
+    `periodic.integrate_orbit` takes 2049."""
+    ts = np.linspace(0.0, t_end, samples)
+    us, dus = ode._sample_steps(
+        list(periodic._orbit_steps(n, u_max, t_end)), ts)
+    return ts, us, dus
 
 
 def step_control_reference(e5, e3, dt, rejected):

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnyamabe import functional, ode, periodic, products, shooting
 from gnyamabe.cli import _build_parser, main
@@ -223,6 +227,48 @@ def test_bound_out_of_range_prints_one_line(tmp_path, text, m, n):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+_FUZZ_VALUES = st.sampled_from(
+    [0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e200, 1.7e308])
+
+
+@st.composite
+def _fuzz_breakpoints(draw):
+    """2-5 (t, h) pairs from _FUZZ_VALUES: as drawn, or, half of the time,
+    in the documented shape, t rising from 0 to a final h = 0."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.tuples(_FUZZ_VALUES, _FUZZ_VALUES),
+                             min_size=2, max_size=5))
+    ts = sorted(draw(st.lists(_FUZZ_VALUES.filter(bool), min_size=1,
+                              max_size=4, unique=True)))
+    hs = draw(st.lists(_FUZZ_VALUES, min_size=len(ts), max_size=len(ts)))
+    return list(zip([0.0, *ts], [*hs, 0.0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_fuzz_breakpoints(), st.integers(2, 7), st.integers(1, 7))
+def test_bound_fuzz(tmp_path_factory, breakpoints, m, n):
+    """`bound` on profile files of 2-5 breakpoints whose t and h run from
+    0 through the subnormals to the top of the double range, at every
+    (m, n) with m in 2..7 and n in 1..7: it exits 0, 1 or 2, a failure
+    leaves one stderr line starting `error:` and nothing else, and a
+    success prints no nan or inf. No exception escapes, numpy warnings
+    included."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.dat"
+    path.write_text("".join(f"{t!r} {h!r}\n" for t, h in breakpoints))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["bound", str(path), str(m), str(n)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert not re.search(r"nan|inf", out.getvalue(), re.IGNORECASE)
 
 
 def test_bound_missing_file(capsys, tmp_path):
@@ -503,10 +549,11 @@ def test_help_numbers_are_the_codes():
                if isinstance(a, argparse._SubParsersAction))
     helps = {(name, a.dest): a.help for name, cmd in sub.choices.items()
              for a in cmd._actions}
-    # the one default of both searches: a set of one value
-    (tol_alpha,) = {
-        inspect.signature(search).parameters["tol_alpha"].default
-        for search in (shooting.find_ground_state, products.build_table)}
+    # the one default of both searches
+    tol_alpha = shooting.DEFAULT_TOL_ALPHA
+    for search in (shooting.find_ground_state, products.build_table):
+        assert inspect.signature(search).parameters["tol_alpha"].default \
+            == tol_alpha
     for name in ("ground-state", "table"):
         assert helps[name, "tmax"].endswith(
             f"(default {ode.DEFAULT_T_MAX:g})")

@@ -97,7 +97,7 @@ def test_dilation_identity(gs22):
     assert np.array_equal(same.ts, gs22.profile.ts)
     assert np.array_equal(same.hs, gs22.profile.hs)
     assert np.array_equal(same.dhs, gs22.profile.dhs)
-    assert same.tail_rate == gs22.profile.tail_rate
+    assert same.tail == gs22.profile.tail
 
 
 def test_dilation_l2_scaling(gs22):
@@ -124,7 +124,7 @@ def test_solver_rule_exact_on_a_cubic(n):
     h^2 t^(n-1) (degree n + 5) exactly up to n = 10."""
     ts = np.array([0.0, 0.1, 0.35, 0.5, 0.8, 1.0])
     profile = RadialProfile(ts, 1.0 - 3.0 * ts ** 2 + 2.0 * ts ** 3,
-                            6.0 * ts ** 2 - 6.0 * ts, alpha=1.0, n=n)
+                            6.0 * ts ** 2 - 6.0 * ts, n=n)
     i_grad, i_sq, _ = radial_integrals(profile, Dims(2, n))
     # int_0^1 t^(j + n - 1) dt = 1 / (n + j), over the monomials t^j of
     # h'^2 = 36 (t^2 - 2 t^3 + t^4) and of h^2
@@ -174,8 +174,7 @@ def test_ground_state_is_local_minimum(gs22):
         perturbed_dh = dhs + dbump
         perturbed_dh[0] = 0.0  # keep the radial symmetry condition exact
         perturbed = RadialProfile(ts.copy(), perturbed_h, perturbed_dh,
-                                  alpha=float(perturbed_h[0]), n=2,
-                                  tail_rate=gs22.profile.tail_rate)
+                                  n=2, tail=gs22.profile.tail)
         assert gn_value(perturbed, D22).sigma_inv >= base - 1e-9
 
 

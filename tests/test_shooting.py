@@ -207,10 +207,11 @@ def test_ground_state_anchor_22(gs22):
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 7), (7, 2), (3, 1)])
 def test_bracket_labels_survive(m, n):
-    gs = find_ground_state(Dims(m, n))
+    d = Dims(m, n)
+    gs = find_ground_state(d)
     lo, hi = gs.bracket
-    assert isinstance(integrate_shot(lo, gs.d), TurnedUp)
-    assert isinstance(integrate_shot(hi, gs.d), CrossedZero)
+    assert isinstance(integrate_shot(lo, d), TurnedUp)
+    assert isinstance(integrate_shot(hi, d), CrossedZero)
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 7), (4, 4)])
@@ -336,7 +337,7 @@ def test_table_rows_converge(monkeypatch):
     for gs, row in zip(found, rows):
         lo, hi = gs.bracket
         assert gs.alpha0 == row.alpha0 in (lo, hi)
-        assert hi - lo <= 1e-12 * gs.alpha0, (gs.d, lo, hi)
+        assert hi - lo <= 1e-12 * gs.alpha0, (row.m, row.n, lo, hi)
 
 
 def test_m1_row_takes_few_shots(monkeypatch):
@@ -382,7 +383,7 @@ def test_profile_ode_residual(gs22):
     assert np.allclose(np.diff(ts), dt, rtol=0, atol=1e-12)
     # fourth-order central difference of h'
     ddh_fd = (-dhs[4:] + 8 * dhs[3:-1] - 8 * dhs[1:-3] + dhs[:-4]) / (12 * dt)
-    ddh_rhs = np.array([rhs(t, h, dh, gs22.d)[1]
+    ddh_rhs = np.array([rhs(t, h, dh, Dims(2, 2))[1]
                         for t, h, dh in zip(ts[2:-2], hs[2:-2], dhs[2:-2])])
     assert float(np.abs(ddh_fd - ddh_rhs).max()) < 1e-6
 
