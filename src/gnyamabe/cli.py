@@ -16,8 +16,7 @@ from .geometry import (Dims, reference_constants, sobolev_constant,
                        yamabe_sphere)
 
 # Each handler imports the modules it runs, so `constants` loads no numpy;
-# the help texts spell out ode.DEFAULT_T_MAX (50),
-# shooting.DEFAULT_TOL_ALPHA (1e-12) and
+# the help texts spell out shooting.DEFAULT_TOL_ALPHA (1e-12) and
 # periodic._TIME_DELTA_FLOOR (1e-08), held to the code by tests/test_cli.py.
 
 # published upper bounds certified by bundled/known test functions
@@ -28,10 +27,6 @@ _TOL_ALPHA_HELP = ("relative tolerance of the alpha0 search: it stops on a "
                    "bracket at most X * alpha0 wide; X in "
                    f"[{_SANE_TOL_ALPHA[0]:g}, {_SANE_TOL_ALPHA[1]:g}] "
                    "(default 1e-12)")
-_SANE_TMAX = (1.0, 1000.0)
-_TMAX_HELP = ("horizon of each shot: one that has neither crossed zero nor "
-              f"turned up by t = X fails; X in ({_SANE_TMAX[0]:g}, "
-              f"{_SANE_TMAX[1]:g}] (default 50)")
 
 
 def _sig7(x: float) -> float:
@@ -89,21 +84,14 @@ def _emit(text: str, out_path) -> None:
 
 
 def _search_options(args, parser) -> dict:
-    """The search controls given on the command line, range-checked, as
-    keywords of find_ground_state and build_table; an option left out
-    keeps the library's default."""
-    options = {}
-    if args.tmax is not None:
-        if not (_SANE_TMAX[0] < args.tmax <= _SANE_TMAX[1]):
-            parser.error(f"--tmax must lie in ({_SANE_TMAX[0]:g}, "
-                         f"{_SANE_TMAX[1]:g}]")
-        options["t_max"] = args.tmax
-    if args.tol_alpha is not None:
-        if not (_SANE_TOL_ALPHA[0] <= args.tol_alpha <= _SANE_TOL_ALPHA[1]):
-            parser.error(f"--tol-alpha must lie in [{_SANE_TOL_ALPHA[0]:g}, "
-                         f"{_SANE_TOL_ALPHA[1]:g}]")
-        options["tol_alpha"] = args.tol_alpha
-    return options
+    """--tol-alpha, range-checked, as the keyword of find_ground_state and
+    build_table; left out, the search keeps the library's default."""
+    if args.tol_alpha is None:
+        return {}
+    if not (_SANE_TOL_ALPHA[0] <= args.tol_alpha <= _SANE_TOL_ALPHA[1]):
+        parser.error(f"--tol-alpha must lie in [{_SANE_TOL_ALPHA[0]:g}, "
+                     f"{_SANE_TOL_ALPHA[1]:g}]")
+    return {"tol_alpha": args.tol_alpha}
 
 
 def _cmd_ground_state(args, parser) -> int:
@@ -291,16 +279,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name, help, func, formats, *own, search=False, dump=None):
         """Subcommand `name`: its `own` arguments, (name, keywords) pairs,
         then the options the subcommands share. The first of `formats` is
-        the default; `search` adds the search controls, `dump` the help
-        of --dump."""
+        the default; `search` adds --tol-alpha, `dump` the help of
+        --dump."""
         cmd = sub.add_parser(name, help=help)
         for arg, keywords in own:
             cmd.add_argument(arg, **keywords)
         if search:
             cmd.add_argument("--tol-alpha", type=float, default=None,
                              help=_TOL_ALPHA_HELP)
-            cmd.add_argument("--tmax", type=float, default=None,
-                             help=_TMAX_HELP)
         cmd.add_argument("--format", choices=formats, default=formats[0])
         cmd.add_argument("--out", default=None)
         if dump is not None:

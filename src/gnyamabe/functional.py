@@ -197,9 +197,14 @@ def gn_value(profile, d: Dims) -> GNResult:
     """Assemble the functional value L = I_grad^(n/k) I_sq^(m/k) / I_p^(2/p)
     from the integrals of `radial_integrals`. Raises ValueError naming the
     first of I_p, I_grad and I_sq that is 0 or not finite, as for a
-    profile too small or too large for doubles."""
+    profile too small or too large for doubles. A profile's values are
+    finite, so a nan integral can only come of inf - inf in its sums: it
+    is named as leaving the double range."""
     i_grad, i_sq, i_p = radial_integrals(profile, d)
     for name, value in (("I_p", i_p), ("I_grad", i_grad), ("I_sq", i_sq)):
+        if math.isnan(value):
+            raise ValueError(
+                f"{name} = nan: the integral leaves the double range")
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} = {value!r} is not positive and finite")
     k = d.k

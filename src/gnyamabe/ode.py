@@ -8,8 +8,12 @@ with q = (k+2)/(k-2) for total dimension k = m + n. Each shot is classified
 by where the trajectory first leaves the ground-state corridor: crossing
 zero (initial value too large) or turning upward while 0 < h < 1 (too
 small). Near the critical initial value a shot follows the decaying
-ground state until its growing mode takes over, so every shot ends on
-one of the two events.
+ground state until its growing mode takes over, so it ends on one of the
+two events. Far below that value, at large k, a shot can creep towards the
+equilibrium h = 1 without turning by the horizon t = 50; the energy
+E = h'^2/2 + |h|^(q+1)/(q+1) - h^2/2, which never rises along a shot
+and is >= 0 at any zero, decides it there: E < 0 is a TurnedUp at the
+horizon, with h' < 0 and possibly h >= 1.
 
 A shot starts where the 24-term Taylor series of the regular solution
 is exact to double precision, which spares the stepper the (n-1)/t
@@ -133,17 +137,15 @@ _D = (
 
 _EVENT_LOCATION_TOL = 1e-10
 
-# every shot steps at the tolerances _RTOL and _ATOL, up to t_max
-# (DEFAULT_T_MAX unless a caller gives one), which must exceed
-# _T_MAX_FLOOR. A shot starts where the last two of the _HEAD_TERMS terms
-# of its series head are below _HEAD_TOL alpha. h falling below
-# _DECAY_THRESHOLD bounds its stored profile
+# every shot steps at the tolerances _RTOL and _ATOL, up to the horizon
+# _T_MAX. A shot starts where the last two of the _HEAD_TERMS terms of its
+# series head are below _HEAD_TOL alpha. h falling below _DECAY_THRESHOLD
+# bounds its stored profile
 _RTOL = 1e-11
 _ATOL = 1e-13
-DEFAULT_T_MAX = 50.0
+_T_MAX = 50.0
 _HEAD_TERMS = 24
 _HEAD_TOL = 1e-17
-_T_MAX_FLOOR = 1e-4
 _DECAY_THRESHOLD = 1e-6
 
 
@@ -203,10 +205,12 @@ class CrossedZero:
 
 @dataclass(frozen=True)
 class TurnedUp:
-    """h' reached 0 from below with 0 < h < 1: initial value too small.
-    `t_event` is the time of the turn and `h_at_turn` the value of h
-    there; `head` and `steps` as for CrossedZero, and alpha <= 1 has
-    neither."""
+    """h' reached 0 from below with 0 < h < 1, or the shot reached the
+    horizon _T_MAX with negative energy, so that it never crosses zero:
+    initial value too small. `t_event` is the time of the turn, or
+    _T_MAX, and `h_at_turn` the value of h there, which at the horizon
+    may be >= 1, with h' < 0; `head` and `steps` as for CrossedZero, and
+    alpha <= 1 has neither."""
 
     t_event: float
     h_at_turn: float
@@ -232,15 +236,15 @@ def rhs(t: float, h: float, dh: float, d: Dims) -> tuple[float, float]:
     return dh, -(nm1 / t) * dh + h - abs(h) ** qm1 * h
 
 
-def _series_head(alpha: float, d: Dims, t_cap: float = 1.0) -> tuple:
+def _series_head(alpha: float, d: Dims) -> tuple:
     """The Taylor series of the regular solution from h(0) = alpha > 1 as
     (t0, alpha, w, ch, cd) for `_head_eval`, exact to double precision up
     to t0. In s = t^2, h = sum a_j s^j has 2j (2j + n - 2) a_j = a_(j-1)
     - u_(j-1), with u = h^q by Miller's recurrence u_j = sum_(i=1..j)
     ((q+1) i - j) a_i u_(j-i) / (j a_0). It runs on b_j = a_j / (alpha
     w^j), w = alpha^(q-1), bounded for every alpha; ch holds alpha b_j and
-    cd 2 alpha w j b_j (j >= 1). t0 <= t_cap is the largest t where each
-    of the last two terms is below _HEAD_TOL alpha. Sums add left to
+    cd 2 alpha w j b_j (j >= 1). t0 <= 1 is the largest t where each of
+    the last two terms is below _HEAD_TOL alpha. Sums add left to
     right, so the doubles do not depend on the Python version."""
     q, w = d.q, alpha ** (d.q - 1.0)
     # b_1 = (1/w - 1) / (2n) by expm1: 1/w - 1 cancels as alpha nears 1
@@ -252,7 +256,7 @@ def _series_head(alpha: float, d: Dims, t_cap: float = 1.0) -> tuple:
             acc += ((q + 1.0) * i - (j - 1)) * b[i] * v[j - 1 - i]
         v.append(acc / (j - 1))
         b.append((b[j - 1] / w - v[j - 1]) / (2 * j * (2 * j + d.n - 2)))
-    x0 = w * t_cap * t_cap
+    x0 = w
     for j in (_HEAD_TERMS - 1, _HEAD_TERMS):
         if b[j]:
             x0 = min(x0, (_HEAD_TOL / abs(b[j])) ** (1.0 / j))
@@ -522,22 +526,21 @@ def _dp_steps(t, h, dh, dt, t_end, nm1, c1, c2, qm1, rtol, atol):
         rejected = False
 
 
-def _integrate(alpha: float, d: Dims, t_max: float):
+def _integrate(alpha: float, d: Dims):
     """Core shot integration for alpha > 1, at _RTOL and _ATOL.
 
     Returns the CrossedZero or TurnedUp of the first event, carrying the
-    series head (its t0 at most t_max / 2) and every accepted step of
-    `_dp_steps` from t0. Raises ValueError unless t_max is finite and
-    above _T_MAX_FLOOR, and IntegrationFailure when alpha^(q-1)
-    overflows, when the head does not descend at t0 (h > 0 > h', so no
-    event lies in it), on step underflow or when neither event happens by
-    t_max.
+    series head and every accepted step of `_dp_steps` from its t0. A
+    shot with no event by _T_MAX is decided by its energy
+    E = h'^2/2 + |h|^(q+1)/(q+1) - h^2/2 there: dE/dt = -(n-1)/t h'^2
+    <= 0, and E >= 0 wherever h = 0, so E < 0 proves the shot never
+    crosses, and it returns a TurnedUp at _T_MAX. Raises
+    IntegrationFailure when alpha^(q-1) overflows, when the head does not
+    descend at t0 (h > 0 > h', so no event lies in it), on step underflow
+    or when E >= 0 at _T_MAX.
     """
-    if not _T_MAX_FLOOR < t_max < math.inf:
-        raise ValueError(f"t_max must be finite and exceed "
-                         f"{_T_MAX_FLOOR:g}, got {t_max}")
     try:
-        head = _series_head(alpha, d, min(1.0, 0.5 * t_max))
+        head = _series_head(alpha, d)
     except OverflowError:
         raise IntegrationFailure(
             f"alpha^(q-1) overflows (alpha={alpha!r})") from None
@@ -549,7 +552,7 @@ def _integrate(alpha: float, d: Dims, t_max: float):
             f"descend (alpha={alpha!r})")
     steps = []
     try:
-        for step in _dp_steps(t, h, dh, 0.5 * t, t_max, float(d.n - 1),
+        for step in _dp_steps(t, h, dh, 0.5 * t, _T_MAX, float(d.n - 1),
                               1.0, 1.0, d.q - 1.0, _RTOL, _ATOL):
             steps.append(step)
             hn, dhn = step[4], step[5]
@@ -575,9 +578,12 @@ def _integrate(alpha: float, d: Dims, t_max: float):
     except IntegrationFailure as exc:
         raise IntegrationFailure(f"{exc} (alpha={alpha!r})") from exc
 
+    energy = 0.5 * dhn * dhn + hn ** (d.q + 1.0) / (d.q + 1.0) - 0.5 * hn * hn
+    if energy < 0.0:
+        return TurnedUp(_T_MAX, hn, steps, head)
     raise IntegrationFailure(
-        f"shot unclassified at t_max={t_max:g}: "
-        f"h={hn:.6g}, h'={dhn:.6g} (alpha={alpha!r})")
+        f"shot unclassified at t={_T_MAX:g}: h={hn:.6g}, h'={dhn:.6g}, "
+        f"energy {energy:.6g} >= 0 (alpha={alpha!r})")
 
 
 def _sample_steps(steps, ts):
@@ -632,8 +638,7 @@ def _sample_profile(alpha, n, head, steps, t_stop):
                          tail=bool(0.0 < h_end <= 100.0 * _DECAY_THRESHOLD))
 
 
-def integrate_shot(alpha: float, d: Dims,
-                   t_max: float = DEFAULT_T_MAX) -> ShotOutcome:
+def integrate_shot(alpha: float, d: Dims) -> ShotOutcome:
     """Integrate one shot from h(0) = alpha and classify it.
 
     The outcome carries the shot's accepted steps, so its profile can be
@@ -645,18 +650,18 @@ def integrate_shot(alpha: float, d: Dims,
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if alpha <= 1.0:
         return TurnedUp(0.0, alpha)
-    return _integrate(alpha, d, t_max)
+    return _integrate(alpha, d)
 
 
 def shoot_profile(alpha: float,
                   d: Dims) -> tuple[ShotOutcome, RadialProfile]:
-    """Classify a shot up to DEFAULT_T_MAX and also return its truncated
-    profile, so that a near-critical shot yields its usable
-    pre-divergence part. Requires alpha > 1.
+    """Classify a shot and also return its truncated profile, so that a
+    near-critical shot yields its usable pre-divergence part. Requires
+    alpha > 1.
     """
     if not 1.0 < alpha < math.inf:
         raise ValueError(
             f"profiles only exist for finite alpha > 1, got {alpha!r}")
-    outcome = _integrate(alpha, d, DEFAULT_T_MAX)
+    outcome = _integrate(alpha, d)
     return outcome, _sample_profile(alpha, d.n, outcome.head, outcome.steps,
                                     outcome.t_event)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .functional import gn_value
 from .geometry import (Dims, unit_volume_sphere_scalar, y_infinity,
                        yamabe_sphere)
-from .ode import DEFAULT_T_MAX
 from .shooting import DEFAULT_TOL_ALPHA, find_ground_state
 
 
@@ -58,7 +57,6 @@ def table_pairs(max_total_dim: int) -> list[tuple[int, int]]:
 
 def build_table(max_total_dim: int = 9,
                 tol_alpha: float = DEFAULT_TOL_ALPHA,
-                t_max: float = DEFAULT_T_MAX,
                 collect_errors: list | None = None) -> list[ConstantsRow]:
     """Compute one ConstantsRow per pair, both factors round spheres.
 
@@ -81,8 +79,7 @@ def build_table(max_total_dim: int = 9,
         else:
             guess = None
         try:
-            gs = find_ground_state(d, tol_alpha=tol_alpha, t_max=t_max,
-                                   guess=guess)
+            gs = find_ground_state(d, tol_alpha=tol_alpha, guess=guess)
             alpha0[m, n] = gs.alpha0
             sigma_inv = gn_value(gs.profile, d).sigma_inv
             y_inf = y_infinity(d, unit_volume_sphere_scalar(m), sigma_inv)

@@ -25,15 +25,15 @@ Illinois modification (Dowell & Jarratt 1971) guards the secant there.
 The same class inverts the circle-factor period map.
 
 The search runs until the bracket is at most tol_alpha * alpha wide, and
-every shot runs to its turn or its crossing: no shot is accepted as the
-ground state on its own. Secant steps approach alpha0 from one side, so
-once the Illinois point lies within _CLOSE tol_alpha of the latest shot,
-that shot has converged and the next one closes the bracket from it,
-0.5 tol_alpha to the other side of alpha0, instead of creeping up to
-alpha0. alpha0 is the converged shot, and its profile magnifies its
-error about e^t times, hence the small _CLOSE: a (3, 1) shot 2.3e-14
-short of its Illinois point misses the closed form by 1.8e-10 at t = 10,
-the shot at that point by 3.6e-11.
+every shot runs to its turn, its crossing or the horizon: no shot is
+accepted as the ground state on its own. Secant steps approach alpha0
+from one side, so once the Illinois point lies within _CLOSE tol_alpha
+of the latest shot, that shot has converged and the next one closes the
+bracket from it, 0.5 tol_alpha to the other side of alpha0, instead of
+creeping up to alpha0. alpha0 is the converged shot, and its profile
+magnifies its error about e^t times, hence the small _CLOSE: a (3, 1)
+shot 2.3e-14 short of its Illinois point misses the closed form by
+1.8e-10 at t = 10, the shot at that point by 3.6e-11.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import Dims
-from .ode import (DEFAULT_T_MAX, CrossedZero, RadialProfile,
-                  _sample_profile, integrate_shot)
+from .ode import CrossedZero, RadialProfile, _sample_profile, integrate_shot
 
 # the search stops on a bracket at most tol_alpha alpha wide, at
 # DEFAULT_TOL_ALPHA unless a caller gives one
@@ -137,8 +136,9 @@ def _bessel_weight(t: float, mu: float) -> float:
 
 def _miss(outcome, n: int) -> float:
     """Signed miss of an integrated TurnedUp (< 0) or CrossedZero (> 0)
-    shot, linear in alpha - alpha0 near alpha0: -h^2 t^(n-1) at the turn
-    and h'^2 t^(n-1) at the crossing, each weighted by 2 t I_mu K_mu."""
+    shot, linear in alpha - alpha0 near alpha0: -h^2 t^(n-1) at the turn,
+    or at the horizon, and h'^2 t^(n-1) at the crossing, each weighted by
+    2 t I_mu K_mu."""
     t = outcome.t_event
     if isinstance(outcome, CrossedZero):
         return (outcome.dh_cross ** 2 * t ** (n - 1)
@@ -146,8 +146,7 @@ def _miss(outcome, n: int) -> float:
     return -outcome.h_at_turn ** 2 * t ** (n - 1) * _bessel_weight(t, 0.5 * n)
 
 
-def bracket_alpha(d: Dims, t_max: float = DEFAULT_T_MAX,
-                  guess: float | None = None,
+def bracket_alpha(d: Dims, guess: float | None = None,
                   ) -> tuple[float, float, float, float]:
     """Initial bracket (lo, miss at lo, hi, miss at hi) around the
     critical value, with the misses of `_miss`.
@@ -174,7 +173,7 @@ def bracket_alpha(d: Dims, t_max: float = DEFAULT_T_MAX,
         if x <= 1.0:
             x, f = 1.0, -1.0
         else:
-            f = _miss(integrate_shot(x, d, t_max), d.n)
+            f = _miss(integrate_shot(x, d), d.n)
         if prev is not None and (prev[1] < 0.0) != (f < 0.0):
             return (x, f, *prev) if f < 0.0 else (*prev, x, f)
         if f < 0.0 and x >= _BRACKET_CEILING:
@@ -187,7 +186,6 @@ def bracket_alpha(d: Dims, t_max: float = DEFAULT_T_MAX,
 
 
 def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
-                      t_max: float = DEFAULT_T_MAX,
                       guess: float | None = None) -> GroundState:
     """Illinois search for the ground-state initial value and its profile.
 
@@ -197,8 +195,8 @@ def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
     relative. Once that point lies within _CLOSE tol_alpha of the latest
     shot, the step shoots 0.5 tol_alpha from that shot, across alpha0,
     instead; the bracket closes unless alpha0 lies farther off. Every
-    shot runs to its turn or its crossing, and the latest shot on each
-    side of the bracket keeps its steps. Of those two, the one whose
+    shot runs to its turn, its crossing or the horizon, and the latest
+    shot on each side of the bracket keeps its steps. Of those two, the one whose
     event comes later followed the ground state furthest: its initial
     value is alpha0 and its profile is sampled from its steps.
     """
@@ -206,7 +204,7 @@ def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
         raise ValueError(f"tol_alpha must be finite, got {tol_alpha}")
     if tol_alpha < 1e-14:
         raise ValueError("tol_alpha below double-precision resolution")
-    search = Illinois(*bracket_alpha(d, t_max, guess))
+    search = Illinois(*bracket_alpha(d, guess))
     shots = {}  # the latest (alpha, outcome) on each side, by f < 0
     last = None  # (alpha, miss) of the latest shot
     while search.hi - search.lo > tol_alpha * search.hi:
@@ -217,13 +215,13 @@ def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
             across = last[0] + math.copysign(0.5 * tol_alpha * x, -last[1])
             if search.lo < across < search.hi:
                 x = across
-        outcome = integrate_shot(x, d, t_max)
+        outcome = integrate_shot(x, d)
         f = _miss(outcome, d.n)
         shots[f < 0.0] = (x, outcome)
         search.update(x, f)
         last = (x, f)
     if not shots:  # the initial bracket was already narrow enough
-        shots[False] = (search.hi, integrate_shot(search.hi, d, t_max))
+        shots[False] = (search.hi, integrate_shot(search.hi, d))
     alpha0, shot = max(shots.values(), key=lambda s: s[1].t_event)
     profile = _sample_profile(alpha0, d.n, shot.head, shot.steps,
                               shot.t_event)

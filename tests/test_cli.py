@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnyamabe import functional, ode, periodic, products, shooting
+from gnyamabe import functional, periodic, products, shooting
 from gnyamabe.cli import _build_parser, main
 from gnyamabe.periodic import count_periodic_solutions, orbit_for_period
 
@@ -66,19 +66,9 @@ def test_tol_alpha_range_enforced():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("tmax", ["1", "1000.5", "-3", "nan", "inf"])
-@pytest.mark.parametrize("command", [["ground-state", "2", "2"], ["table"]],
-                         ids=["ground-state", "table"])
-def test_tmax_range_enforced(capsys, command, tmax):
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--tmax", tmax])
-    assert exc.value.code == 2
-    assert "--tmax must lie in (1, 1000]" in capsys.readouterr().err
-
-
 def test_tol_alpha_reaches_the_search(capsys, monkeypatch):
     """A valid --tol-alpha is passed to the search, and it is the only
-    keyword passed: the search keeps its own default t_max."""
+    keyword passed."""
     calls = []
     search = shooting.find_ground_state
 
@@ -96,21 +86,28 @@ def test_tol_alpha_reaches_the_search(capsys, monkeypatch):
                                                        rel=1e-6)
 
 
-def test_numerical_failure_exit_code(capsys):
-    code, out, err = run(capsys, "ground-state", "2", "2", "--tmax", "2.0")
+def test_numerical_failure_exit_code(capsys, monkeypatch):
+    """Below a bracket ceiling of 2, alpha0(2, 2) = 2.206 is out of reach:
+    the search fails and the CLI exits 1."""
+    monkeypatch.setattr(shooting, "_BRACKET_CEILING", 2.0)
+    code, out, err = run(capsys, "ground-state", "2", "2")
     assert code == 1
+    assert out == ""
     assert "error:" in err
 
 
 def test_bracket_ceiling_exit_code(capsys):
-    """At default controls the (2, 16) ground state lies past the bracket
-    ceiling 2^20; the error names the pair and the ceiling and does not
-    blame the integration controls."""
-    code, out, err = run(capsys, "ground-state", "2", "16")
-    assert code == 1
-    assert out == ""
-    assert "(2, 16)" in err and "1.04858e+06" in err
-    assert "controls" not in err
+    """The (2, 16), (2, 30) and (30, 30) ground states lie past the
+    bracket ceiling 2^20; the error names the pair and the ceiling and
+    does not blame the integration controls. The first shots of (2, 30)
+    and (30, 30), from alpha = 2, reach the horizon still above h = 1 and
+    are decided by their energy."""
+    for m, n in ((2, 16), (2, 30), (30, 30)):
+        code, out, err = run(capsys, "ground-state", str(m), str(n))
+        assert code == 1
+        assert out == ""
+        assert f"({m}, {n})" in err and "1.04858e+06" in err
+        assert "controls" not in err and "unclassified" not in err
 
 
 def test_table_json_single_row(capsys):
@@ -139,10 +136,12 @@ def test_table_usage_error():
     assert exc.value.code == 2
 
 
-def test_table_rows_fail_at_a_short_horizon(capsys):
-    """--tmax 1.5 leaves no shot time to turn up or cross: every row
-    fails, each on its own stderr line, and the table exits 1."""
-    code, out, err = run(capsys, "table", "--max-dim", "5", "--tmax", "1.5")
+def test_table_rows_fail_below_a_low_bracket_ceiling(capsys, monkeypatch):
+    """Below a bracket ceiling of 2 no row of the table up to k = 5 has
+    its alpha0 (2.206, 4.192 and 2.320): every row fails, each on its
+    own stderr line, and the table exits 1."""
+    monkeypatch.setattr(shooting, "_BRACKET_CEILING", 2.0)
+    code, out, err = run(capsys, "table", "--max-dim", "5")
     assert code == 1
     assert out == "m,n,alpha0,sigma_inv,y_inf,y_sphere\n"
     lines = err.splitlines()
@@ -193,14 +192,17 @@ def test_bound_malformed_file(capsys, tmp_path, text, line):
      "h from 1 to 0, leaves the double range"),
     ("0 1\n1e-300 0\n", 2, 1, "I_grad = inf is not positive and finite"),
     ("0 1\n1e200 0\n", 2, 1, "I_grad = 0.0 is not positive and finite"),
+    ("0 1e10\n5e-324 0\n", 2, 1, "I_grad = nan: the integral leaves the "
+     "double range"),
 ], ids=["all-zero", "underflow", "overflow-h", "overflow-t", "steep",
-        "flat"])
+        "flat", "overflow-slope"])
 def test_bound_degenerate_profile(capsys, tmp_path, text, m, n, message):
     """A profile with no mass, or one whose L^p integral underflows or
     overflows, ends in one error line and exit 1, not a ZeroDivisionError
     or an OverflowError. So does one whose gradient integral leaves the
-    double range: the error names I_grad, and a flat profile no longer
-    reports an upper bound of 0."""
+    double range: the error names I_grad, also where an overflowing
+    slope makes its quadrature nan, and a flat profile no longer reports
+    an upper bound of 0."""
     path = tmp_path / "degenerate.dat"
     path.write_text(text)
     code, out, err = run(capsys, "bound", str(path), str(m), str(n))
@@ -464,9 +466,6 @@ _TOL_ARG = (("--tol-alpha",), "tol_alpha", None, None, "float",
             "relative tolerance of the alpha0 search: it stops on a "
             "bracket at most X * alpha0 wide; X in [1e-14, 0.01] "
             "(default 1e-12)")
-_TMAX_ARG = (("--tmax",), "tmax", None, None, "float",
-             "horizon of each shot: one that has neither crossed zero nor "
-             "turned up by t = X fails; X in (1, 1000] (default 50)")
 _PARSER_PINS = {
     None: (None, None, [
         _HELP_ARG,
@@ -479,7 +478,6 @@ _PARSER_PINS = {
         ((), "m", None, None, "int", None),
         ((), "n", None, None, "int", None),
         _TOL_ARG,
-        _TMAX_ARG,
         (("--format",), "format", "text", ("text", "csv", "json"), None,
          None),
         _OUT_ARG,
@@ -490,7 +488,6 @@ _PARSER_PINS = {
         _HELP_ARG,
         (("--max-dim",), "max_dim", 9, None, "int", None),
         _TOL_ARG,
-        _TMAX_ARG,
         (("--format",), "format", "csv", ("csv", "json", "text"), None,
          None),
         _OUT_ARG]),
@@ -555,8 +552,20 @@ def test_help_numbers_are_the_codes():
         assert inspect.signature(search).parameters["tol_alpha"].default \
             == tol_alpha
     for name in ("ground-state", "table"):
-        assert helps[name, "tmax"].endswith(
-            f"(default {ode.DEFAULT_T_MAX:g})")
         assert helps[name, "tol_alpha"].endswith(f"(default {tol_alpha:g})")
     assert (f"delta >= {periodic._TIME_DELTA_FLOOR:g},"
             in helps["periodic", "dump"])
+
+
+def test_readme_names_every_option():
+    """The README's "Command line" section names every option of the
+    subcommands, and no option the parser lacks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {flag for cmd in sub.choices.values() for a in cmd._actions
+               if not isinstance(a, argparse._HelpAction)
+               for flag in a.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == options

@@ -124,14 +124,70 @@ def test_event_time_stable_under_tolerance_refinement(monkeypatch):
         assert abs(coarse.t_event - fine.t_event) < 1e-6
 
 
-def test_unclassifiable_horizon_raises():
-    with pytest.raises(IntegrationFailure):
-        integrate_shot(1.5, D22, t_max=2.0)
+def _energy(h, dh, d):
+    """E = h'^2/2 + |h|^(q+1)/(q+1) - h^2/2, with dE/dt = -(n-1)/t h'^2."""
+    return 0.5 * dh * dh + abs(h) ** (d.q + 1.0) / (d.q + 1.0) - 0.5 * h * h
 
 
-def test_controls_validation():
-    with pytest.raises(ValueError, match="t_max must be finite and exceed"):
-        integrate_shot(1.5, D22, t_max=1e-5)
+_A22 = float.fromhex("0x1.1a64ca390a0b7p+1")  # the _TABLE_PINS alpha0
+_A27 = float.fromhex("0x1.aed4eeffd4bbfp+6")
+
+
+@pytest.mark.parametrize("m, n, alpha", [
+    (2, 2, _A22 * (1.0 - 1e-6)), (2, 2, _A22 * (1.0 + 1e-6)),
+    (2, 7, _A27 * (1.0 - 1e-6)), (2, 7, _A27 * (1.0 + 1e-6)),
+    (30, 30, 2.0), (30, 30, 50.0),
+], ids=["2-2-below", "2-2-above", "2-7-below", "2-7-above", "30-30-2",
+        "30-30-50"])
+def test_energy_never_rises_along_a_shot(m, n, alpha):
+    """The energy a shot that reaches the horizon is classified by does
+    not rise over any accepted step: near alpha0 on both sides, and on
+    (30, 30), whose alpha0 lies past the bracket ceiling, from 2 and 50,
+    two shots that reach the horizon with E < 0."""
+    d = Dims(m, n)
+    out = integrate_shot(alpha, d)
+    for step in out.steps:
+        assert _energy(*step[4:6], d) <= _energy(*step[2:4], d)
+    if m == 30:
+        assert type(out) is TurnedUp and out.t_event == ode._T_MAX
+        assert _energy(*out.steps[-1][4:6], d) < 0.0
+
+
+@pytest.mark.parametrize("m, n, h_end, t_turn", [
+    (2, 30, 1.000172, 54.65), (30, 30, 1.025939, 76.00)])
+def test_horizon_shot_turns_up_as_scipy_finds(m, n, h_end, t_turn):
+    """From alpha = 2 the (2, 30) and (30, 30) shots creep towards h = 1
+    and have not turned by the horizon, where h is still above 1 and E
+    is negative: they are TurnedUp at _T_MAX. scipy's shot, run on to
+    t = 200, turns up at t = 54.65 and 76.00."""
+    d = Dims(m, n)
+    out = integrate_shot(2.0, d)
+    assert type(out) is TurnedUp
+    assert out.t_event == ode._T_MAX
+    assert abs(out.h_at_turn - h_end) < 1e-6
+    assert out.steps[-1][5] < 0.0
+    ref = shot_reference(2.0, d, 200.0)
+    assert type(ref) is TurnedUp
+    assert abs(ref.t_event - t_turn) < 0.01
+
+
+def test_unclassifiable_horizon_raises(monkeypatch):
+    """The (2, 2) shot from alpha = 2 turns up at t = 2.74, and its
+    energy falls through 0 near t = 1.5. At a horizon of 1 it has
+    neither turned nor crossed, and E > 0 there: it is unclassified."""
+    monkeypatch.setattr(ode, "_T_MAX", 1.0)
+    with pytest.raises(IntegrationFailure, match="unclassified at t=1"):
+        integrate_shot(2.0, D22)
+
+
+def test_negative_energy_at_the_horizon_turns_up(monkeypatch):
+    """At a horizon of 2 the same shot has E < 0 there: it is TurnedUp at
+    the horizon."""
+    monkeypatch.setattr(ode, "_T_MAX", 2.0)
+    out = integrate_shot(2.0, D22)
+    assert type(out) is TurnedUp
+    assert out.t_event == 2.0 and 0.0 < out.h_at_turn < 1.0
+    assert _energy(*out.steps[-1][4:6], D22) < 0.0
 
 
 _PROFILE = {"ts": [0.0, 1.0], "hs": [2.0, 1.0], "dhs": [0.0, -1.0],
@@ -150,13 +206,6 @@ def test_radial_profile_validation(change, match):
     ode.RadialProfile(**_PROFILE)
     with pytest.raises(ValueError, match=match):
         ode.RadialProfile(**{**_PROFILE, **change})
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("field", ["t_max"])
-def test_controls_reject_non_finite(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        integrate_shot(1.5, D22, **{field: value})
 
 
 _RANK = {TurnedUp: 0, CrossedZero: 1}
@@ -271,7 +320,7 @@ def test_shoot_profile_pinned_bit_for_bit():
     for (m, n, alpha_hex, kind, n_steps, t_hex, y_hex, size, tail_rate,
          digest) in _SHOT_PINS:
         alpha, d = float.fromhex(alpha_hex), Dims(m, n)
-        shot = ode._integrate(alpha, d, ode.DEFAULT_T_MAX)
+        shot = ode._integrate(alpha, d)
         ye = shot.dh_cross if isinstance(shot, CrossedZero) else shot.h_at_turn
         assert (len(shot.steps), shot.t_event.hex(), ye.hex()) == (
             n_steps, t_hex, y_hex)
@@ -299,7 +348,7 @@ def _shot(index):
     `index`."""
     m, n, alpha_hex = _SHOT_PINS[index][:3]
     alpha = float.fromhex(alpha_hex)
-    shot = ode._integrate(alpha, Dims(m, n), ode.DEFAULT_T_MAX)
+    shot = ode._integrate(alpha, Dims(m, n))
     return alpha, n, shot.t_event, shot.head, shot.steps
 
 
@@ -639,7 +688,7 @@ def test_shot_events_match_scipy(shot, t_bound, miss_bound, brackets):
         m, n, end = shot
         alpha = brackets[(m, n)][end]
     d = Dims(m, n)
-    out = ode._integrate(alpha, d, ode.DEFAULT_T_MAX)
+    out = ode._integrate(alpha, d)
     ref = shot_reference(alpha, d)
     ref_miss = _miss(ref, n)
     assert abs(_miss(out, n) - ref_miss) <= miss_bound

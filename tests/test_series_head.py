@@ -91,41 +91,32 @@ def test_head_matches_scipy(m, n, alpha):
         assert abs(got / want - 1.0) <= 1e-14
 
 
-_EDGE_SHOTS = [  # (m, n, alpha, t_max, expected outcome)
+_EDGE_SHOTS = [  # (m, n, alpha, horizon of the scipy shot, outcome)
     (2, 2, math.nextafter(1.0, 2.0), 50.0, TurnedUp),
     (2, 2, 1.0001, 50.0, TurnedUp),
     (7, 2, 1.0001, 50.0, TurnedUp),
     (2, 2, 1e4, 50.0, CrossedZero),
     (2, 2, 1e5, 50.0, CrossedZero),
     (2, 2, 1e6, 50.0, CrossedZero),
-    # t_max below the head's t0 (1 and 0.19): the shot starts at t_max / 2
-    # instead, and no event can come by t_max, since none lies in the head
-    (2, 2, 1.0001, 0.9, IntegrationFailure),
-    (2, 7, 1e4, 0.15, IntegrationFailure),
 ]
 
 
-@pytest.mark.parametrize("m, n, alpha, t_max, expected", _EDGE_SHOTS)
-def test_edge_shots_classify_or_fail(m, n, alpha, t_max, expected):
-    """A shot from next to 1, from far above alpha0, or with a horizon
-    below the head's t0 classifies or raises IntegrationFailure, never
-    OverflowError, and no event hides in the head: it descends at t0.
-    A classification agrees with scipy's (`shot_reference`) where that
-    reference's two-term start at 1e-4 is still positive, and with the
-    monotone order above alpha0 where it is not (1e5 and 1e6, where that
-    start has already crossed zero)."""
+@pytest.mark.parametrize("m, n, alpha, t_ref, expected", _EDGE_SHOTS)
+def test_edge_shots_classify_or_fail(m, n, alpha, t_ref, expected):
+    """A shot from next to 1 or from far above alpha0 classifies, never
+    raises OverflowError, and no event hides in the head: it descends at
+    t0. The classification agrees with scipy's (`shot_reference`, run to
+    t_ref) where that reference's two-term start at 1e-4 is still
+    positive, and with the monotone order above alpha0 where it is not
+    (1e5 and 1e6, where that start has already crossed zero)."""
     d = Dims(m, n)
-    if expected is IntegrationFailure:
-        with pytest.raises(IntegrationFailure, match="unclassified"):
-            integrate_shot(alpha, d, t_max)
-        return
-    out = integrate_shot(alpha, d, t_max)
+    out = integrate_shot(alpha, d)
     assert type(out) is expected
     t0 = out.head[0]
     h, dh = ode._head_eval(out.head, t0)
     assert h > 0.0 and dh < 0.0 and out.t_event > t0
     if series_start(alpha, 1e-4, d)[0] > 0.0:
-        assert type(shot_reference(alpha, d, t_max)) is expected
+        assert type(shot_reference(alpha, d, t_ref)) is expected
     else:
         assert alpha > bracket_alpha(d)[2]
 

@@ -284,8 +284,8 @@ def test_step_budget_per_table(monkeypatch):
     shots = []
     integrate = ode._integrate
 
-    def counted(alpha, d, t_max):
-        outcome = integrate(alpha, d, t_max)
+    def counted(alpha, d):
+        outcome = integrate(alpha, d)
         shots.append(((d.m, d.n), len(outcome.steps)))
         return outcome
 
