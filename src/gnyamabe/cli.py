@@ -22,7 +22,7 @@ from .geometry import (Dims, reference_constants, sobolev_constant,
 # published upper bounds certified by bundled/known test functions
 _REGRESSION_BOUNDS = {(2, 2): 2.427458}
 
-_SANE_TOL_ALPHA = (1e-14, 1e-2)
+_SANE_TOL_ALPHA = (1e-14, 1e-2)  # copies shooting._TOL_ALPHA_RANGE
 _TOL_ALPHA_HELP = ("relative tolerance of the alpha0 search: it stops on a "
                    "bracket at most X * alpha0 wide; X in "
                    f"[{_SANE_TOL_ALPHA[0]:g}, {_SANE_TOL_ALPHA[1]:g}] "
@@ -83,24 +83,18 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _search_options(args, parser) -> dict:
-    """--tol-alpha, range-checked, as the keyword of find_ground_state and
-    build_table; left out, the search keeps the library's default."""
-    if args.tol_alpha is None:
-        return {}
-    if not (_SANE_TOL_ALPHA[0] <= args.tol_alpha <= _SANE_TOL_ALPHA[1]):
-        parser.error(f"--tol-alpha must lie in [{_SANE_TOL_ALPHA[0]:g}, "
-                     f"{_SANE_TOL_ALPHA[1]:g}]")
-    return {"tol_alpha": args.tol_alpha}
-
-
 def _cmd_ground_state(args, parser) -> int:
     from .functional import gn_value
     from .shooting import find_ground_state
     if args.m < 1 or args.n < 1 or args.m + args.n < 3:
         parser.error("need m >= 1, n >= 1 and m + n >= 3")
+    low, high = _SANE_TOL_ALPHA
+    if args.tol_alpha is not None and not low <= args.tol_alpha <= high:
+        parser.error(f"--tol-alpha must lie in [{low:g}, {high:g}]")
+    # a --tol-alpha left out is not passed: the library's default holds
+    options = {} if args.tol_alpha is None else {"tol_alpha": args.tol_alpha}
     d = Dims(args.m, args.n)
-    gs = find_ground_state(d, **_search_options(args, parser))
+    gs = find_ground_state(d, **options)
     res = gn_value(gs.profile, d)
     rec = {
         "m": d.m,
@@ -132,8 +126,7 @@ def _cmd_table(args, parser) -> int:
     if args.max_dim < 4:
         parser.error("--max-dim must be at least 4")
     errors: list = []
-    rows = build_table(args.max_dim, collect_errors=errors,
-                       **_search_options(args, parser))
+    rows = build_table(args.max_dim, collect_errors=errors)
     recs = [{"m": r.m, "n": r.n, "alpha0": _sig7(r.alpha0),
              "sigma_inv": _sig7(r.sigma_inv), "y_inf": _sig7(r.y_inf),
              "y_sphere": _sig7(r.y_sphere)} for r in rows]
@@ -276,17 +269,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Yamabe constants of Riemannian products")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, func, formats, *own, search=False, dump=None):
+    def command(name, help, func, formats, *own, dump=None):
         """Subcommand `name`: its `own` arguments, (name, keywords) pairs,
         then the options the subcommands share. The first of `formats` is
-        the default; `search` adds --tol-alpha, `dump` the help of
-        --dump."""
+        the default; `dump` is the help of --dump."""
         cmd = sub.add_parser(name, help=help)
         for arg, keywords in own:
             cmd.add_argument(arg, **keywords)
-        if search:
-            cmd.add_argument("--tol-alpha", type=float, default=None,
-                             help=_TOL_ALPHA_HELP)
         cmd.add_argument("--format", choices=formats, default=formats[0])
         cmd.add_argument("--out", default=None)
         if dump is not None:
@@ -295,11 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     m_n = (("m", dict(type=int)), ("n", dict(type=int)))
     command("ground-state", "locate alpha0(m, n) and evaluate sigma_inv",
-            _cmd_ground_state, ("text", "csv", "json"), *m_n, search=True,
+            _cmd_ground_state, ("text", "csv", "json"), *m_n,
+            ("--tol-alpha", dict(type=float, help=_TOL_ALPHA_HELP)),
             dump="write the profile as 't h dh' rows")
     command("table", "constants table for all m, n >= 2 with m + n <= MAX",
             _cmd_table, ("csv", "json", "text"),
-            ("--max-dim", dict(type=int, default=9)), search=True)
+            ("--max-dim", dict(type=int, default=9)))
     command("bound", "upper bound from a piecewise-linear profile file",
             _cmd_bound, ("text", "json"),
             ("profile", dict(help="breakpoint file, 't h' per line")), *m_n)

@@ -471,6 +471,9 @@ def count_periodic_solutions(n: int, r: float) -> int:
     if not 0.0 < r < math.inf:
         raise ValueError(f"circle radius must be positive and finite, got {r}")
     x = 2.0 * math.pi * r / minimal_period(n)
+    if not x < 2.0 ** 53:  # from 2^53 on, doubles skip integers
+        raise ValueError(f"circle radius {r:g} has 2 pi r / T_min = {x:g}, "
+                         "not below 2**53: the count would not be exact")
     return max(0, math.ceil(x - 1e-12) - 1)
 
 

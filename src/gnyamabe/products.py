@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .functional import gn_value
 from .geometry import (Dims, unit_volume_sphere_scalar, y_infinity,
                        yamabe_sphere)
-from .shooting import DEFAULT_TOL_ALPHA, find_ground_state
+from .shooting import find_ground_state
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,16 @@ def table_pairs(max_total_dim: int) -> list[tuple[int, int]]:
             for n in range(k - 2, 1, -1)]
 
 
-def build_table(max_total_dim: int = 9,
-                tol_alpha: float = DEFAULT_TOL_ALPHA,
+def build_table(max_total_dim: int,
                 collect_errors: list | None = None) -> list[ConstantsRow]:
     """Compute one ConstantsRow per pair, both factors round spheres.
 
-    Each search starts from a guess at alpha0 out of the rows already
-    solved: alpha0(m - 1, n), else alpha0(m, n - 1)^2 / alpha0(m, n - 2),
-    else 2 alpha0(m, n - 1), else none. A solver failure skips that row;
-    the exception is appended to `collect_errors` when a list is
-    supplied, and re-raised otherwise.
+    Each search runs at the default tolerance, from a guess at alpha0 out
+    of the rows already solved: alpha0(m - 1, n), else
+    alpha0(m, n - 1)^2 / alpha0(m, n - 2), else 2 alpha0(m, n - 1), else
+    none. A row whose search fails (RuntimeError) or whose value is
+    refused (ValueError) is skipped; the exception is appended to
+    `collect_errors` when a list is supplied, and re-raised otherwise.
     """
     rows = []
     alpha0 = {}
@@ -79,7 +79,7 @@ def build_table(max_total_dim: int = 9,
         else:
             guess = None
         try:
-            gs = find_ground_state(d, tol_alpha=tol_alpha, guess=guess)
+            gs = find_ground_state(d, guess=guess)
             alpha0[m, n] = gs.alpha0
             sigma_inv = gn_value(gs.profile, d).sigma_inv
             y_inf = y_infinity(d, unit_volume_sphere_scalar(m), sigma_inv)
@@ -93,7 +93,7 @@ def build_table(max_total_dim: int = 9,
                     f"row ({m}, {n}): limiting constant {row.y_inf:.6g} is "
                     f"not below the sphere invariant {row.y_sphere:.6g}")
             rows.append(row)
-        except Exception as exc:
+        except (RuntimeError, ValueError) as exc:
             if collect_errors is None:
                 raise
             collect_errors.append((m, n, exc))

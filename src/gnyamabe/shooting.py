@@ -46,8 +46,9 @@ from .geometry import Dims
 from .ode import CrossedZero, RadialProfile, _sample_profile, integrate_shot
 
 # the search stops on a bracket at most tol_alpha alpha wide, at
-# DEFAULT_TOL_ALPHA unless a caller gives one
+# DEFAULT_TOL_ALPHA unless a caller gives one in _TOL_ALPHA_RANGE
 DEFAULT_TOL_ALPHA = 1e-12
+_TOL_ALPHA_RANGE = (1e-14, 1e-2)
 _BRACKET_CEILING = 2.0 ** 20
 _SECANT_REACH = 1e3
 _CLOSE = 0.015
@@ -192,22 +193,23 @@ def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
     From the bracket of `bracket_alpha` (around `guess`, when one is
     given), each step shoots the `Illinois` point of the signed misses,
     until the bracket is at most tol_alpha * alpha wide: the tolerance is
-    relative. Once that point lies within _CLOSE tol_alpha of the latest
-    shot, the step shoots 0.5 tol_alpha from that shot, across alpha0,
-    instead; the bracket closes unless alpha0 lies farther off. Every
-    shot runs to its turn, its crossing or the horizon, and the latest
-    shot on each side of the bracket keeps its steps. Of those two, the one whose
-    event comes later followed the ground state furthest: its initial
-    value is alpha0 and its profile is sampled from its steps.
+    relative. The first point is shot even when the bracket starts that
+    narrow, after a step up clipped at the bracket ceiling. Once that
+    point lies within _CLOSE tol_alpha of the latest shot, the step
+    shoots 0.5 tol_alpha from that shot, across alpha0, instead; the
+    bracket closes unless alpha0 lies farther off. Every shot runs to its
+    turn, its crossing or the horizon, and the latest shot on each side
+    of the bracket keeps its steps. Of those two, the one whose event
+    comes later followed the ground state furthest: its initial value is
+    alpha0 and its profile is sampled from its steps.
     """
-    if not math.isfinite(tol_alpha):
-        raise ValueError(f"tol_alpha must be finite, got {tol_alpha}")
-    if tol_alpha < 1e-14:
-        raise ValueError("tol_alpha below double-precision resolution")
+    low, high = _TOL_ALPHA_RANGE
+    if not low <= tol_alpha <= high:
+        raise ValueError(f"tol_alpha {tol_alpha} not in [{low:g}, {high:g}]")
     search = Illinois(*bracket_alpha(d, guess))
     shots = {}  # the latest (alpha, outcome) on each side, by f < 0
     last = None  # (alpha, miss) of the latest shot
-    while search.hi - search.lo > tol_alpha * search.hi:
+    while not shots or search.hi - search.lo > tol_alpha * search.hi:
         x = search.point()
         if x is None:
             break
@@ -220,8 +222,6 @@ def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
         shots[f < 0.0] = (x, outcome)
         search.update(x, f)
         last = (x, f)
-    if not shots:  # the initial bracket was already narrow enough
-        shots[False] = (search.hi, integrate_shot(search.hi, d))
     alpha0, shot = max(shots.values(), key=lambda s: s[1].t_event)
     profile = _sample_profile(alpha0, d.n, shot.head, shot.steps,
                               shot.t_event)

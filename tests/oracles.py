@@ -33,6 +33,8 @@ minimizes a quotient over dilations in closed form, the route to the
 limiting constant that `geometry.y_infinity` does not take.
 `step_control_reference` is the DOP853 step-size controller written with
 max and min, kept to referee `ode._step_control`.
+`pohozaev_residuals` measures how far a profile's integrals miss the two
+ratios every ground state satisfies, which the shooting never uses.
 """
 
 import math
@@ -415,6 +417,17 @@ def tighten(monkeypatch, factor: float) -> None:
     until `monkeypatch` is undone."""
     monkeypatch.setattr(ode, "_RTOL", ode._RTOL / factor)
     monkeypatch.setattr(ode, "_ATOL", ode._ATOL / factor)
+
+
+def pohozaev_residuals(profile, d) -> tuple[float, float]:
+    """(I_grad/I_p - n/k, I_sq/I_p - m/k) of a profile's integrals.
+
+    A ground state of h'' + (n-1)/t h' - h + h^q = 0 on R^n satisfies the
+    energy identity I_grad + I_sq = I_p and the Pohozaev identity
+    (n-2)/2 I_grad + n/2 I_sq = n/p I_p (Pohozaev 1965; Berestycki &
+    Lions 1983); with p = 2k/(k-2) both residuals vanish."""
+    i_grad, i_sq, i_p = functional.radial_integrals(profile, d)
+    return i_grad / i_p - d.n / d.k, i_sq / i_p - d.m / d.k
 
 
 def profile_quotient(profile, d, s_g: float) -> float:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnyamabe import functional, periodic, products, shooting
-from gnyamabe.cli import _build_parser, main
+from gnyamabe.cli import _SANE_TOL_ALPHA, _build_parser, main
 from gnyamabe.periodic import count_periodic_solutions, orbit_for_period
 
 TESTFN_PATH = str(resources.files("gnyamabe.data").joinpath("testfn_2_2.dat"))
@@ -84,6 +84,20 @@ def test_tol_alpha_reaches_the_search(capsys, monkeypatch):
     # alpha0 is reported to 7 digits, so both tolerances print sqrt 2
     assert json.loads(out)["alpha0"] == pytest.approx(math.sqrt(2),
                                                        rel=1e-6)
+
+
+def test_table_takes_no_tol_alpha():
+    """Every table row searches at the library's default tolerance; only
+    ground-state takes --tol-alpha."""
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--max-dim", "4", "--tol-alpha", "1e-8"])
+    assert exc.value.code == 2
+
+
+def test_tol_alpha_range_is_the_library_range():
+    """The CLI cannot import shooting to build its parser, so it copies
+    the range of tol_alpha that find_ground_state accepts."""
+    assert _SANE_TOL_ALPHA == shooting._TOL_ALPHA_RANGE
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):
@@ -356,22 +370,65 @@ def _periodic_child(*argv):
 
 
 def test_periodic_listing_is_bounded():
-    """A radius with about 1.4e300 harmonics: the count stays exact, the
+    """A radius with about 1.4e12 harmonics: the count stays exact, the
     first 1000 harmonics are listed and the rest are counted."""
-    text = _periodic_child("4", "1e300")
+    text = _periodic_child("4", "1e12")
     assert text.returncode == 0
     lines = text.stdout.splitlines()
     assert len(lines) == 5 + 1000 + 1
     count = int(lines[4].split(":")[1])
-    assert count > 10 ** 300
+    assert count > 10 ** 12
     assert lines[-2].startswith("    k=1000: ")
     assert lines[-1] == (f"    ... {count - 1000} more harmonics, "
                          "k > 1000, not listed")
-    record = json.loads(_periodic_child("4", "1e300", "--format",
+    record = json.loads(_periodic_child("4", "1e12", "--format",
                                         "json").stdout)
     assert record["count"] == count
     assert record["unlisted"] == count - 1000
     assert record["orbits"] == []  # every listed harmonic is beyond reach
+
+
+@pytest.mark.parametrize("r", ["1e16", "1e300", "1e308"])
+def test_periodic_refuses_an_inexact_count(capsys, r):
+    """From 2 pi r / T_min = 2^53 on, the harmonic count is not exact in
+    doubles, and at 1e308 2 pi r overflows: one error line, no output."""
+    code, out, err = run(capsys, "periodic", "3", r)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: circle radius")
+    assert err.count("\n") == 1
+
+
+def test_periodic_count_below_the_cap(capsys):
+    code, out, _ = run(capsys, "periodic", "3", "1e15", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["count"] == 999_999_999_999_999
+
+
+_FUZZ_RADII = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1.0, 1e15, 1e16, 1e300, 1e308,
+                     1.7e308]),
+    st.floats(-323.3, 308.23).map(lambda e: 10.0 ** e))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(3, 12), _FUZZ_RADII)
+def test_periodic_fuzz(n, r):
+    """`periodic n r` at every n in 3..12 and radii from 5e-324 to
+    1.7e308, evenly spread in their exponent: it exits 0 or 1, a failure
+    leaves one stderr line starting `error:` and nothing else, and a
+    success prints no nan or inf."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["periodic", str(n), repr(r)])
+    assert code in (0, 1)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        assert not re.search(r"nan|inf", out.getvalue(), re.IGNORECASE)
 
 
 def test_periodic_dump(capsys, tmp_path):
@@ -487,7 +544,6 @@ _PARSER_PINS = {
               "_cmd_table", [
         _HELP_ARG,
         (("--max-dim",), "max_dim", 9, None, "int", None),
-        _TOL_ARG,
         (("--format",), "format", "csv", ("csv", "json", "text"), None,
          None),
         _OUT_ARG]),
@@ -546,13 +602,15 @@ def test_help_numbers_are_the_codes():
                if isinstance(a, argparse._SubParsersAction))
     helps = {(name, a.dest): a.help for name, cmd in sub.choices.items()
              for a in cmd._actions}
-    # the one default of both searches
+    # the one default of the search, which only ground-state sets
     tol_alpha = shooting.DEFAULT_TOL_ALPHA
-    for search in (shooting.find_ground_state, products.build_table):
-        assert inspect.signature(search).parameters["tol_alpha"].default \
-            == tol_alpha
-    for name in ("ground-state", "table"):
-        assert helps[name, "tol_alpha"].endswith(f"(default {tol_alpha:g})")
+    assert inspect.signature(shooting.find_ground_state).parameters[
+        "tol_alpha"].default == tol_alpha
+    assert "tol_alpha" not in inspect.signature(
+        products.build_table).parameters
+    assert helps["ground-state", "tol_alpha"].endswith(
+        f"(default {tol_alpha:g})")
+    assert ("table", "tol_alpha") not in helps
     assert (f"delta >= {periodic._TIME_DELTA_FLOOR:g},"
             in helps["periodic", "dump"])
 

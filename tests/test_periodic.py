@@ -171,7 +171,8 @@ def test_count_jumps_at_harmonic_multiples():
             assert count_periodic_solutions(n, r_star * (1 + 1e-6)) == k
 
 
-@pytest.mark.parametrize("r", [0.0, -1.0, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("r", [0.0, -1.0, math.inf, -math.inf, math.nan,
+                               1e300, 1e308])
 def test_count_rejects_bad_radius(r):
     with pytest.raises(ValueError, match="circle radius"):
         count_periodic_solutions(4, r)

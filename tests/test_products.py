@@ -184,6 +184,19 @@ def test_build_table_collects_errors(monkeypatch):
         build_table(5)
 
 
+def test_build_table_lets_defects_through(monkeypatch):
+    """Only the failures a row can have, RuntimeError and ValueError, are
+    collected: a TypeError is a defect and escapes even with a list."""
+    def broken(d, **kwargs):
+        raise TypeError("synthetic defect")
+
+    monkeypatch.setattr(products, "find_ground_state", broken)
+    errors = []
+    with pytest.raises(TypeError, match="synthetic defect"):
+        build_table(5, collect_errors=errors)
+    assert errors == []
+
+
 def test_build_table_reports_rows_not_below_sphere(monkeypatch):
     monkeypatch.setattr(products, "yamabe_sphere", lambda k: 1.0)
     with pytest.warns(UserWarning, match="not below the sphere"):

@@ -12,7 +12,8 @@ from gnyamabe.products import table_pairs
 from gnyamabe.shooting import (Illinois, _miss, bracket_alpha,
                                find_ground_state)
 
-from oracles import exponents_m1, sech_amplitude, tighten
+from oracles import (exponents_m1, pohozaev_residuals, sech_amplitude,
+                     tighten)
 
 
 def test_bracket_22():
@@ -321,9 +322,10 @@ def test_extension_budget_per_table(monkeypatch):
 
 
 def test_table_rows_converge(monkeypatch):
-    """Every row of build_table(9) ends on a bracket at most tol_alpha
-    times alpha0 wide (at most 6.6e-13 measured); the Candidate stops of
-    the search before it converged left up to 7.8e-7."""
+    """Every row of build_table(9) ends on a bracket at most
+    DEFAULT_TOL_ALPHA = 1e-12 times alpha0 wide (at most 6.6e-13
+    measured); the Candidate stops of the search before it converged left
+    up to 7.8e-7."""
     found = []
     search = products.find_ground_state
 
@@ -332,12 +334,73 @@ def test_table_rows_converge(monkeypatch):
         return found[-1]
 
     monkeypatch.setattr(products, "find_ground_state", recorded)
-    rows = build_table(9, tol_alpha=1e-12)
+    rows = build_table(9)
+    assert shooting.DEFAULT_TOL_ALPHA == 1e-12
     assert len(found) == len(rows) == 21
     for gs, row in zip(found, rows):
         lo, hi = gs.bracket
         assert gs.alpha0 == row.alpha0 in (lo, hi)
         assert hi - lo <= 1e-12 * gs.alpha0, (row.m, row.n, lo, hi)
+
+
+def test_loosest_tol_alpha_converges():
+    """At the top of its range, 1e-2, the search still ends on a bracket
+    at most 1e-2 alpha0 wide, on (2, 1) and on every row of
+    build_table(9). The bracket it starts from is wider: doubling shots
+    leave one half of hi wide, steps from a guess at least 9% of hi, and
+    an end at alpha = 1 lies below alpha0 >= 3^(1/4)."""
+    for m, n in [(2, 1), *table_pairs(9)]:
+        gs = find_ground_state(Dims(m, n), tol_alpha=1e-2)
+        lo, hi = gs.bracket
+        assert gs.alpha0 in (lo, hi)
+        assert hi - lo <= 1e-2 * gs.alpha0, (m, n, lo, hi)
+
+
+def test_narrow_initial_bracket_is_shot(monkeypatch):
+    """A step up clipped at the bracket ceiling can end on a bracket
+    already narrower than tol_alpha: with the ceiling at 2.2063, the
+    guess 2.2061 brackets alpha0(2, 2) = 2.2062 by [2.2061, 2.2063]. The
+    search still shoots its first Illinois point, and alpha0 is a shot
+    inside the bracket."""
+    monkeypatch.setattr(shooting, "_BRACKET_CEILING", 2.2063)
+    assert bracket_alpha(Dims(2, 2), guess=2.2061)[::2] == (2.2061, 2.2063)
+    gs = find_ground_state(Dims(2, 2), tol_alpha=1e-2, guess=2.2061)
+    assert 2.2061 < gs.alpha0 < 2.2063
+    assert gs.alpha0 in gs.bracket
+    assert abs(gs.alpha0 - 2.2062) < 1e-4
+
+
+def test_table_rows_satisfy_pohozaev(monkeypatch):
+    """Every ground state of build_table(14) meets both ratios of the
+    energy and Pohozaev identities, I_grad/I_p = n/k and I_sq/I_p = m/k,
+    to 1e-11 (2.8e-12 and 4.0e-12 measured). The shooting uses neither
+    identity, so they referee each of the 66 rows independently."""
+    found = []
+    search = products.find_ground_state
+
+    def recorded(d, *args, **kwargs):
+        found.append((d, search(d, *args, **kwargs)))
+        return found[-1][1]
+
+    monkeypatch.setattr(products, "find_ground_state", recorded)
+    rows = build_table(14)
+    assert len(found) == len(rows) == 66
+    for d, gs in found:
+        residuals = pohozaev_residuals(gs.profile, d)
+        assert max(map(abs, residuals)) <= 1e-11, (d.m, d.n, residuals)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 7), (5, 2)])
+@pytest.mark.parametrize("eps", [1e-10, -1e-10])
+def test_pohozaev_sees_a_wrong_alpha0(m, n, eps):
+    """A shot at alpha0 (1 + eps), |eps| = 1e-10, misses both ratios by
+    more than the 1e-11 the ground states meet (4.8e-11 to 7.6e-10
+    measured): the identities catch an alpha0 error of 1e-10."""
+    d = Dims(m, n)
+    _, profile = ode.shoot_profile(find_ground_state(d).alpha0 * (1 + eps),
+                                   d)
+    for residual in pohozaev_residuals(profile, d):
+        assert abs(residual) > 1e-11, (m, n, eps, residual)
 
 
 def test_m1_row_takes_few_shots(monkeypatch):
@@ -432,6 +495,14 @@ def test_tol_alpha_validation():
     for tol in (1e-20, math.nan, math.inf):
         with pytest.raises(ValueError):
             find_ground_state(Dims(2, 2), tol_alpha=tol)
+
+
+def test_tol_alpha_above_the_range_refused():
+    """The range is [1e-14, 1e-2] at both ends: 0.02 is refused before
+    any shot."""
+    assert shooting._TOL_ALPHA_RANGE == (1e-14, 1e-2)
+    with pytest.raises(ValueError, match=r"0.02 not in \[1e-14, 0.01\]"):
+        find_ground_state(Dims(2, 2), tol_alpha=0.02)
 
 
 # Errors of the default ground state against a tight-control reference
