@@ -49,13 +49,8 @@ from .ode import CrossedZero, RadialProfile, _sample_profile, integrate_shot
 # DEFAULT_TOL_ALPHA unless a caller gives one in _TOL_ALPHA_RANGE
 DEFAULT_TOL_ALPHA = 1e-12
 _TOL_ALPHA_RANGE = (1e-14, 1e-2)
-_BRACKET_CEILING = 2.0 ** 20
 _SECANT_REACH = 1e3
 _CLOSE = 0.015
-
-
-class ShootingError(RuntimeError):
-    """Bracketing or the Illinois search could not complete."""
 
 
 class Illinois:
@@ -142,7 +137,7 @@ def _miss(outcome, n: int) -> float:
     2 t I_mu K_mu."""
     t = outcome.t_event
     if isinstance(outcome, CrossedZero):
-        return (outcome.dh_cross ** 2 * t ** (n - 1)
+        return (outcome.dh_cross * outcome.dh_cross * t ** (n - 1)
                 * _bessel_weight(t, 0.5 * n - 1.0))
     return -outcome.h_at_turn ** 2 * t ** (n - 1) * _bessel_weight(t, 0.5 * n)
 
@@ -158,32 +153,29 @@ def bracket_alpha(d: Dims, guess: float | None = None,
     guess the first shot is at the guess, and the next ones step away
     from it, towards alpha0, by the factors 1.1, 1.1^2, 1.1^4, ... until
     the classification flips; a step down to alpha <= 1 ends at 1 as
-    above. A step up stops at _BRACKET_CEILING, and so does a guess above
-    it; when the shot there turns up too, alpha0 lies beyond the ceiling
-    and is refused.
+    above. A shot that cannot be decided ends the search with its
+    IntegrationFailure: unclassified at the horizon, a step underflow, or
+    alpha^(q-1) overflowing. A guess far above alpha0, such as 1e200, may
+    end so on its way down.
     """
     if guess is None:
         x, factors = 2.0, itertools.repeat(2.0)
     elif math.isfinite(guess) and guess > 0.0:
-        x = min(guess, _BRACKET_CEILING)
-        factors = (1.1 ** 2 ** k for k in itertools.count())
+        x, factors = guess, (1.1 ** 2 ** k for k in itertools.count())
     else:
         raise ValueError(f"guess must be finite and positive, got {guess}")
     prev = None
-    for factor in factors:
+    while True:
         if x <= 1.0:
             x, f = 1.0, -1.0
         else:
             f = _miss(integrate_shot(x, d), d.n)
         if prev is not None and (prev[1] < 0.0) != (f < 0.0):
             return (x, f, *prev) if f < 0.0 else (*prev, x, f)
-        if f < 0.0 and x >= _BRACKET_CEILING:
-            raise ShootingError(
-                f"no zero crossing up to alpha={_BRACKET_CEILING:g} for "
-                f"(m, n) = ({d.m}, {d.n}): its ground state lies beyond the "
-                "bracket ceiling")
         prev = (x, f)
-        x = min(x * factor, _BRACKET_CEILING) if f < 0.0 else x / factor
+        # the next factor only once a step is needed: 1.1^8192 overflows
+        factor = next(factors)
+        x = x * factor if f < 0.0 else x / factor
 
 
 def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
@@ -191,17 +183,18 @@ def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
     """Illinois search for the ground-state initial value and its profile.
 
     From the bracket of `bracket_alpha` (around `guess`, when one is
-    given), each step shoots the `Illinois` point of the signed misses,
-    until the bracket is at most tol_alpha * alpha wide: the tolerance is
-    relative. The first point is shot even when the bracket starts that
-    narrow, after a step up clipped at the bracket ceiling. Once that
-    point lies within _CLOSE tol_alpha of the latest shot, the step
-    shoots 0.5 tol_alpha from that shot, across alpha0, instead; the
-    bracket closes unless alpha0 lies farther off. Every shot runs to its
-    turn, its crossing or the horizon, and the latest shot on each side
-    of the bracket keeps its steps. Of those two, the one whose event
-    comes later followed the ground state furthest: its initial value is
-    alpha0 and its profile is sampled from its steps.
+    given; a guess far above alpha0 may end in its IntegrationFailure),
+    each step shoots the `Illinois` point of the signed misses, until the
+    bracket is at most tol_alpha * alpha wide: the tolerance is relative.
+    The bracket starts wider than that: at least 9% of hi, or [1, hi]
+    with hi > alpha0 >= 3^(1/4). Once the Illinois point lies within
+    _CLOSE tol_alpha of the latest shot, the step shoots 0.5 tol_alpha
+    from that shot, across alpha0, instead; the bracket closes unless
+    alpha0 lies farther off. Every shot runs to its turn, its crossing or
+    the horizon, and the latest shot on each side of the bracket keeps
+    its steps. Of those two, the one whose event comes later followed the
+    ground state furthest: its initial value is alpha0 and its profile is
+    sampled from its steps.
     """
     low, high = _TOL_ALPHA_RANGE
     if not low <= tol_alpha <= high:
@@ -209,7 +202,7 @@ def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
     search = Illinois(*bracket_alpha(d, guess))
     shots = {}  # the latest (alpha, outcome) on each side, by f < 0
     last = None  # (alpha, miss) of the latest shot
-    while not shots or search.hi - search.lo > tol_alpha * search.hi:
+    while search.hi - search.lo > tol_alpha * search.hi:
         x = search.point()
         if x is None:
             break

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnyamabe import functional, periodic, products, shooting
+from gnyamabe import functional, ode, periodic, products, shooting
 from gnyamabe.cli import _SANE_TOL_ALPHA, _build_parser, main
 from gnyamabe.periodic import count_periodic_solutions, orbit_for_period
 
@@ -100,10 +100,13 @@ def test_tol_alpha_range_is_the_library_range():
     assert _SANE_TOL_ALPHA == shooting._TOL_ALPHA_RANGE
 
 
+def _failing_shot(alpha, d):
+    raise ode.IntegrationFailure(f"step underflow (alpha={alpha!r})")
+
+
 def test_numerical_failure_exit_code(capsys, monkeypatch):
-    """Below a bracket ceiling of 2, alpha0(2, 2) = 2.206 is out of reach:
-    the search fails and the CLI exits 1."""
-    monkeypatch.setattr(shooting, "_BRACKET_CEILING", 2.0)
+    """When a shot fails, the search fails with it and the CLI exits 1."""
+    monkeypatch.setattr(shooting, "integrate_shot", _failing_shot)
     code, out, err = run(capsys, "ground-state", "2", "2")
     assert code == 1
     assert out == ""
@@ -111,17 +114,28 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
 
 
 def test_bracket_ceiling_exit_code(capsys):
-    """The (2, 16), (2, 30) and (30, 30) ground states lie past the
-    bracket ceiling 2^20; the error names the pair and the ceiling and
-    does not blame the integration controls. The first shots of (2, 30)
-    and (30, 30), from alpha = 2, reach the horizon still above h = 1 and
-    are decided by their energy."""
-    for m, n in ((2, 16), (2, 30), (30, 30)):
+    """No bracket ceiling stops the search: the (2, 16), (2, 30) and
+    (30, 30) ground states, which lie past 2^20, are found. The first
+    shots of (2, 30) and (30, 30), from alpha = 2, reach the horizon still
+    above h = 1 and are decided by their energy."""
+    for m, n, alpha0 in ((2, 16, 1.085251e6), (2, 30, 2.212815e13),
+                         (30, 30, 9.015785e7)):
+        code, out, err = run(capsys, "ground-state", str(m), str(n),
+                             "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["alpha0"] == pytest.approx(alpha0, rel=1e-6)
+
+
+def test_unclassified_shot_exit_code(capsys):
+    """Where the search now ends: a shot of (2, 60) or (5, 45) reaches
+    the horizon with energy E >= 0, so it cannot be classified, and the
+    CLI exits 1 with one error line that says so."""
+    for m, n in ((2, 60), (5, 45)):
         code, out, err = run(capsys, "ground-state", str(m), str(n))
         assert code == 1
         assert out == ""
-        assert f"({m}, {n})" in err and "1.04858e+06" in err
-        assert "controls" not in err and "unclassified" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "unclassified" in err
 
 
 def test_table_json_single_row(capsys):
@@ -151,10 +165,10 @@ def test_table_usage_error():
 
 
 def test_table_rows_fail_below_a_low_bracket_ceiling(capsys, monkeypatch):
-    """Below a bracket ceiling of 2 no row of the table up to k = 5 has
-    its alpha0 (2.206, 4.192 and 2.320): every row fails, each on its
-    own stderr line, and the table exits 1."""
-    monkeypatch.setattr(shooting, "_BRACKET_CEILING", 2.0)
+    """When every shot fails, as a search past a bracket ceiling once
+    did, no row of the table up to k = 5 has its alpha0: every row fails,
+    each on its own stderr line, and the table exits 1."""
+    monkeypatch.setattr(shooting, "integrate_shot", _failing_shot)
     code, out, err = run(capsys, "table", "--max-dim", "5")
     assert code == 1
     assert out == "m,n,alpha0,sigma_inv,y_inf,y_sphere\n"
@@ -283,6 +297,32 @@ def test_bound_fuzz(tmp_path_factory, breakpoints, m, n):
     if code:
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
+    else:
+        assert not re.search(r"nan|inf", out.getvalue(), re.IGNORECASE)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.integers(1, 30), st.integers(1, 30))
+def test_ground_state_fuzz(m, n):
+    """`ground-state m n` at m and n in 1..30, where alpha0 runs up to
+    2.2e13, at (2, 30): it exits 0, 1 or 2, a failure leaves one stderr
+    line starting `error:` and nothing else (after the usage line, for
+    the usage error of (1, 1)), and a success prints no nan or inf. No
+    exception escapes, numpy warnings included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["ground-state", str(m), str(n)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        usage, *lines = lines
+        assert usage.startswith("usage:")
+        lines = [line.removeprefix("gnyamabe: ") for line in lines]
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error:")
     else:
         assert not re.search(r"nan|inf", out.getvalue(), re.IGNORECASE)
 

@@ -142,8 +142,8 @@ _A27 = float.fromhex("0x1.aed4eeffd4bbfp+6")
 def test_energy_never_rises_along_a_shot(m, n, alpha):
     """The energy a shot that reaches the horizon is classified by does
     not rise over any accepted step: near alpha0 on both sides, and on
-    (30, 30), whose alpha0 lies past the bracket ceiling, from 2 and 50,
-    two shots that reach the horizon with E < 0."""
+    (30, 30), whose alpha0 is 9.0e7, from 2 and 50, two shots that reach
+    the horizon with E < 0."""
     d = Dims(m, n)
     out = integrate_shot(alpha, d)
     for step in out.steps:

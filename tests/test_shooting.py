@@ -6,7 +6,8 @@ from scipy.special import ive, kve
 
 from gnyamabe import build_table, ode, products, shooting
 from gnyamabe.functional import gn_value
-from gnyamabe.geometry import Dims
+from gnyamabe.geometry import (Dims, unit_volume_sphere_scalar, y_infinity,
+                               yamabe_sphere)
 from gnyamabe.ode import CrossedZero, TurnedUp, integrate_shot, rhs
 from gnyamabe.products import table_pairs
 from gnyamabe.shooting import (Illinois, _miss, bracket_alpha,
@@ -56,31 +57,33 @@ def test_bracket_from_a_guess(guess, lo, hi):
 
 
 def test_bracket_steps_up_to_the_ceiling():
-    """From the seed build_table(20) gives (3, 17), 1.0100e6, the next
-    step up, 1.111e6, lies past the ceiling 2^20 = 1.0486e6. It is shot at
-    the ceiling instead, which crosses, since alpha0 = 1.0256e6: the
-    guessed search agrees with the unguessed one."""
+    """From the guess 1.0100e6 at (3, 17), the step up by 1.1, to
+    1.111e6, passes 2^20 = 1.0486e6, where a bracket ceiling once clipped
+    it, and crosses, since alpha0 = 1.0256e6: the guessed search agrees
+    with the unguessed one."""
     d = Dims(3, 17)
     guessed = find_ground_state(d, guess=1.0100e6)
     alpha0 = find_ground_state(d).alpha0
-    assert guessed.bracket[1] <= shooting._BRACKET_CEILING
     assert abs(guessed.alpha0 - alpha0) <= 1e-12 * alpha0
 
 
-def test_bracket_refuses_only_a_turned_up_ceiling(monkeypatch):
-    """A guess above the ceiling is shot at the ceiling; (2, 16), whose
-    ground state lies beyond it, turns up there and is refused after
-    that one shot."""
-    shots = []
-
-    def counted(alpha, *args):
-        shots.append(alpha)
-        return integrate_shot(alpha, *args)
-
-    monkeypatch.setattr(shooting, "integrate_shot", counted)
-    with pytest.raises(shooting.ShootingError, match=r"\(2, 16\)"):
-        bracket_alpha(Dims(2, 16), guess=4e6)
-    assert shots == [shooting._BRACKET_CEILING]
+@pytest.mark.parametrize("m, n, alpha0", [
+    (30, 30, 9.015785e7), (20, 20, 1.746536e5), (2, 2, 2.206208)])
+@pytest.mark.parametrize("guess", [1e100, 1e200, 1e250, 1e300])
+def test_absurd_guess_solves_or_fails_cleanly(m, n, alpha0, guess):
+    """A guess far above alpha0 steps down by growing factors. The search
+    finds alpha0, or raises the IntegrationFailure of a shot it cannot
+    decide (a step underflow, a head that does not descend, alpha^(q-1)
+    overflowing), never an OverflowError. (30, 30) solves from 1e100 to
+    1e250: from 1e200 a crossing shot's miss squares an h' past the
+    double range, to +inf, and from 1e250 the steps reach alpha = 1 just
+    before their next factor, 1.1^8192, would overflow."""
+    try:
+        gs = find_ground_state(Dims(m, n), guess=guess)
+    except ode.IntegrationFailure:
+        assert (m, n) != (30, 30) or guess == 1e300
+        return
+    assert gs.alpha0 == pytest.approx(alpha0, rel=1e-6)
 
 
 @pytest.mark.parametrize("guess", [0.0, -2.0, math.nan, math.inf])
@@ -356,20 +359,6 @@ def test_loosest_tol_alpha_converges():
         assert hi - lo <= 1e-2 * gs.alpha0, (m, n, lo, hi)
 
 
-def test_narrow_initial_bracket_is_shot(monkeypatch):
-    """A step up clipped at the bracket ceiling can end on a bracket
-    already narrower than tol_alpha: with the ceiling at 2.2063, the
-    guess 2.2061 brackets alpha0(2, 2) = 2.2062 by [2.2061, 2.2063]. The
-    search still shoots its first Illinois point, and alpha0 is a shot
-    inside the bracket."""
-    monkeypatch.setattr(shooting, "_BRACKET_CEILING", 2.2063)
-    assert bracket_alpha(Dims(2, 2), guess=2.2061)[::2] == (2.2061, 2.2063)
-    gs = find_ground_state(Dims(2, 2), tol_alpha=1e-2, guess=2.2061)
-    assert 2.2061 < gs.alpha0 < 2.2063
-    assert gs.alpha0 in gs.bracket
-    assert abs(gs.alpha0 - 2.2062) < 1e-4
-
-
 def test_table_rows_satisfy_pohozaev(monkeypatch):
     """Every ground state of build_table(14) meets both ratios of the
     energy and Pohozaev identities, I_grad/I_p = n/k and I_sq/I_p = m/k,
@@ -388,6 +377,22 @@ def test_table_rows_satisfy_pohozaev(monkeypatch):
     for d, gs in found:
         residuals = pohozaev_residuals(gs.profile, d)
         assert max(map(abs, residuals)) <= 1e-11, (d.m, d.n, residuals)
+
+
+@pytest.mark.parametrize("m, n", [(2, 16), (2, 17), (2, 18), (3, 17),
+                                  (2, 24)])
+def test_rows_past_2_20_satisfy_pohozaev(m, n):
+    """Rows of build_table(26) whose alpha0 lies past 2^20 meet both
+    identities to the same 1e-11 as the rows of build_table(14) (6.6e-12
+    measured), and their limit lies below the sphere invariant:
+    y_inf < Y_k."""
+    d = Dims(m, n)
+    gs = find_ground_state(d)
+    residuals = pohozaev_residuals(gs.profile, d)
+    assert max(map(abs, residuals)) <= 1e-11, residuals
+    y_inf = y_infinity(d, unit_volume_sphere_scalar(m),
+                       gn_value(gs.profile, d).sigma_inv)
+    assert y_inf < yamabe_sphere(d.k)
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 7), (5, 2)])
