@@ -9,11 +9,10 @@ by where the trajectory first leaves the ground-state corridor: crossing
 zero (initial value too large) or turning upward while 0 < h < 1 (too
 small). Near the critical initial value a shot follows the decaying
 ground state until its growing mode takes over, so it ends on one of the
-two events. Far below that value, at large k, a shot can creep towards the
-equilibrium h = 1 without turning by the horizon t = 50; the energy
-E = h'^2/2 + |h|^(q+1)/(q+1) - h^2/2, which never rises along a shot
-and is >= 0 at any zero, decides it there: E < 0 is a TurnedUp at the
-horizon, with h' < 0 and possibly h >= 1.
+two events, as every shot does: one that never crosses creeps towards
+the equilibrium h = 1, turns underdamped once the damping (n-1)/t has
+decayed, overshoots and turns up, below 1, since h'' = h - h^q < 0
+wherever h' = 0 and h > 1. A shot runs until its first event.
 
 A shot starts where the 24-term Taylor series of the regular solution
 is exact to double precision, which spares the stepper the (n-1)/t
@@ -137,20 +136,19 @@ _D = (
 
 _EVENT_LOCATION_TOL = 1e-10
 
-# every shot steps at the tolerances _RTOL and _ATOL, up to the horizon
-# _T_MAX. A shot starts where the last two of the _HEAD_TERMS terms of its
+# every shot steps at the tolerances _RTOL and _ATOL until its first
+# event. A shot starts where the last two of the _HEAD_TERMS terms of its
 # series head are below _HEAD_TOL alpha. h falling below _DECAY_THRESHOLD
 # bounds its stored profile
 _RTOL = 1e-11
 _ATOL = 1e-13
-_T_MAX = 50.0
 _HEAD_TERMS = 24
 _HEAD_TOL = 1e-17
 _DECAY_THRESHOLD = 1e-6
 
 
 class IntegrationFailure(RuntimeError):
-    """Step-size underflow or an unclassifiable trajectory."""
+    """A step underflow, an overflow, or a search that missed alpha0."""
 
 
 @dataclass
@@ -205,12 +203,10 @@ class CrossedZero:
 
 @dataclass(frozen=True)
 class TurnedUp:
-    """h' reached 0 from below with 0 < h < 1, or the shot reached the
-    horizon _T_MAX with negative energy, so that it never crosses zero:
-    initial value too small. `t_event` is the time of the turn, or
-    _T_MAX, and `h_at_turn` the value of h there, which at the horizon
-    may be >= 1, with h' < 0; `head` and `steps` as for CrossedZero, and
-    alpha <= 1 has neither."""
+    """h' reached 0 from below with 0 < h < 1: initial value too small.
+    `t_event` is the time of the turn and `h_at_turn` the value of h
+    there; `head` and `steps` as for CrossedZero, and alpha <= 1 has
+    neither."""
 
     t_event: float
     h_at_turn: float
@@ -530,14 +526,11 @@ def _integrate(alpha: float, d: Dims):
     """Core shot integration for alpha > 1, at _RTOL and _ATOL.
 
     Returns the CrossedZero or TurnedUp of the first event, carrying the
-    series head and every accepted step of `_dp_steps` from its t0. A
-    shot with no event by _T_MAX is decided by its energy
-    E = h'^2/2 + |h|^(q+1)/(q+1) - h^2/2 there: dE/dt = -(n-1)/t h'^2
-    <= 0, and E >= 0 wherever h = 0, so E < 0 proves the shot never
-    crosses, and it returns a TurnedUp at _T_MAX. Raises
-    IntegrationFailure when alpha^(q-1) overflows, when the head does not
-    descend at t0 (h > 0 > h', so no event lies in it), on step underflow
-    or when E >= 0 at _T_MAX.
+    series head and every accepted step of `_dp_steps` from its t0; the
+    steps run on until that event, which every shot from alpha > 1 meets.
+    Raises IntegrationFailure when alpha^(q-1) overflows, when the head
+    does not descend at t0 (h > 0 > h', so no event lies in it), on step
+    underflow or when t overflows before an event.
     """
     try:
         head = _series_head(alpha, d)
@@ -552,7 +545,7 @@ def _integrate(alpha: float, d: Dims):
             f"descend (alpha={alpha!r})")
     steps = []
     try:
-        for step in _dp_steps(t, h, dh, 0.5 * t, _T_MAX, float(d.n - 1),
+        for step in _dp_steps(t, h, dh, 0.5 * t, math.inf, float(d.n - 1),
                               1.0, 1.0, d.q - 1.0, _RTOL, _ATOL):
             steps.append(step)
             hn, dhn = step[4], step[5]
@@ -577,13 +570,7 @@ def _integrate(alpha: float, d: Dims):
             return TurnedUp(t + theta * dt, he, steps, head)
     except IntegrationFailure as exc:
         raise IntegrationFailure(f"{exc} (alpha={alpha!r})") from exc
-
-    energy = 0.5 * dhn * dhn + hn ** (d.q + 1.0) / (d.q + 1.0) - 0.5 * hn * hn
-    if energy < 0.0:
-        return TurnedUp(_T_MAX, hn, steps, head)
-    raise IntegrationFailure(
-        f"shot unclassified at t={_T_MAX:g}: h={hn:.6g}, h'={dhn:.6g}, "
-        f"energy {energy:.6g} >= 0 (alpha={alpha!r})")
+    raise IntegrationFailure(f"t overflows before an event (alpha={alpha!r})")
 
 
 def _sample_steps(steps, ts):

@@ -25,12 +25,12 @@ Illinois modification (Dowell & Jarratt 1971) guards the secant there.
 The same class inverts the circle-factor period map.
 
 The search runs until the bracket is at most tol_alpha * alpha wide, and
-every shot runs to its turn, its crossing or the horizon: no shot is
-accepted as the ground state on its own. Secant steps approach alpha0
-from one side, so once the Illinois point lies within _CLOSE tol_alpha
-of the latest shot, that shot has converged and the next one closes the
-bracket from it, 0.5 tol_alpha to the other side of alpha0, instead of
-creeping up to alpha0. alpha0 is the converged shot, and its profile
+every shot runs to its turn or its crossing: no shot is accepted as the
+ground state on its own. Secant steps approach alpha0 from one side, so
+once the Illinois point lies within _CLOSE tol_alpha of the latest shot,
+that shot has converged and the next one closes the bracket from it,
+0.5 tol_alpha to the other side of alpha0, instead of creeping up to
+alpha0. alpha0 is the converged shot, and its profile
 magnifies its error about e^t times, hence the small _CLOSE: a (3, 1)
 shot 2.3e-14 short of its Illinois point misses the closed form by
 1.8e-10 at t = 10, the shot at that point by 3.6e-11.
@@ -43,7 +43,8 @@ import math
 from dataclasses import dataclass
 
 from .geometry import Dims
-from .ode import CrossedZero, RadialProfile, _sample_profile, integrate_shot
+from .ode import (CrossedZero, IntegrationFailure, RadialProfile,
+                  _sample_profile, integrate_shot)
 
 # the search stops on a bracket at most tol_alpha alpha wide, at
 # DEFAULT_TOL_ALPHA unless a caller gives one in _TOL_ALPHA_RANGE
@@ -106,13 +107,13 @@ class GroundState:
     who searched them; the record does not repeat them.
 
     The bracket keeps TurnedUp on the low side and CrossedZero on the high
-    side, and is at most tol_alpha * alpha0 wide (at most 6.6e-13 alpha0
-    over build_table(9) at the defaults). It bounds the search, not the
-    error of alpha0, which the shots' own integration error dominates:
-    against a tight-control reference alpha0 errs by up to 4.4e-12
-    relative, at (2, 7). alpha0 is the end whose shot followed the ground
-    state furthest, and the profile is that shot's, truncated where it
-    stops being trustworthy (h below the decay threshold or h' >= 0).
+    side, and is at most tol_alpha * alpha0 wide (at most 8.2e-13 alpha0
+    over build_table(9) at the defaults, at (6, 2)). It bounds the search,
+    not the error of alpha0, which the shots' own integration error
+    dominates: against a tight-control reference alpha0 errs by up to
+    4.4e-12 relative, at (2, 7). alpha0 is the end whose shot followed the
+    ground state furthest, and the profile is that shot's, truncated where
+    it stops being trustworthy (h below the decay threshold or h' >= 0).
     """
 
     alpha0: float
@@ -132,9 +133,8 @@ def _bessel_weight(t: float, mu: float) -> float:
 
 def _miss(outcome, n: int) -> float:
     """Signed miss of an integrated TurnedUp (< 0) or CrossedZero (> 0)
-    shot, linear in alpha - alpha0 near alpha0: -h^2 t^(n-1) at the turn,
-    or at the horizon, and h'^2 t^(n-1) at the crossing, each weighted by
-    2 t I_mu K_mu."""
+    shot, linear in alpha - alpha0 near alpha0: -h^2 t^(n-1) at the turn
+    and h'^2 t^(n-1) at the crossing, each weighted by 2 t I_mu K_mu."""
     t = outcome.t_event
     if isinstance(outcome, CrossedZero):
         return (outcome.dh_cross * outcome.dh_cross * t ** (n - 1)
@@ -153,10 +153,9 @@ def bracket_alpha(d: Dims, guess: float | None = None,
     guess the first shot is at the guess, and the next ones step away
     from it, towards alpha0, by the factors 1.1, 1.1^2, 1.1^4, ... until
     the classification flips; a step down to alpha <= 1 ends at 1 as
-    above. A shot that cannot be decided ends the search with its
-    IntegrationFailure: unclassified at the horizon, a step underflow, or
-    alpha^(q-1) overflowing. A guess far above alpha0, such as 1e200, may
-    end so on its way down.
+    above. A shot that cannot be carried to its event ends the search with
+    its IntegrationFailure: a step underflow, or alpha^(q-1) overflowing.
+    A guess far above alpha0, such as 1e200, may end so on its way down.
     """
     if guess is None:
         x, factors = 2.0, itertools.repeat(2.0)
@@ -190,11 +189,17 @@ def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
     with hi > alpha0 >= 3^(1/4). Once the Illinois point lies within
     _CLOSE tol_alpha of the latest shot, the step shoots 0.5 tol_alpha
     from that shot, across alpha0, instead; the bracket closes unless
-    alpha0 lies farther off. Every shot runs to its turn, its crossing or
-    the horizon, and the latest shot on each side of the bracket keeps
-    its steps. Of those two, the one whose event comes later followed the
-    ground state furthest: its initial value is alpha0 and its profile is
-    sampled from its steps.
+    alpha0 lies farther off. Every shot runs to its turn or its crossing,
+    and the latest shot on each side of the bracket keeps its steps. Of
+    those two, the one whose event comes later followed the ground state
+    furthest: its initial value is alpha0 and its profile is sampled from
+    its steps.
+
+    For n > 1 the energy E = h'^2/2 + h^(q+1)/(q+1) - h^2/2 falls along
+    the ground state to 0 at infinity, so E > 0 there. A profile node with
+    E < 0 and 1 < h < 2 (E < 0 needs h < ((q+1)/2)^(1/(q-1)) < 2) is a
+    shot that stalled above 1 before it turned up: alpha0 is not resolved,
+    an IntegrationFailure. For n = 1, E is conserved and 0 on the sech.
     """
     low, high = _TOL_ALPHA_RANGE
     if not low <= tol_alpha <= high:
@@ -218,5 +223,13 @@ def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
     alpha0, shot = max(shots.values(), key=lambda s: s[1].t_event)
     profile = _sample_profile(alpha0, d.n, shot.head, shot.steps,
                               shot.t_event)
+    if d.n > 1:
+        above = (profile.hs > 1.0) & (profile.hs < 2.0)
+        h, dh = profile.hs[above], profile.dhs[above]
+        energy = 0.5 * dh * dh + h ** (d.q + 1.0) / (d.q + 1.0) - 0.5 * h * h
+        if (energy < 0.0).any():
+            raise IntegrationFailure(
+                f"alpha0 not resolved: the shot from {alpha0!r} stalled "
+                f"above h = 1 (E < 0) and turned up at t={shot.t_event:.6g}")
     return GroundState(alpha0=alpha0, bracket=(search.lo, search.hi),
                        profile=profile)

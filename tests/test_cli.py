@@ -113,11 +113,11 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     assert "error:" in err
 
 
-def test_bracket_ceiling_exit_code(capsys):
-    """No bracket ceiling stops the search: the (2, 16), (2, 30) and
+def test_large_alpha0_exit_code(capsys):
+    """No bound on alpha stops the search: the (2, 16), (2, 30) and
     (30, 30) ground states, which lie past 2^20, are found. The first
-    shots of (2, 30) and (30, 30), from alpha = 2, reach the horizon still
-    above h = 1 and are decided by their energy."""
+    shots of (2, 30) and (30, 30), from alpha = 2, creep towards h = 1
+    and turn up late, at t = 54.65 and 76.00."""
     for m, n, alpha0 in ((2, 16, 1.085251e6), (2, 30, 2.212815e13),
                          (30, 30, 9.015785e7)):
         code, out, err = run(capsys, "ground-state", str(m), str(n),
@@ -126,16 +126,19 @@ def test_bracket_ceiling_exit_code(capsys):
         assert json.loads(out)["alpha0"] == pytest.approx(alpha0, rel=1e-6)
 
 
-def test_unclassified_shot_exit_code(capsys):
-    """Where the search now ends: a shot of (2, 60) or (5, 45) reaches
-    the horizon with energy E >= 0, so it cannot be classified, and the
-    CLI exits 1 with one error line that says so."""
-    for m, n in ((2, 60), (5, 45)):
+def test_unresolved_alpha0_exit_code(capsys):
+    """Where the search now ends: (5, 45) and (10, 45) solve, but the
+    shots of (2, 60) do not resolve alpha0, whose latest shot stalls above
+    h = 1 with energy E < 0 before it turns up. The CLI exits 1 with one
+    error line that says so."""
+    for m, n in ((5, 45), (10, 45)):
         code, out, err = run(capsys, "ground-state", str(m), str(n))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "unclassified" in err
+        assert code == 0 and out and err == ""
+    code, out, err = run(capsys, "ground-state", "2", "60")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "alpha0 not resolved" in err and "stalled above h = 1" in err
 
 
 def test_table_json_single_row(capsys):
@@ -164,10 +167,10 @@ def test_table_usage_error():
     assert exc.value.code == 2
 
 
-def test_table_rows_fail_below_a_low_bracket_ceiling(capsys, monkeypatch):
-    """When every shot fails, as a search past a bracket ceiling once
-    did, no row of the table up to k = 5 has its alpha0: every row fails,
-    each on its own stderr line, and the table exits 1."""
+def test_table_rows_fail_each_on_its_own_line(capsys, monkeypatch):
+    """When every shot fails, no row of the table up to k = 5 has its
+    alpha0: every row fails, each on its own stderr line, and the table
+    exits 1."""
     monkeypatch.setattr(shooting, "integrate_shot", _failing_shot)
     code, out, err = run(capsys, "table", "--max-dim", "5")
     assert code == 1

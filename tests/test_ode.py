@@ -140,54 +140,30 @@ _A27 = float.fromhex("0x1.aed4eeffd4bbfp+6")
 ], ids=["2-2-below", "2-2-above", "2-7-below", "2-7-above", "30-30-2",
         "30-30-50"])
 def test_energy_never_rises_along_a_shot(m, n, alpha):
-    """The energy a shot that reaches the horizon is classified by does
-    not rise over any accepted step: near alpha0 on both sides, and on
-    (30, 30), whose alpha0 is 9.0e7, from 2 and 50, two shots that reach
-    the horizon with E < 0."""
+    """The energy E = h'^2/2 + |h|^(q+1)/(q+1) - h^2/2 does not rise over
+    any accepted step: near alpha0 on both sides, and on (30, 30), whose
+    alpha0 is 9.0e7, from 2 and 50, two shots that creep towards h = 1
+    before they turn up."""
     d = Dims(m, n)
     out = integrate_shot(alpha, d)
     for step in out.steps:
         assert _energy(*step[4:6], d) <= _energy(*step[2:4], d)
-    if m == 30:
-        assert type(out) is TurnedUp and out.t_event == ode._T_MAX
-        assert _energy(*out.steps[-1][4:6], d) < 0.0
 
 
-@pytest.mark.parametrize("m, n, h_end, t_turn", [
-    (2, 30, 1.000172, 54.65), (30, 30, 1.025939, 76.00)])
-def test_horizon_shot_turns_up_as_scipy_finds(m, n, h_end, t_turn):
-    """From alpha = 2 the (2, 30) and (30, 30) shots creep towards h = 1
-    and have not turned by the horizon, where h is still above 1 and E
-    is negative: they are TurnedUp at _T_MAX. scipy's shot, run on to
-    t = 200, turns up at t = 54.65 and 76.00."""
+@pytest.mark.parametrize("m, n, t_turn", [(2, 30, 54.65), (30, 30, 76.00)])
+def test_creeping_shot_turns_up_as_scipy_finds(m, n, t_turn):
+    """From alpha = 2 the (2, 30) and (30, 30) shots creep towards h = 1,
+    pass below it and turn up late. The package runs each shot to its
+    turn, with no horizon, and turns up where scipy's shot does, at
+    t = 54.65 and 76.00, below h = 1."""
     d = Dims(m, n)
     out = integrate_shot(2.0, d)
     assert type(out) is TurnedUp
-    assert out.t_event == ode._T_MAX
-    assert abs(out.h_at_turn - h_end) < 1e-6
-    assert out.steps[-1][5] < 0.0
+    assert abs(out.t_event - t_turn) < 0.01
+    assert 0.0 < out.h_at_turn < 1.0
     ref = shot_reference(2.0, d, 200.0)
     assert type(ref) is TurnedUp
     assert abs(ref.t_event - t_turn) < 0.01
-
-
-def test_unclassifiable_horizon_raises(monkeypatch):
-    """The (2, 2) shot from alpha = 2 turns up at t = 2.74, and its
-    energy falls through 0 near t = 1.5. At a horizon of 1 it has
-    neither turned nor crossed, and E > 0 there: it is unclassified."""
-    monkeypatch.setattr(ode, "_T_MAX", 1.0)
-    with pytest.raises(IntegrationFailure, match="unclassified at t=1"):
-        integrate_shot(2.0, D22)
-
-
-def test_negative_energy_at_the_horizon_turns_up(monkeypatch):
-    """At a horizon of 2 the same shot has E < 0 there: it is TurnedUp at
-    the horizon."""
-    monkeypatch.setattr(ode, "_T_MAX", 2.0)
-    out = integrate_shot(2.0, D22)
-    assert type(out) is TurnedUp
-    assert out.t_event == 2.0 and 0.0 < out.h_at_turn < 1.0
-    assert _energy(*out.steps[-1][4:6], D22) < 0.0
 
 
 _PROFILE = {"ts": [0.0, 1.0], "hs": [2.0, 1.0], "dhs": [0.0, -1.0],

@@ -56,7 +56,7 @@ def test_bracket_from_a_guess(guess, lo, hi):
         assert f_lo == -1.0
 
 
-def test_bracket_steps_up_to_the_ceiling():
+def test_bracket_steps_up_past_2_20():
     """From the guess 1.0100e6 at (3, 17), the step up by 1.1, to
     1.111e6, passes 2^20 = 1.0486e6, where a bracket ceiling once clipped
     it, and crosses, since alpha0 = 1.0256e6: the guessed search agrees
@@ -326,9 +326,9 @@ def test_extension_budget_per_table(monkeypatch):
 
 def test_table_rows_converge(monkeypatch):
     """Every row of build_table(9) ends on a bracket at most
-    DEFAULT_TOL_ALPHA = 1e-12 times alpha0 wide (at most 6.6e-13
-    measured); the Candidate stops of the search before it converged left
-    up to 7.8e-7."""
+    DEFAULT_TOL_ALPHA = 1e-12 times alpha0 wide (at most 8.2e-13
+    measured, at (6, 2)); the Candidate stops of the search before it
+    converged left up to 7.8e-7."""
     found = []
     search = products.find_ground_state
 
@@ -380,12 +380,15 @@ def test_table_rows_satisfy_pohozaev(monkeypatch):
 
 
 @pytest.mark.parametrize("m, n", [(2, 16), (2, 17), (2, 18), (3, 17),
-                                  (2, 24)])
+                                  (2, 24), (5, 45), (10, 45), (50, 50),
+                                  (60, 60)])
 def test_rows_past_2_20_satisfy_pohozaev(m, n):
     """Rows of build_table(26) whose alpha0 lies past 2^20 meet both
     identities to the same 1e-11 as the rows of build_table(14) (6.6e-12
     measured), and their limit lies below the sphere invariant:
-    y_inf < Y_k."""
+    y_inf < Y_k. So do (5, 45), (10, 45), (50, 50) and (60, 60), with
+    alpha0 from 2.4e13 to 2.1e18, which the search reaches since its
+    shots run to their events with no horizon (1.7e-12 measured)."""
     d = Dims(m, n)
     gs = find_ground_state(d)
     residuals = pohozaev_residuals(gs.profile, d)
@@ -393,6 +396,16 @@ def test_rows_past_2_20_satisfy_pohozaev(m, n):
     y_inf = y_infinity(d, unit_volume_sphere_scalar(m),
                        gn_value(gs.profile, d).sigma_inv)
     assert y_inf < yamabe_sphere(d.k)
+
+
+def test_stalled_shot_is_refused():
+    """At (2, 60) the shots do not resolve alpha0: the low end of the
+    final bracket creeps towards h = 1 with energy E < 0 and turns up at
+    t = 139.8, later than the high end crosses, so it would be taken as
+    alpha0's shot, whose profile misses the Pohozaev identity by 0.97.
+    The search raises IntegrationFailure instead."""
+    with pytest.raises(ode.IntegrationFailure, match="stalled above h = 1"):
+        find_ground_state(Dims(2, 60))
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 7), (5, 2)])
