@@ -20,8 +20,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
 from .geometry import Dims, surface_measure
 from .ode import RadialProfile
@@ -81,7 +79,12 @@ def _quadrature_nodes(count: int):
 
     The derivative takes the rise h_1 - h_0 as one number: summed from h_0
     and h_1 apart, the two nearly cancel, and the solver profiles' I_grad
-    erred by up to 1.9e-15 against `tests/oracles.hermite_integrals`."""
+    erred by up to 1.9e-15 against `tests/oracles.hermite_integrals`.
+    numpy.polynomial is imported here, so that the periodic path, which
+    stores its own rule, never loads it."""
+    from numpy.polynomial.laguerre import laggauss
+    from numpy.polynomial.legendre import leggauss
+
     x, gw = leggauss(count)
     s = 0.5 * (x + 1.0)
     basis = np.array([(1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2,

@@ -25,13 +25,14 @@ The period integral is split at the equilibrium u_c:
   1/lambda to double precision and is integrated exactly.
 - on [u_c, u_max] it substitutes u = u_c + (u_max - u_c) sin(theta).
 
-Each panel uses one 64-node Gauss-Legendre rule built once per process,
+Each panel uses one 64-node Gauss-Legendre rule, stored as the doubles
+numpy's `leggauss(64)` returns and built into arrays once per process,
 and each gap E - V is an array of differences of like powers with exact
 increments. Orbits within 2% of u_c use an exactly factored series of
 the well instead. `orbit_for_period` inverts the map in log delta by
 the ground-state search's safeguarded secant iteration,
-`shooting.Illinois`, between window ends whose periods are cached per
-dimension.
+`shooting.Illinois`, started from the two neighbouring nodes of a table
+of 65 window points whose periods are cached per dimension.
 
 `circle_quotient` takes the integrals of u'^2, u^2 and u^P over one
 period from the same nodes: each node's weight in the period sum is its
@@ -49,11 +50,11 @@ separatrix, which they cannot follow past the saddle.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import ode
 from .geometry import surface_measure
@@ -232,20 +233,46 @@ def _check_window(uc: float, u_max: float) -> None:
             f"which starts at {uc * (1.0 + _UMAX_REL_FLOOR):.9g}")
 
 
-_GAUSS_NODES = 64
+# the positive half of the 64-node Gauss-Legendre rule on [-1, 1], the
+# exact doubles of numpy.polynomial.legendre.leggauss(64): that rule is
+# exactly symmetric, so its other 32 nodes are these negated, in reverse
+_GAUSS_HALF_NODES = (
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054,
+    0.16964442042399283, 0.21742364374000708, 0.2646871622087674,
+    0.31132287199021097, 0.3572201583376681, 0.4022701579639916,
+    0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573,
+    0.6852363130542333, 0.7198818501716109, 0.7528199072605319,
+    0.7839723589433414, 0.8132653151227975, 0.8406292962525803,
+    0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538,
+    0.973326827789911, 0.983336253884626, 0.9910133714767443,
+    0.9963401167719552, 0.9993050417357722)
+_GAUSS_HALF_WEIGHTS = (
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996,
+    0.04799938859645842, 0.04754016571483042, 0.046968182816210076,
+    0.04628479658131447, 0.045491627927418184, 0.044590558163756566,
+    0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009,
+    0.0354722132568823, 0.033805161837141794, 0.032057928354851495,
+    0.030234657072402554, 0.028339672614259535, 0.02637746971505491,
+    0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+    0.017951715775697284, 0.01572603047602503, 0.01346304789671786,
+    0.011168139460131028, 0.008846759826363397, 0.006504457968978502,
+    0.004147033260564499, 0.00178328072169414)
 # inner-half panel ends, as (P - 2) times the distance back from u_c in w
 _INNER_BREAKS = (4.0, 12.0, 40.0)
 
 
 @lru_cache(maxsize=None)
 def _gauss_rule() -> tuple[np.ndarray, ...]:
-    """The _GAUSS_NODES Gauss-Legendre nodes x and weights w on [0, 1],
-    with the outer-half factors at theta = pi x / 2: sin(theta),
+    """The 64 Gauss-Legendre nodes x and weights w on [0, 1], with the
+    outer-half factors at theta = pi x / 2: sin(theta),
     1 - sin(theta) = cos^2 / (1 + sin) and (pi/2) w sqrt(1 + sin(theta)).
     Built on first use and shared read-only."""
-    x, w = leggauss(_GAUSS_NODES)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+    half = np.array(_GAUSS_HALF_NODES)
+    x = 0.5 * (np.concatenate((-half[::-1], half)) + 1.0)
+    w = 0.5 * np.array(_GAUSS_HALF_WEIGHTS[::-1] + _GAUSS_HALF_WEIGHTS)
     theta = 0.5 * math.pi * x
     sin, cos = np.sin(theta), np.cos(theta)
     rule = (x, w, sin, cos * cos / (1.0 + sin),
@@ -387,16 +414,25 @@ def orbit_period(n: int, u_max: float) -> float:
     return _period(n, 1.0 - u_max)
 
 
+# intervals of the period table; its nodes crowd towards the harmonic end
+# as the cube of their index, so that the periods up to 1.6 T_min, which
+# span a few units of log delta there, fill 11 to 14 of them for n = 3..12
+_TABLE_STEPS = 64
+
+
 @lru_cache(maxsize=None)
-def _period_window(n: int) -> tuple[float, float, float, float]:
-    """The window in x = log delta searched by orbit_for_period, (x_sep,
-    x_harm) from the separatrix end to the harmonic end, with the periods
-    at its ends."""
+def _period_table(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(xs, periods): _TABLE_STEPS + 1 nodes in x = log delta across the
+    window searched by orbit_for_period and the period at each, in
+    ascending order of period. xs[0] is the harmonic end x_harm, xs[-1]
+    the separatrix end x_sep = log _DELTA_FLOOR, and in between x_i =
+    x_harm - (x_harm - x_sep) (i / _TABLE_STEPS)^3."""
     x_sep = math.log(_DELTA_FLOOR)
     x_harm = math.log(1.0 - constant_solution(n)
                       * (1.0 + 2.0 * _UMAX_REL_FLOOR))
-    return (x_sep, x_harm, _period(n, math.exp(x_sep)),
-            _period(n, math.exp(x_harm)))
+    xs = [x_harm - (x_harm - x_sep) * (i / _TABLE_STEPS) ** 3
+          for i in range(_TABLE_STEPS)] + [x_sep]
+    return tuple(xs), tuple(_period(n, math.exp(x)) for x in xs)
 
 
 # orbit_for_period stops once the period misses its target by this much
@@ -411,10 +447,12 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
     """Invert the (strictly decreasing in delta) period map on the orbit
     window by the safeguarded secant iteration in x = log delta.
 
+    The search starts from the two neighbouring nodes of the cached
+    `_period_table` whose periods bracket the target, found by bisection.
     The bracket keeps the separatrix side (period too long) and the
     harmonic side (too short); each step evaluates the `shooting.Illinois`
     point of the misses, target minus period, at its ends. The orbit
-    returned is the evaluated one closest to the target.
+    returned is the evaluated one closest to the target, a node included.
 
     Raises ValueError when the requested period is at or below the
     harmonic minimum or beyond what the window resolves in doubles, or
@@ -427,15 +465,19 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
         raise ValueError(
             f"no closed orbit has period {period:.6g} <= minimal period "
             f"{minimal_period(n):.6g}")
-    a, b, t_a, t_b = _period_window(n)
-    if t_a < period:
+    xs, ts = _period_table(n)
+    if ts[-1] < period:
         raise ValueError(
             f"period {period:.6g} requires an orbit too close to the "
             "separatrix to resolve")
-    if t_b > period:
+    if ts[0] > period:
         raise ValueError(
             f"period {period:.6g} sits too close to the harmonic minimum "
             "to resolve the orbit amplitude")
+    # ts[i - 1] < period <= ts[i], or period == ts[0] at i = 1; the
+    # checks above keep i below len(ts)
+    i = max(bisect_left(ts, period), 1)
+    a, b, t_a, t_b = xs[i], xs[i - 1], ts[i], ts[i - 1]
     f_a, f_b = period - t_a, period - t_b
     search = Illinois(a, f_a, b, f_b)
     best = (abs(f_a), a, t_a) if abs(f_a) < abs(f_b) else (abs(f_b), b, t_b)

@@ -52,7 +52,8 @@ def test_inner_turning_point_matches_scipy(n, frac):
 @pytest.mark.parametrize("n", [3, 5, 8])
 @pytest.mark.parametrize("c", [1.0001, 1.3, 2.5])
 def test_period_inverse_matches_scipy(n, c):
-    x_sep, x_harm, _, _ = periodic._period_window(n)
+    xs, _ = periodic._period_table(n)
+    x_sep, x_harm = xs[-1], xs[0]
     period = c * minimal_period(n)
     ref = brentq(lambda x: periodic._period(n, math.exp(x)) - period,
                  x_sep, x_harm, xtol=1e-14, rtol=8.9e-16)

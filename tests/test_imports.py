@@ -12,7 +12,8 @@ no scipy module at all, and no OpenSSL through `_hashlib` either: only
 One fresh subprocess per case checks that the package and each
 subcommand load only the modules they run: `import gnyamabe` loads no
 submodule and no numpy, `constants` only `cli` and `geometry`, `bound`
-neither `products`, `shooting` nor `periodic`. The package's exports
+neither `products`, `shooting` nor `periodic`, and `periodic` neither
+`functional`, `products` nor `numpy.polynomial`. The package's exports
 resolve on first access to their submodules' objects.
 The last tests parse the package, the demos and the benchmark: every
 public function and method must be named outside its own definition,
@@ -121,7 +122,8 @@ def test_default_paths_load_no_scipy(tmp_path):
 
 
 # `python -m gnyamabe ARGV...` (a bare `import gnyamabe` when ARGV is
-# empty), then the package modules and numpy it has loaded
+# empty), then the package modules, numpy and numpy.polynomial it has
+# loaded
 _LOADS_CHILD = """
 import contextlib, io, json, runpy, sys
 argv = sys.argv[1:]
@@ -134,7 +136,8 @@ if argv:
         except SystemExit as exc:
             assert exc.code == 0, exc.code
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "numpy" or m.split(".")[0] == "gnyamabe")))
+                        if m in ("numpy", "numpy.polynomial")
+                        or m.split(".")[0] == "gnyamabe")))
 """
 
 
@@ -148,7 +151,8 @@ def test_loads_only_these(argv, loaded):
 
 @pytest.mark.parametrize("argv, skipped", [
     (["ground-state", "2", "2"], {"gnyamabe.periodic"}),
-    (["periodic", "4", "3"], {"gnyamabe.functional", "gnyamabe.products"}),
+    (["periodic", "4", "3"], {"gnyamabe.functional", "gnyamabe.products",
+                              "numpy.polynomial"}),
     (["bound", str(PACKAGE / "data" / "testfn_2_2.dat"), "2", "2"],
      {"gnyamabe.products", "gnyamabe.shooting", "gnyamabe.periodic"}),
 ], ids=["ground-state", "periodic", "bound"])

@@ -207,7 +207,7 @@ def test_orbit_for_period_rejects_period_next_to_harmonic_minimum(n):
     """Between the minimal period and the period at the harmonic end of
     the orbit window, 2 to 5 ulps above it for these n, no amplitude can
     be resolved in doubles."""
-    period = math.nextafter(periodic._period_window(n)[3], 0.0)
+    period = math.nextafter(periodic._period_table(n)[1][0], 0.0)
     assert period > minimal_period(n)
     with pytest.raises(ValueError, match="too close to the harmonic minimum"):
         orbit_for_period(n, period)
@@ -224,12 +224,13 @@ def test_orbit_for_period_fails_loudly_without_convergence(monkeypatch):
 def test_orbit_for_period_evaluation_count(monkeypatch):
     """Over 900 targets shaped like the periodic sweep (n = 3..8, 150 each
     from 1.0005 to 1.6 T_min) an inversion evaluates the period map at
-    most 7.5 times on average and misses by at most 2e-15 relative: 7.32
-    and 1.0e-15 with secant steps, 8.02 with regula falsi alone."""
+    most 5.0 times on average and misses by at most 2e-15 relative: 4.61
+    and 1.0e-15 from the period table's nodes, 7.32 from the window ends
+    and 8.02 from them with regula falsi alone."""
     targets = [(n, c * minimal_period(n)) for n in range(3, 9)
                for c in np.linspace(1.0005, 1.6, 150)]
     for n in range(3, 9):
-        periodic._period_window(n)  # cached: not part of an inversion
+        periodic._period_table(n)  # cached: not part of an inversion
     calls = []
     period = periodic._period
 
@@ -240,7 +241,7 @@ def test_orbit_for_period_evaluation_count(monkeypatch):
     monkeypatch.setattr(periodic, "_period", counted)
     worst = max(abs(orbit_for_period(n, t).period / t - 1.0)
                 for n, t in targets)
-    assert len(calls) <= 7.5 * len(targets)
+    assert len(calls) <= 5.0 * len(targets)
     assert worst <= 2e-15
 
 
@@ -388,11 +389,11 @@ _PERIOD_PINS = [
 ]
 # (n, c, orbit_for_period(n, c * T_min).delta), same provenance
 _INVERSE_PINS = [
-    (3, 1.3, '0x1.46cc310750f3bp-5'),
-    (4, 1.01, '0x1.bb792d10236d0p-3'),
-    (5, 1.6, '0x1.10824573bbfb3p-8'),
-    (6, 2.0, '0x1.d4ff162ee9e0ep-13'),
-    (8, 1.05, '0x1.1bb95d02d65e6p-3'),
+    (3, 1.3, '0x1.46cc310750f34p-5'),
+    (4, 1.01, '0x1.bb792d10236f8p-3'),
+    (5, 1.6, '0x1.10824573bbfaap-8'),
+    (6, 2.0, '0x1.d4ff162ee9e1dp-13'),
+    (8, 1.05, '0x1.1bb95d02d65efp-3'),
 ]
 
 
@@ -459,7 +460,7 @@ def test_period_finite_and_increasing_to_window_floor():
 
 def test_orbit_for_period_reaches_window_floor():
     for n in (3, 4, 8):
-        _, _, t_sep, _ = periodic._period_window(n)
+        t_sep = periodic._period_table(n)[1][-1]
         orbit = orbit_for_period(n, 0.999 * t_sep)
         assert orbit.period == pytest.approx(0.999 * t_sep, rel=1e-15)
         assert orbit.u_max == 1.0
@@ -486,3 +487,34 @@ def test_phase_nodes_built_once():
     for arr in periodic._gauss_rule():
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_stored_rule_is_leggauss_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    x, w, *_ = periodic._gauss_rule()
+    ref_x, ref_w = leggauss(64)
+    assert x.tobytes() == (0.5 * (ref_x + 1.0)).tobytes()
+    assert w.tobytes() == (0.5 * ref_w).tobytes()
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_period_table_ascends_between_window_ends(n):
+    xs, ts = periodic._period_table(n)
+    assert len(xs) == len(ts) == 65
+    assert all(b > a for a, b in zip(ts, ts[1:]))
+    assert xs[-1] == math.log(periodic._DELTA_FLOOR)
+    assert xs[0] == math.log(1.0 - constant_solution(n)
+                             * (1.0 + 2.0 * periodic._UMAX_REL_FLOOR))
+    assert ts == tuple(periodic._period(n, math.exp(x)) for x in xs)
+
+
+@pytest.mark.parametrize("node", [0, 20, 64])
+def test_orbit_for_period_on_a_table_node(node):
+    """A target equal to a node's period, the harmonic end's (node 0) and
+    the separatrix end's (64) included, returns that node's orbit."""
+    n = 5
+    xs, ts = periodic._period_table(n)
+    orbit = orbit_for_period(n, ts[node])
+    assert orbit.delta == math.exp(xs[node])
+    assert orbit.period == ts[node]
