@@ -9,7 +9,7 @@ from gnyamabe import (Dims, bound_from_profile, bundled_test_function,
 
 d = Dims(2, 2)
 profile = bundled_test_function()
-print(f"breakpoints: {profile.ts.size}, support [0, {profile.ts[-1]:g}]")
+print(f"breakpoints: {len(profile.ts)}, support [0, {profile.ts[-1]:g}]")
 
 res = gn_value(profile, d)
 print(f"L(f)      = {res.sigma_inv:.7f}")
@@ -23,10 +23,8 @@ print(f"sphere invariant Y_4       = {yamabe_sphere(4):.5f}")
 print(f"bound < Y_4: {bound < yamabe_sphere(4)}")
 
 # a crude test function still gives a bound, just a worse one
-import numpy as np
-
 from gnyamabe import PiecewiseLinearProfile
 
-triangle = PiecewiseLinearProfile(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+triangle = PiecewiseLinearProfile([0.0, 1.0], [1.0, 0.0])
 print(f"\ntriangle profile: bound = "
       f"{bound_from_profile(triangle, d, s_g):.5f} (not below Y_4)")

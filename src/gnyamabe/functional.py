@@ -8,8 +8,12 @@ functional is
 
 invariant under rescaling f -> c f and dilation f -> f(lambda x). Two
 profile carriers are supported, and integrated by one rule: solver output
-on a graded grid with derivative samples, and compactly supported
-piecewise-linear test functions.
+on a graded grid with derivative samples, as numpy arrays, and compactly
+supported piecewise-linear test functions, whose breakpoints are tuples
+of floats. The test functions are integrated on Python floats, so that
+the `bound` subcommand loads neither numpy nor `gnyamabe.ode`; the
+Gauss-Legendre and Gauss-Laguerre rules are stored as the doubles
+`numpy.polynomial` returns, so no path computes one.
 """
 
 from __future__ import annotations
@@ -17,15 +21,60 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
-
-import numpy as np
 
 from .geometry import Dims, surface_measure
-from .ode import RadialProfile
 
-_GAUSS_NODES = 16
-_SOLVER_NODES = 8
+# the positive halves of the 8- and 16-node Gauss-Legendre rules on
+# [-1, 1], nodes and weights, the exact doubles of
+# numpy.polynomial.legendre.leggauss(8) and leggauss(16): both rules are
+# exactly symmetric, so their other nodes are these negated, in reverse
+_LEGENDRE_8_HALF = (
+    (0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+     0.9602898564975362),
+    (0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+     0.10122853629037706))
+_LEGENDRE_16_HALF = (
+    (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+     0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+     0.9445750230732326, 0.9894009349916499),
+    (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+     0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+     0.062253523938647456, 0.027152459411754176))
+# the exact doubles of numpy.polynomial.laguerre.laggauss(16)
+_LAGUERRE_16 = (
+    (0.08764941047892776, 0.4626963289150804, 1.1410577748312265,
+     2.1292836450983805, 3.4370866338932067, 5.078018614549768,
+     7.070338535048234, 9.438314336391938, 12.21422336886616,
+     15.441527368781617, 19.180156856753136, 23.515905693991908,
+     28.57872974288214, 34.58339870228662, 41.94045264768833,
+     51.70116033954332),
+    (0.2061517149578049, 0.3310578549508783, 0.2657957776442144,
+     0.13629693429637874, 0.04732892869412563, 0.011299900080339598,
+     0.0018490709435263271, 0.0002042719153082809, 1.4844586873981502e-05,
+     6.828319330871331e-07, 1.8810248410797222e-08, 2.862350242973897e-10,
+     2.1270790332241214e-12, 6.29796700251788e-15, 5.050473700035608e-18,
+     4.161462370372851e-22))
+
+
+def _legendre(half):
+    """The nodes and weights, as lists, of the Gauss-Legendre rule on
+    [-1, 1] whose positive half is `half`."""
+    nodes, weights = half
+    return ([-x for x in reversed(nodes)] + list(nodes),
+            list(reversed(weights)) + list(weights))
+
+
+def _line_rule():
+    """The 16-node Gauss-Legendre rule on [0, 1] as (s, 1 - s, weight)
+    triples: s = (x + 1) / 2 and the weight w / 2 for the nodes x and
+    weights w on [-1, 1]. The rule is exactly symmetric, so 1 - s is the
+    mirrored node, without a rounding of its own."""
+    x, w = _legendre(_LEGENDRE_16_HALF)
+    s = [0.5 * (xi + 1.0) for xi in x]
+    return tuple(zip(s, reversed(s), [0.5 * wi for wi in w]))
+
+
+_LINE_RULE = _line_rule()
 
 _TESTFN_RESOURCE = "testfn_2_2.dat"
 
@@ -36,27 +85,30 @@ class ProfileFormatError(ValueError):
 
 @dataclass
 class PiecewiseLinearProfile:
-    """Compactly supported piecewise-linear radial test function."""
+    """Compactly supported piecewise-linear radial test function: the
+    breakpoints ts, from t = 0 and strictly increasing, and the values hs
+    there, non-negative, not all 0 and ending at 0. Takes any sequences
+    of numbers, and stores both as tuples of floats."""
 
-    ts: np.ndarray
-    hs: np.ndarray
+    ts: tuple[float, ...]
+    hs: tuple[float, ...]
 
     def __post_init__(self):
-        self.ts = np.asarray(self.ts, dtype=float)
-        self.hs = np.asarray(self.hs, dtype=float)
-        if self.ts.shape != self.hs.shape or self.ts.size < 2:
+        self.ts = ts = tuple(map(float, self.ts))
+        self.hs = hs = tuple(map(float, self.hs))
+        if len(ts) != len(hs) or len(ts) < 2:
             raise ValueError("need matching t, h arrays with >= 2 breakpoints")
-        if not (np.isfinite(self.ts).all() and np.isfinite(self.hs).all()):
+        if not all(map(math.isfinite, ts + hs)):
             raise ValueError("breakpoints must be finite")
-        if self.ts[0] != 0.0:
+        if ts[0] != 0.0:
             raise ValueError("breakpoints must start at t = 0")
-        if np.any(np.diff(self.ts) <= 0):
+        if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if np.any(self.hs < 0.0):
+        if any(h < 0.0 for h in hs):
             raise ValueError("values must be non-negative")
-        if not np.any(self.hs > 0.0):
+        if not any(h > 0.0 for h in hs):
             raise ValueError("the values must not all be 0")
-        if self.hs[-1] != 0.0:
+        if hs[-1] != 0.0:
             raise ValueError("the final value must be 0 (compact support)")
 
 
@@ -71,31 +123,32 @@ class GNResult:
 
 
 @lru_cache(maxsize=None)
-def _quadrature_nodes(count: int):
-    """`count` Gauss-Legendre nodes s and weights on [0, 1], the cubic
-    Hermite basis for (h_0, dt h'_0, h_1, dt h'_1) at s and its
-    s-derivative for (h_1 - h_0, dt h'_0, dt h'_1), and _GAUSS_NODES
-    Gauss-Laguerre nodes and weights; built on first use, read-only.
+def _solver_rule():
+    """numpy, `ode.RadialProfile` and the solver profiles' rule: the 8
+    Gauss-Legendre nodes s and weights on [0, 1], the cubic Hermite basis
+    for (h_0, dt h'_0, h_1, dt h'_1) at s and its s-derivative for
+    (h_1 - h_0, dt h'_0, dt h'_1), and the 16 Gauss-Laguerre nodes and
+    weights; built on first use, read-only.
 
     The derivative takes the rise h_1 - h_0 as one number: summed from h_0
     and h_1 apart, the two nearly cancel, and the solver profiles' I_grad
     erred by up to 1.9e-15 against `tests/oracles.hermite_integrals`.
-    numpy.polynomial is imported here, so that the periodic path, which
-    stores its own rule, never loads it."""
-    from numpy.polynomial.laguerre import laggauss
-    from numpy.polynomial.legendre import leggauss
+    numpy and gnyamabe.ode are imported here, once, so that a
+    piecewise-linear profile loads neither."""
+    import numpy as np
 
-    x, gw = leggauss(count)
+    from .ode import RadialProfile
+
+    x, gw = map(np.array, _legendre(_LEGENDRE_8_HALF))
     s = 0.5 * (x + 1.0)
     basis = np.array([(1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2,
                       s * s * (3.0 - 2.0 * s), s * s * (s - 1.0)])
     dbasis = np.array([6.0 * s * (1.0 - s), (1.0 - s) * (1.0 - 3.0 * s),
                        s * (3.0 * s - 2.0)])
-    xl, wl = laggauss(_GAUSS_NODES)
-    nodes = (s, 0.5 * gw, basis, dbasis, xl, wl)
+    nodes = (s, 0.5 * gw, basis, dbasis, *map(np.array, _LAGUERRE_16))
     for a in nodes:
         a.flags.writeable = False
-    return nodes
+    return np, RadialProfile, nodes
 
 
 def _zero_end_p(t0: float, span: float, h0: float, h1: float, n: int,
@@ -126,7 +179,44 @@ def _zero_end_p(t0: float, span: float, h0: float, h1: float, n: int,
             f"to {h1:g}, leaves the double range") from None
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _fsum(terms) -> float:
+    """math.fsum of non-negative terms, inf where their sum overflows."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def _line_integrals(ts, hs, n: int, p: float):
+    """(I_grad, I_sq, I_p) / omega of the piecewise-linear function through
+    (ts, hs), on floats: on each segment, the line h = h0 (1 - s) + h1 s
+    and its chord slope at the _LINE_RULE nodes, whose weight
+    t^(n-1) dt w sits between the two slopes, so that a long shallow
+    segment keeps an I_grad term that is a double. The I_p part of a
+    segment that ends at h = 0, its final one always, is `_zero_end_p`
+    in closed form, and its errors come first. A power that leaves the
+    double range makes all three inf; 0 * inf makes a term nan."""
+    segments = list(zip(ts, ts[1:], hs, hs[1:]))
+    lp = [_zero_end_p(t0, t1 - t0, h0, h1, n, p)
+          for t0, t1, h0, h1 in segments if h0 == 0.0 or h1 == 0.0]
+    grad, sq = [], []
+    try:
+        for t0, t1, h0, h1 in segments:
+            dt = t1 - t0
+            slope = (h1 - h0) / dt
+            smooth = h0 != 0.0 and h1 != 0.0
+            for s, r, w in _LINE_RULE:
+                base = (t0 + dt * s) ** (n - 1) * dt * w
+                h = h0 * r + h1 * s
+                grad.append(slope * base * slope)
+                sq.append(h * base * h)
+                if smooth:
+                    lp.append(h ** p * base)
+    except OverflowError:
+        return math.inf, math.inf, math.inf
+    return _fsum(grad), _fsum(sq), _fsum(lp)
+
+
 def radial_integrals(profile, d: Dims):
     """The three weighted integrals (I_grad, I_sq, I_p) over R^n:
 
@@ -135,64 +225,55 @@ def radial_integrals(profile, d: Dims):
     measure of R^n. Both carriers share one rule: Gauss-Legendre on each
     stored interval of the cubic Hermite interpolant of (t, h, h').
 
-    - A solver profile's end slopes are its derivative samples, and it
-      takes _SOLVER_NODES nodes: they integrate h'^2 t^(n-1) and
-      h^2 t^(n-1) of a cubic exactly up to n = 10. Its exponential tail
-      adds I_sq in closed form and I_grad, I_p by _GAUSS_NODES-node
-      Gauss-Laguerre.
     - A piecewise-linear function takes the chord slope at both ends of
-      a segment (the interpolant is then the line) and _GAUSS_NODES
-      nodes. The I_p part of a segment that ends at h = 0, its final one
-      always, is `_zero_end_p` in closed form.
+      a segment, so the interpolant is the line, and 16 nodes, summed
+      with math.fsum on floats (`_line_integrals`).
+    - A solver profile's end slopes are its derivative samples, and it
+      takes 8 nodes: they integrate h'^2 t^(n-1) and h^2 t^(n-1) of a
+      cubic exactly up to n = 10. Its exponential tail adds I_sq in
+      closed form and I_grad, I_p by 16-node Gauss-Laguerre.
 
     An integral that leaves the double range comes out inf or nan, without
     a numpy warning; `gn_value` refuses it.
     """
-    if isinstance(profile, RadialProfile):
-        if profile.n != d.n:
-            raise ValueError(
-                f"profile has radial dimension {profile.n}, expected {d.n}")
-        slope0, slope1 = profile.dhs[:-1], profile.dhs[1:]
-        count = _SOLVER_NODES
-    elif isinstance(profile, PiecewiseLinearProfile):
-        slope0 = slope1 = np.diff(profile.hs) / np.diff(profile.ts)
-        count = _GAUSS_NODES
-    else:
-        raise TypeError(f"unsupported profile type {type(profile)!r}")
     n, p = d.n, d.p
     w = surface_measure(n)
-    s, gw, basis, dbasis, xl, wl = _quadrature_nodes(count)
-    ts, hs = profile.ts, profile.hs
-    t0, dt = ts[:-1], np.diff(ts)
-    coef = np.stack([hs[:-1], dt * slope0, hs[1:], dt * slope1], axis=1)
-    tq = t0[:, None] + dt[:, None] * s
-    hq = coef @ basis
-    dq = (np.stack([np.diff(hs), coef[:, 1], coef[:, 3]], axis=1) @ dbasis
-          / dt[:, None])
-    base = tq ** (n - 1) * dt[:, None] * gw
-    i_grad = w * float(np.sum(dq * dq * base))
-    i_sq = w * float(np.sum(hq * hq * base))
     if isinstance(profile, PiecewiseLinearProfile):
-        zero_end = (hs[:-1] == 0.0) | (hs[1:] == 0.0)
-        smooth = ~zero_end
-        segments = np.stack([t0, dt, hs[:-1], hs[1:]], axis=1)[zero_end]
-        i_p = w * (float(np.sum(np.abs(hq[smooth]) ** p * base[smooth]))
-                   + math.fsum(_zero_end_p(*segment, n, p)
-                               for segment in segments.tolist()))
-        return i_grad, i_sq, i_p
-    i_p = w * float(np.sum(np.abs(hq) ** p * base))
+        i_grad, i_sq, i_p = _line_integrals(profile.ts, profile.hs, n, p)
+        return w * i_grad, w * i_sq, w * i_p
+    np, radial_profile, (s, gw, basis, dbasis, xl, wl) = _solver_rule()
+    if not isinstance(profile, radial_profile):
+        raise TypeError(f"unsupported profile type {type(profile)!r}")
+    if profile.n != n:
+        raise ValueError(
+            f"profile has radial dimension {profile.n}, expected {n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts, hs = profile.ts, profile.hs
+        t0, dt = ts[:-1], np.diff(ts)
+        coef = np.stack([hs[:-1], dt * profile.dhs[:-1], hs[1:],
+                         dt * profile.dhs[1:]], axis=1)
+        tq = t0[:, None] + dt[:, None] * s
+        hq = coef @ basis
+        dq = (np.stack([np.diff(hs), coef[:, 1], coef[:, 3]], axis=1)
+              @ dbasis / dt[:, None])
+        base = tq ** (n - 1) * dt[:, None] * gw
+        i_grad = w * float(np.sum(dq * dq * base))
+        i_sq = w * float(np.sum(hq * hq * base))
+        i_p = w * float(np.sum(np.abs(hq) ** p * base))
 
-    if profile.tail:
-        # beyond t_c, h = h_c e^(-(t - t_c)) (t_c / t)^((n-1)/2): then
-        # h^2 t^(n-1) = h_c^2 t_c^(n-1) e^(-2 (t - t_c)), h' = -h (1 + half/t)
-        tc, hc = float(ts[-1]), float(hs[-1])
-        half = 0.5 * (n - 1)
-        sq_tail = w * hc * hc * tc ** (n - 1) / 2.0
-        i_sq += sq_tail
-        i_grad += sq_tail * float(wl @ (1.0 + half / (tc + xl / 2.0)) ** 2)
-        t = tc + xl / p
-        i_p += w * hc ** p / p * float(
-            wl @ ((tc / t) ** (p * half) * t ** (n - 1)))
+        if profile.tail:
+            # beyond t_c, h = h_c e^(-(t - t_c)) (t_c / t)^((n-1)/2): then
+            # h^2 t^(n-1) = h_c^2 t_c^(n-1) e^(-2 (t - t_c)),
+            # h' = -h (1 + half/t)
+            tc, hc = float(ts[-1]), float(hs[-1])
+            half = 0.5 * (n - 1)
+            sq_tail = w * hc * hc * tc ** (n - 1) / 2.0
+            i_sq += sq_tail
+            i_grad += sq_tail * float(
+                wl @ (1.0 + half / (tc + xl / 2.0)) ** 2)
+            t = tc + xl / p
+            i_p += w * hc ** p / p * float(
+                wl @ ((tc / t) ** (p * half) * t ** (n - 1)))
     return i_grad, i_sq, i_p
 
 
@@ -251,7 +332,7 @@ def _parse_breakpoints(lines, source) -> PiecewiseLinearProfile:
         ts.append(t)
         hs.append(h)
     try:
-        return PiecewiseLinearProfile(np.array(ts), np.array(hs))
+        return PiecewiseLinearProfile(ts, hs)
     except ValueError as exc:
         raise ProfileFormatError(f"{source}: {exc}") from None
 
@@ -270,10 +351,12 @@ def bundled_test_function() -> PiecewiseLinearProfile:
     """The bundled 22-breakpoint test function for (m, n) = (2, 2).
 
     Verifies the data file checksum before parsing, so the regression
-    bound it certifies cannot silently drift with the asset. hashlib is
-    imported here, its only use, so that no subcommand loads OpenSSL.
+    bound it certifies cannot silently drift with the asset. hashlib and
+    importlib.resources are imported here, their only use, so that no
+    subcommand loads OpenSSL or the resource machinery.
     """
     import hashlib
+    from importlib import resources
 
     ref = resources.files("gnyamabe.data").joinpath(_TESTFN_RESOURCE)
     payload = ref.read_bytes()

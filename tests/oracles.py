@@ -461,7 +461,7 @@ def dilate(profile, lam: float):
     node, where h^2 has fallen by a further e^-80, and the dilation has
     no tail."""
     if isinstance(profile, functional.PiecewiseLinearProfile):
-        return replace(profile, ts=profile.ts / lam)
+        return replace(profile, ts=[t / lam for t in profile.ts])
     if profile.tail and lam != 1.0:
         tc, hc, half = profile.ts[-1], profile.hs[-1], 0.5 * (profile.n - 1)
         spacing = tc - profile.ts[-2]
@@ -477,7 +477,7 @@ def dilate(profile, lam: float):
 def scale(profile, c: float):
     """The rescaled profile c h(t)."""
     if isinstance(profile, functional.PiecewiseLinearProfile):
-        return replace(profile, hs=c * profile.hs)
+        return replace(profile, hs=[c * h for h in profile.hs])
     return replace(profile, hs=c * profile.hs, dhs=c * profile.dhs)
 
 

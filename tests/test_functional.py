@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnyamabe import functional
 from gnyamabe.functional import (GNResult, PiecewiseLinearProfile,
                                  ProfileFormatError, bundled_test_function,
                                  gn_value, radial_integrals,
@@ -193,11 +194,51 @@ def test_solver_profile_matches_sech_quadrature(gs31):
 
 
 def test_bundled_test_function_loads(testfn22):
-    assert testfn22.ts.size == 22
+    assert len(testfn22.ts) == 22
     assert testfn22.ts[0] == 0.0
     assert testfn22.hs[0] == 1.0
     assert testfn22.ts[-1] == 10.0
     assert testfn22.hs[-1] == 0.0
+
+
+# float.hex of the bundled test function's (I_grad, I_sq, I_p) and its L at
+# (2, 2). The piecewise-linear path runs on Python floats, with no numpy
+# kernel, so these are not among the CPU-dependent pins of ROADMAP item 9
+_TESTFN_PINS = ('0x1.312f63cc3125dp+1', '0x1.353f707999613p+1',
+                '0x1.f483f76b4ab93p-1', '0x1.36b6dad6f9a83p+1')
+
+
+def test_bundled_test_function_pinned_bit_for_bit(testfn22):
+    got = (*radial_integrals(testfn22, D22), gn_value(testfn22, D22).sigma_inv)
+    assert tuple(x.hex() for x in got) == _TESTFN_PINS
+
+
+def test_profile_stores_tuples_of_floats(testfn22):
+    profile = PiecewiseLinearProfile(np.array([0.0, 1.0]), [1, 0])
+    for fields in ((profile.ts, profile.hs), (testfn22.ts, testfn22.hs)):
+        for field in fields:
+            assert type(field) is tuple
+            assert all(type(x) is float for x in field)
+
+
+def test_stored_rules_are_numpys_bit_for_bit():
+    """The stored Gauss-Legendre and Gauss-Laguerre doubles are those
+    numpy.polynomial computes, in both the solver profiles' arrays and
+    the piecewise-linear rule."""
+    from numpy.polynomial.laguerre import laggauss
+    from numpy.polynomial.legendre import leggauss
+
+    s, gw, _, _, xl, wl = functional._solver_rule()[2]
+    x8, w8 = leggauss(8)
+    assert s.tobytes() == (0.5 * (x8 + 1.0)).tobytes()
+    assert gw.tobytes() == (0.5 * w8).tobytes()
+    ref_xl, ref_wl = laggauss(16)
+    assert xl.tobytes() == ref_xl.tobytes()
+    assert wl.tobytes() == ref_wl.tobytes()
+    x16, w16 = leggauss(16)
+    s16 = 0.5 * (x16 + 1.0)
+    assert functional._LINE_RULE == tuple(
+        zip(s16.tolist(), s16[::-1].tolist(), (0.5 * w16).tolist()))
 
 
 def test_bundled_checksum_guard(monkeypatch):
@@ -245,7 +286,7 @@ def test_read_profile_file(tmp_path):
     good = tmp_path / "good.dat"
     good.write_text("# comment\n0 1\n1 0.5\n2 0\n")
     profile = read_profile_file(good)
-    assert profile.ts.size == 3
+    assert len(profile.ts) == 3
 
     bad_order = tmp_path / "bad_order.dat"
     bad_order.write_text("0 1\n2 0.5\n1 0\n")

@@ -12,7 +12,8 @@ no scipy module at all, and no OpenSSL through `_hashlib` either: only
 One fresh subprocess per case checks that the package and each
 subcommand load only the modules they run: `import gnyamabe` loads no
 submodule and no numpy, `constants` only `cli` and `geometry`, `bound`
-neither `products`, `shooting` nor `periodic`, and `periodic` neither
+only `cli`, `functional` and `geometry`, no numpy either, `ground-state`
+neither `periodic` nor `numpy.polynomial`, and `periodic` neither
 `functional`, `products` nor `numpy.polynomial`. The package's exports
 resolve on first access to their submodules' objects.
 The last tests parse the package, the demos and the benchmark: every
@@ -144,18 +145,19 @@ print(json.dumps(sorted(m for m in sys.modules
 @pytest.mark.parametrize("argv, loaded", [
     ([], ["gnyamabe"]),
     (["constants"], ["gnyamabe", "gnyamabe.cli", "gnyamabe.geometry"]),
-], ids=["import", "constants"])
+    (["bound", str(PACKAGE / "data" / "testfn_2_2.dat"), "2", "2"],
+     ["gnyamabe", "gnyamabe.cli", "gnyamabe.functional",
+      "gnyamabe.geometry"]),
+], ids=["import", "constants", "bound"])
 def test_loads_only_these(argv, loaded):
     assert _run_child(_LOADS_CHILD, *argv) == loaded
 
 
 @pytest.mark.parametrize("argv, skipped", [
-    (["ground-state", "2", "2"], {"gnyamabe.periodic"}),
+    (["ground-state", "2", "2"], {"gnyamabe.periodic", "numpy.polynomial"}),
     (["periodic", "4", "3"], {"gnyamabe.functional", "gnyamabe.products",
                               "numpy.polynomial"}),
-    (["bound", str(PACKAGE / "data" / "testfn_2_2.dat"), "2", "2"],
-     {"gnyamabe.products", "gnyamabe.shooting", "gnyamabe.periodic"}),
-], ids=["ground-state", "periodic", "bound"])
+], ids=["ground-state", "periodic"])
 def test_subcommand_skips_what_it_does_not_run(argv, skipped):
     loaded = _run_child(_LOADS_CHILD, *argv)
     assert "numpy" in loaded
