@@ -28,11 +28,12 @@ The period integral is split at the equilibrium u_c:
 Each panel uses one 64-node Gauss-Legendre rule, stored as the doubles
 numpy's `leggauss(64)` returns and built into arrays once per process,
 and each gap E - V is an array of differences of like powers with exact
-increments. Orbits within 2% of u_c use an exactly factored series of
-the well instead. `orbit_for_period` inverts the map in log delta by
-the ground-state search's safeguarded secant iteration,
-`shooting.Illinois`, started from the two neighbouring nodes of a table
-of 65 window points whose periods are cached per dimension.
+increments. Orbits within 2% of u_c, down to one ulp above it, use an
+exactly factored series of the well instead. `orbit_for_period` inverts
+the map in log delta by the ground-state search's safeguarded secant
+iteration, `shooting.Illinois`, started from the two neighbouring nodes
+of a table of 65 points from amplitude _HARMONIC_END u_c to delta =
+_DELTA_FLOOR, whose periods are cached per dimension.
 
 `circle_quotient` takes the integrals of u'^2, u^2 and u^P over one
 period from the same nodes: each node's weight in the period sum is its
@@ -98,13 +99,13 @@ def minimal_period(n: int) -> float:
 
 
 # orbits with amplitude below this fraction of u_c use the series form of
-# the well, which stays conditioned down to the resolvable floor
+# the well, which stays conditioned down to one ulp above u_c
 _SERIES_AMPLITUDE = 0.02
 _SERIES_TERMS = 16
 
-# resolvable window: amplitudes u_max - u_c above _UMAX_REL_FLOOR u_c,
-# separatrix distances delta above _DELTA_FLOOR
-_UMAX_REL_FLOOR = 1e-9
+# the period table's ends: the orbit of amplitude _HARMONIC_END u_c and
+# the separatrix distance _DELTA_FLOOR, below which orbits are not searched
+_HARMONIC_END = 2e-9
 _DELTA_FLOOR = 1e-300
 
 _NEWTON_STEPS = 60
@@ -221,16 +222,11 @@ def _log_u_min(n: int, e: float) -> float:
 
 
 def _check_window(uc: float, u_max: float) -> None:
-    """Reject amplitudes outside the closed-orbit window or below the
-    part of it that is resolvable in doubles."""
+    """Reject amplitudes outside the closed-orbit window u_c < u_max < 1."""
     if not (uc < u_max < 1.0):
         raise ValueError(
             f"u_max must lie in the closed-orbit window ({uc:.6g}, 1), "
             f"got {u_max}")
-    if u_max < uc * (1.0 + _UMAX_REL_FLOOR):
-        raise ValueError(
-            f"u_max={u_max!r} is below the window resolvable in doubles, "
-            f"which starts at {uc * (1.0 + _UMAX_REL_FLOOR):.9g}")
 
 
 # the positive half of the 64-node Gauss-Legendre rule on [-1, 1], the
@@ -409,7 +405,8 @@ class CircleOrbit:
 def orbit_period(n: int, u_max: float) -> float:
     """Period of the closed orbit through (u_max, 0) by turning-point
     quadrature on the separatrix distance 1 - u_max, which is exact for
-    every u_max in the window (Sterbenz)."""
+    every u_max in the window u_c < u_max < 1 (Sterbenz). One ulp above
+    u_c it meets the mpmath referee to 2 ulps (n = 3..12)."""
     _check_window(constant_solution(n), u_max)
     return _period(n, 1.0 - u_max)
 
@@ -428,8 +425,7 @@ def _period_table(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     the separatrix end x_sep = log _DELTA_FLOOR, and in between x_i =
     x_harm - (x_harm - x_sep) (i / _TABLE_STEPS)^3."""
     x_sep = math.log(_DELTA_FLOOR)
-    x_harm = math.log(1.0 - constant_solution(n)
-                      * (1.0 + 2.0 * _UMAX_REL_FLOOR))
+    x_harm = math.log(1.0 - constant_solution(n) * (1.0 + _HARMONIC_END))
     xs = [x_harm - (x_harm - x_sep) * (i / _TABLE_STEPS) ** 3
           for i in range(_TABLE_STEPS)] + [x_sep]
     return tuple(xs), tuple(_period(n, math.exp(x)) for x in xs)
@@ -453,11 +449,13 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
     harmonic side (too short); each step evaluates the `shooting.Illinois`
     point of the misses, target minus period, at its ends. The orbit
     returned is the evaluated one closest to the target, a node included.
+    A target at or below the harmonic end's period, a few ulps from the
+    minimal period, gets the harmonic end's orbit.
 
     Raises ValueError when the requested period is at or below the
-    harmonic minimum or beyond what the window resolves in doubles, or
-    is NaN, and RuntimeError when the closest orbit found misses the
-    period by more than _INVERSE_FAIL relative."""
+    minimal period, beyond the separatrix end of the table (delta =
+    _DELTA_FLOOR) or NaN, and RuntimeError when the closest orbit found
+    misses the period by more than _INVERSE_FAIL relative."""
     _check_dim(n)
     if math.isnan(period):
         raise ValueError(f"period must be a number, got {period}")
@@ -470,13 +468,11 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
         raise ValueError(
             f"period {period:.6g} requires an orbit too close to the "
             "separatrix to resolve")
-    if ts[0] > period:
-        raise ValueError(
-            f"period {period:.6g} sits too close to the harmonic minimum "
-            "to resolve the orbit amplitude")
-    # ts[i - 1] < period <= ts[i], or period == ts[0] at i = 1; the
-    # checks above keep i below len(ts)
-    i = max(bisect_left(ts, period), 1)
+    # ts[i - 1] < period <= ts[i]; the check above keeps i below len(ts)
+    i = bisect_left(ts, period)
+    if i == 0:
+        delta = math.exp(xs[0])
+        return CircleOrbit(n=n, u_max=1.0 - delta, period=ts[0], delta=delta)
     a, b, t_a, t_b = xs[i], xs[i - 1], ts[i], ts[i - 1]
     f_a, f_b = period - t_a, period - t_b
     search = Illinois(a, f_a, b, f_b)
@@ -581,10 +577,11 @@ def circle_quotient(n: int, u_max: float) -> float:
     The first factor has volume Vol(S^{n-1}) and scalar curvature
     (n-1)(n-2). The integrals of u'^2, u^2 and u^P over one period are
     summed on the nodes of the period quadrature, so every u_max that
-    `orbit_period` accepts is accepted here. As the orbit approaches the
-    separatrix (u_max -> 1) the quotient climbs to the sphere invariant
-    Y_n from below, with a relative gap of about 1 - u_max (1.2 times it
-    for n = 3, 0.18 times for n = 8); once that is near 1e-16 the gap is
+    `orbit_period` accepts is accepted here; one ulp above u_c it is its
+    value at 1e-9 u_c to an ulp. As the orbit approaches the separatrix
+    (u_max -> 1) the quotient climbs to the sphere invariant Y_n from
+    below, with a relative gap of about 1 - u_max (1.2 times it for
+    n = 3, 0.18 times for n = 8); once that is near 1e-16 the gap is
     rounding-sized, at most about 1e-15 relative."""
     _check_window(constant_solution(n), u_max)
     vol_m = surface_measure(n)

@@ -110,8 +110,10 @@ class GroundState:
     side, and is at most tol_alpha * alpha0 wide (at most 8.2e-13 alpha0
     over build_table(9) at the defaults, at (6, 2)). It bounds the search,
     not the error of alpha0, which the shots' own integration error
-    dominates: against a tight-control reference alpha0 errs by up to
-    4.4e-12 relative, at (2, 7). alpha0 is the end whose shot followed the
+    dominates and which grows with alpha0: shots 100 times tighter move
+    alpha0 by 3.9e-12 relative at (2, 7), the largest error a tight-control
+    reference finds over build_table(9) (4.4e-12), by 2.1e-11 at (2, 40)
+    and by 1.3e-10 at (2, 58). alpha0 is the end whose shot followed the
     ground state furthest, and the profile is that shot's, truncated where
     it stops being trustworthy (h below the decay threshold or h' >= 0).
     """

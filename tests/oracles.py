@@ -35,6 +35,8 @@ limiting constant that `geometry.y_infinity` does not take.
 max and min, kept to referee `ode._step_control`.
 `pohozaev_residuals` measures how far a profile's integrals miss the two
 ratios every ground state satisfies, which the shooting never uses.
+`gaussian_value` is the functional L at the Gaussian, in closed form: an
+upper bound on every sigma_inv, with no shooting.
 """
 
 import math
@@ -428,6 +430,17 @@ def pohozaev_residuals(profile, d) -> tuple[float, float]:
     Lions 1983); with p = 2k/(k-2) both residuals vanish."""
     i_grad, i_sq, i_p = functional.radial_integrals(profile, d)
     return i_grad / i_p - d.n / d.k, i_sq / i_p - d.m / d.k
+
+
+def gaussian_value(d) -> float:
+    """L = I_grad^(n/k) I_sq^(m/k) / I_p^(2/p) at f = exp(-|x|^2 / 2) on
+    R^n, where I_grad = (n/2) pi^(n/2), I_sq = pi^(n/2) and I_p =
+    (2 pi / p)^(n/2). sigma_inv is the infimum of L, so it lies below."""
+    m, n, k, p = d.m, d.n, d.k, d.p
+    i_grad = 0.5 * n * math.pi ** (n / 2)
+    i_sq = math.pi ** (n / 2)
+    i_p = (2.0 * math.pi / p) ** (n / 2)
+    return i_grad ** (n / k) * i_sq ** (m / k) / i_p ** (2.0 / p)
 
 
 def profile_quotient(profile, d, s_g: float) -> float:

@@ -82,6 +82,20 @@ def test_coupling_constant_32():
     assert coupling_constant(Dims(3, 2)) == pytest.approx(expected, rel=1e-13)
 
 
+def test_gaussian_reaches_y4_at_22():
+    """At (2, 2) the Gaussian exp(-|x|^2/2) on R^2 has I_grad = pi,
+    I_sq = pi and I_p = pi/2 (p = 4), so L(Gauss) = sqrt(2 pi), and
+    C(2, 2) s(S^2)^(1/2) L(Gauss) = 2 sqrt(6) 2 sqrt(2 pi) sqrt(2 pi) =
+    8 sqrt(6) pi = Y_4 exactly (1.1e-16 measured)."""
+    d = Dims(2, 2)
+    i_grad, i_sq, i_p = math.pi, math.pi, math.pi / 2.0
+    gauss = i_grad ** 0.5 * i_sq ** 0.5 / i_p ** (2.0 / d.p)
+    y_inf = y_infinity(d, unit_volume_sphere_scalar(2), gauss)
+    assert y_inf == pytest.approx(8.0 * math.sqrt(6.0) * math.pi,
+                                  rel=4 * 2.0 ** -52)
+    assert y_inf == pytest.approx(yamabe_sphere(4), rel=4 * 2.0 ** -52)
+
+
 def test_coupling_constant_log_space_agrees_with_naive():
     for m in range(1, 8):
         for n in range(1, 8):

@@ -86,10 +86,29 @@ def test_orbit_window_validation():
         orbit_period(4, 1.0)
     with pytest.raises(ValueError):
         orbit_period(4, 1.5)
-    with pytest.raises(ValueError, match="below the window"):
-        orbit_period(4, uc * (1.0 + 1e-10))
-    # the largest double below 1 is a resolvable orbit
+    # every amplitude inside the window is an orbit: at 1e-10 u_c the
+    # period is the harmonic one, and the largest double below 1 is next
+    # to the separatrix
+    assert orbit_period(4, uc * (1.0 + 1e-10)) == pytest.approx(
+        minimal_period(4), rel=1e-15)
     assert math.isfinite(orbit_period(4, 1.0 - 2.0 ** -53))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_smallest_amplitude_meets_referee(n):
+    """One ulp above u_c, the smallest amplitude in the window, the
+    period meets the mpmath referee within 4 ulps (2 measured), and the
+    quotient equals its value at 1e-9 u_c within 4 ulps (1 measured)
+    and lies below Y_n. The referee runs with 25 digits, which give the
+    same floats as 40 here in about half the time."""
+    uc = constant_solution(n)
+    u_max = math.nextafter(uc, 2.0)
+    ref = period_reference(n, 1.0 - u_max, 25)
+    assert abs(orbit_period(n, u_max) - ref) <= 4 * math.ulp(ref)
+    quotient = circle_quotient(n, u_max)
+    wider = circle_quotient(n, uc * (1.0 + 1e-9))
+    assert abs(quotient - wider) <= 4 * math.ulp(wider)
+    assert quotient < yamabe_sphere(n)
 
 
 def test_orbit_closure_and_return_time():
@@ -202,15 +221,24 @@ def test_orbit_for_period_rejects_non_finite():
         orbit_for_period(4, math.inf)
 
 
-@pytest.mark.parametrize("n", [5, 12, 24])
-def test_orbit_for_period_rejects_period_next_to_harmonic_minimum(n):
-    """Between the minimal period and the period at the harmonic end of
-    the orbit window, 2 to 5 ulps above it for these n, no amplitude can
-    be resolved in doubles."""
-    period = math.nextafter(periodic._period_table(n)[1][0], 0.0)
-    assert period > minimal_period(n)
-    with pytest.raises(ValueError, match="too close to the harmonic minimum"):
-        orbit_for_period(n, period)
+@pytest.mark.parametrize("n", range(3, 41))
+def test_orbit_for_period_returns_harmonic_end_orbit(n):
+    """Rounding puts the table's harmonic-end period ts[0] a few ulps
+    above T_min, on it or below it, depending on n and on the CPU's
+    kernels. Every target in (T_min, ts[0]] gets the harmonic end's
+    orbit; where that interval is empty, the first double above T_min is
+    searched as any other. Each orbit meets its target within 8 ulps (5
+    measured for n = 3..40), far inside _INVERSE_FAIL."""
+    xs, ts = periodic._period_table(n)
+    targets = [math.nextafter(minimal_period(n), math.inf)]
+    while targets[-1] < ts[0]:
+        targets.append(math.nextafter(targets[-1], math.inf))
+    for target in targets:
+        orbit = orbit_for_period(n, target)
+        assert abs(orbit.period - target) <= 8 * math.ulp(target)
+        if target <= ts[0]:
+            assert orbit.delta == math.exp(xs[0])
+            assert orbit.period == ts[0]
 
 
 def test_orbit_for_period_fails_loudly_without_convergence(monkeypatch):
@@ -505,7 +533,7 @@ def test_period_table_ascends_between_window_ends(n):
     assert all(b > a for a, b in zip(ts, ts[1:]))
     assert xs[-1] == math.log(periodic._DELTA_FLOOR)
     assert xs[0] == math.log(1.0 - constant_solution(n)
-                             * (1.0 + 2.0 * periodic._UMAX_REL_FLOOR))
+                             * (1.0 + periodic._HARMONIC_END))
     assert ts == tuple(periodic._period(n, math.exp(x)) for x in xs)
 
 

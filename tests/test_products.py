@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gnyamabe.products as products
+from gnyamabe import find_ground_state
 from gnyamabe.functional import PiecewiseLinearProfile, gn_value
 from gnyamabe.geometry import (Dims, unit_volume_sphere_scalar, y_infinity,
                                yamabe_sphere)
@@ -27,6 +28,19 @@ def test_y_infinity_anchor_52():
     d = Dims(5, 2)
     val = y_infinity(d, unit_volume_sphere_scalar(5), 1.75469)
     assert abs(val - 113.2670) < 5e-3
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_equality_case_reaches_sphere_constant(m):
+    """At n = 1 the limit is Y_{m+1} exactly: S^m x R is conformal to
+    S^{m+1} minus two points, by a factor of the R coordinate alone. So
+    the solver's sigma_inv, through coupling_constant, the exponent m/k,
+    unit_volume_sphere_scalar, surface_measure(1) and y_infinity, gives
+    Y_{m+1} to a few ulps (3 measured, at m = 8)."""
+    d = Dims(m, 1)
+    sigma_inv = gn_value(find_ground_state(d).profile, d).sigma_inv
+    y_inf = y_infinity(d, unit_volume_sphere_scalar(m), sigma_inv)
+    assert y_inf == pytest.approx(yamabe_sphere(m + 1), rel=8 * 2.0 ** -52)
 
 
 def test_y_infinity_linear_in_sigma():

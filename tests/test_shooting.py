@@ -13,8 +13,25 @@ from gnyamabe.products import table_pairs
 from gnyamabe.shooting import (Illinois, _miss, bracket_alpha,
                                find_ground_state)
 
-from oracles import (exponents_m1, pohozaev_residuals, sech_amplitude,
-                     tighten)
+from oracles import (exponents_m1, gaussian_value, pohozaev_residuals,
+                     sech_amplitude, tighten)
+
+
+@pytest.fixture(scope="module")
+def table14():
+    """build_table(14) and the (Dims, GroundState) of each of its 66
+    searches, recorded as the table runs them."""
+    found = []
+    search = products.find_ground_state
+
+    def recorded(d, *args, **kwargs):
+        found.append((d, search(d, *args, **kwargs)))
+        return found[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(products, "find_ground_state", recorded)
+        rows = build_table(14)
+    return rows, found
 
 
 def test_bracket_22():
@@ -359,24 +376,27 @@ def test_loosest_tol_alpha_converges():
         assert hi - lo <= 1e-2 * gs.alpha0, (m, n, lo, hi)
 
 
-def test_table_rows_satisfy_pohozaev(monkeypatch):
+def test_table_rows_satisfy_pohozaev(table14):
     """Every ground state of build_table(14) meets both ratios of the
     energy and Pohozaev identities, I_grad/I_p = n/k and I_sq/I_p = m/k,
     to 1e-11 (2.8e-12 and 4.0e-12 measured). The shooting uses neither
     identity, so they referee each of the 66 rows independently."""
-    found = []
-    search = products.find_ground_state
-
-    def recorded(d, *args, **kwargs):
-        found.append((d, search(d, *args, **kwargs)))
-        return found[-1][1]
-
-    monkeypatch.setattr(products, "find_ground_state", recorded)
-    rows = build_table(14)
+    rows, found = table14
     assert len(found) == len(rows) == 66
     for d, gs in found:
         residuals = pohozaev_residuals(gs.profile, d)
         assert max(map(abs, residuals)) <= 1e-11, (d.m, d.n, residuals)
+
+
+def test_gaussian_bounds_every_table_row(table14):
+    """sigma_inv is the infimum of L, so on every row of build_table(14)
+    it lies below L at the Gaussian, a closed form with no shooting: by
+    5.5e-4 relative at least, at (12, 2), and 3.6e-2 at most, at (2, 2)
+    (measured)."""
+    rows, _ = table14
+    assert len(rows) == 66
+    for row in rows:
+        assert row.sigma_inv < gaussian_value(Dims(row.m, row.n)), row
 
 
 @pytest.mark.parametrize("m, n", [(2, 16), (2, 17), (2, 18), (3, 17),
@@ -388,14 +408,17 @@ def test_rows_past_2_20_satisfy_pohozaev(m, n):
     measured), and their limit lies below the sphere invariant:
     y_inf < Y_k. So do (5, 45), (10, 45), (50, 50) and (60, 60), with
     alpha0 from 2.4e13 to 2.1e18, which the search reaches since its
-    shots run to their events with no horizon (1.7e-12 measured)."""
+    shots run to their events with no horizon (1.7e-12 measured). Their
+    sigma_inv lies below L at the Gaussian, as on build_table(14), by
+    4.5e-4 relative at least, at (60, 60)."""
     d = Dims(m, n)
     gs = find_ground_state(d)
     residuals = pohozaev_residuals(gs.profile, d)
     assert max(map(abs, residuals)) <= 1e-11, residuals
-    y_inf = y_infinity(d, unit_volume_sphere_scalar(m),
-                       gn_value(gs.profile, d).sigma_inv)
-    assert y_inf < yamabe_sphere(d.k)
+    sigma_inv = gn_value(gs.profile, d).sigma_inv
+    assert y_infinity(d, unit_volume_sphere_scalar(m),
+                      sigma_inv) < yamabe_sphere(d.k)
+    assert sigma_inv < gaussian_value(d)
 
 
 def test_stalled_shot_is_refused():
