@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -232,6 +233,14 @@ def rhs(t: float, h: float, dh: float, d: Dims) -> tuple[float, float]:
     return dh, -(nm1 / t) * dh + h - abs(h) ** qm1 * h
 
 
+@lru_cache(maxsize=None)
+def _miller_factors(q: float) -> tuple:
+    """Per j = 2.._HEAD_TERMS, the factors ((q+1) i - (j-1)), i = 1..j-1,
+    of Miller's recurrence for v_(j-1) in `_series_head`."""
+    return tuple(tuple((q + 1.0) * i - (j - 1) for i in range(1, j))
+                 for j in range(2, _HEAD_TERMS + 1))
+
+
 def _series_head(alpha: float, d: Dims) -> tuple:
     """The Taylor series of the regular solution from h(0) = alpha > 1 as
     (t0, alpha, w, ch, cd) for `_head_eval`, exact to double precision up
@@ -246,10 +255,10 @@ def _series_head(alpha: float, d: Dims) -> tuple:
     # b_1 = (1/w - 1) / (2n) by expm1: 1/w - 1 cancels as alpha nears 1
     b = [1.0, math.expm1((1.0 - q) * math.log(alpha)) / (2 * d.n)]
     v = [1.0]  # the coefficients of (h / alpha)^q in x
-    for j in range(2, _HEAD_TERMS + 1):
+    for j, factors in enumerate(_miller_factors(q), 2):
         acc = 0.0  # v_(j-1) by Miller's recurrence, from b_1..b_(j-1)
-        for i in range(1, j):
-            acc += ((q + 1.0) * i - (j - 1)) * b[i] * v[j - 1 - i]
+        for f, b_i, v_ji in zip(factors, b[1:], reversed(v)):
+            acc += f * b_i * v_ji
         v.append(acc / (j - 1))
         b.append((b[j - 1] / w - v[j - 1]) / (2 * j * (2 * j + d.n - 2)))
     x0 = w

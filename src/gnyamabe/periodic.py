@@ -31,9 +31,15 @@ and each gap E - V is an array of differences of like powers with exact
 increments. Orbits within 2% of u_c, down to one ulp above it, use an
 exactly factored series of the well instead. `orbit_for_period` inverts
 the map in log delta by the ground-state search's safeguarded secant
-iteration, `shooting.Illinois`, started from the two neighbouring nodes
+iteration, `shooting.Illinois`, on a bracket of two neighbouring nodes
 of a table of 65 points from amplitude _HARMONIC_END u_c to delta =
-_DELTA_FLOOR, whose periods are cached per dimension.
+_DELTA_FLOOR, whose periods are cached per dimension. Its first two
+points come from the polynomial through the six nodes around the target
+in y = sqrt(T - T_min), in which log delta is smooth at the harmonic
+end (inverse interpolation, as in Brent's method): the polynomial's
+value at the target, then one Newton step on it. That takes 2.9 period
+evaluations per inversion on the benchmark's sweep band, against 4.6
+from the two neighbours (2.3 against 2.8 from 1 + 1e-7 to 20 T_min).
 
 `circle_quotient` takes the integrals of u'^2, u^2 and u^P over one
 period from the same nodes: each node's weight in the period sum is its
@@ -437,18 +443,46 @@ def _period_table(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 _INVERSE_RTOL = 1e-15
 _INVERSE_FAIL = 1e-12
 _INVERSE_STEPS = 100
+# table nodes through which orbit_for_period interpolates its start
+_START_NODES = 6
+
+
+def _table_start(xs, ts, i: int, t_min: float, y: float):
+    """(x, dx/dy) at y of the polynomial through the _START_NODES table
+    nodes (y_j, xs[j]) around the interval [ts[i-1], ts[i]], the window
+    clamped to the table, with y_j = sqrt(max(ts[j] - t_min, 0)).
+
+    T - T_min grows as the amplitude squared at the harmonic end, so in
+    y = sqrt(T - T_min) log delta is smooth there, where in T it has a
+    square-root singularity. Neville's scheme, carrying each entry's
+    derivative along."""
+    lo = min(max(i - _START_NODES // 2, 0), len(ts) - _START_NODES)
+    ys = [math.sqrt(max(t - t_min, 0.0)) for t in ts[lo:lo + _START_NODES]]
+    p = list(xs[lo:lo + _START_NODES])
+    d = [0.0] * _START_NODES
+    for k in range(1, _START_NODES):
+        for j in range(_START_NODES - k):
+            a, b = y - ys[j + k], y - ys[j]
+            gap = ys[j] - ys[j + k]
+            d[j] = (p[j] - p[j + 1] + a * d[j] - b * d[j + 1]) / gap
+            p[j] = (a * p[j] - b * p[j + 1]) / gap
+    return p[0], d[0]
 
 
 def orbit_for_period(n: int, period: float) -> CircleOrbit:
     """Invert the (strictly decreasing in delta) period map on the orbit
     window by the safeguarded secant iteration in x = log delta.
 
-    The search starts from the two neighbouring nodes of the cached
-    `_period_table` whose periods bracket the target, found by bisection.
-    The bracket keeps the separatrix side (period too long) and the
-    harmonic side (too short); each step evaluates the `shooting.Illinois`
-    point of the misses, target minus period, at its ends. The orbit
-    returned is the evaluated one closest to the target, a node included.
+    The bracket starts on the two neighbouring nodes of the cached
+    `_period_table` whose periods enclose the target, found by bisection,
+    and keeps the separatrix side (period too long) and the harmonic side
+    (too short). The first evaluation is at the `_table_start`
+    interpolant's point, the second one Newton step on the interpolant
+    from the first's period; each later one, and each of those two that
+    is not finite or not strictly inside the bracket, is at the
+    `shooting.Illinois` point of the misses, target minus period, and
+    every one moves an end. The orbit returned is the evaluated one
+    closest to the target, a node included.
     A target at or below the harmonic end's period, a few ulps from the
     minimal period, gets the harmonic end's orbit.
 
@@ -459,10 +493,11 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
     _check_dim(n)
     if math.isnan(period):
         raise ValueError(f"period must be a number, got {period}")
-    if period <= minimal_period(n):
+    t_min = minimal_period(n)
+    if period <= t_min:
         raise ValueError(
             f"no closed orbit has period {period:.6g} <= minimal period "
-            f"{minimal_period(n):.6g}")
+            f"{t_min:.6g}")
     xs, ts = _period_table(n)
     if ts[-1] < period:
         raise ValueError(
@@ -477,17 +512,24 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
     f_a, f_b = period - t_a, period - t_b
     search = Illinois(a, f_a, b, f_b)
     best = (abs(f_a), a, t_a) if abs(f_a) < abs(f_b) else (abs(f_b), b, t_b)
-    for _ in range(_INVERSE_STEPS):
+    y = math.sqrt(period - t_min)
+    x, slope = _table_start(xs, ts, i, t_min, y)
+    for step in range(_INVERSE_STEPS):
         if best[0] <= _INVERSE_RTOL * period:
             break
-        x = search.point()
-        if x is None:
-            break
+        # steps 0 and 1 try the interpolant's point and its Newton step;
+        # a NaN fails the comparison too
+        if step > 1 or not search.lo < x < search.hi:
+            x = search.point()
+            if x is None:
+                break
         t_x = _period(n, math.exp(x))
         f_x = period - t_x
         if abs(f_x) < best[0]:
             best = (abs(f_x), x, t_x)
         search.update(x, f_x)
+        if step == 0:
+            x += slope * (y - math.sqrt(max(t_x - t_min, 0.0)))
     miss, x, t_x = best
     if miss > _INVERSE_FAIL * period:
         raise RuntimeError(

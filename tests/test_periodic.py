@@ -243,22 +243,20 @@ def test_orbit_for_period_returns_harmonic_end_orbit(n):
 
 def test_orbit_for_period_fails_loudly_without_convergence(monkeypatch):
     """An inversion stopped short of its target raises rather than return
-    its closest orbit as if it had converged."""
-    monkeypatch.setattr(periodic, "_INVERSE_STEPS", 2)
+    its closest orbit as if it had converged. One evaluation, the
+    interpolated start, misses this target by 6.7e-7 relative; two miss
+    it by 1.07e-12, barely past _INVERSE_FAIL, so the test stops at one."""
+    monkeypatch.setattr(periodic, "_INVERSE_STEPS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
         orbit_for_period(4, 1.3 * minimal_period(4))
 
 
-def test_orbit_for_period_evaluation_count(monkeypatch):
-    """Over 900 targets shaped like the periodic sweep (n = 3..8, 150 each
-    from 1.0005 to 1.6 T_min) an inversion evaluates the period map at
-    most 5.0 times on average and misses by at most 2e-15 relative: 4.61
-    and 1.0e-15 from the period table's nodes, 7.32 from the window ends
-    and 8.02 from them with regula falsi alone."""
-    targets = [(n, c * minimal_period(n)) for n in range(3, 9)
-               for c in np.linspace(1.0005, 1.6, 150)]
-    for n in range(3, 9):
-        periodic._period_table(n)  # cached: not part of an inversion
+def _evaluations_and_worst_miss(monkeypatch, targets):
+    """(period evaluations per inversion, worst relative miss) of
+    orbit_for_period over (n, target) pairs, the cached period tables
+    built beforehand: they are not part of an inversion."""
+    for n in {n for n, _ in targets}:
+        periodic._period_table(n)
     calls = []
     period = periodic._period
 
@@ -269,8 +267,68 @@ def test_orbit_for_period_evaluation_count(monkeypatch):
     monkeypatch.setattr(periodic, "_period", counted)
     worst = max(abs(orbit_for_period(n, t).period / t - 1.0)
                 for n, t in targets)
-    assert len(calls) <= 5.0 * len(targets)
+    return len(calls) / len(targets), worst
+
+
+def test_orbit_for_period_evaluation_count(monkeypatch):
+    """Over 900 targets shaped like the periodic sweep (n = 3..8, 150 each
+    from 1.0005 to 1.6 T_min) an inversion evaluates the period map at
+    most 3.1 times on average and misses by at most 2e-15 relative: 2.91
+    and 8.9e-16 from the period table's interpolant in sqrt(T - T_min),
+    4.61 from the two neighbouring nodes, 7.32 from the window ends and
+    8.02 from them with regula falsi alone."""
+    targets = [(n, c * minimal_period(n)) for n in range(3, 9)
+               for c in np.linspace(1.0005, 1.6, 150)]
+    mean, worst = _evaluations_and_worst_miss(monkeypatch, targets)
+    assert mean <= 3.1
     assert worst <= 2e-15
+
+
+def test_orbit_for_period_evaluation_count_across_window(monkeypatch):
+    """Over n = 3..12, 120 targets each from 1 + 1e-7 to 20 T_min in
+    geometric steps, which puts the interpolant's six-node window against
+    the harmonic end of the table and far from it: at most 2.5
+    evaluations per inversion on average (2.28 measured, 2.82 from the
+    neighbouring nodes) and a miss of at most 2e-15 (8.9e-16 measured).
+    20 T_min lies short of the separatrix end for each n; the window
+    against that end is met by test_orbit_for_period_reaches_window_floor.
+    """
+    targets = [(n, c * minimal_period(n)) for n in range(3, 13)
+               for c in np.geomspace(1.0 + 1e-7, 20.0, 120)]
+    assert all(t < periodic._period_table(n)[1][-1] for n, t in targets)
+    mean, worst = _evaluations_and_worst_miss(monkeypatch, targets)
+    assert mean <= 2.5
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("start", [(math.nan, math.nan), (1e3, 1.0),
+                                   (-1e3, -1e300), (math.inf, 0.0)],
+                         ids=["nan", "above", "below", "inf"])
+@pytest.mark.parametrize("n, c", [(3, 1.3), (5, 1.0005), (8, 20.0)])
+def test_orbit_for_period_survives_a_bad_start(monkeypatch, n, c, start):
+    """A start point that is not finite or not strictly inside the
+    bracket gives way to the Illinois point, and so does a Newton step
+    that a bad slope sends out of it: the inversion still meets its
+    target to 1e-15."""
+    monkeypatch.setattr(periodic, "_table_start", lambda *args: start)
+    target = c * minimal_period(n)
+    assert abs(orbit_for_period(n, target).period / target - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_orbit_for_period_in_the_first_table_interval(n):
+    """A target between the table's first two periods, where node 0 may
+    lie on or below T_min in rounding and its sqrt(T - T_min) clips to 0,
+    and the six-node window is clamped to the harmonic end: met to
+    2e-15."""
+    _, ts = periodic._period_table(n)
+    first = max(ts[0], minimal_period(n))
+    for target in (ts[0] + 0.5 * (ts[1] - ts[0]),
+                   math.nextafter(first, math.inf),
+                   math.nextafter(ts[1], 0.0)):
+        assert ts[0] < target < ts[1]
+        orbit = orbit_for_period(n, target)
+        assert abs(orbit.period / target - 1.0) <= 2e-15
 
 
 def test_circle_orbit_energy_window():
@@ -417,11 +475,11 @@ _PERIOD_PINS = [
 ]
 # (n, c, orbit_for_period(n, c * T_min).delta), same provenance
 _INVERSE_PINS = [
-    (3, 1.3, '0x1.46cc310750f34p-5'),
-    (4, 1.01, '0x1.bb792d10236f8p-3'),
+    (3, 1.3, '0x1.46cc310750f36p-5'),
+    (4, 1.01, '0x1.bb792d10236e1p-3'),
     (5, 1.6, '0x1.10824573bbfaap-8'),
-    (6, 2.0, '0x1.d4ff162ee9e1dp-13'),
-    (8, 1.05, '0x1.1bb95d02d65efp-3'),
+    (6, 2.0, '0x1.d4ff162ee9e3ap-13'),
+    (8, 1.05, '0x1.1bb95d02d65f3p-3'),
 ]
 
 

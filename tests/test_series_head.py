@@ -143,3 +143,30 @@ def test_alpha_beyond_doubles_is_refused(shoot, alpha, error, match):
     names it: neither ends in an OverflowError."""
     with pytest.raises(error, match=match):
         shoot(alpha, Dims(2, 2))
+
+
+def _head_coefficients_by_loop(alpha, d):
+    """b_0..b_J of `_series_head`'s recurrence with each Miller factor
+    formed in the loop, as before the factors were cached per q."""
+    q, w = d.q, alpha ** (d.q - 1.0)
+    b = [1.0, math.expm1((1.0 - q) * math.log(alpha)) / (2 * d.n)]
+    v = [1.0]
+    for j in range(2, ode._HEAD_TERMS + 1):
+        acc = 0.0
+        for i in range(1, j):
+            acc += ((q + 1.0) * i - (j - 1)) * b[i] * v[j - 1 - i]
+        v.append(acc / (j - 1))
+        b.append((b[j - 1] / w - v[j - 1]) / (2 * j * (2 * j + d.n - 2)))
+    return b
+
+
+@pytest.mark.parametrize("alpha", [math.nextafter(1.0, 2.0), 1.0001, 2.2,
+                                   107.7, 3.6e5, 2.0 ** 40])
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 7), (7, 2), (3, 1), (60, 60)])
+def test_cached_miller_factors_give_the_same_head(m, n, alpha):
+    """The head's coefficients from the factors cached per q equal, bit
+    for bit, those of the loop that forms each factor in place."""
+    d = Dims(m, n)
+    head = ode._series_head(alpha, d)
+    b = _head_coefficients_by_loop(alpha, d)
+    assert head[3] == tuple(alpha * c for c in b[1:])

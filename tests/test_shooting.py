@@ -399,6 +399,30 @@ def test_gaussian_bounds_every_table_row(table14):
         assert row.sigma_inv < gaussian_value(Dims(row.m, row.n)), row
 
 
+# the constant C_n of the log-Sobolev remainder bound, per n
+_LOG_SOBOLEV_C = {2: 3.0, 5: 10.5}
+
+
+@pytest.mark.parametrize("m, n", [(20, 2), (40, 2), (80, 2), (158, 2),
+                                  (20, 5), (40, 5), (80, 5), (155, 5)])
+def test_large_k_rows_approach_log_sobolev_limit(m, n):
+    """As k -> infinity at fixed n, p -> 2 and k log sigma_inv tends to
+    n log(n pi e / 2), the Euclidean log-Sobolev constant (Gross 1975;
+    Gaussians optimize it, Carlen 1991), with the same -n/k term as the
+    Gaussian: the remainder k log sigma_inv -
+    n log(n pi e / 2) + n/k lies in [-C_n / k^2, 0], C_2 = 3.0 and
+    C_5 = 10.5. Measured (numpy 2.4.6, Python 3.11.7), k^2 times the
+    remainder reads -2.84, -2.76, -2.71 and -2.69 at k = 22, 42, 82 and
+    160 for n = 2, and -10.05, -9.63, -9.41 and -9.29 at k = 25, 45, 85
+    and 160 for n = 5 (the Gaussian's own: -1.40 to -1.34 and -3.47 to
+    -3.35)."""
+    d = Dims(m, n)
+    sigma_inv = gn_value(find_ground_state(d).profile, d).sigma_inv
+    remainder = (d.k * math.log(sigma_inv)
+                 - n * math.log(0.5 * n * math.pi * math.e) + n / d.k)
+    assert -_LOG_SOBOLEV_C[n] / d.k ** 2 <= remainder <= 0.0
+
+
 @pytest.mark.parametrize("m, n", [(2, 16), (2, 17), (2, 18), (3, 17),
                                   (2, 24), (5, 45), (10, 45), (50, 50),
                                   (60, 60)])
