@@ -32,14 +32,15 @@ increments. Orbits within 2% of u_c, down to one ulp above it, use an
 exactly factored series of the well instead. `orbit_for_period` inverts
 the map in log delta by the ground-state search's safeguarded secant
 iteration, `shooting.Illinois`, on a bracket of two neighbouring nodes
-of a table of 65 points from amplitude _HARMONIC_END u_c to delta =
-_DELTA_FLOOR, whose periods are cached per dimension. Its first two
-points come from the polynomial through the six nodes around the target
-in y = sqrt(T - T_min), in which log delta is smooth at the harmonic
-end (inverse interpolation, as in Brent's method): the polynomial's
-value at the target, then one Newton step on it. That takes 2.9 period
-evaluations per inversion on the benchmark's sweep band, against 4.6
-from the two neighbours (2.3 against 2.8 from 1 + 1e-7 to 20 T_min).
+of a table of 65 points from amplitude _HARMONIC_END u_c, whose period
+the table holds as T_min itself, to delta = _DELTA_FLOOR, cached per
+dimension. Its first two points come from the polynomial through the
+six nodes around the target in y = sqrt(T - T_min), in which log delta
+is smooth at the harmonic end (inverse interpolation, as in Brent's
+method): the polynomial's value at the target, then one Newton step on
+it. That takes 2.9 period evaluations per inversion on the benchmark's
+sweep band, against 4.6 from the two neighbours (2.3 against 2.8 from
+1 + 1e-7 to 20 T_min).
 
 `circle_quotient` takes the integrals of u'^2, u^2 and u^P over one
 period from the same nodes: each node's weight in the period sum is its
@@ -109,8 +110,9 @@ def minimal_period(n: int) -> float:
 _SERIES_AMPLITUDE = 0.02
 _SERIES_TERMS = 16
 
-# the period table's ends: the orbit of amplitude _HARMONIC_END u_c and
-# the separatrix distance _DELTA_FLOOR, below which orbits are not searched
+# the period table's ends: the orbit of amplitude A = _HARMONIC_END u_c,
+# whose period is T_min to 1.7 A^2 < 7e-18 relative, and the separatrix
+# distance _DELTA_FLOOR, below which orbits are not searched
 _HARMONIC_END = 2e-9
 _DELTA_FLOOR = 1e-300
 
@@ -429,12 +431,13 @@ def _period_table(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     window searched by orbit_for_period and the period at each, in
     ascending order of period. xs[0] is the harmonic end x_harm, xs[-1]
     the separatrix end x_sep = log _DELTA_FLOOR, and in between x_i =
-    x_harm - (x_harm - x_sep) (i / _TABLE_STEPS)^3."""
+    x_harm - (x_harm - x_sep) (i / _TABLE_STEPS)^3, and ts[0] = T_min."""
     x_sep = math.log(_DELTA_FLOOR)
     x_harm = math.log(1.0 - constant_solution(n) * (1.0 + _HARMONIC_END))
     xs = [x_harm - (x_harm - x_sep) * (i / _TABLE_STEPS) ** 3
           for i in range(_TABLE_STEPS)] + [x_sep]
-    return tuple(xs), tuple(_period(n, math.exp(x)) for x in xs)
+    ts = [minimal_period(n)] + [_period(n, math.exp(x)) for x in xs[1:]]
+    return tuple(xs), tuple(ts)
 
 
 # orbit_for_period stops once the period misses its target by this much
@@ -450,14 +453,14 @@ _START_NODES = 6
 def _table_start(xs, ts, i: int, t_min: float, y: float):
     """(x, dx/dy) at y of the polynomial through the _START_NODES table
     nodes (y_j, xs[j]) around the interval [ts[i-1], ts[i]], the window
-    clamped to the table, with y_j = sqrt(max(ts[j] - t_min, 0)).
+    clamped to the table, with y_j = sqrt(ts[j] - t_min) and y_0 = 0.
 
     T - T_min grows as the amplitude squared at the harmonic end, so in
     y = sqrt(T - T_min) log delta is smooth there, where in T it has a
     square-root singularity. Neville's scheme, carrying each entry's
     derivative along."""
     lo = min(max(i - _START_NODES // 2, 0), len(ts) - _START_NODES)
-    ys = [math.sqrt(max(t - t_min, 0.0)) for t in ts[lo:lo + _START_NODES]]
+    ys = [math.sqrt(t - t_min) for t in ts[lo:lo + _START_NODES]]
     p = list(xs[lo:lo + _START_NODES])
     d = [0.0] * _START_NODES
     for k in range(1, _START_NODES):
@@ -483,8 +486,6 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
     `shooting.Illinois` point of the misses, target minus period, and
     every one moves an end. The orbit returned is the evaluated one
     closest to the target, a node included.
-    A target at or below the harmonic end's period, a few ulps from the
-    minimal period, gets the harmonic end's orbit.
 
     Raises ValueError when the requested period is at or below the
     minimal period, beyond the separatrix end of the table (delta =
@@ -503,11 +504,8 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
         raise ValueError(
             f"period {period:.6g} requires an orbit too close to the "
             "separatrix to resolve")
-    # ts[i - 1] < period <= ts[i]; the check above keeps i below len(ts)
+    # ts[i - 1] < period <= ts[i] with 0 < i < len(ts), as ts[0] = t_min
     i = bisect_left(ts, period)
-    if i == 0:
-        delta = math.exp(xs[0])
-        return CircleOrbit(n=n, u_max=1.0 - delta, period=ts[0], delta=delta)
     a, b, t_a, t_b = xs[i], xs[i - 1], ts[i], ts[i - 1]
     f_a, f_b = period - t_a, period - t_b
     search = Illinois(a, f_a, b, f_b)
@@ -545,16 +543,22 @@ def count_periodic_solutions(n: int, r: float) -> int:
     2 pi r / k for some integer k >= 1, up to time translation.
 
     The period map fills (T_min, infinity), so the count is the number of
-    harmonics k with 2 pi r / k above the minimal period. The constant
-    solution is excluded."""
+    harmonics k with 2.0 * math.pi * r / k > minimal_period(n) in doubles,
+    the test that `orbit_for_period` and the periodic listing apply. The
+    constant solution is excluded."""
     _check_dim(n)
     if not 0.0 < r < math.inf:
         raise ValueError(f"circle radius must be positive and finite, got {r}")
-    x = 2.0 * math.pi * r / minimal_period(n)
+    t_min = minimal_period(n)
+    x = 2.0 * math.pi * r / t_min
     if not x < 2.0 ** 53:  # from 2^53 on, doubles skip integers
         raise ValueError(f"circle radius {r:g} has 2 pi r / T_min = {x:g}, "
                          "not below 2**53: the count would not be exact")
-    return max(0, math.ceil(x - 1e-12) - 1)
+    # x rounds to within one harmonic of the count that the test settles
+    k = math.ceil(x) - 1
+    if 2.0 * math.pi * r / (k + 1) > t_min:
+        return k + 1
+    return k if k == 0 or 2.0 * math.pi * r / k > t_min else k - 1
 
 
 # time integration from (u_max, 0) follows the orbit past the saddle only

@@ -386,6 +386,17 @@ def test_periodic_small_radius(capsys):
     assert "nonconstant solutions: 0" in out
 
 
+def test_periodic_just_past_the_first_harmonic(capsys):
+    """2 pi r a hair above T_min: the count and the listing agree on
+    k = 1, and its orbit resolves."""
+    code, out, _ = run(capsys, "periodic", "3", "1.0000000000001",
+                       "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["count"] == 1
+    assert [o["k"] for o in record["orbits"]] == [1]
+
+
 def test_periodic_large_radius(capsys):
     code, out, _ = run(capsys, "periodic", "4", "100", "--format", "json")
     assert code == 0

@@ -184,6 +184,12 @@ def test_radial_integrals_mismatched_dimension(sech31_profile):
         radial_integrals(sech31_profile, D22)
 
 
+@pytest.mark.parametrize("profile", [None, (0.0, 1.0), "0 1\n1 0"])
+def test_gn_value_rejects_an_unsupported_profile(profile):
+    with pytest.raises(TypeError, match="unsupported profile type"):
+        gn_value(profile, D22)
+
+
 def test_solver_profile_matches_sech_quadrature(gs31):
     i_solver = radial_integrals(gs31.profile, Dims(3, 1))
     i_oracle = sech_integrals(3)

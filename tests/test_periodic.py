@@ -197,6 +197,45 @@ def test_count_rejects_bad_radius(r):
         count_periodic_solutions(4, r)
 
 
+def test_count_just_past_a_harmonic_boundary():
+    """2 pi r / T_min a hair above an integer still counts that harmonic,
+    which orbit_for_period resolves above the equilibrium."""
+    assert count_periodic_solutions(3, 1 + 1e-13) == 1
+    assert orbit_for_period(3, 2 * math.pi * (1 + 1e-13)).u_max > \
+        constant_solution(3)
+    r = 3 * minimal_period(4) / (2 * math.pi) * (1 + 1e-13)
+    assert count_periodic_solutions(4, r) == 3
+    orbit_for_period(4, 2.0 * math.pi * r / 3)
+
+
+def _direct_count(n, r):
+    """Harmonics k >= 1 with 2 pi r / k above T_min, counted one by one."""
+    count = 0
+    while 2.0 * math.pi * r / (count + 1) > minimal_period(n):
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_count_matches_the_listing_test_at_boundaries(n):
+    """At and a few ulps either side of each harmonic boundary 2 pi r =
+    K T_min, the count is the number of k with 2 pi r / k > T_min in
+    doubles: counted one by one for K up to 40, and past that checked at
+    the count and one above it, as that test is monotone in k."""
+    t_min = minimal_period(n)
+    for big_k in [*range(1, 41), 299, 10 ** 4, 10 ** 5, 2 ** 52]:
+        r = big_k * t_min / (2.0 * math.pi)
+        for _ in range(4):
+            r = math.nextafter(r, 0.0)
+        for _ in range(9):
+            count = count_periodic_solutions(n, r)
+            if big_k <= 40:
+                assert count == _direct_count(n, r)
+            assert count == 0 or 2.0 * math.pi * r / count > t_min
+            assert not 2.0 * math.pi * r / (count + 1) > t_min
+            r = math.nextafter(r, math.inf)
+
+
 def test_count_positive_above_minimal_period():
     for n in (3, 4, 5):
         r = 1.001 * minimal_period(n) / (2 * math.pi)
@@ -219,26 +258,6 @@ def test_orbit_for_period_rejects_non_finite():
         orbit_for_period(4, math.nan)
     with pytest.raises(ValueError, match="too close to the separatrix"):
         orbit_for_period(4, math.inf)
-
-
-@pytest.mark.parametrize("n", range(3, 41))
-def test_orbit_for_period_returns_harmonic_end_orbit(n):
-    """Rounding puts the table's harmonic-end period ts[0] a few ulps
-    above T_min, on it or below it, depending on n and on the CPU's
-    kernels. Every target in (T_min, ts[0]] gets the harmonic end's
-    orbit; where that interval is empty, the first double above T_min is
-    searched as any other. Each orbit meets its target within 8 ulps (5
-    measured for n = 3..40), far inside _INVERSE_FAIL."""
-    xs, ts = periodic._period_table(n)
-    targets = [math.nextafter(minimal_period(n), math.inf)]
-    while targets[-1] < ts[0]:
-        targets.append(math.nextafter(targets[-1], math.inf))
-    for target in targets:
-        orbit = orbit_for_period(n, target)
-        assert abs(orbit.period - target) <= 8 * math.ulp(target)
-        if target <= ts[0]:
-            assert orbit.delta == math.exp(xs[0])
-            assert orbit.period == ts[0]
 
 
 def test_orbit_for_period_fails_loudly_without_convergence(monkeypatch):
@@ -316,19 +335,50 @@ def test_orbit_for_period_survives_a_bad_start(monkeypatch, n, c, start):
 
 
 @pytest.mark.parametrize("n", range(3, 41))
+def test_orbit_for_period_returns_harmonic_end_orbit(n):
+    """The table's harmonic end holds T_min itself, so the first doubles
+    above T_min lie in its first interval and are searched as any other
+    target: each is met within 8 ulps (4 measured for n = 3..40), far
+    inside _INVERSE_FAIL, by an orbit between the table's first two
+    nodes, above the equilibrium."""
+    xs, ts = periodic._period_table(n)
+    assert ts[0] == minimal_period(n)
+    target = ts[0]
+    for _ in range(4):
+        target = math.nextafter(target, math.inf)
+        assert ts[0] < target < ts[1]
+        orbit = orbit_for_period(n, target)
+        assert abs(orbit.period - target) <= 8 * math.ulp(target)
+        assert math.exp(xs[1]) <= orbit.delta <= math.exp(xs[0])
+        assert orbit.u_max > constant_solution(n)
+
+
+@pytest.mark.parametrize("n", range(3, 41))
 def test_orbit_for_period_in_the_first_table_interval(n):
-    """A target between the table's first two periods, where node 0 may
-    lie on or below T_min in rounding and its sqrt(T - T_min) clips to 0,
-    and the six-node window is clamped to the harmonic end: met to
+    """A target between the table's first two periods, T_min itself and
+    the next node's, where the six-node window is clamped to the harmonic
+    end: the interval's midpoint and the double below ts[1] are met to
     2e-15."""
     _, ts = periodic._period_table(n)
-    first = max(ts[0], minimal_period(n))
     for target in (ts[0] + 0.5 * (ts[1] - ts[0]),
-                   math.nextafter(first, math.inf),
                    math.nextafter(ts[1], 0.0)):
         assert ts[0] < target < ts[1]
         orbit = orbit_for_period(n, target)
         assert abs(orbit.period / target - 1.0) <= 2e-15
+
+
+@pytest.mark.parametrize("n, c", [(8, 20.0), (12, 3.0)])
+def test_orbit_for_period_stops_on_an_unsplittable_bracket(monkeypatch, n,
+                                                          c):
+    """With no tolerance to stop on, the search ends once the log-delta
+    bracket cannot be split further, short of _INVERSE_STEPS evaluations
+    (3 and 4 measured), on an orbit that misses by at most 2.2e-16
+    (1.1e-16 measured)."""
+    monkeypatch.setattr(periodic, "_INVERSE_RTOL", 0.0)
+    target = c * minimal_period(n)
+    mean, worst = _evaluations_and_worst_miss(monkeypatch, [(n, target)])
+    assert mean < periodic._INVERSE_STEPS
+    assert worst <= 2.2e-16
 
 
 def test_circle_orbit_energy_window():
@@ -584,23 +634,32 @@ def test_stored_rule_is_leggauss_bit_for_bit():
     assert w.tobytes() == (0.5 * ref_w).tobytes()
 
 
-@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("n", range(3, 41))
 def test_period_table_ascends_between_window_ends(n):
+    """The harmonic end's period is T_min itself, where the quadrature
+    lands a few ulps either side of it; every other node carries the
+    quadrature's period."""
     xs, ts = periodic._period_table(n)
     assert len(xs) == len(ts) == 65
     assert all(b > a for a, b in zip(ts, ts[1:]))
     assert xs[-1] == math.log(periodic._DELTA_FLOOR)
     assert xs[0] == math.log(1.0 - constant_solution(n)
                              * (1.0 + periodic._HARMONIC_END))
-    assert ts == tuple(periodic._period(n, math.exp(x)) for x in xs)
+    assert ts[0] == minimal_period(n)
+    assert ts[1:] == tuple(periodic._period(n, math.exp(x)) for x in xs[1:])
 
 
 @pytest.mark.parametrize("node", [0, 20, 64])
 def test_orbit_for_period_on_a_table_node(node):
-    """A target equal to a node's period, the harmonic end's (node 0) and
-    the separatrix end's (64) included, returns that node's orbit."""
+    """A target equal to a node's period returns that node's orbit, the
+    separatrix end's (64) included; the harmonic end's (node 0) is T_min,
+    which no closed orbit has, and is refused."""
     n = 5
     xs, ts = periodic._period_table(n)
+    if node == 0:
+        with pytest.raises(ValueError, match="<= minimal period"):
+            orbit_for_period(n, ts[node])
+        return
     orbit = orbit_for_period(n, ts[node])
     assert orbit.delta == math.exp(xs[node])
     assert orbit.period == ts[node]
