@@ -277,13 +277,44 @@ def radial_integrals(profile, d: Dims):
     return i_grad, i_sq, i_p
 
 
+# binary exponents of max h and of the last t within which a
+# piecewise-linear profile is integrated as it stands
+_H_EXPONENT_RANGE = 64
+_T_EXPONENT_RANGE = 16
+
+
+def _rescaled(profile: PiecewiseLinearProfile) -> PiecewiseLinearProfile:
+    """The profile, or, when the binary exponent of max h lies outside
+    [-_H_EXPONENT_RANGE, _H_EXPONENT_RANGE] or that of the last t outside
+    [-_T_EXPONENT_RANGE, _T_EXPONENT_RANGE], the profile with those h or t
+    multiplied by the power of two that brings the largest into [1/2, 1).
+    L does not change when h is scaled or t dilated, and math.ldexp scales
+    exactly but for values it takes below the normal doubles. A rescaling
+    that would merge two breakpoints there is not made."""
+    e_h = math.frexp(max(profile.hs))[1]
+    e_t = math.frexp(profile.ts[-1])[1]
+    if abs(e_h) > _H_EXPONENT_RANGE:
+        profile = PiecewiseLinearProfile(
+            profile.ts, [math.ldexp(h, -e_h) for h in profile.hs])
+    if abs(e_t) > _T_EXPONENT_RANGE:
+        ts = [math.ldexp(t, -e_t) for t in profile.ts]
+        if all(t1 > t0 for t0, t1 in zip(ts, ts[1:])):
+            profile = PiecewiseLinearProfile(ts, profile.hs)
+    return profile
+
+
 def gn_value(profile, d: Dims) -> GNResult:
     """Assemble the functional value L = I_grad^(n/k) I_sq^(m/k) / I_p^(2/p)
-    from the integrals of `radial_integrals`. Raises ValueError naming the
-    first of I_p, I_grad and I_sq that is 0 or not finite, as for a
-    profile too small or too large for doubles. A profile's values are
-    finite, so a nan integral can only come of inf - inf in its sums: it
-    is named as leaving the double range."""
+    from the integrals of `radial_integrals`. A piecewise-linear profile
+    whose height or support leaves a safe binary range is first rescaled
+    by powers of two (`_rescaled`), which keeps L; its three norms are
+    then the rescaled profile's. Raises ValueError naming the first of
+    I_p, I_grad and I_sq that is 0 or not finite, as for a profile whose
+    mass lies too far below its support's end for doubles. A profile's
+    values are finite, so a nan integral can only come of inf - inf in
+    its sums: it is named as leaving the double range."""
+    if isinstance(profile, PiecewiseLinearProfile):
+        profile = _rescaled(profile)
     i_grad, i_sq, i_p = radial_integrals(profile, d)
     for name, value in (("I_p", i_p), ("I_grad", i_grad), ("I_sq", i_sq)):
         if math.isnan(value):

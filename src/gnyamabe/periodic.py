@@ -32,15 +32,16 @@ increments. Orbits within 2% of u_c, down to one ulp above it, use an
 exactly factored series of the well instead. `orbit_for_period` inverts
 the map in log delta by the ground-state search's safeguarded secant
 iteration, `shooting.Illinois`, on a bracket of two neighbouring nodes
-of a table of 65 points from amplitude _HARMONIC_END u_c, whose period
+of a table of 97 points from amplitude _HARMONIC_END u_c, whose period
 the table holds as T_min itself, to delta = _DELTA_FLOOR, cached per
 dimension. Its first two points come from the polynomial through the
-six nodes around the target in y = sqrt(T - T_min), in which log delta
+ten nodes around the target in y = sqrt(T - T_min), in which log delta
 is smooth at the harmonic end (inverse interpolation, as in Brent's
-method): the polynomial's value at the target, then one Newton step on
-it. That takes 2.9 period evaluations per inversion on the benchmark's
-sweep band, against 4.6 from the two neighbours (2.3 against 2.8 from
-1 + 1e-7 to 20 T_min).
+method), evaluated by the barycentric formula on weights cached per
+window: the polynomial's value at the target, then one Newton step on
+it. That takes 2.0 period evaluations per inversion on the benchmark's
+sweep band, against 2.9 from six nodes of a 65-point table and 4.6 from
+the two neighbours (1.8, 2.3 and 2.8 from 1 + 1e-7 to 20 T_min).
 
 `circle_quotient` takes the integrals of u'^2, u^2 and u^P over one
 period from the same nodes: each node's weight in the period sum is its
@@ -269,6 +270,15 @@ _INNER_BREAKS = (4.0, 12.0, 40.0)
 
 
 @lru_cache(maxsize=None)
+def _dimension_constants(n: int) -> tuple[float, ...]:
+    """(u_c, P, P - 2, lambda = sqrt(2c), inner panel ends in w) of the
+    well in dimension n, for `_quadrature`."""
+    pm2 = 4.0 / (n - 2)
+    return (constant_solution(n), 2.0 * n / (n - 2), pm2, 0.5 * (n - 2),
+            tuple(brk / pm2 for brk in _INNER_BREAKS))
+
+
+@lru_cache(maxsize=None)
 def _gauss_rule() -> tuple[np.ndarray, ...]:
     """The 64 Gauss-Legendre nodes x and weights w on [0, 1], with the
     outer-half factors at theta = pi x / 2: sin(theta),
@@ -324,13 +334,10 @@ def _quadrature(n: int, delta: float, moments: bool = False):
     int u^P dt) over one period, summed on the period's own nodes: a
     node's weight in the period sum is its time element dt = du /
     sqrt(2 (E - V)), and u and u'^2 = 2 (E - V) are known there."""
-    uc = constant_solution(n)
+    uc, big, pm2, lam, breaks = _dimension_constants(n)
     u_max = 1.0 - delta
     if u_max - uc <= _SERIES_AMPLITUDE * uc:
         return _series_quadrature(n, u_max - uc, moments)
-    big = 2.0 * n / (n - 2)
-    pm2 = 4.0 / (n - 2)
-    lam = 0.5 * (n - 2)  # sqrt(2c)
     x, weights, sin, one_minus_sin, w_outer = _gauss_rule()
 
     # [u_min, u_c], u = u_min cosh(w): (E - V) / (c (u^2 - u_min^2)) =
@@ -338,22 +345,22 @@ def _quadrature(n: int, delta: float, moments: bool = False):
     # 1 / (lam sqrt(.)); the panels run back from w = width at u_c
     s_min = _log_u_min(n, _energy_ratio(n, delta))
     width = math.acosh(uc * math.exp(-s_min))
-    ends = [0.0]
-    for brk in _INNER_BREAKS:
-        ends.append(min(brk / pm2, width))
-        if ends[-1] == width:
+    backs, spans = [], []
+    end = 0.0
+    for brk in breaks:
+        lo, end = end, min(brk, width)
+        backs.append(lo + (end - lo) * x)
+        spans.append((end - lo) * weights)
+        if end == width:
             break
-    lo = np.array(ends[:-1])[:, None]
-    span = np.diff(ends)[:, None]
-    back = (lo + span * x).ravel()
+    back, inner_weights = np.concatenate(backs), np.concatenate(spans)
     w = width - back
     log_cosh = np.log1p(2.0 * np.sinh(0.5 * w) ** 2)
     ratio = (np.exp(pm2 * (s_min + log_cosh)) * -np.expm1(-big * log_cosh)
              / np.tanh(w) ** 2)
-    inner_weights = (span * weights).ravel()
     inner_rate = 1.0 / np.sqrt(1.0 - ratio)
     # on [0, lead] in w the integrand is 1 / lam to double precision
-    lead = width - ends[-1]
+    lead = width - end
     inner = lead + float(np.dot(inner_weights, inner_rate))
 
     # [u_c, u_max], u = u_c + amp sin(theta): (E - V) / (c (u_max - u)),
@@ -382,7 +389,7 @@ def _quadrature(n: int, delta: float, moments: bool = False):
                          lam * lam * dh * slope, big)
     u_min = math.exp(s_min)
     u_lead = uc * math.exp(math.log1p(math.exp(-2.0 * lead)) - shift
-                           - ends[-1])
+                           - end)
     edge = u_lead * u_lead * math.tanh(lead)
     on_lead = (0.5 * lam * (edge - u_min * u_min * lead),
                0.5 * (edge + u_min * u_min * lead) / lam, 0.0)
@@ -421,8 +428,8 @@ def orbit_period(n: int, u_max: float) -> float:
 
 # intervals of the period table; its nodes crowd towards the harmonic end
 # as the cube of their index, so that the periods up to 1.6 T_min, which
-# span a few units of log delta there, fill 11 to 14 of them for n = 3..12
-_TABLE_STEPS = 64
+# span a few units of log delta there, fill 16 to 20 of them for n = 3..12
+_TABLE_STEPS = 96
 
 
 @lru_cache(maxsize=None)
@@ -431,7 +438,9 @@ def _period_table(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     window searched by orbit_for_period and the period at each, in
     ascending order of period. xs[0] is the harmonic end x_harm, xs[-1]
     the separatrix end x_sep = log _DELTA_FLOOR, and in between x_i =
-    x_harm - (x_harm - x_sep) (i / _TABLE_STEPS)^3, and ts[0] = T_min."""
+    x_harm - (x_harm - x_sep) (i / _TABLE_STEPS)^3, and ts[0] = T_min.
+    About 3 ms per dimension, once per process; `_start_window` caches
+    the interpolation weights of each window of it on first use."""
     x_sep = math.log(_DELTA_FLOOR)
     x_harm = math.log(1.0 - constant_solution(n) * (1.0 + _HARMONIC_END))
     xs = [x_harm - (x_harm - x_sep) * (i / _TABLE_STEPS) ** 3
@@ -447,29 +456,53 @@ _INVERSE_RTOL = 1e-15
 _INVERSE_FAIL = 1e-12
 _INVERSE_STEPS = 100
 # table nodes through which orbit_for_period interpolates its start
-_START_NODES = 6
+_START_NODES = 10
 
 
-def _table_start(xs, ts, i: int, t_min: float, y: float):
+@lru_cache(maxsize=None)
+def _start_window(n: int, lo: int) -> tuple[tuple[float, ...], ...]:
+    """(ys, xs, weights) of the _START_NODES period-table nodes from lo:
+    y_j = sqrt(ts[j] - T_min), y_0 = 0, x_j = xs[j] and the barycentric
+    weights 1 / prod_{k != j} (y_j - y_k). Built on first use of each
+    window and cached with it."""
+    xs, ts = _period_table(n)
+    t_min = ts[0]
+    ys = [math.sqrt(t - t_min) for t in ts[lo:lo + _START_NODES]]
+    weights = [1.0 / math.prod(yj - yk for k, yk in enumerate(ys) if k != j)
+               for j, yj in enumerate(ys)]
+    return tuple(ys), xs[lo:lo + _START_NODES], tuple(weights)
+
+
+def _table_start(n: int, i: int, y: float):
     """(x, dx/dy) at y of the polynomial through the _START_NODES table
     nodes (y_j, xs[j]) around the interval [ts[i-1], ts[i]], the window
-    clamped to the table, with y_j = sqrt(ts[j] - t_min) and y_0 = 0.
+    clamped to the table, with y_j = sqrt(ts[j] - T_min) and y_0 = 0.
 
     T - T_min grows as the amplitude squared at the harmonic end, so in
     y = sqrt(T - T_min) log delta is smooth there, where in T it has a
-    square-root singularity. Neville's scheme, carrying each entry's
-    derivative along."""
-    lo = min(max(i - _START_NODES // 2, 0), len(ts) - _START_NODES)
-    ys = [math.sqrt(t - t_min) for t in ts[lo:lo + _START_NODES]]
-    p = list(xs[lo:lo + _START_NODES])
-    d = [0.0] * _START_NODES
-    for k in range(1, _START_NODES):
-        for j in range(_START_NODES - k):
-            a, b = y - ys[j + k], y - ys[j]
-            gap = ys[j] - ys[j + k]
-            d[j] = (p[j] - p[j + 1] + a * d[j] - b * d[j + 1]) / gap
-            p[j] = (a * p[j] - b * p[j + 1]) / gap
-    return p[0], d[0]
+    square-root singularity. The barycentric formula (Berrut & Trefethen,
+    SIAM Review 46, 2004) on the window's cached weights: with c_j =
+    w_j / (y - y_j), x = sum c_j x_j / sum c_j and dx/dy = sum c_j
+    (x - x_j) / (y - y_j) / sum c_j. At a node y_j, x is x_j and dx/dy
+    is sum_{k != j} (w_k / w_j) (x_k - x_j) / (y_j - y_k)."""
+    lo = min(max(i - _START_NODES // 2, 0), _TABLE_STEPS + 1 - _START_NODES)
+    ys, xs, weights = _start_window(n, lo)
+    cs = []
+    den = num = 0.0
+    for j, (yj, xj, wj) in enumerate(zip(ys, xs, weights)):
+        gap = y - yj
+        if gap == 0.0:
+            return xj, sum(wk / wj * (xk - xj) / (yj - yk) for k, (yk, xk, wk)
+                           in enumerate(zip(ys, xs, weights)) if k != j)
+        c = wj / gap
+        cs.append(c)
+        den += c
+        num += c * xj
+    x = num / den
+    slope = 0.0
+    for c, yj, xj in zip(cs, ys, xs):
+        slope += c * (x - xj) / (y - yj)
+    return x, slope / den
 
 
 def orbit_for_period(n: int, period: float) -> CircleOrbit:
@@ -479,8 +512,9 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
     The bracket starts on the two neighbouring nodes of the cached
     `_period_table` whose periods enclose the target, found by bisection,
     and keeps the separatrix side (period too long) and the harmonic side
-    (too short). The first evaluation is at the `_table_start`
-    interpolant's point, the second one Newton step on the interpolant
+    (too short). The first evaluation is at the point of `_table_start`,
+    the barycentric interpolant through the _START_NODES table nodes
+    around the target, the second one Newton step on the interpolant
     from the first's period; each later one, and each of those two that
     is not finite or not strictly inside the bracket, is at the
     `shooting.Illinois` point of the misses, target minus period, and
@@ -511,7 +545,7 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
     search = Illinois(a, f_a, b, f_b)
     best = (abs(f_a), a, t_a) if abs(f_a) < abs(f_b) else (abs(f_b), b, t_b)
     y = math.sqrt(period - t_min)
-    x, slope = _table_start(xs, ts, i, t_min, y)
+    x, slope = _table_start(n, i, y)
     for step in range(_INVERSE_STEPS):
         if best[0] <= _INVERSE_RTOL * period:
             break

@@ -37,6 +37,9 @@ max and min, kept to referee `ode._step_control`.
 ratios every ground state satisfies, which the shooting never uses.
 `gaussian_value` is the functional L at the Gaussian, in closed form: an
 upper bound on every sigma_inv, with no shooting.
+`neville_start` is the period inversion's former start, Neville's scheme
+through the period-table nodes, kept to referee its barycentric
+replacement `periodic._table_start`.
 """
 
 import math
@@ -521,3 +524,17 @@ def step_control_reference(e5, e3, dt, rejected):
         return err, max(0.2, 0.9 * err ** -0.125)
     factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
     return err, min(1.0, factor) if rejected else factor
+
+
+def neville_start(ys, xs, y: float) -> tuple[float, float]:
+    """(x, dx/dy) at y of the polynomial through the nodes (ys[j], xs[j])
+    by Neville's scheme, carrying each entry's derivative along: O(N^2)
+    operations, none of them a division by y - ys[j]."""
+    p, d = list(xs), [0.0] * len(xs)
+    for k in range(1, len(xs)):
+        for j in range(len(xs) - k):
+            a, b = y - ys[j + k], y - ys[j]
+            gap = ys[j] - ys[j + k]
+            d[j] = (p[j] - p[j + 1] + a * d[j] - b * d[j + 1]) / gap
+            p[j] = (a * p[j] - b * p[j + 1]) / gap
+    return p[0], d[0]

@@ -190,6 +190,22 @@ def test_gn_value_rejects_an_unsupported_profile(profile):
         gn_value(profile, D22)
 
 
+def test_rescale_only_out_of_range_profiles(testfn22):
+    """An in-range profile, the bundled one included, is integrated as it
+    stands. Out of range, only the coordinate outside it is scaled, by
+    the power of two that brings its largest value into [1/2, 1). A
+    dilation that would take a breakpoint onto its neighbour below the
+    smallest double is not made."""
+    assert functional._rescaled(testfn22) is testfn22
+    tall = PiecewiseLinearProfile([0.0, 3.0], [1e200, 0.0])
+    scaled = functional._rescaled(tall)
+    assert scaled.ts == tall.ts
+    assert scaled.hs == (math.ldexp(1e200, -math.frexp(1e200)[1]), 0.0)
+    wide = PiecewiseLinearProfile([0.0, 1e-300, 1e300], [1.0, 1.0, 0.0])
+    assert math.ldexp(1e-300, -math.frexp(1e300)[1]) == 0.0
+    assert functional._rescaled(wide) is wide
+
+
 def test_solver_profile_matches_sech_quadrature(gs31):
     i_solver = radial_integrals(gs31.profile, Dims(3, 1))
     i_oracle = sech_integrals(3)

@@ -12,7 +12,7 @@ from gnyamabe.periodic import (CircleOrbit, circle_quotient,
                                return_time)
 
 from oracles import (circle_orbit, circle_quotient_by_time,
-                     orbit_integrals_reference, orbit_samples,
+                     neville_start, orbit_integrals_reference, orbit_samples,
                      period_reference, yamabe_quotient)
 
 
@@ -263,8 +263,8 @@ def test_orbit_for_period_rejects_non_finite():
 def test_orbit_for_period_fails_loudly_without_convergence(monkeypatch):
     """An inversion stopped short of its target raises rather than return
     its closest orbit as if it had converged. One evaluation, the
-    interpolated start, misses this target by 6.7e-7 relative; two miss
-    it by 1.07e-12, barely past _INVERSE_FAIL, so the test stops at one."""
+    interpolated start, misses this target by 1.4e-10 relative, past
+    _INVERSE_FAIL; two meet it exactly, so the test stops at one."""
     monkeypatch.setattr(periodic, "_INVERSE_STEPS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
         orbit_for_period(4, 1.3 * minimal_period(4))
@@ -273,7 +273,9 @@ def test_orbit_for_period_fails_loudly_without_convergence(monkeypatch):
 def _evaluations_and_worst_miss(monkeypatch, targets):
     """(period evaluations per inversion, worst relative miss) of
     orbit_for_period over (n, target) pairs, the cached period tables
-    built beforehand: they are not part of an inversion."""
+    built beforehand: they are not part of an inversion. The miss is
+    |T - target| / target, as orbit_for_period measures it: T / target - 1
+    rounds any miss above the target up to 2.2e-16 or more."""
     for n in {n for n, _ in targets}:
         periodic._period_table(n)
     calls = []
@@ -284,7 +286,7 @@ def _evaluations_and_worst_miss(monkeypatch, targets):
         return period(*args)
 
     monkeypatch.setattr(periodic, "_period", counted)
-    worst = max(abs(orbit_for_period(n, t).period / t - 1.0)
+    worst = max(abs(orbit_for_period(n, t).period - t) / t
                 for n, t in targets)
     return len(calls) / len(targets), worst
 
@@ -292,23 +294,25 @@ def _evaluations_and_worst_miss(monkeypatch, targets):
 def test_orbit_for_period_evaluation_count(monkeypatch):
     """Over 900 targets shaped like the periodic sweep (n = 3..8, 150 each
     from 1.0005 to 1.6 T_min) an inversion evaluates the period map at
-    most 3.1 times on average and misses by at most 2e-15 relative: 2.91
-    and 8.9e-16 from the period table's interpolant in sqrt(T - T_min),
-    4.61 from the two neighbouring nodes, 7.32 from the window ends and
-    8.02 from them with regula falsi alone."""
+    most 2.2 times on average and misses by at most 2e-15 relative: 2.02
+    and 9.8e-16 from the 97-node period table's 10-node interpolant in
+    sqrt(T - T_min), 2.91 from the 65-node table's 6-node one, 4.61 from
+    the two neighbouring nodes, 7.32 from the window ends and 8.02 from
+    them with regula falsi alone."""
     targets = [(n, c * minimal_period(n)) for n in range(3, 9)
                for c in np.linspace(1.0005, 1.6, 150)]
     mean, worst = _evaluations_and_worst_miss(monkeypatch, targets)
-    assert mean <= 3.1
+    assert mean <= 2.2
     assert worst <= 2e-15
 
 
 def test_orbit_for_period_evaluation_count_across_window(monkeypatch):
     """Over n = 3..12, 120 targets each from 1 + 1e-7 to 20 T_min in
-    geometric steps, which puts the interpolant's six-node window against
-    the harmonic end of the table and far from it: at most 2.5
-    evaluations per inversion on average (2.28 measured, 2.82 from the
-    neighbouring nodes) and a miss of at most 2e-15 (8.9e-16 measured).
+    geometric steps, which puts the interpolant's ten-node window against
+    the harmonic end of the table and far from it: at most 2.0
+    evaluations per inversion on average (1.78 measured, 2.28 with the
+    65-node table and six nodes, 2.82 from the neighbouring nodes) and a
+    miss of at most 2e-15 (9.9e-16 measured).
     20 T_min lies short of the separatrix end for each n; the window
     against that end is met by test_orbit_for_period_reaches_window_floor.
     """
@@ -316,8 +320,35 @@ def test_orbit_for_period_evaluation_count_across_window(monkeypatch):
                for c in np.geomspace(1.0 + 1e-7, 20.0, 120)]
     assert all(t < periodic._period_table(n)[1][-1] for n, t in targets)
     mean, worst = _evaluations_and_worst_miss(monkeypatch, targets)
-    assert mean <= 2.5
+    assert mean <= 2.0
     assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_table_start_matches_neville(n):
+    """The barycentric start against Neville's scheme through the same
+    ten nodes, on every window of the table: at a tenth, half and nine
+    tenths of each interval in y the value agrees to 3e-14 relative
+    (1.5e-14 measured over n = 3..12) and the derivative to 1e-11
+    (5.3e-12). At a y equal to a node's the start returns that node's x,
+    with no division by zero, and its derivative agrees as well."""
+    xs, ts = periodic._period_table(n)
+    ys = [math.sqrt(t - ts[0]) for t in ts]
+    size = periodic._START_NODES
+    for i in range(1, len(ts)):
+        lo = min(max(i - size // 2, 0), len(ts) - size)
+        window = ys[lo:lo + size], xs[lo:lo + size]
+        for f in (0.1, 0.5, 0.9):
+            y = ys[i - 1] + f * (ys[i] - ys[i - 1])
+            x, slope = periodic._table_start(n, i, y)
+            ref_x, ref_slope = neville_start(*window, y)
+            assert abs(x - ref_x) <= 3e-14 * abs(ref_x)
+            assert abs(slope - ref_slope) <= 1e-11 * abs(ref_slope)
+        for j in (i - 1, i):
+            x, slope = periodic._table_start(n, i, ys[j])
+            assert x == xs[j]
+            ref_slope = neville_start(*window, ys[j])[1]
+            assert abs(slope - ref_slope) <= 1e-11 * abs(ref_slope)
 
 
 @pytest.mark.parametrize("start", [(math.nan, math.nan), (1e3, 1.0),
@@ -356,7 +387,7 @@ def test_orbit_for_period_returns_harmonic_end_orbit(n):
 @pytest.mark.parametrize("n", range(3, 41))
 def test_orbit_for_period_in_the_first_table_interval(n):
     """A target between the table's first two periods, T_min itself and
-    the next node's, where the six-node window is clamped to the harmonic
+    the next node's, where the ten-node window is clamped to the harmonic
     end: the interval's midpoint and the double below ts[1] are met to
     2e-15."""
     _, ts = periodic._period_table(n)
@@ -372,8 +403,8 @@ def test_orbit_for_period_stops_on_an_unsplittable_bracket(monkeypatch, n,
                                                           c):
     """With no tolerance to stop on, the search ends once the log-delta
     bracket cannot be split further, short of _INVERSE_STEPS evaluations
-    (3 and 4 measured), on an orbit that misses by at most 2.2e-16
-    (1.1e-16 measured)."""
+    (2 and 5 measured), on an orbit that misses by at most 2.2e-16
+    (1.4e-16 and 1.5e-16 measured, one ulp of the period)."""
     monkeypatch.setattr(periodic, "_INVERSE_RTOL", 0.0)
     target = c * minimal_period(n)
     mean, worst = _evaluations_and_worst_miss(monkeypatch, [(n, target)])
@@ -525,11 +556,11 @@ _PERIOD_PINS = [
 ]
 # (n, c, orbit_for_period(n, c * T_min).delta), same provenance
 _INVERSE_PINS = [
-    (3, 1.3, '0x1.46cc310750f36p-5'),
-    (4, 1.01, '0x1.bb792d10236e1p-3'),
+    (3, 1.3, '0x1.46cc310750f3bp-5'),
+    (4, 1.01, '0x1.bb792d10236cep-3'),
     (5, 1.6, '0x1.10824573bbfaap-8'),
     (6, 2.0, '0x1.d4ff162ee9e3ap-13'),
-    (8, 1.05, '0x1.1bb95d02d65f3p-3'),
+    (8, 1.05, '0x1.1bb95d02d65eep-3'),
 ]
 
 
@@ -640,7 +671,7 @@ def test_period_table_ascends_between_window_ends(n):
     lands a few ulps either side of it; every other node carries the
     quadrature's period."""
     xs, ts = periodic._period_table(n)
-    assert len(xs) == len(ts) == 65
+    assert len(xs) == len(ts) == periodic._TABLE_STEPS + 1
     assert all(b > a for a, b in zip(ts, ts[1:]))
     assert xs[-1] == math.log(periodic._DELTA_FLOOR)
     assert xs[0] == math.log(1.0 - constant_solution(n)
@@ -649,11 +680,11 @@ def test_period_table_ascends_between_window_ends(n):
     assert ts[1:] == tuple(periodic._period(n, math.exp(x)) for x in xs[1:])
 
 
-@pytest.mark.parametrize("node", [0, 20, 64])
+@pytest.mark.parametrize("node", [0, 20, 64, periodic._TABLE_STEPS])
 def test_orbit_for_period_on_a_table_node(node):
     """A target equal to a node's period returns that node's orbit, the
-    separatrix end's (64) included; the harmonic end's (node 0) is T_min,
-    which no closed orbit has, and is refused."""
+    separatrix end's (node _TABLE_STEPS) included; the harmonic end's
+    (node 0) is T_min, which no closed orbit has, and is refused."""
     n = 5
     xs, ts = periodic._period_table(n)
     if node == 0:
