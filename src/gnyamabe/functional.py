@@ -8,9 +8,9 @@ functional is
 
 invariant under rescaling f -> c f and dilation f -> f(lambda x). Two
 profile carriers are supported, and integrated by one rule: solver output
-on a graded grid with derivative samples, as numpy arrays, and compactly
-supported piecewise-linear test functions, whose breakpoints are tuples
-of floats. The test functions are integrated on Python floats, so that
+on a uniform grid with samples of h, h' and h'', as numpy arrays, and
+compactly supported piecewise-linear test functions, whose breakpoints are
+tuples of floats. The test functions are integrated on Python floats, so that
 the `bound` subcommand loads neither numpy nor `gnyamabe.ode`; the
 Gauss-Legendre and Gauss-Laguerre rules are stored as the doubles
 `numpy.polynomial` returns, so no path computes one.
@@ -125,26 +125,31 @@ class GNResult:
 @lru_cache(maxsize=None)
 def _solver_rule():
     """numpy, `ode.RadialProfile` and the solver profiles' rule: the 8
-    Gauss-Legendre nodes s and weights on [0, 1], the cubic Hermite basis
-    for (h_0, dt h'_0, h_1, dt h'_1) at s and its s-derivative for
-    (h_1 - h_0, dt h'_0, dt h'_1), and the 16 Gauss-Laguerre nodes and
-    weights; built on first use, read-only.
+    Gauss-Legendre nodes s and weights on [0, 1], the quintic Hermite
+    basis at s for (h_1 - h_0, dt h'_0, dt^2 h''_0, dt h'_1, dt^2 h''_1),
+    added to h_0, and its s-derivative, and the 16 Gauss-Laguerre nodes
+    and weights; built on first use, read-only.
 
-    The derivative takes the rise h_1 - h_0 as one number: summed from h_0
-    and h_1 apart, the two nearly cancel, and the solver profiles' I_grad
-    erred by up to 1.9e-15 against `tests/oracles.hermite_integrals`.
-    numpy and gnyamabe.ode are imported here, once, so that a
-    piecewise-linear profile loads neither."""
+    The basis takes the rise h_1 - h_0 as one number: summed from h_0
+    and h_1 apart, the two nearly cancel in the derivative, and on the
+    cubic rule before it the solver profiles' I_grad erred by up to
+    1.9e-15 against `tests/oracles.hermite_integrals`. numpy and gnyamabe.ode are imported
+    here, once, so that a piecewise-linear profile loads neither."""
     import numpy as np
 
     from .ode import RadialProfile
 
     x, gw = map(np.array, _legendre(_LEGENDRE_8_HALF))
     s = 0.5 * (x + 1.0)
-    basis = np.array([(1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2,
-                      s * s * (3.0 - 2.0 * s), s * s * (s - 1.0)])
-    dbasis = np.array([6.0 * s * (1.0 - s), (1.0 - s) * (1.0 - 3.0 * s),
-                       s * (3.0 * s - 2.0)])
+    r = 1.0 - s
+    basis = np.array([s ** 3 * (10.0 - 15.0 * s + 6.0 * s * s),
+                      s * r ** 3 * (1.0 + 3.0 * s), 0.5 * s * s * r ** 3,
+                      -s ** 3 * r * (4.0 - 3.0 * s), 0.5 * s ** 3 * r * r])
+    dbasis = np.array([30.0 * s * s * r * r,
+                       r * r * (1.0 + 5.0 * s) * (1.0 - 3.0 * s),
+                       0.5 * s * r * r * (2.0 - 5.0 * s),
+                       s * s * (6.0 - 5.0 * s) * (3.0 * s - 2.0),
+                       0.5 * s * s * r * (3.0 - 5.0 * s)])
     nodes = (s, 0.5 * gw, basis, dbasis, *map(np.array, _LAGUERRE_16))
     for a in nodes:
         a.flags.writeable = False
@@ -223,15 +228,16 @@ def radial_integrals(profile, d: Dims):
     I_grad = omega int h'(t)^2 t^(n-1) dt, I_sq = omega int h^2 t^(n-1) dt,
     I_p = omega int |h|^p t^(n-1) dt, with omega the unit-sphere surface
     measure of R^n. Both carriers share one rule: Gauss-Legendre on each
-    stored interval of the cubic Hermite interpolant of (t, h, h').
+    stored interval of a Hermite interpolant.
 
-    - A piecewise-linear function takes the chord slope at both ends of
-      a segment, so the interpolant is the line, and 16 nodes, summed
-      with math.fsum on floats (`_line_integrals`).
-    - A solver profile's end slopes are its derivative samples, and it
-      takes 8 nodes: they integrate h'^2 t^(n-1) and h^2 t^(n-1) of a
-      cubic exactly up to n = 10. Its exponential tail adds I_sq in
-      closed form and I_grad, I_p by 16-node Gauss-Laguerre.
+    - A piecewise-linear function is its own interpolant, the line
+      through its breakpoints, and takes 16 nodes, summed with math.fsum
+      on floats (`_line_integrals`).
+    - A solver profile is the quintic Hermite interpolant of its samples
+      (h, h', h''), which errs as dt^6, and takes 8 nodes: they integrate
+      h'^2 t^(n-1) of a quintic exactly up to n = 8 and h^2 t^(n-1) up to
+      n = 6. Its exponential tail adds I_sq in closed form and I_grad,
+      I_p by 16-node Gauss-Laguerre.
 
     An integral that leaves the double range comes out inf or nan, without
     a numpy warning; `gn_value` refuses it.
@@ -248,14 +254,14 @@ def radial_integrals(profile, d: Dims):
         raise ValueError(
             f"profile has radial dimension {profile.n}, expected {n}")
     with np.errstate(over="ignore", invalid="ignore"):
-        ts, hs = profile.ts, profile.hs
+        ts, hs, dhs, d2hs = profile.ts, profile.hs, profile.dhs, profile.d2hs
         t0, dt = ts[:-1], np.diff(ts)
-        coef = np.stack([hs[:-1], dt * profile.dhs[:-1], hs[1:],
-                         dt * profile.dhs[1:]], axis=1)
+        dt2 = dt * dt
+        coef = np.stack([np.diff(hs), dt * dhs[:-1], dt2 * d2hs[:-1],
+                         dt * dhs[1:], dt2 * d2hs[1:]], axis=1)
         tq = t0[:, None] + dt[:, None] * s
-        hq = coef @ basis
-        dq = (np.stack([np.diff(hs), coef[:, 1], coef[:, 3]], axis=1)
-              @ dbasis / dt[:, None])
+        hq = hs[:-1, None] + coef @ basis
+        dq = coef @ dbasis / dt[:, None]
         base = tq ** (n - 1) * dt[:, None] * gw
         i_grad = w * float(np.sum(dq * dq * base))
         i_sq = w * float(np.sum(hq * hq * base))
@@ -289,17 +295,26 @@ def _rescaled(profile: PiecewiseLinearProfile) -> PiecewiseLinearProfile:
     [-_T_EXPONENT_RANGE, _T_EXPONENT_RANGE], the profile with those h or t
     multiplied by the power of two that brings the largest into [1/2, 1).
     L does not change when h is scaled or t dilated, and math.ldexp scales
-    exactly but for values it takes below the normal doubles. A rescaling
-    that would merge two breakpoints there is not made."""
+    exactly but for values it takes below the normal doubles. A breakpoint
+    that a dilation merges there onto its predecessor of equal h ends a
+    flat segment narrower than any double, and is dropped; a rescaling
+    that would merge two breakpoints of different h is not made."""
     e_h = math.frexp(max(profile.hs))[1]
     e_t = math.frexp(profile.ts[-1])[1]
     if abs(e_h) > _H_EXPONENT_RANGE:
         profile = PiecewiseLinearProfile(
             profile.ts, [math.ldexp(h, -e_h) for h in profile.hs])
     if abs(e_t) > _T_EXPONENT_RANGE:
-        ts = [math.ldexp(t, -e_t) for t in profile.ts]
-        if all(t1 > t0 for t0, t1 in zip(ts, ts[1:])):
-            profile = PiecewiseLinearProfile(ts, profile.hs)
+        ts, hs = [], []
+        for t, h in zip(profile.ts, profile.hs):
+            t = math.ldexp(t, -e_t)
+            if ts and t == ts[-1]:
+                if h != hs[-1]:
+                    return profile
+                continue
+            ts.append(t)
+            hs.append(h)
+        profile = PiecewiseLinearProfile(ts, hs)
     return profile
 
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from .geometry import Dims
 
-PROFILE_SPACING = 2.0 ** -8
+PROFILE_SPACING = 2.0 ** -7
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): the 8th-order
 # Dormand-Prince pair with its 5th- and 3rd-order error estimates. Stage i
@@ -154,8 +154,11 @@ class IntegrationFailure(RuntimeError):
 
 @dataclass
 class RadialProfile:
-    """A sampled radial function h(t) with derivative samples, from
-    h(0) = hs[0] with h'(0) = 0.
+    """A sampled radial function h(t) with the samples dhs of h' and d2hs
+    of h'' at its nodes ts, from h(0) = hs[0] with h'(0) = 0. A solver
+    profile's h'' is the ODE's own at each node (`_sample_profile`); any
+    other profile carries the h'' of the function it samples, as the
+    quadrature interpolates all three.
 
     With `tail` set, the profile extends beyond its last node as
 
@@ -168,6 +171,7 @@ class RadialProfile:
     ts: np.ndarray
     hs: np.ndarray
     dhs: np.ndarray
+    d2hs: np.ndarray
     n: int
     tail: bool = False
 
@@ -175,8 +179,10 @@ class RadialProfile:
         self.ts = np.asarray(self.ts, dtype=float)
         self.hs = np.asarray(self.hs, dtype=float)
         self.dhs = np.asarray(self.dhs, dtype=float)
-        if not (self.ts.shape == self.hs.shape == self.dhs.shape):
-            raise ValueError("ts, hs, dhs must have matching shapes")
+        self.d2hs = np.asarray(self.d2hs, dtype=float)
+        if not (self.ts.shape == self.hs.shape == self.dhs.shape
+                == self.d2hs.shape):
+            raise ValueError("ts, hs, dhs, d2hs must have matching shapes")
         if self.ts.size < 2:
             raise ValueError("a profile needs at least two nodes")
         if self.ts[0] != 0.0:
@@ -595,7 +601,7 @@ def _sample_steps(steps, ts):
     return _dense_eval(dense, (ts - dense[0]) / dense[1])
 
 
-def _sample_profile(alpha, n, head, steps, t_stop):
+def _sample_profile(alpha, d, head, steps, t_stop):
     """Sample the dense output on a uniform grid and truncate the tail.
 
     The grid nodes j * PROFILE_SPACING up to t_stop and the end of the
@@ -604,8 +610,10 @@ def _sample_profile(alpha, n, head, steps, t_stop):
     with h below the decay threshold (that node is kept) or with h' >= 0
     (that node is dropped), whichever comes first, keeping at least two
     nodes; past the cut the stored shot has diverged from the true ground
-    state and carries no information. A shot that ends before the first
-    node has no profile: IntegrationFailure.
+    state and carries no information. Each kept node carries the ODE's
+    own h'' = -(n-1)/t h' + h - |h|^(q-1) h there, and (alpha - alpha^q)/n
+    at t = 0. A shot that ends before the first node has no profile:
+    IntegrationFailure.
     """
     last = steps[-1]
     count = int(min(t_stop, last[0] + last[1]) / PROFILE_SPACING)
@@ -619,19 +627,22 @@ def _sample_profile(alpha, n, head, steps, t_stop):
     if split:
         ha, dha = _head_eval(head, tq[:split])
         hq, dhq = np.concatenate((ha, hq)), np.concatenate((dha, dhq))
-    ts = np.concatenate(([0.0], tq))
-    hs = np.concatenate(([alpha], hq))
-    dhs = np.concatenate(([0.0], dhq))
     below = hq < _DECAY_THRESHOLD
     stop = below | (dhq >= 0.0)
-    cut = ts.size
+    cut = count
     if stop.any():
         i = int(stop.argmax())
-        cut = i + 2 if below[i] else i + 1
-    cut = max(cut, 2)
-    h_end = hs[cut - 1]
-    return RadialProfile(ts[:cut], hs[:cut], dhs[:cut], n,
-                         tail=bool(0.0 < h_end <= 100.0 * _DECAY_THRESHOLD))
+        cut = i + 1 if below[i] else i
+    cut = max(cut, 1)
+    ts = np.concatenate(([0.0], tq[:cut]))
+    hs = np.concatenate(([alpha], hq[:cut]))
+    dhs = np.concatenate(([0.0], dhq[:cut]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2hs = hs - np.abs(hs) ** (d.q - 1.0) * hs
+        d2hs[0] /= d.n
+        d2hs[1:] -= (d.n - 1) / ts[1:] * dhs[1:]
+    return RadialProfile(ts, hs, dhs, d2hs, d.n,
+                         tail=bool(0.0 < hs[-1] <= 100.0 * _DECAY_THRESHOLD))
 
 
 def integrate_shot(alpha: float, d: Dims) -> ShotOutcome:
@@ -659,5 +670,5 @@ def shoot_profile(alpha: float,
         raise ValueError(
             f"profiles only exist for finite alpha > 1, got {alpha!r}")
     outcome = _integrate(alpha, d)
-    return outcome, _sample_profile(alpha, d.n, outcome.head, outcome.steps,
+    return outcome, _sample_profile(alpha, d, outcome.head, outcome.steps,
                                     outcome.t_event)

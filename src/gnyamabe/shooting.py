@@ -114,8 +114,10 @@ class GroundState:
     alpha0 by 3.9e-12 relative at (2, 7), the largest error a tight-control
     reference finds over build_table(9) (4.4e-12), by 2.1e-11 at (2, 40)
     and by 1.3e-10 at (2, 58). alpha0 is the end whose shot followed the
-    ground state furthest, and the profile is that shot's, truncated where
-    it stops being trustworthy (h below the decay threshold or h' >= 0).
+    ground state furthest, and the profile is that shot's, sampled every
+    ode.PROFILE_SPACING with h, h' and the ODE's h'' at each node, and
+    truncated where it stops being trustworthy (h below the decay
+    threshold or h' >= 0).
     """
 
     alpha0: float
@@ -223,7 +225,7 @@ def find_ground_state(d: Dims, tol_alpha: float = DEFAULT_TOL_ALPHA,
         search.update(x, f)
         last = (x, f)
     alpha0, shot = max(shots.values(), key=lambda s: s[1].t_event)
-    profile = _sample_profile(alpha0, d.n, shot.head, shot.steps,
+    profile = _sample_profile(alpha0, d, shot.head, shot.steps,
                               shot.t_event)
     if d.n > 1:
         above = (profile.hs > 1.0) & (profile.hs < 2.0)

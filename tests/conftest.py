@@ -11,7 +11,7 @@ from gnyamabe import (Dims, build_table, bundled_test_function,
                       find_ground_state)
 from gnyamabe.ode import RadialProfile
 
-from oracles import exponents_m1, sech_dh, sech_h
+from oracles import exponents_m1, sech_d2h, sech_dh, sech_h
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +40,8 @@ def sech31_profile():
     """Closed-form (3, 1) ground state sampled densely, no solver involved."""
     q, _ = exponents_m1(3)
     ts = np.linspace(0.0, 25.0, 6401)
-    return RadialProfile(ts, sech_h(ts, q), sech_dh(ts, q), n=1)
+    return RadialProfile(ts, sech_h(ts, q), sech_dh(ts, q), sech_d2h(ts, q),
+                         n=1)
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,10 @@ solution
 
 whose norms are evaluated here by direct 1-d quadrature of the formulas.
 `hermite_integrals` integrates a stored solver profile by other means than
-the package does. `period_reference` and `orbit_integrals_reference`
-integrate a circle-factor period and the Yamabe-quotient integrals of its
-orbit by mpmath tanh-sinh, with none of the substitutions the package
+the package does, with h'' from the equation by `ode_second_derivative`.
+`period_reference` and `orbit_integrals_reference` integrate a
+circle-factor period and the Yamabe-quotient integrals of its orbit by
+mpmath tanh-sinh, with none of the substitutions the package
 uses. Nothing above `circle_quotient_by_time` touches the solver or the
 package quadrature, so these values can referee both.
 `shot_reference` steps a radial shot with scipy's DOP853 from the
@@ -48,7 +49,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 from scipy.integrate import quad, simpson, solve_ivp
-from scipy.interpolate import CubicHermiteSpline
+from scipy.interpolate import BPoly
 
 from gnyamabe import functional, ode, periodic
 from gnyamabe.geometry import surface_measure
@@ -72,6 +73,11 @@ def sech_h(t, q: float):
 def sech_dh(t, q: float):
     x = 0.5 * (q - 1.0) * np.asarray(t)
     return -sech_h(t, q) * np.tanh(x)
+
+
+def sech_d2h(t, q: float):
+    x = 0.5 * (q - 1.0) * np.asarray(t)
+    return sech_h(t, q) * (np.tanh(x) ** 2 - 0.5 * (q - 1.0) / np.cosh(x) ** 2)
 
 
 def ode_residual(t, q: float, step: float = 1e-4):
@@ -116,19 +122,36 @@ def triangle_integrals_n2() -> tuple[float, float, float]:
     return i_grad, i_sq, i_p
 
 
+def ode_second_derivative(ts, hs, dhs, d):
+    """h'' of the radial ground-state ODE h'' + (n-1)/t h' - h + h^q = 0
+    at the samples (t, h, h'), written from the equation with math's pow:
+    h - h^q - (n-1) h'/t at t > 0 and, by l'Hopital at t = 0 where
+    h' = 0, (h - h^q)/n."""
+    n, q = d.n, (d.k + 2.0) / (d.k - 2.0)
+    out = []
+    for t, h, dh in zip(ts.tolist(), hs.tolist(), dhs.tolist()):
+        force = h - math.copysign(abs(h) ** q, h)
+        out.append(force / n if t == 0.0 else force - (n - 1) * dh / t)
+    return np.array(out)
+
+
 def hermite_integrals(profile, d, refine: int = 64):
     """(I_grad, I_sq, I_p) of a solver profile, with its exponential tail.
 
-    The stored samples (t, h, h') define scipy's cubic Hermite spline; the
-    finite part is composite Simpson on each stored interval cut into
-    `refine` (even) equal pieces, so no Simpson panel straddles a node, and
-    the tail h_c e^(-(t - t_c)) (t_c / t)^((n-1)/2) is integrated by
-    mpmath to 30 digits.
+    The stored samples (t, h, h') and h'' from the ODE itself
+    (`ode_second_derivative`, not the profile's own d2hs) define scipy's
+    quintic Hermite interpolant; the finite part is composite Simpson on
+    each stored interval cut into `refine` (even) equal pieces, so no
+    Simpson panel straddles a node, and the tail
+    h_c e^(-(t - t_c)) (t_c / t)^((n-1)/2) is integrated by mpmath to 30
+    digits.
     """
     n, p = d.n, d.p
     omega = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
     ts = profile.ts
-    spline = CubicHermiteSpline(ts, profile.hs, profile.dhs)
+    d2hs = ode_second_derivative(ts, profile.hs, profile.dhs, d)
+    spline = BPoly.from_derivatives(
+        ts, np.stack([profile.hs, profile.dhs, d2hs], axis=1))
     fracs = np.arange(refine) / refine
     tf = np.append((ts[:-1, None] + np.diff(ts)[:, None] * fracs).ravel(),
                    ts[-1])
@@ -359,12 +382,13 @@ def series_head_reference(alpha: float, d, t: float | None = None,
         return float(t0), float(h), float(dh)
 
 
-def sample_profile_loop(alpha, n, head, steps, t_stop):
+def sample_profile_loop(alpha, d, head, steps, t_stop):
     """Node-by-node profile sampler: the grid accumulates
     ode.PROFILE_SPACING, each node up to the series head's t0 is
     evaluated by the scalar series (none when head is None), each later
     one by the scalar continuous extension of the step it falls in, and
-    the tail is cut as in ode._sample_profile.
+    the tail is cut as in ode._sample_profile. Each kept node's h'' is
+    `ode_second_derivative`'s.
     """
     ts = [0.0]
     hs = [alpha]
@@ -394,10 +418,10 @@ def sample_profile_loop(alpha, n, head, steps, t_stop):
             cut = i
             break
     cut = max(cut, 2)
-    h_end = hs[cut - 1]
+    ts, hs, dhs = (np.array(a[:cut]) for a in (ts, hs, dhs))
     return ode.RadialProfile(
-        np.array(ts[:cut]), np.array(hs[:cut]), np.array(dhs[:cut]), n,
-        tail=0.0 < h_end <= 100.0 * ode._DECAY_THRESHOLD)
+        ts, hs, dhs, ode_second_derivative(ts, hs, dhs, d), d.n,
+        tail=0.0 < hs[-1] <= 100.0 * ode._DECAY_THRESHOLD)
 
 
 def sample_steps_loop(steps, ts):
@@ -475,7 +499,7 @@ def dilate(profile, lam: float):
     lam, which the profile cannot carry: unless lam is 1, the tail is
     written out on the profile's node spacing up to 40 past its last
     node, where h^2 has fallen by a further e^-80, and the dilation has
-    no tail."""
+    no tail. h' scales by lam and h'' by lam^2."""
     if isinstance(profile, functional.PiecewiseLinearProfile):
         return replace(profile, ts=[t / lam for t in profile.ts])
     if profile.tail and lam != 1.0:
@@ -483,18 +507,22 @@ def dilate(profile, lam: float):
         spacing = tc - profile.ts[-2]
         t = tc + spacing * np.arange(1, round(40.0 / spacing) + 1)
         h = hc * np.exp(-(t - tc)) * (tc / t) ** half
-        profile = replace(profile, ts=np.append(profile.ts, t),
-                          hs=np.append(profile.hs, h),
-                          dhs=np.append(profile.dhs, -h * (1.0 + half / t)),
-                          tail=False)
-    return replace(profile, ts=profile.ts / lam, dhs=lam * profile.dhs)
+        rate = 1.0 + half / t  # h' = -rate h, h'' = (rate^2 + half/t^2) h
+        profile = replace(
+            profile, ts=np.append(profile.ts, t), hs=np.append(profile.hs, h),
+            dhs=np.append(profile.dhs, -rate * h),
+            d2hs=np.append(profile.d2hs, (rate * rate + half / t / t) * h),
+            tail=False)
+    return replace(profile, ts=profile.ts / lam, dhs=lam * profile.dhs,
+                   d2hs=lam * lam * profile.d2hs)
 
 
 def scale(profile, c: float):
     """The rescaled profile c h(t)."""
     if isinstance(profile, functional.PiecewiseLinearProfile):
         return replace(profile, hs=[c * h for h in profile.hs])
-    return replace(profile, hs=c * profile.hs, dhs=c * profile.dhs)
+    return replace(profile, hs=c * profile.hs, dhs=c * profile.dhs,
+                   d2hs=c * profile.d2hs)
 
 
 def circle_orbit(n: int, u_max: float):

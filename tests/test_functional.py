@@ -119,13 +119,14 @@ def test_quadrature_matches_hermite_referee(m, n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_solver_rule_exact_on_a_cubic(n):
-    """h = 1 - 3 t^2 + 2 t^3 on [0, 1], sampled with its exact slopes on an
-    uneven grid, is its own cubic Hermite interpolant. The solver rule's 8
-    Gauss-Legendre nodes integrate h'^2 t^(n-1) (degree n + 3) and
-    h^2 t^(n-1) (degree n + 5) exactly up to n = 10."""
+    """h = 1 - 3 t^2 + 2 t^3 on [0, 1], sampled with its exact first and
+    second derivatives on an uneven grid, is its own quintic Hermite
+    interpolant. The solver rule's 8 Gauss-Legendre nodes integrate
+    h'^2 t^(n-1) (degree n + 3) and h^2 t^(n-1) (degree n + 5) exactly up
+    to n = 10."""
     ts = np.array([0.0, 0.1, 0.35, 0.5, 0.8, 1.0])
     profile = RadialProfile(ts, 1.0 - 3.0 * ts ** 2 + 2.0 * ts ** 3,
-                            6.0 * ts ** 2 - 6.0 * ts, n=n)
+                            6.0 * ts ** 2 - 6.0 * ts, 12.0 * ts - 6.0, n=n)
     i_grad, i_sq, _ = radial_integrals(profile, Dims(2, n))
     # int_0^1 t^(j + n - 1) dt = 1 / (n + j), over the monomials t^j of
     # h'^2 = 36 (t^2 - 2 t^3 + t^4) and of h^2
@@ -135,6 +136,40 @@ def test_solver_rule_exact_on_a_cubic(n):
     omega = surface_measure(n)
     assert i_grad == pytest.approx(omega * float(grad), rel=1e-14, abs=0)
     assert i_sq == pytest.approx(omega * float(sq), rel=1e-14, abs=0)
+
+
+# h = 1 - t^2 + 3 t^3 - 6 t^4 + 3 t^5 by its coefficients of t^j, j = 0..5
+_QUINTIC = ((0, 1), (2, -1), (3, 3), (4, -6), (5, 3))
+
+
+def _poly_square_moment(coefs, n):
+    """int_0^1 (sum_j c_j t^j)^2 t^(n-1) dt, exactly: t^j t^i t^(n-1)
+    integrates to 1 / (n + i + j)."""
+    return sum(Fraction(a * b, n + i + j)
+               for i, a in coefs for j, b in coefs)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_solver_rule_exact_on_a_quintic(n):
+    """A quintic h with h'(0) = 0, sampled with its exact first and second
+    derivatives on an uneven grid, is its own quintic Hermite
+    interpolant. The solver rule's 8 Gauss-Legendre nodes integrate
+    h'^2 t^(n-1) (degree n + 7) exactly up to n = 8 and h^2 t^(n-1)
+    (degree n + 9) up to n = 6."""
+    ts = np.array([0.0, 0.1, 0.35, 0.5, 0.8, 1.0])
+    derivs = [[(j, c) for j, c in _QUINTIC],
+              [(j - 1, j * c) for j, c in _QUINTIC if j],
+              [(j - 2, j * (j - 1) * c) for j, c in _QUINTIC if j > 1]]
+    h, dh, d2h = (sum(c * ts ** j for j, c in coefs) for coefs in derivs)
+    profile = RadialProfile(ts, h, dh, d2h, n=n)
+    i_grad, i_sq, _ = radial_integrals(profile, Dims(2, n))
+    omega = surface_measure(n)
+    assert i_grad == pytest.approx(
+        omega * float(_poly_square_moment(derivs[1], n)), rel=1e-14, abs=0)
+    if n <= 6:
+        assert i_sq == pytest.approx(
+            omega * float(_poly_square_moment(derivs[0], n)), rel=1e-14,
+            abs=0)
 
 
 # coarse piecewise-linear functions (m, n, ts, hs), every one with a
@@ -171,11 +206,13 @@ def test_ground_state_is_local_minimum(gs22):
     for center in (0.5, 1.5, 3.0, 5.0, 8.0):
         bump = 1e-3 * np.exp(-((ts - center) ** 2))
         dbump = -2.0 * (ts - center) * bump
+        d2bump = (4.0 * (ts - center) ** 2 - 2.0) * bump
         perturbed_h = hs + bump
         perturbed_dh = dhs + dbump
         perturbed_dh[0] = 0.0  # keep the radial symmetry condition exact
         perturbed = RadialProfile(ts.copy(), perturbed_h, perturbed_dh,
-                                  n=2, tail=gs22.profile.tail)
+                                  gs22.profile.d2hs + d2bump, n=2,
+                                  tail=gs22.profile.tail)
         assert gn_value(perturbed, D22).sigma_inv >= base - 1e-9
 
 
@@ -194,16 +231,22 @@ def test_rescale_only_out_of_range_profiles(testfn22):
     """An in-range profile, the bundled one included, is integrated as it
     stands. Out of range, only the coordinate outside it is scaled, by
     the power of two that brings its largest value into [1/2, 1). A
-    dilation that would take a breakpoint onto its neighbour below the
-    smallest double is not made."""
+    dilation that takes a breakpoint onto its predecessor below the
+    smallest double drops it when the two have the same h, and is not
+    made when they differ."""
     assert functional._rescaled(testfn22) is testfn22
     tall = PiecewiseLinearProfile([0.0, 3.0], [1e200, 0.0])
     scaled = functional._rescaled(tall)
     assert scaled.ts == tall.ts
     assert scaled.hs == (math.ldexp(1e200, -math.frexp(1e200)[1]), 0.0)
+    e_t = math.frexp(1e300)[1]
+    assert math.ldexp(1e-300, -e_t) == 0.0
     wide = PiecewiseLinearProfile([0.0, 1e-300, 1e300], [1.0, 1.0, 0.0])
-    assert math.ldexp(1e-300, -math.frexp(1e300)[1]) == 0.0
-    assert functional._rescaled(wide) is wide
+    merged = functional._rescaled(wide)
+    assert merged.ts == (0.0, math.ldexp(1e300, -e_t))
+    assert merged.hs == (1.0, 0.0)
+    step = PiecewiseLinearProfile([0.0, 1e-300, 1e300], [1.0, 0.5, 0.0])
+    assert functional._rescaled(step) is step
 
 
 def test_solver_profile_matches_sech_quadrature(gs31):

@@ -167,12 +167,13 @@ def test_creeping_shot_turns_up_as_scipy_finds(m, n, t_turn):
 
 
 _PROFILE = {"ts": [0.0, 1.0], "hs": [2.0, 1.0], "dhs": [0.0, -1.0],
-            "n": 2}
+            "d2hs": [-1.0, 0.5], "n": 2}
 
 
 @pytest.mark.parametrize("change, match", [
     ({"dhs": [0.0, -1.0, -1.0]}, "matching shapes"),
-    ({"ts": [0.0], "hs": [2.0], "dhs": [0.0]}, "at least two nodes"),
+    ({"ts": [0.0], "hs": [2.0], "dhs": [0.0], "d2hs": [-1.0]},
+     "at least two nodes"),
     ({"ts": [0.5, 1.0]}, "start at t = 0"),
     ({"ts": [0.0, 0.0]}, "strictly increasing"),
     ({"dhs": [-1.0, -1.0]}, r"h'\(0\) = 0"),
@@ -209,40 +210,40 @@ def test_classification_monotone_in_alpha(mn, ab):
 # bytes. A change to the stepper or the sampler that is meant to be
 # exact must reproduce every one of them.
 _TABLE_PINS = [
-    (2, 2, '0x1.1a64ca390a0b7p+1', '0x1.359a4148cd372p+1'),
-    (2, 3, '0x1.0c4531f38a14bp+2', '0x1.f092a9623583cp+1'),
+    (2, 2, '0x1.1a64ca390a0b7p+1', '0x1.359a4148cd371p+1'),
+    (2, 3, '0x1.0c4531f38a14bp+2', '0x1.f092a9623583fp+1'),
     (3, 2, '0x1.28ef2a8b4d757p+1', '0x1.0e8aa8d14f6d5p+1'),
-    (2, 4, '0x1.15807c5c70d22p+3', '0x1.6a80557d2493fp+2'),
+    (2, 4, '0x1.15807c5c70d22p+3', '0x1.6a80557d2493bp+2'),
     (3, 3, '0x1.0c448895211d9p+2', '0x1.998140194780ep+1'),
-    (4, 2, '0x1.322ba09ea603dp+1', '0x1.e71f42760e026p+0'),
-    (2, 5, '0x1.3218a5b7f2ca0p+4', '0x1.ee0a3c8bb4336p+2'),
-    (3, 4, '0x1.044b5364fc5d3p+3', '0x1.2288e2aadf52bp+2'),
-    (4, 3, '0x1.0da229f37a605p+2', '0x1.6109b0c2d83d9p+1'),
-    (5, 2, '0x1.3890a2ce5a371p+1', '0x1.c133e4bebe639p+0'),
-    (2, 6, '0x1.6374fbddfa328p+5', '0x1.400fc37154684p+3'),
-    (3, 5, '0x1.0b2e37af841b1p+4', '0x1.86f08eeb08ff9p+2'),
-    (4, 4, '0x1.f86a00c0822b2p+2', '0x1.e86e35390ff91p+1'),
-    (5, 3, '0x1.0f215da301cf0p+2', '0x1.3a528ea37a650p+1'),
+    (4, 2, '0x1.322ba09ea603dp+1', '0x1.e71f42760e024p+0'),
+    (2, 5, '0x1.3218a5b7f2ca0p+4', '0x1.ee0a3c8bb4334p+2'),
+    (3, 4, '0x1.044b5364fc5d3p+3', '0x1.2288e2aadf52ap+2'),
+    (4, 3, '0x1.0da229f37a605p+2', '0x1.6109b0c2d83d7p+1'),
+    (5, 2, '0x1.3890a2ce5a371p+1', '0x1.c133e4bebe638p+0'),
+    (2, 6, '0x1.6374fbddfa328p+5', '0x1.400fc37154683p+3'),
+    (3, 5, '0x1.0b2e37af841b1p+4', '0x1.86f08eeb08ff7p+2'),
+    (4, 4, '0x1.f86a00c0822b2p+2', '0x1.e86e35390ff8ep+1'),
+    (5, 3, '0x1.0f215da301cf0p+2', '0x1.3a528ea37a651p+1'),
     (6, 2, '0x1.3d41e1c628410p+1', '0x1.a580e9e5fb474p+0'),
-    (2, 7, '0x1.aed4eeffd4bbfp+6', '0x1.8f3edb593d044p+3'),
-    (3, 6, '0x1.1f417da826b06p+5', '0x1.f86e1c4dad075p+2'),
-    (4, 5, '0x1.efa6de928b574p+3', '0x1.44041c1704b02p+2'),
-    (5, 4, '0x1.ef62bdb889b6fp+2', '0x1.a9113789abf1bp+1'),
-    (6, 3, '0x1.107ffbea54475p+2', '0x1.1e6f98b3b42a5p+1'),
+    (2, 7, '0x1.aed4eeffd4bbfp+6', '0x1.8f3edb593d041p+3'),
+    (3, 6, '0x1.1f417da826b06p+5', '0x1.f86e1c4dad073p+2'),
+    (4, 5, '0x1.efa6de928b574p+3', '0x1.44041c1704b00p+2'),
+    (5, 4, '0x1.ef62bdb889b6fp+2', '0x1.a9113789abf1ap+1'),
+    (6, 3, '0x1.107ffbea54475p+2', '0x1.1e6f98b3b42a3p+1'),
     (7, 2, '0x1.40d939bdc7a19p+1', '0x1.9086e45f74f05p+0'),
 ]
 # The ground-state candidates find_ground_state accepts at the default
 # controls, without a guess: (m, n, alpha0, profile size, tail rate,
 # profile digest)
 _CANDIDATE_PINS = [
-    (2, 2, '0x1.1a64ca390a0b7p+1', 3523, 1.0,
-     '7f3720fd57881eb77bbdc8400084c309bb729b72c9aae73315656c1fe29cf16a'),
-    (2, 7, '0x1.aed4eeffd4babp+6', 3144, 1.0,
-     '1b4f6d8a7dc3a3799a39754ed52133a233b9465d17eb593af73eec34d94235b6'),
-    (3, 1, '0x1.6a09e667f3c61p+0', 3806, 1.0,
-     'fae91fc08c3f0428631cc9e2b6d3ba27721a99925970dac28e9791f3b866ae7a'),
-    (7, 2, '0x1.40d939bdc7a13p+1', 4141, 1.0,
-     '0e9cdfe3e8041accbaa06adfcdd6ccdcb16e43d689556810124c6930578a663a'),
+    (2, 2, '0x1.1a64ca390a0b7p+1', 1762, 1.0,
+     'b62f74d179ed1377bb3b31022c716e2e90e24ced9e7c83bf1c76a0bad538dd36'),
+    (2, 7, '0x1.aed4eeffd4babp+6', 1573, 1.0,
+     'd04d854894b567bde48233f57d2ce1ed4bfa296aa1625d2d32ad642fae39cfdd'),
+    (3, 1, '0x1.6a09e667f3c61p+0', 1904, 1.0,
+     '694701ddcd3c0433505882b9ca2579456550db26e8e47641aa755b15ff3ff153'),
+    (7, 2, '0x1.40d939bdc7a13p+1', 2071, 1.0,
+     '013256dd648f0659cbb8d08ddfa1fe9dbd4f405256ee18adbd4550e122b9e792'),
 ]
 # (m, n, alpha, outcome, accepted steps, event time, event value, profile
 # size, tail rate, profile digest) of single shots: one crossing and one
@@ -251,16 +252,16 @@ _CANDIDATE_PINS = [
 _SHOT_PINS = [
     (2, 2, '0x1.1a9fbe76c8b44p+1', 'CrossedZero', 30,
      '0x1.31723bdb62647p+2', '-0x1.b08d04596aae8p-6',
-     1222, 1.0,
-     'f7732d700bfc789670b8df975e8f3ff51aeed17eb69fd5057b15b269347f5ea1'),
+     611, None,
+     '536d04fe40287a92f7f9190cae51b69bbde3dea0d4cc20c469ec1bf4dc700be8'),
     (2, 2, '0x1.1a3d70a3d70a4p+1', 'TurnedUp', 32,
      '0x1.451f11fb4bd46p+2', '0x1.5a069e117d3bep-6',
-     1301, None,
-     '1272e44dbe9cd17d60e8aeffcf62126574ed4af50bc84ba3465508fa0e49783a'),
+     651, None,
+     'cf27ef60565a313f266e3da8b5ffc4827cddd2b56ba464f70db129aba0eae398'),
     (4, 4, '0x1.f86a00c08dd13p+2', 'CrossedZero', 60,
      '0x1.05ff1d691e74fp+4', '-0x1.d37bf6fb19628p-23',
-     3673, 1.0,
-     '4dae4e49ec2f72d1afcd906a245b5eee8dcb02a4b4161aaa3faa995d935ee0d3'),
+     1837, 1.0,
+     '8f18d1b7dadd3d67c63d27bfd87a80fae9ec495d2df341de2d1b0ba23e54a963'),
 ]
 
 
@@ -307,25 +308,34 @@ def test_shoot_profile_pinned_bit_for_bit():
         assert _profile_digest(profile) == digest
 
 
-def _same_as_loop(alpha, n, head, steps, t_stop):
+def _same_as_loop(alpha, d, head, steps, t_stop):
     """The array sampler's profile, after checking it against the
-    node-by-node referee bit for bit."""
-    profile = ode._sample_profile(alpha, n, head, steps, t_stop)
-    ref = sample_profile_loop(alpha, n, head, steps, t_stop)
+    node-by-node referee: bit for bit on ts, hs and dhs, and on d2hs
+    within 4 ulps of the largest of the ODE's three terms at each node,
+    since the two evaluate h'' in another order and by another pow."""
+    profile = ode._sample_profile(alpha, d, head, steps, t_stop)
+    ref = sample_profile_loop(alpha, d, head, steps, t_stop)
     for got, want in ((profile.ts, ref.ts), (profile.hs, ref.hs),
                       (profile.dhs, ref.dhs)):
         assert got.tobytes() == want.tobytes()
     assert profile.tail == ref.tail
+    ts, hs, dhs = ref.ts[1:], ref.hs[1:], ref.dhs[1:]
+    terms = np.maximum.reduce([np.abs(hs), np.abs(hs) ** d.q,
+                               (d.n - 1) * np.abs(dhs) / ts])
+    assert np.all(np.abs(profile.d2hs[1:] - ref.d2hs[1:])
+                  <= 4 * np.spacing(terms))
+    assert abs(profile.d2hs[0] - ref.d2hs[0]) <= 4 * math.ulp(
+        alpha ** d.q / d.n)
     return profile
 
 
 def _shot(index):
-    """(alpha, n, t_event, head, steps) of the _SHOT_PINS shot at
+    """(alpha, d, t_event, head, steps) of the _SHOT_PINS shot at
     `index`."""
     m, n, alpha_hex = _SHOT_PINS[index][:3]
-    alpha = float.fromhex(alpha_hex)
-    shot = ode._integrate(alpha, Dims(m, n))
-    return alpha, n, shot.t_event, shot.head, shot.steps
+    alpha, d = float.fromhex(alpha_hex), Dims(m, n)
+    shot = ode._integrate(alpha, d)
+    return alpha, d, shot.t_event, shot.head, shot.steps
 
 
 def _end(steps):
@@ -334,8 +344,8 @@ def _end(steps):
 
 @pytest.mark.parametrize("index", range(len(_SHOT_PINS)))
 def test_sampler_matches_loop_on_every_outcome_kind(index):
-    alpha, n, te, head, steps = _shot(index)
-    _same_as_loop(alpha, n, head, steps, te)
+    alpha, d, te, head, steps = _shot(index)
+    _same_as_loop(alpha, d, head, steps, te)
 
 
 @pytest.mark.parametrize("index", range(3))
@@ -346,10 +356,10 @@ def test_head_nodes_join_step_nodes(index):
     steps, is within the shot's tolerance of the series there, which is
     still exact to 2e-17 relative. Measured: at most 1,146 ulps
     (2.5e-13 relative) on h' of the (4, 4) shot, against rtol 1e-11."""
-    alpha, n, te, head, steps = _shot(index)
+    alpha, d, te, head, steps = _shot(index)
     t0 = head[0]
     assert (steps[0][0], *steps[0][2:4]) == (t0, *ode._head_eval(head, t0))
-    profile = ode._sample_profile(alpha, n, head, steps, te)
+    profile = ode._sample_profile(alpha, d, head, steps, te)
     i = int(np.searchsorted(profile.ts, t0, side="right"))
     assert profile.ts[i - 1] <= t0 < profile.ts[i]
     last = ode._head_eval(head, profile.ts[i - 1])
@@ -360,30 +370,30 @@ def test_head_nodes_join_step_nodes(index):
 
 
 def test_sampler_matches_loop_with_stop_on_grid_node():
-    alpha, n, _, head, steps = _shot(0)
-    profile = _same_as_loop(alpha, n, head, steps, 3.0)
+    alpha, d, _, head, steps = _shot(0)
+    profile = _same_as_loop(alpha, d, head, steps, 3.0)
     assert profile.ts[-1] == 3.0
 
 
 def test_sampler_matches_loop_with_stop_past_last_step():
-    alpha, n, _, head, steps = _shot(0)
+    alpha, d, _, head, steps = _shot(0)
     steps = [step for step in steps if step[0] + step[1] < 1.0]
-    profile = _same_as_loop(alpha, n, head, steps, _end(steps) + 1.0)
+    profile = _same_as_loop(alpha, d, head, steps, _end(steps) + 1.0)
     assert profile.ts[-1] <= _end(steps) < profile.ts[-1] + PROFILE_SPACING
 
 
 def test_sampler_matches_loop_on_threshold_cut():
     # the first node below the decay threshold is kept
     for index in (0, 2):
-        alpha, n, _, head, steps = _shot(index)
-        profile = _same_as_loop(alpha, n, head, steps, _end(steps) + 1.0)
+        alpha, d, _, head, steps = _shot(index)
+        profile = _same_as_loop(alpha, d, head, steps, _end(steps) + 1.0)
         assert profile.hs[-1] < ode._DECAY_THRESHOLD <= profile.hs[-2]
 
 
 def test_sampler_matches_loop_on_slope_cut():
     # the first node with h' >= 0 is dropped
-    alpha, n, _, head, steps = _shot(1)
-    profile = _same_as_loop(alpha, n, head, steps, _end(steps) + 1.0)
+    alpha, d, _, head, steps = _shot(1)
+    profile = _same_as_loop(alpha, d, head, steps, _end(steps) + 1.0)
     assert profile.dhs[-1] < 0.0
     assert profile.ts[-1] + PROFILE_SPACING <= _end(steps)
     assert profile.hs[-1] >= ode._DECAY_THRESHOLD
@@ -434,7 +444,7 @@ def test_sampler_matches_loop_with_node_on_step_end():
     dt = 2 * PROFILE_SPACING
     first = _linear_step(0.0, dt, 1.0, -0.5)
     second = _linear_step(dt, dt, 0.9, -0.5)
-    profile = _same_as_loop(1.0, 2, None, [first, second], 1.0)
+    profile = _same_as_loop(1.0, D22, None, [first, second], 1.0)
     assert profile.ts[2] == dt
     assert profile.hs[2] == ode._dense_eval(ode._dense(first), 1.0)[0] != 0.9
 
@@ -468,13 +478,13 @@ def test_sampler_matches_loop_keeping_two_nodes(h_old, dh_old):
     # a single linear step: its first node is flat (dropped, but two nodes
     # stay) or already below the threshold (kept)
     step = _linear_step(1e-4, 1.0, h_old, dh_old)
-    profile = _same_as_loop(2.0, 2, None, [step], 1.0)
+    profile = _same_as_loop(2.0, D22, None, [step], 1.0)
     assert profile.ts.size == 2
 
 
 def test_event_before_first_profile_node_is_integration_failure():
     """(2, 2) from alpha = 1e3 crosses zero at t = 0.0036, before the first
-    grid node 2^-8: the shot classifies, but it has no profile to give."""
+    grid node 2^-7: the shot classifies, but it has no profile to give."""
     d = Dims(2, 2)
     outcome = integrate_shot(1e3, d)
     assert isinstance(outcome, CrossedZero)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import BPoly
 
 import gnyamabe.products as products
 from gnyamabe import find_ground_state
@@ -80,12 +81,17 @@ def test_bound_from_bundled_profile(testfn22):
 
 
 def test_bound_of_resampled_ground_state_attains_infimum(gs22):
+    """The ground state, resampled as a piecewise-linear function on the
+    grid 2^-8 from its own quintic Hermite interpolant, gives a bound
+    within 1e-6 of y_inf (7.6e-7 measured; 3.1e-6 on the profile's own
+    2^-7 nodes alone)."""
     sigma_inv = gn_value(gs22.profile, D22).sigma_inv
     s_g = unit_volume_sphere_scalar(2)
-    ts = gs22.profile.ts
-    hs = gs22.profile.hs
+    p = gs22.profile
+    spline = BPoly.from_derivatives(p.ts, np.stack([p.hs, p.dhs, p.d2hs], 1))
+    ts = np.linspace(0.0, p.ts[-1], 2 * p.ts.size - 1)
     pl = PiecewiseLinearProfile(np.append(ts, ts[-1] + 1.0),
-                                np.append(hs, 0.0))
+                                np.append(spline(ts), 0.0))
     bound = bound_from_profile(pl, D22, s_g)
     assert bound == pytest.approx(y_infinity(D22, s_g, sigma_inv), rel=1e-6)
 
