@@ -606,14 +606,16 @@ def _sample_profile(alpha, d, head, steps, t_stop):
 
     The grid nodes j * PROFILE_SPACING up to t_stop and the end of the
     last step are evaluated by `_head_eval` up to the head's t0, if any,
-    and by `_sample_steps` after it. The grid is cut at the first node
-    with h below the decay threshold (that node is kept) or with h' >= 0
-    (that node is dropped), whichever comes first, keeping at least two
-    nodes; past the cut the stored shot has diverged from the true ground
-    state and carries no information. Each kept node carries the ODE's
-    own h'' = -(n-1)/t h' + h - |h|^(q-1) h there, and (alpha - alpha^q)/n
-    at t = 0. A shot that ends before the first node has no profile:
-    IntegrationFailure.
+    and by `_sample_steps` after it: first up to the end of the first
+    step that ends with h below the decay threshold or h' >= 0, and past
+    it only if no node up to there is cut. The grid is cut at the first
+    node with h below the decay threshold (that node is kept) or with
+    h' >= 0 (that node is dropped), whichever comes first, keeping at
+    least two nodes; past the cut the stored shot has diverged from the
+    true ground state and carries no information. Each kept node carries
+    the ODE's own h'' = -(n-1)/t h' + h - |h|^(q-1) h there, and (alpha
+    - alpha^q)/n at t = 0. A shot that ends before the first node has no
+    profile: IntegrationFailure.
     """
     last = steps[-1]
     count = int(min(t_stop, last[0] + last[1]) / PROFILE_SPACING)
@@ -623,10 +625,22 @@ def _sample_profile(alpha, d, head, steps, t_stop):
             f"first profile node t={PROFILE_SPACING:g}")
     tq = np.arange(1, count + 1) * PROFILE_SPACING
     split = 0 if head is None else int(np.searchsorted(tq, head[0], "right"))
-    hq, dhq = _sample_steps(steps, tq[split:])
+    # the nodes up to the end of the first step that ends past the cut
+    # usually hold the cut; the rest are sampled only if they do not
+    first = next((k for k, step in enumerate(steps)
+                  if step[4] < _DECAY_THRESHOLD or step[5] >= 0.0),
+                 len(steps) - 1)
+    mid = count
+    if first < len(steps) - 1:
+        end = steps[first][0] + steps[first][1]
+        mid = max(int(np.searchsorted(tq, end, "right")), split)
+    hq, dhq = _sample_steps(steps[:first + 1], tq[split:mid])
     if split:
         ha, dha = _head_eval(head, tq[:split])
         hq, dhq = np.concatenate((ha, hq)), np.concatenate((dha, dhq))
+    if mid < count and not ((hq < _DECAY_THRESHOLD) | (dhq >= 0.0)).any():
+        hr, dhr = _sample_steps(steps[first + 1:], tq[mid:])
+        hq, dhq = np.concatenate((hq, hr)), np.concatenate((dhq, dhr))
     below = hq < _DECAY_THRESHOLD
     stop = below | (dhq >= 0.0)
     cut = count

@@ -32,16 +32,19 @@ increments. Orbits within 2% of u_c, down to one ulp above it, use an
 exactly factored series of the well instead. `orbit_for_period` inverts
 the map in log delta by the ground-state search's safeguarded secant
 iteration, `shooting.Illinois`, on a bracket of two neighbouring nodes
-of a table of 97 points from amplitude _HARMONIC_END u_c, whose period
-the table holds as T_min itself, to delta = _DELTA_FLOOR, cached per
-dimension. Its first two points come from the polynomial through the
-ten nodes around the target in y = sqrt(T - T_min), in which log delta
-is smooth at the harmonic end (inverse interpolation, as in Brent's
-method), evaluated by the barycentric formula on weights cached per
-window: the polynomial's value at the target, then one Newton step on
-it. That takes 2.0 period evaluations per inversion on the benchmark's
-sweep band, against 2.9 from six nodes of a 65-point table and 4.6 from
-the two neighbours (1.8, 2.3 and 2.8 from 1 + 1e-7 to 20 T_min).
+of a table of 385 points from amplitude _HARMONIC_END u_c, whose period
+the table holds as T_min itself, to delta = _DELTA_FLOOR. The table is
+cached per dimension node by node: a node's period is evaluated when a
+search first touches it, so a first inversion evaluates about 16
+periods where an eager table would take 385. Its first point comes from
+the polynomial through the ten nodes around the target in y = sqrt(T -
+T_min), in which log delta is smooth at the harmonic end (inverse
+interpolation, as in Brent's method), evaluated by the barycentric
+formula on weights cached per interval; after a miss, the second is one
+Newton step on it. That takes 1.14 period evaluations per inversion on
+the benchmark's sweep band, against 2.02 from a 97-point table, 2.9 from
+six nodes of a 65-point table and 4.6 from the two neighbours (1.07,
+1.78, 2.3 and 2.8 from 1 + 1e-7 to 20 T_min).
 
 `circle_quotient` takes the integrals of u'^2, u^2 and u^P over one
 period from the same nodes: each node's weight in the period sum is its
@@ -59,7 +62,6 @@ separatrix, which they cannot follow past the saddle.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -428,25 +430,56 @@ def orbit_period(n: int, u_max: float) -> float:
 
 # intervals of the period table; its nodes crowd towards the harmonic end
 # as the cube of their index, so that the periods up to 1.6 T_min, which
-# span a few units of log delta there, fill 16 to 20 of them for n = 3..12
-_TABLE_STEPS = 96
+# span a few units of log delta there, fill 61 to 79 of them for n = 3..12
+_TABLE_STEPS = 384
 
 
 @lru_cache(maxsize=None)
-def _period_table(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(xs, periods): _TABLE_STEPS + 1 nodes in x = log delta across the
-    window searched by orbit_for_period and the period at each, in
-    ascending order of period. xs[0] is the harmonic end x_harm, xs[-1]
-    the separatrix end x_sep = log _DELTA_FLOOR, and in between x_i =
-    x_harm - (x_harm - x_sep) (i / _TABLE_STEPS)^3, and ts[0] = T_min.
-    About 3 ms per dimension, once per process; `_start_window` caches
-    the interpolation weights of each window of it on first use."""
+def _table_nodes(n: int) -> tuple[tuple[float, ...], list]:
+    """(xs, ts): the _TABLE_STEPS + 1 nodes in x = log delta across the
+    window searched by orbit_for_period, in ascending order of period,
+    and the period at each as far as `_table_period` has evaluated it,
+    None elsewhere. xs[0] is the harmonic end x_harm, xs[-1] the
+    separatrix end x_sep = log _DELTA_FLOOR, and in between x_j = x_harm
+    - (x_harm - x_sep) (j / _TABLE_STEPS)^3; ts[0] = T_min needs no
+    evaluation. Each node costs one period evaluation, on first use. The
+    list is shared by every search in the process, which is safe because
+    a node's period does not depend on which search evaluates it."""
     x_sep = math.log(_DELTA_FLOOR)
     x_harm = math.log(1.0 - constant_solution(n) * (1.0 + _HARMONIC_END))
-    xs = [x_harm - (x_harm - x_sep) * (i / _TABLE_STEPS) ** 3
-          for i in range(_TABLE_STEPS)] + [x_sep]
-    ts = [minimal_period(n)] + [_period(n, math.exp(x)) for x in xs[1:]]
-    return tuple(xs), tuple(ts)
+    xs = [x_harm - (x_harm - x_sep) * (j / _TABLE_STEPS) ** 3
+          for j in range(_TABLE_STEPS)] + [x_sep]
+    return tuple(xs), [minimal_period(n)] + [None] * _TABLE_STEPS
+
+
+def _table_period(n: int, j: int) -> float:
+    """The period at node j of `_table_nodes`, evaluated on first use
+    and cached there."""
+    xs, ts = _table_nodes(n)
+    t = ts[j]
+    if t is None:
+        t = ts[j] = _period(n, math.exp(xs[j]))
+    return t
+
+
+def _table_interval(n: int, period: float) -> int:
+    """The i with ts[i-1] < period <= ts[i] in `_table_nodes`, for
+    T_min < period <= ts[-1] with ts[-1] evaluated: bisection on the node
+    index, which evaluates only the nodes it probes, about
+    log2(_TABLE_STEPS). Both ends of the interval it returns are
+    evaluated, as each is a probe or an end of the table."""
+    ts = _table_nodes(n)[1]
+    lo, hi = 0, _TABLE_STEPS
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t = ts[mid]
+        if t is None:
+            t = _table_period(n, mid)
+        if t < period:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 # orbit_for_period stops once the period misses its target by this much
@@ -460,62 +493,87 @@ _START_NODES = 10
 
 
 @lru_cache(maxsize=None)
-def _start_window(n: int, lo: int) -> tuple[tuple[float, ...], ...]:
-    """(ys, xs, weights) of the _START_NODES period-table nodes from lo:
-    y_j = sqrt(ts[j] - T_min), y_0 = 0, x_j = xs[j] and the barycentric
-    weights 1 / prod_{k != j} (y_j - y_k). Built on first use of each
-    window and cached with it."""
-    xs, ts = _period_table(n)
-    t_min = ts[0]
-    ys = [math.sqrt(t - t_min) for t in ts[lo:lo + _START_NODES]]
+def _start_window(n: int, i: int) -> tuple[tuple[float, ...], ...]:
+    """(ys, xs, ds, weights) of the _START_NODES table nodes around the
+    interval [ts[i-1], ts[i]] of `_table_nodes`, the window clamped to
+    the table: y_j = sqrt(ts[j] - T_min), y_0 = 0, x_j = xs[j], d_j = x_j
+    less the window's middle x and the barycentric weights 1 / prod_{k !=
+    j} (y_j - y_k). Built on first use of each interval, which evaluates
+    the window's nodes, and cached with it."""
+    lo = min(max(i - _START_NODES // 2, 0), _TABLE_STEPS + 1 - _START_NODES)
+    xs = _table_nodes(n)[0][lo:lo + _START_NODES]
+    t_min = minimal_period(n)
+    ys = [math.sqrt(_table_period(n, j) - t_min)
+          for j in range(lo, lo + _START_NODES)]
+    mid = xs[_START_NODES // 2]
     weights = [1.0 / math.prod(yj - yk for k, yk in enumerate(ys) if k != j)
                for j, yj in enumerate(ys)]
-    return tuple(ys), xs[lo:lo + _START_NODES], tuple(weights)
+    return tuple(ys), xs, tuple(x - mid for x in xs), tuple(weights)
 
 
-def _table_start(n: int, i: int, y: float):
-    """(x, dx/dy) at y of the polynomial through the _START_NODES table
-    nodes (y_j, xs[j]) around the interval [ts[i-1], ts[i]], the window
-    clamped to the table, with y_j = sqrt(ts[j] - T_min) and y_0 = 0.
+def _table_start(n: int, i: int, y: float) -> float:
+    """x at y of the polynomial through the _START_NODES table nodes (y_j,
+    x_j) of `_start_window(n, i)`.
 
     T - T_min grows as the amplitude squared at the harmonic end, so in
     y = sqrt(T - T_min) log delta is smooth there, where in T it has a
     square-root singularity. The barycentric formula (Berrut & Trefethen,
     SIAM Review 46, 2004) on the window's cached weights: with c_j =
-    w_j / (y - y_j), x = sum c_j x_j / sum c_j and dx/dy = sum c_j
-    (x - x_j) / (y - y_j) / sum c_j. At a node y_j, x is x_j and dx/dy
-    is sum_{k != j} (w_k / w_j) (x_k - x_j) / (y_j - y_k)."""
-    lo = min(max(i - _START_NODES // 2, 0), _TABLE_STEPS + 1 - _START_NODES)
-    ys, xs, weights = _start_window(n, lo)
-    cs = []
+    w_j / (y - y_j), x = x_mid + sum c_j d_j / sum c_j. At a node y_j it
+    is x_j."""
+    ys, xs, ds, weights = _start_window(n, i)
     den = num = 0.0
-    for j, (yj, xj, wj) in enumerate(zip(ys, xs, weights)):
+    for yj, xj, dj, wj in zip(ys, xs, ds, weights):
         gap = y - yj
         if gap == 0.0:
-            return xj, sum(wk / wj * (xk - xj) / (yj - yk) for k, (yk, xk, wk)
-                           in enumerate(zip(ys, xs, weights)) if k != j)
+            return xj
+        c = wj / gap
+        den += c
+        num += c * dj
+    return xs[_START_NODES // 2] + num / den
+
+
+def _table_slope(n: int, i: int, y: float) -> float:
+    """dx/dy at y of the polynomial of `_table_start`: with d = sum c_j
+    d_j / sum c_j, dx/dy = sum c_j (d - d_j) / (y - y_j) / sum c_j, and
+    at a node y_j it is sum_{k != j} (w_k / w_j) (d_k - d_j) / (y_j -
+    y_k). The differences d - d_j carry it, so they are taken on x less
+    the window's middle node: on x itself, up to 690 units from 0 at the
+    separatrix end, they lose up to 3.9e-10 of the slope to rounding."""
+    ys, _, ds, weights = _start_window(n, i)
+    cs = []
+    den = num = 0.0
+    for j, (yj, dj, wj) in enumerate(zip(ys, ds, weights)):
+        gap = y - yj
+        if gap == 0.0:
+            slope = 0.0
+            for k, (yk, dk, wk) in enumerate(zip(ys, ds, weights)):
+                if k != j:
+                    slope += wk / wj * (dk - dj) / (yj - yk)
+            return slope
         c = wj / gap
         cs.append(c)
         den += c
-        num += c * xj
-    x = num / den
+        num += c * dj
+    d = num / den
     slope = 0.0
-    for c, yj, xj in zip(cs, ys, xs):
-        slope += c * (x - xj) / (y - yj)
-    return x, slope / den
+    for c, yj, dj in zip(cs, ys, ds):
+        slope += c * (d - dj) / (y - yj)
+    return slope / den
 
 
 def orbit_for_period(n: int, period: float) -> CircleOrbit:
     """Invert the (strictly decreasing in delta) period map on the orbit
     window by the safeguarded secant iteration in x = log delta.
 
-    The bracket starts on the two neighbouring nodes of the cached
-    `_period_table` whose periods enclose the target, found by bisection,
-    and keeps the separatrix side (period too long) and the harmonic side
-    (too short). The first evaluation is at the point of `_table_start`,
-    the barycentric interpolant through the _START_NODES table nodes
-    around the target, the second one Newton step on the interpolant
-    from the first's period; each later one, and each of those two that
+    The bracket starts on the two neighbouring nodes of the period table
+    `_table_nodes` whose periods enclose the target, found by
+    `_table_interval`, and keeps the separatrix side (period too long)
+    and the harmonic side (too short). The first evaluation is at the
+    point of `_table_start`, the barycentric interpolant through the
+    _START_NODES table nodes around the target; after a miss, the second
+    is one Newton step on the interpolant from the first's period, on the
+    slope of `_table_slope`. Each later one, and each of those two that
     is not finite or not strictly inside the bracket, is at the
     `shooting.Illinois` point of the misses, target minus period, and
     every one moves an end. The orbit returned is the evaluated one
@@ -533,22 +591,24 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
         raise ValueError(
             f"no closed orbit has period {period:.6g} <= minimal period "
             f"{t_min:.6g}")
-    xs, ts = _period_table(n)
-    if ts[-1] < period:
+    if _table_period(n, _TABLE_STEPS) < period:
         raise ValueError(
             f"period {period:.6g} requires an orbit too close to the "
             "separatrix to resolve")
-    # ts[i - 1] < period <= ts[i] with 0 < i < len(ts), as ts[0] = t_min
-    i = bisect_left(ts, period)
+    i = _table_interval(n, period)
+    xs, ts = _table_nodes(n)
     a, b, t_a, t_b = xs[i], xs[i - 1], ts[i], ts[i - 1]
     f_a, f_b = period - t_a, period - t_b
     search = Illinois(a, f_a, b, f_b)
     best = (abs(f_a), a, t_a) if abs(f_a) < abs(f_b) else (abs(f_b), b, t_b)
     y = math.sqrt(period - t_min)
-    x, slope = _table_start(n, i, y)
+    x = _table_start(n, i, y)
     for step in range(_INVERSE_STEPS):
         if best[0] <= _INVERSE_RTOL * period:
             break
+        if step == 1:
+            x += _table_slope(n, i, y) * (y - math.sqrt(max(t_x - t_min,
+                                                            0.0)))
         # steps 0 and 1 try the interpolant's point and its Newton step;
         # a NaN fails the comparison too
         if step > 1 or not search.lo < x < search.hi:
@@ -560,8 +620,6 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
         if abs(f_x) < best[0]:
             best = (abs(f_x), x, t_x)
         search.update(x, f_x)
-        if step == 0:
-            x += slope * (y - math.sqrt(max(t_x - t_min, 0.0)))
     miss, x, t_x = best
     if miss > _INVERSE_FAIL * period:
         raise RuntimeError(

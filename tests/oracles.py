@@ -40,7 +40,9 @@ ratios every ground state satisfies, which the shooting never uses.
 upper bound on every sigma_inv, with no shooting.
 `neville_start` is the period inversion's former start, Neville's scheme
 through the period-table nodes, kept to referee its barycentric
-replacement `periodic._table_start`.
+replacement `periodic._table_start` and `periodic._table_slope`.
+`period_table` lists the whole period table, which the package only
+evaluates node by node as its searches touch them.
 """
 
 import math
@@ -554,15 +556,33 @@ def step_control_reference(e5, e3, dt, rejected):
     return err, min(1.0, factor) if rejected else factor
 
 
-def neville_start(ys, xs, y: float) -> tuple[float, float]:
+def neville_start(ys, xs, y: float,
+                  digits: int | None = None) -> tuple[float, float]:
     """(x, dx/dy) at y of the polynomial through the nodes (ys[j], xs[j])
     by Neville's scheme, carrying each entry's derivative along: O(N^2)
-    operations, none of them a division by y - ys[j]."""
-    p, d = list(xs), [0.0] * len(xs)
-    for k in range(1, len(xs)):
-        for j in range(len(xs) - k):
-            a, b = y - ys[j + k], y - ys[j]
-            gap = ys[j] - ys[j + k]
-            d[j] = (p[j] - p[j + 1] + a * d[j] - b * d[j + 1]) / gap
-            p[j] = (a * p[j] - b * p[j + 1]) / gap
-    return p[0], d[0]
+    operations, none of them a division by y - ys[j]. The scheme runs on
+    x less the middle node's, as the differences of x that carry the
+    derivative cancel on x itself: on the 385-node period table that
+    loses up to 1.4e-10 of dx/dy against the scheme in mpmath, shifted
+    at most 1.4e-13 (n = 3, 5, 8). With `digits` it runs in mpmath at
+    that precision on the same float nodes."""
+    num = float if digits is None else mpmath.mpf
+    with mpmath.workdps(digits or 15):
+        mid = num(xs[len(xs) // 2])
+        p, d = [num(x) - mid for x in xs], [num(0)] * len(xs)
+        y, ys = num(y), [num(v) for v in ys]
+        for k in range(1, len(xs)):
+            for j in range(len(xs) - k):
+                a, b = y - ys[j + k], y - ys[j]
+                gap = ys[j] - ys[j + k]
+                d[j] = (p[j] - p[j + 1] + a * d[j] - b * d[j + 1]) / gap
+                p[j] = (a * p[j] - b * p[j + 1]) / gap
+        return float(mid + p[0]), float(d[0])
+
+
+def period_table(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(xs, ts): every node x_j = log delta of the period table of
+    `orbit_for_period` in dimension n and its period, each evaluated by
+    `periodic._table_period` on first use and cached there."""
+    xs, _ = periodic._table_nodes(n)
+    return xs, tuple(periodic._table_period(n, j) for j in range(len(xs)))

@@ -52,7 +52,7 @@ def test_inner_turning_point_matches_scipy(n, frac):
 @pytest.mark.parametrize("n", [3, 5, 8])
 @pytest.mark.parametrize("c", [1.0001, 1.3, 2.5])
 def test_period_inverse_matches_scipy(n, c):
-    xs, _ = periodic._period_table(n)
+    xs, _ = periodic._table_nodes(n)
     x_sep, x_harm = xs[-1], xs[0]
     period = c * minimal_period(n)
     ref = brentq(lambda x: periodic._period(n, math.exp(x)) - period,

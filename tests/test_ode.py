@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnyamabe import ode, periodic
+from gnyamabe import ode, periodic, shooting
 from gnyamabe.geometry import Dims
 from gnyamabe.ode import (PROFILE_SPACING, CrossedZero, IntegrationFailure,
                           TurnedUp, integrate_shot, rhs, shoot_profile)
-from gnyamabe.products import table_pairs
+from gnyamabe.products import build_table, table_pairs
 from gnyamabe.shooting import _miss, bracket_alpha, find_ground_state
 
 from oracles import (exponents_m1, sample_profile_loop, sample_steps_loop,
@@ -397,6 +397,60 @@ def test_sampler_matches_loop_on_slope_cut():
     assert profile.dhs[-1] < 0.0
     assert profile.ts[-1] + PROFILE_SPACING <= _end(steps)
     assert profile.hs[-1] >= ode._DECAY_THRESHOLD
+
+
+def _count_sampled(monkeypatch):
+    """A list that collects the number of profile nodes each array call
+    of `_head_eval` and `_sample_steps` evaluates from then on."""
+    counts = []
+    head_eval, sample_steps = ode._head_eval, ode._sample_steps
+
+    def head_counted(head, t):
+        if isinstance(t, np.ndarray):
+            counts.append(t.size)
+        return head_eval(head, t)
+
+    def steps_counted(steps, ts):
+        counts.append(ts.size)
+        return sample_steps(steps, ts)
+
+    monkeypatch.setattr(ode, "_head_eval", head_counted)
+    monkeypatch.setattr(ode, "_sample_steps", steps_counted)
+    return counts
+
+
+def test_sampler_samples_little_past_the_cut(monkeypatch):
+    """The sampler evaluates the nodes up to the end of the first step
+    that ends with h below the decay threshold or h' >= 0, and the rest
+    only if none of those is cut. Over the 21 profiles of
+    build_table(9), which keep 38,005 nodes past t = 0, it evaluates at
+    most 1,000 nodes that no profile keeps (704 measured, at most 69 for
+    one profile; 16,084 when every node up to the event was evaluated)."""
+    counts = _count_sampled(monkeypatch)
+    kept = []
+    sample_profile = shooting._sample_profile
+
+    def recorded(*args):
+        profile = sample_profile(*args)
+        kept.append(profile.ts.size - 1)
+        return profile
+
+    monkeypatch.setattr(shooting, "_sample_profile", recorded)
+    build_table(9)
+    assert len(kept) == 21 and sum(kept) == 38005
+    assert sum(counts) - sum(kept) <= 1000
+
+
+def test_sampler_matches_loop_past_a_step_end_cut(monkeypatch):
+    """The (3, 7) ground-state shot of build_table(14) ends its 70th of
+    80 steps with h' >= 0 or h below the threshold while no node up to
+    there is cut, so the sampler goes on to the remaining steps; its
+    profile still has the referee's doubles."""
+    alpha, d = float.fromhex("0x1.41380e7795adfp+6"), Dims(3, 7)
+    shot = ode._integrate(alpha, d)
+    counts = _count_sampled(monkeypatch)
+    _same_as_loop(alpha, d, shot.head, shot.steps, shot.t_event)
+    assert len(counts) == 3
 
 
 @pytest.mark.parametrize("n, u_max", [(3, None), (4, 0.9), (8, 0.999)])

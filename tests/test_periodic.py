@@ -13,7 +13,7 @@ from gnyamabe.periodic import (CircleOrbit, circle_quotient,
 
 from oracles import (circle_orbit, circle_quotient_by_time,
                      neville_start, orbit_integrals_reference, orbit_samples,
-                     period_reference, yamabe_quotient)
+                     period_reference, period_table, yamabe_quotient)
 
 
 def test_constant_solution_values():
@@ -262,9 +262,13 @@ def test_orbit_for_period_rejects_non_finite():
 
 def test_orbit_for_period_fails_loudly_without_convergence(monkeypatch):
     """An inversion stopped short of its target raises rather than return
-    its closest orbit as if it had converged. One evaluation, the
-    interpolated start, misses this target by 1.4e-10 relative, past
-    _INVERSE_FAIL; two meet it exactly, so the test stops at one."""
+    its closest orbit as if it had converged. The interpolated start
+    alone meets this target to 1.5e-16, so the test moves it 1e-6 in
+    log delta and stops at one evaluation, which then misses by 1.5e-7
+    relative, past _INVERSE_FAIL."""
+    start = periodic._table_start
+    monkeypatch.setattr(periodic, "_table_start",
+                        lambda *args: start(*args) + 1e-6)
     monkeypatch.setattr(periodic, "_INVERSE_STEPS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
         orbit_for_period(4, 1.3 * minimal_period(4))
@@ -272,12 +276,14 @@ def test_orbit_for_period_fails_loudly_without_convergence(monkeypatch):
 
 def _evaluations_and_worst_miss(monkeypatch, targets):
     """(period evaluations per inversion, worst relative miss) of
-    orbit_for_period over (n, target) pairs, the cached period tables
-    built beforehand: they are not part of an inversion. The miss is
-    |T - target| / target, as orbit_for_period measures it: T / target - 1
-    rounds any miss above the target up to 2.2e-16 or more."""
+    orbit_for_period over (n, target) pairs, every node of the period
+    tables evaluated beforehand: a node is evaluated once per process,
+    not once per inversion (test_orbit_for_period_cold_start counts
+    them). The miss is |T - target| / target, as orbit_for_period
+    measures it: T / target - 1 rounds any miss above the target up to
+    2.2e-16 or more."""
     for n in {n for n, _ in targets}:
-        periodic._period_table(n)
+        period_table(n)
     calls = []
     period = periodic._period
 
@@ -294,45 +300,74 @@ def _evaluations_and_worst_miss(monkeypatch, targets):
 def test_orbit_for_period_evaluation_count(monkeypatch):
     """Over 900 targets shaped like the periodic sweep (n = 3..8, 150 each
     from 1.0005 to 1.6 T_min) an inversion evaluates the period map at
-    most 2.2 times on average and misses by at most 2e-15 relative: 2.02
-    and 9.8e-16 from the 97-node period table's 10-node interpolant in
-    sqrt(T - T_min), 2.91 from the 65-node table's 6-node one, 4.61 from
-    the two neighbouring nodes, 7.32 from the window ends and 8.02 from
-    them with regula falsi alone."""
+    most 1.3 times on average and misses by at most 2e-15 relative: 1.14
+    and 1.0e-15 from the 385-node period table's 10-node interpolant in
+    sqrt(T - T_min), 2.02 from the 97-node table's, 2.91 from the 65-node
+    table's 6-node one, 4.61 from the two neighbouring nodes, 7.32 from
+    the window ends and 8.02 from them with regula falsi alone."""
     targets = [(n, c * minimal_period(n)) for n in range(3, 9)
                for c in np.linspace(1.0005, 1.6, 150)]
     mean, worst = _evaluations_and_worst_miss(monkeypatch, targets)
-    assert mean <= 2.2
+    assert mean <= 1.3
     assert worst <= 2e-15
 
 
 def test_orbit_for_period_evaluation_count_across_window(monkeypatch):
     """Over n = 3..12, 120 targets each from 1 + 1e-7 to 20 T_min in
     geometric steps, which puts the interpolant's ten-node window against
-    the harmonic end of the table and far from it: at most 2.0
-    evaluations per inversion on average (1.78 measured, 2.28 with the
-    65-node table and six nodes, 2.82 from the neighbouring nodes) and a
-    miss of at most 2e-15 (9.9e-16 measured).
+    the harmonic end of the table and far from it: at most 1.23
+    evaluations per inversion on average (1.07 measured, 1.78 with the
+    97-node table, 2.28 with the 65-node table and six nodes, 2.82 from
+    the neighbouring nodes) and a miss of at most 2e-15 (1.0e-15
+    measured).
     20 T_min lies short of the separatrix end for each n; the window
     against that end is met by test_orbit_for_period_reaches_window_floor.
     """
     targets = [(n, c * minimal_period(n)) for n in range(3, 13)
                for c in np.geomspace(1.0 + 1e-7, 20.0, 120)]
-    assert all(t < periodic._period_table(n)[1][-1] for n, t in targets)
+    assert all(t < period_table(n)[1][-1] for n, t in targets)
     mean, worst = _evaluations_and_worst_miss(monkeypatch, targets)
-    assert mean <= 2.0
+    assert mean <= 1.23
     assert worst <= 2e-15
+
+
+def test_orbit_for_period_cold_start(monkeypatch):
+    """A first inversion evaluates only the period-table nodes it
+    touches: with the node caches cleared, orbit_for_period(5, 1.5 T_min)
+    makes at most 25 period evaluations (16 measured: the separatrix end,
+    the nodes the bisection probes, the rest of the ten-node window and
+    the orbit's own), where building the 97-node table made 98. The
+    cached nodes then give the same orbit, to the bit."""
+    periodic._table_nodes.cache_clear()
+    periodic._start_window.cache_clear()
+    calls = []
+    period = periodic._period
+
+    def counted(*args):
+        calls.append(args)
+        return period(*args)
+
+    monkeypatch.setattr(periodic, "_period", counted)
+    target = 1.5 * minimal_period(5)
+    cold = orbit_for_period(5, target)
+    assert len(calls) <= 25
+    assert orbit_for_period(5, target) == cold
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_table_start_matches_neville(n):
-    """The barycentric start against Neville's scheme through the same
-    ten nodes, on every window of the table: at a tenth, half and nine
-    tenths of each interval in y the value agrees to 3e-14 relative
-    (1.5e-14 measured over n = 3..12) and the derivative to 1e-11
-    (5.3e-12). At a y equal to a node's the start returns that node's x,
-    with no division by zero, and its derivative agrees as well."""
-    xs, ts = periodic._period_table(n)
+    """The barycentric start and its slope against Neville's scheme
+    through the same ten nodes, on every window of the 385-node table:
+    at a tenth, half and nine tenths of each interval in y the value
+    agrees to 3e-14 relative (2.2e-16 measured over n = 3..12) and the
+    derivative to 1e-11 (5.5e-13). At a y equal to a node's the start
+    returns that node's x, with no division by zero, and its derivative
+    agrees as well. Both sides take the differences of x that carry the
+    derivative on x less the window's middle node; on x itself, against
+    an mpmath Neville of the same polynomial, the barycentric slope
+    errs by up to 3.9e-10 and the float Neville one by 1.4e-10 (n = 3,
+    5, 8)."""
+    xs, ts = period_table(n)
     ys = [math.sqrt(t - ts[0]) for t in ts]
     size = periodic._START_NODES
     for i in range(1, len(ts)):
@@ -340,14 +375,40 @@ def test_table_start_matches_neville(n):
         window = ys[lo:lo + size], xs[lo:lo + size]
         for f in (0.1, 0.5, 0.9):
             y = ys[i - 1] + f * (ys[i] - ys[i - 1])
-            x, slope = periodic._table_start(n, i, y)
+            x = periodic._table_start(n, i, y)
+            slope = periodic._table_slope(n, i, y)
             ref_x, ref_slope = neville_start(*window, y)
             assert abs(x - ref_x) <= 3e-14 * abs(ref_x)
             assert abs(slope - ref_slope) <= 1e-11 * abs(ref_slope)
         for j in (i - 1, i):
-            x, slope = periodic._table_start(n, i, ys[j])
-            assert x == xs[j]
+            assert periodic._table_start(n, i, ys[j]) == xs[j]
+            slope = periodic._table_slope(n, i, ys[j])
             ref_slope = neville_start(*window, ys[j])[1]
+            assert abs(slope - ref_slope) <= 1e-11 * abs(ref_slope)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_table_start_matches_mpmath(n):
+    """The start and its slope against Neville's scheme carried in mpmath
+    at 40 digits on the same ten nodes, on every 16th interval of the
+    table and its last, at the points of test_table_start_matches_neville:
+    within the same 3e-14 and 1e-11 (2.1e-16 and 5.0e-13 measured)."""
+    xs, ts = period_table(n)
+    ys = [math.sqrt(t - ts[0]) for t in ts]
+    size = periodic._START_NODES
+    for i in [*range(1, len(ts), 16), len(ts) - 1]:
+        lo = min(max(i - size // 2, 0), len(ts) - size)
+        window = ys[lo:lo + size], xs[lo:lo + size]
+        for f in (0.1, 0.5, 0.9):
+            y = ys[i - 1] + f * (ys[i] - ys[i - 1])
+            ref_x, ref_slope = neville_start(*window, y, digits=40)
+            x = periodic._table_start(n, i, y)
+            slope = periodic._table_slope(n, i, y)
+            assert abs(x - ref_x) <= 3e-14 * abs(ref_x)
+            assert abs(slope - ref_slope) <= 1e-11 * abs(ref_slope)
+        for j in (i - 1, i):
+            ref_slope = neville_start(*window, ys[j], digits=40)[1]
+            slope = periodic._table_slope(n, i, ys[j])
             assert abs(slope - ref_slope) <= 1e-11 * abs(ref_slope)
 
 
@@ -360,7 +421,9 @@ def test_orbit_for_period_survives_a_bad_start(monkeypatch, n, c, start):
     bracket gives way to the Illinois point, and so does a Newton step
     that a bad slope sends out of it: the inversion still meets its
     target to 1e-15."""
-    monkeypatch.setattr(periodic, "_table_start", lambda *args: start)
+    x, slope = start
+    monkeypatch.setattr(periodic, "_table_start", lambda *args: x)
+    monkeypatch.setattr(periodic, "_table_slope", lambda *args: slope)
     target = c * minimal_period(n)
     assert abs(orbit_for_period(n, target).period / target - 1.0) <= 1e-15
 
@@ -372,7 +435,8 @@ def test_orbit_for_period_returns_harmonic_end_orbit(n):
     target: each is met within 8 ulps (4 measured for n = 3..40), far
     inside _INVERSE_FAIL, by an orbit between the table's first two
     nodes, above the equilibrium."""
-    xs, ts = periodic._period_table(n)
+    xs = periodic._table_nodes(n)[0]
+    ts = [periodic._table_period(n, j) for j in (0, 1)]
     assert ts[0] == minimal_period(n)
     target = ts[0]
     for _ in range(4):
@@ -390,7 +454,7 @@ def test_orbit_for_period_in_the_first_table_interval(n):
     the next node's, where the ten-node window is clamped to the harmonic
     end: the interval's midpoint and the double below ts[1] are met to
     2e-15."""
-    _, ts = periodic._period_table(n)
+    ts = [periodic._table_period(n, j) for j in (0, 1)]
     for target in (ts[0] + 0.5 * (ts[1] - ts[0]),
                    math.nextafter(ts[1], 0.0)):
         assert ts[0] < target < ts[1]
@@ -556,11 +620,11 @@ _PERIOD_PINS = [
 ]
 # (n, c, orbit_for_period(n, c * T_min).delta), same provenance
 _INVERSE_PINS = [
-    (3, 1.3, '0x1.46cc310750f3bp-5'),
-    (4, 1.01, '0x1.bb792d10236cep-3'),
-    (5, 1.6, '0x1.10824573bbfaap-8'),
-    (6, 2.0, '0x1.d4ff162ee9e3ap-13'),
-    (8, 1.05, '0x1.1bb95d02d65eep-3'),
+    (3, 1.3, '0x1.46cc310750f36p-5'),
+    (4, 1.01, '0x1.bb792d10236bbp-3'),
+    (5, 1.6, '0x1.10824573bbf9ep-8'),
+    (6, 2.0, '0x1.d4ff162ee9e2bp-13'),
+    (8, 1.05, '0x1.1bb95d02d65dcp-3'),
 ]
 
 
@@ -627,7 +691,7 @@ def test_period_finite_and_increasing_to_window_floor():
 
 def test_orbit_for_period_reaches_window_floor():
     for n in (3, 4, 8):
-        t_sep = periodic._period_table(n)[1][-1]
+        t_sep = period_table(n)[1][-1]
         orbit = orbit_for_period(n, 0.999 * t_sep)
         assert orbit.period == pytest.approx(0.999 * t_sep, rel=1e-15)
         assert orbit.u_max == 1.0
@@ -670,7 +734,7 @@ def test_period_table_ascends_between_window_ends(n):
     """The harmonic end's period is T_min itself, where the quadrature
     lands a few ulps either side of it; every other node carries the
     quadrature's period."""
-    xs, ts = periodic._period_table(n)
+    xs, ts = period_table(n)
     assert len(xs) == len(ts) == periodic._TABLE_STEPS + 1
     assert all(b > a for a, b in zip(ts, ts[1:]))
     assert xs[-1] == math.log(periodic._DELTA_FLOOR)
@@ -680,13 +744,13 @@ def test_period_table_ascends_between_window_ends(n):
     assert ts[1:] == tuple(periodic._period(n, math.exp(x)) for x in xs[1:])
 
 
-@pytest.mark.parametrize("node", [0, 20, 64, periodic._TABLE_STEPS])
+@pytest.mark.parametrize("node", [0, 20, 64, 96, periodic._TABLE_STEPS])
 def test_orbit_for_period_on_a_table_node(node):
     """A target equal to a node's period returns that node's orbit, the
     separatrix end's (node _TABLE_STEPS) included; the harmonic end's
     (node 0) is T_min, which no closed orbit has, and is refused."""
     n = 5
-    xs, ts = periodic._period_table(n)
+    xs, ts = period_table(n)
     if node == 0:
         with pytest.raises(ValueError, match="<= minimal period"):
             orbit_for_period(n, ts[node])
