@@ -608,11 +608,12 @@ def _sample_profile(alpha, d, head, steps, t_stop):
     last step are evaluated by `_head_eval` up to the head's t0, if any,
     and by `_sample_steps` after it: first up to the end of the first
     step that ends with h below the decay threshold or h' >= 0, and past
-    it only if no node up to there is cut. The grid is cut at the first
-    node with h below the decay threshold (that node is kept) or with
-    h' >= 0 (that node is dropped), whichever comes first, keeping at
-    least two nodes; past the cut the stored shot has diverged from the
-    true ground state and carries no information. Each kept node carries
+    it, while no node up to there is cut, one step that holds a node at
+    a time. The grid is cut at the first node with h below the decay
+    threshold (that node is kept) or with h' >= 0 (that node is dropped),
+    whichever comes first, keeping at least two nodes; past the cut the
+    stored shot has diverged from the true ground state and carries no
+    information. Each kept node carries
     the ODE's own h'' = -(n-1)/t h' + h - |h|^(q-1) h there, and (alpha
     - alpha^q)/n at t = 0. A shot that ends before the first node has no
     profile: IntegrationFailure.
@@ -625,22 +626,35 @@ def _sample_profile(alpha, d, head, steps, t_stop):
             f"first profile node t={PROFILE_SPACING:g}")
     tq = np.arange(1, count + 1) * PROFILE_SPACING
     split = 0 if head is None else int(np.searchsorted(tq, head[0], "right"))
+    last_k = len(steps) - 1
+
+    def reach(k):
+        # the nodes up to the end of step k, all of them at the last step
+        if k == last_k:
+            return count
+        return max(int(np.searchsorted(tq, steps[k][0] + steps[k][1],
+                                       "right")), split)
+
     # the nodes up to the end of the first step that ends past the cut
-    # usually hold the cut; the rest are sampled only if they do not
-    first = next((k for k, step in enumerate(steps)
-                  if step[4] < _DECAY_THRESHOLD or step[5] >= 0.0),
-                 len(steps) - 1)
-    mid = count
-    if first < len(steps) - 1:
-        end = steps[first][0] + steps[first][1]
-        mid = max(int(np.searchsorted(tq, end, "right")), split)
-    hq, dhq = _sample_steps(steps[:first + 1], tq[split:mid])
+    # usually hold the cut; if they do not, the sampler steps on to the
+    # next step that holds a node, until one is cut
+    k = next((j for j, step in enumerate(steps)
+              if step[4] < _DECAY_THRESHOLD or step[5] >= 0.0), last_k)
+    mid = reach(k)
+    hq, dhq = _sample_steps(steps[:k + 1], tq[split:mid])
     if split:
         ha, dha = _head_eval(head, tq[:split])
         hq, dhq = np.concatenate((ha, hq)), np.concatenate((dha, dhq))
-    if mid < count and not ((hq < _DECAY_THRESHOLD) | (dhq >= 0.0)).any():
-        hr, dhr = _sample_steps(steps[first + 1:], tq[mid:])
+    while mid < count and not ((hq < _DECAY_THRESHOLD) | (dhq >= 0.0)).any():
+        k += 1
+        while k < last_k and steps[k][0] + steps[k][1] < tq[mid]:
+            k += 1
+        # node mid lies past the end of step k - 1, so every node up to
+        # the end of step k is step k's, as in the whole shot
+        nxt = reach(k)
+        hr, dhr = _sample_steps(steps[k:k + 1], tq[mid:nxt])
         hq, dhq = np.concatenate((hq, hr)), np.concatenate((dhq, dhr))
+        mid = nxt
     below = hq < _DECAY_THRESHOLD
     stop = below | (dhq >= 0.0)
     cut = count

@@ -43,6 +43,10 @@ through the period-table nodes, kept to referee its barycentric
 replacement `periodic._table_start` and `periodic._table_slope`.
 `period_table` lists the whole period table, which the package only
 evaluates node by node as its searches touch them.
+`quadrature_reference` is the period quadrature's former out-of-place
+form, one new array per numpy call, kept to referee the in-place
+`periodic._quadrature` to the bit: both call the same ufuncs on the same
+doubles in the same order.
 """
 
 import math
@@ -586,3 +590,95 @@ def period_table(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     `periodic._table_period` on first use and cached there."""
     xs, _ = periodic._table_nodes(n)
     return xs, tuple(periodic._table_period(n, j) for j in range(len(xs)))
+
+
+def _series_reduced_reference(v, v_min: float, v_max: float, coeffs):
+    """The former `periodic._series_reduced`, out of place."""
+    dd = 0.0
+    sigma_min = 1.0  # sigma_1(v_min)
+    vm_pow = 1.0
+    total = 0.0
+    for cj in coeffs:
+        dd = v * dd + sigma_min
+        vm_pow *= v_max
+        sigma_min = sigma_min * v_min + vm_pow
+        total += cj * dd
+    return total
+
+
+def _series_quadrature_reference(n: int, v_max: float, moments: bool):
+    """The former `periodic._series_quadrature`, out of place."""
+    (_, weights), (_, sin), _ = periodic._gauss_rule()
+    coeffs = periodic._well_coefficients(n)
+    v_min = periodic._series_v_min(n, v_max)
+    # phi = pi x, so sin(phi/2) is the outer-half sin(theta)
+    dist_lo = (v_max - v_min) * sin * sin
+    # reduced gap (E - V)/((u - u_min)(u_max - u))
+    v = v_min + dist_lo
+    reduced = _series_reduced_reference(v, v_min, v_max, coeffs)
+    rate = 1.0 / np.sqrt(2.0 * reduced)
+    period = 2.0 * math.pi * float(np.dot(weights, rate))
+    if not moments:
+        return period, None
+    kinetic = 2.0 * (v_max - v) * dist_lo * reduced
+    half = periodic._node_sums(math.pi * weights * rate,
+                               periodic.constant_solution(n) + v,
+                               kinetic, 2.0 * n / (n - 2))
+    return period, tuple(2.0 * part for part in half)
+
+
+def quadrature_reference(n: int, delta: float, moments: bool = False):
+    """The former `periodic._quadrature`: (period, integrals) of the
+    closed orbit through (1 - delta, 0), every array pass out of place,
+    each half with its own log1p and expm1, the inner panels joined by
+    np.concatenate and 1 - ratio formed from -expm1."""
+    uc, big, pm2, lam, breaks = periodic._dimension_constants(n)
+    u_max = 1.0 - delta
+    if u_max - uc <= periodic._SERIES_AMPLITUDE * uc:
+        return _series_quadrature_reference(n, u_max - uc, moments)
+    (x, weights), (one_minus_sin, sin), w_outer = periodic._gauss_rule()
+
+    s_min = periodic._log_u_min(n, periodic._energy_ratio(n, delta))
+    width = math.acosh(uc * math.exp(-s_min))
+    backs, spans = [], []
+    end = 0.0
+    for brk in breaks:
+        lo, end = end, min(brk, width)
+        backs.append(lo + (end - lo) * x)
+        spans.append((end - lo) * weights)
+        if end == width:
+            break
+    back, inner_weights = np.concatenate(backs), np.concatenate(spans)
+    w = width - back
+    log_cosh = np.log1p(2.0 * np.sinh(0.5 * w) ** 2)
+    ratio = (np.exp(pm2 * (s_min + log_cosh)) * -np.expm1(-big * log_cosh)
+             / np.tanh(w) ** 2)
+    inner_rate = 1.0 / np.sqrt(1.0 - ratio)
+    lead = width - end
+    inner = lead + float(np.dot(inner_weights, inner_rate))
+
+    amp = u_max - uc
+    dh = amp * one_minus_sin
+    u = uc + amp * sin
+    slope = u ** big * np.expm1(big * np.log1p(dh / u)) / dh - (u_max + u)
+    outer_rate = np.sqrt(amp / slope)
+    outer = float(np.dot(w_outer, outer_rate))
+    period = 2.0 * (inner + outer) / lam
+    if not moments:
+        return period, None
+
+    shift = math.log1p(math.exp(-2.0 * width))
+    u_in = uc * np.exp(np.log1p(np.exp(-2.0 * w)) - shift - back)
+    inside = periodic._node_sums(
+        inner_weights * inner_rate / lam, u_in,
+        (lam * u_in * np.tanh(w)) ** 2 * (1.0 - ratio), big)
+    outside = periodic._node_sums(w_outer * outer_rate / lam, u,
+                                  lam * lam * dh * slope, big)
+    u_min = math.exp(s_min)
+    u_lead = uc * math.exp(math.log1p(math.exp(-2.0 * lead)) - shift
+                           - end)
+    edge = u_lead * u_lead * math.tanh(lead)
+    on_lead = (0.5 * lam * (edge - u_min * u_min * lead),
+               0.5 * (edge + u_min * u_min * lead) / lam, 0.0)
+    return period, tuple(2.0 * (a + b + c)
+                         for a, b, c in zip(inside, outside, on_lead))

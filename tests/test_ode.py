@@ -453,6 +453,20 @@ def test_sampler_matches_loop_past_a_step_end_cut(monkeypatch):
     assert len(counts) == 3
 
 
+def test_sampler_steps_on_one_step_past_a_step_end_cut(monkeypatch):
+    """On that (3, 7) shot the sampler goes on only to the 71st step,
+    which holds the cut node: at most 100 nodes evaluated past the cut
+    (64 measured, all in that step; 951 when the remaining steps were
+    sampled at once)."""
+    alpha, d = float.fromhex("0x1.41380e7795adfp+6"), Dims(3, 7)
+    shot = ode._integrate(alpha, d)
+    counts = _count_sampled(monkeypatch)
+    profile = ode._sample_profile(alpha, d, shot.head, shot.steps,
+                                  shot.t_event)
+    assert profile.ts.size - 1 == 1701
+    assert sum(counts) - 1701 <= 100
+
+
 @pytest.mark.parametrize("n, u_max", [(3, None), (4, 0.9), (8, 0.999)])
 def test_orbit_sampler_matches_per_step_extension(n, u_max):
     """integrate_orbit samples the undamped flow (nm1 = 0) in one array

@@ -13,7 +13,8 @@ from gnyamabe.periodic import (CircleOrbit, circle_quotient,
 
 from oracles import (circle_orbit, circle_quotient_by_time,
                      neville_start, orbit_integrals_reference, orbit_samples,
-                     period_reference, period_table, yamabe_quotient)
+                     period_reference, period_table, quadrature_reference,
+                     yamabe_quotient)
 
 
 def test_constant_solution_values():
@@ -723,10 +724,48 @@ def test_phase_nodes_built_once():
 def test_stored_rule_is_leggauss_bit_for_bit():
     from numpy.polynomial.legendre import leggauss
 
-    x, w, *_ = periodic._gauss_rule()
+    (x, w), *_ = periodic._gauss_rule()
     ref_x, ref_w = leggauss(64)
     assert x.tobytes() == (0.5 * (ref_x + 1.0)).tobytes()
     assert w.tobytes() == (0.5 * ref_w).tobytes()
+
+
+def _orbit_shape(n, delta):
+    """How `periodic._quadrature` splits the orbit through (1 - delta, 0):
+    "series", or the number of inner panels, with "lead" where the inner
+    half reaches past the last break."""
+    uc, _, _, _, breaks = periodic._dimension_constants(n)
+    if 1.0 - delta - uc <= periodic._SERIES_AMPLITUDE * uc:
+        return "series"
+    s_min = periodic._log_u_min(n, periodic._energy_ratio(n, delta))
+    width = math.acosh(uc * math.exp(-s_min))
+    if width > breaks[-1]:
+        return "lead"
+    return 1 + sum(width > brk for brk in breaks[:-1])
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_quadrature_matches_out_of_place_referee(n):
+    """The in-place period quadrature returns the doubles of its former
+    out-of-place form, oracles.quadrature_reference: the period and all
+    three integrals to 0 ulps. The grid holds the series branch at
+    amplitudes 1e-6 and 1.5e-2 u_c, every fourth node of the period
+    table, from its harmonic end through one, two and three inner panels
+    and the lead to delta = 1e-300, and eight of the sweep band's targets
+    from 1.0005 to 1.6 T_min."""
+    uc = constant_solution(n)
+    table = [math.exp(x) for x in periodic._table_nodes(n)[0][::4]]
+    assert table[-1] == pytest.approx(periodic._DELTA_FLOOR, rel=1e-13)
+    deltas = [1.0 - uc * (1.0 + amp) for amp in (1e-6, 1.5e-2)] + table
+    deltas += [orbit_for_period(n, c * minimal_period(n)).delta
+               for c in np.linspace(1.0005, 1.6, 8)]
+    assert {_orbit_shape(n, d) for d in deltas} == {"series", 1, 2, 3,
+                                                    "lead"}
+    for delta in deltas:
+        for moments in (False, True):
+            assert (periodic._quadrature(n, delta, moments)
+                    == quadrature_reference(n, delta, moments)), \
+                (delta.hex(), moments)
 
 
 @pytest.mark.parametrize("n", range(3, 41))
