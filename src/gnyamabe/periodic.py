@@ -38,20 +38,25 @@ faster than Python floats. That is about 24 µs per evaluation on a
 2-vCPU VM.
 
 `orbit_for_period` inverts the map in log delta by the ground-state
-search's safeguarded secant iteration, `shooting.Illinois`, on a bracket of two neighbouring nodes
-of a table of 385 points from amplitude _HARMONIC_END u_c, whose period
-the table holds as T_min itself, to delta = _DELTA_FLOOR. The table is
-cached per dimension node by node: a node's period is evaluated when a
-search first touches it, so a first inversion evaluates about 16
-periods where an eager table would take 385. Its first point comes from
+search's safeguarded secant iteration, `shooting.Illinois`, on a bracket
+of two neighbouring nodes of a table of 385 points from amplitude
+_HARMONIC_END u_c, whose period the table holds as T_min itself, to
+delta = _DELTA_FLOOR. The table is cached per dimension node by node:
+a node's period is evaluated when a search first touches it, so a first
+inversion evaluates about 16 periods where an eager table would take
+385. Its first point comes from
 the polynomial through the ten nodes around the target in y = sqrt(T -
 T_min), in which log delta is smooth at the harmonic end (inverse
 interpolation, as in Brent's method), evaluated by the barycentric
 formula on weights cached per interval; after a miss, the second is one
-Newton step on it. That takes 1.14 period evaluations per inversion on
-the benchmark's sweep band, against 2.02 from a 97-point table, 2.9 from
-six nodes of a 65-point table and 4.6 from the two neighbours (1.07,
-1.78, 2.3 and 2.8 from 1 + 1e-7 to 20 T_min).
+Newton step on it. That takes 1.10 to 1.14 period evaluations per
+inversion on the benchmark's sweep band, against 2.02 from a 97-point
+table, 2.9 from six nodes of a 65-point table and 4.6 from the two
+neighbours (1.07, 1.78, 2.3 and 2.8 from 1 + 1e-7 to 20 T_min). The
+first point meets the target to 1e-15 in 90% of the sweep's inversions,
+which then return at once: the search state is built only after a miss.
+The misses are 1.1e-15 to about 1e-14 relative, the quadrature's own
+rounding, so the count cannot fall further at that tolerance.
 
 `circle_quotient` takes the integrals of u'^2, u^2 and u^P over one
 period from the same nodes: each node's weight in the period sum is its
@@ -63,7 +68,10 @@ behind `integrate_orbit` and `return_time`, which cross-check the
 quadrature, step the flow with the radial shots' DOP853 stepper,
 `ode._dp_steps`, without its damping term, and read it off its
 continuous extension; they refuse orbits within _TIME_DELTA_FLOOR of the
-separatrix, which they cannot follow past the saddle.
+separatrix, which they cannot follow past the saddle. The flow is
+reversible, so `return_time` steps only half an orbit, to the inner
+turning point, and doubles its time: it evaluates no period, and meets
+the quadrature as closely as a whole orbit did.
 """
 
 from __future__ import annotations
@@ -225,8 +233,10 @@ def _log_u_min(n: int, e: float) -> float:
     """log u_min of the orbit with E / c = e: the root s < log u_c of
     2 s + log(1 - u^(P-2)) = log(-e), u = exp(s), by Newton's method.
     The left side is increasing and concave there, so from the start
-    u = sqrt(-e) < u_min the iterates climb monotonically until the steps
-    stop shrinking; u^(P-2) may underflow harmlessly."""
+    u = sqrt(-e) < u_min the iterates climb monotonically until a step
+    leaves s unchanged or stops shrinking; u^(P-2) may underflow
+    harmlessly. A step that leaves s unchanged would only be followed by
+    the same step again, which does not shrink."""
     pm2 = 4.0 / (n - 2)
     target = math.log(-e)
     s = 0.5 * target
@@ -237,7 +247,9 @@ def _log_u_min(n: int, e: float) -> float:
                 / (2.0 - pm2 * x / (1.0 - x)))
         if not abs(step) < last:
             return s
-        s -= step
+        s, prev = s - step, s
+        if s == prev:
+            return s
         last = abs(step)
     raise RuntimeError(f"inner turning point did not converge for e={e!r}")
 
@@ -638,17 +650,19 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
     slope of `_table_slope`. Each later one, and each of those two that
     is not finite or not strictly inside the bracket, is at the
     `shooting.Illinois` point of the misses, target minus period, and
-    every one moves an end. The orbit returned is the evaluated one
+    every one moves an end. A node or an evaluated orbit within
+    _INVERSE_RTOL relative of the target is returned at once, so the
+    bracket's search state is built only once the first evaluation has
+    missed; failing that, the orbit returned is the evaluated one
     closest to the target, a node included.
 
     Raises ValueError when the requested period is at or below the
     minimal period, beyond the separatrix end of the table (delta =
     _DELTA_FLOOR) or NaN, and RuntimeError when the closest orbit found
     misses the period by more than _INVERSE_FAIL relative."""
-    _check_dim(n)
+    t_min = minimal_period(n)
     if math.isnan(period):
         raise ValueError(f"period must be a number, got {period}")
-    t_min = minimal_period(n)
     if period <= t_min:
         raise ValueError(
             f"no closed orbit has period {period:.6g} <= minimal period "
@@ -661,27 +675,41 @@ def orbit_for_period(n: int, period: float) -> CircleOrbit:
     xs, ts = _table_nodes(n)
     a, b, t_a, t_b = xs[i], xs[i - 1], ts[i], ts[i - 1]
     f_a, f_b = period - t_a, period - t_b
-    search = Illinois(a, f_a, b, f_b)
+    tol = _INVERSE_RTOL * period
     best = (abs(f_a), a, t_a) if abs(f_a) < abs(f_b) else (abs(f_b), b, t_b)
-    y = math.sqrt(period - t_min)
-    x = _table_start(n, i, y)
+    # steps 0 and 1 try the interpolant's point and its Newton step, each
+    # only if strictly inside the bracket (a NaN fails the comparison
+    # too), else the Illinois point. The search is built once step 0 has
+    # missed, on the node ends and step 0's point, the state it would
+    # have reached had it been built first: point() changes no state
     for step in range(_INVERSE_STEPS):
-        if best[0] <= _INVERSE_RTOL * period:
-            break
-        if step == 1:
-            x += _table_slope(n, i, y) * (y - math.sqrt(max(t_x - t_min,
-                                                            0.0)))
-        # steps 0 and 1 try the interpolant's point and its Newton step;
-        # a NaN fails the comparison too
-        if step > 1 or not search.lo < x < search.hi:
-            x = search.point()
-            if x is None:
+        if step == 0:
+            if best[0] <= tol:
                 break
-        t_x = _period(n, math.exp(x))
+            y = math.sqrt(period - t_min)
+            x = _table_start(n, i, y)
+            if not a < x < b:
+                x = Illinois(a, f_a, b, f_b).point()
+        else:
+            if step == 1:
+                search = Illinois(a, f_a, b, f_b)
+                search.update(x, f_x)
+                x += _table_slope(n, i, y) * (
+                    y - math.sqrt(max(t_x - t_min, 0.0)))
+            if step > 1 or not search.lo < x < search.hi:
+                x = search.point()
+        if x is None:
+            break
+        delta = math.exp(x)
+        t_x = _period(n, delta)
         f_x = period - t_x
+        if abs(f_x) <= tol:
+            return CircleOrbit(n=n, u_max=1.0 - delta, period=t_x,
+                               delta=delta)
         if abs(f_x) < best[0]:
             best = (abs(f_x), x, t_x)
-        search.update(x, f_x)
+        if step:
+            search.update(x, f_x)
     miss, x, t_x = best
     if miss > _INVERSE_FAIL * period:
         raise RuntimeError(
@@ -758,17 +786,17 @@ def integrate_orbit(n: int, u_max: float, t_end: float):
 
 
 def return_time(n: int, u_max: float) -> float:
-    """First return time to the outer turning point by direct time
-    integration, located as the downward zero of u' near one period.
-    Cross-checks the quadrature period independently of it; 1 - u_max
-    must be at least _TIME_DELTA_FLOOR."""
+    """First return time to the outer turning point by time integration:
+    twice the time to the first upward zero of u', as the reversible flow
+    is symmetric about the inner turning point. It evaluates no period,
+    so it cross-checks the quadrature; 1 - u_max >= _TIME_DELTA_FLOOR."""
     _check_time_window(u_max)
-    t_guess = orbit_period(n, u_max)
-    for step in _orbit_steps(n, u_max, 1.5 * t_guess):
-        if step[0] > 0.5 * t_guess and step[3] > 0.0 >= step[5]:
-            dense = ode._dense(step)
-            return step[0] + ode._locate(dense, 1) * step[1]
-    raise RuntimeError("orbit did not return within 1.5 periods")
+    _check_window(constant_solution(n), u_max)
+    for step in _orbit_steps(n, u_max, math.inf):
+        if step[4] <= 0.0:
+            raise RuntimeError("orbit reached u <= 0 before it turned")
+        if step[3] < 0.0 <= step[5]:
+            return 2.0 * (step[0] + ode._locate(ode._dense(step), 1) * step[1])
 
 
 def circle_quotient(n: int, u_max: float) -> float:

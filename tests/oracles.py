@@ -46,7 +46,15 @@ evaluates node by node as its searches touch them.
 `quadrature_reference` is the period quadrature's former out-of-place
 form, one new array per numpy call, kept to referee the in-place
 `periodic._quadrature` to the bit: both call the same ufuncs on the same
-doubles in the same order.
+doubles in the same order. It finds the inner turning point by
+`log_u_min_reference`, the former `periodic._log_u_min`, which stopped
+only once a Newton step failed to shrink.
+`return_time_full_orbit` is the former `periodic.return_time`, which
+stepped a whole orbit and took its window from the quadrature period,
+kept to referee the half-orbit return time that needs no quadrature.
+`orbit_for_period_reference` is the former `periodic.orbit_for_period`,
+which built its search state before its first evaluation, kept to
+referee the inversion that builds it only after a miss, orbit for orbit.
 """
 
 import math
@@ -59,6 +67,7 @@ from scipy.interpolate import BPoly
 
 from gnyamabe import functional, ode, periodic
 from gnyamabe.geometry import surface_measure
+from gnyamabe.shooting import Illinois
 
 
 def exponents_m1(m: int) -> tuple[float, float]:
@@ -638,7 +647,7 @@ def quadrature_reference(n: int, delta: float, moments: bool = False):
         return _series_quadrature_reference(n, u_max - uc, moments)
     (x, weights), (one_minus_sin, sin), w_outer = periodic._gauss_rule()
 
-    s_min = periodic._log_u_min(n, periodic._energy_ratio(n, delta))
+    s_min = log_u_min_reference(n, periodic._energy_ratio(n, delta))
     width = math.acosh(uc * math.exp(-s_min))
     backs, spans = [], []
     end = 0.0
@@ -682,3 +691,85 @@ def quadrature_reference(n: int, delta: float, moments: bool = False):
                0.5 * (edge + u_min * u_min * lead) / lam, 0.0)
     return period, tuple(2.0 * (a + b + c)
                          for a, b, c in zip(inside, outside, on_lead))
+
+
+def log_u_min_reference(n: int, e: float) -> float:
+    """The former `periodic._log_u_min`: Newton's method in s = log u
+    that stops only once a step fails to shrink, so after the step that
+    last moves s it computes one that leaves s unchanged and one more."""
+    pm2 = 4.0 / (n - 2)
+    target = math.log(-e)
+    s = 0.5 * target
+    last = math.inf
+    for _ in range(periodic._NEWTON_STEPS):
+        x = math.exp(pm2 * s)
+        step = ((2.0 * s + math.log1p(-x) - target)
+                / (2.0 - pm2 * x / (1.0 - x)))
+        if not abs(step) < last:
+            return s
+        s -= step
+        last = abs(step)
+    raise RuntimeError(f"inner turning point did not converge for e={e!r}")
+
+
+def return_time_full_orbit(n: int, u_max: float) -> float:
+    """The former `periodic.return_time`: the package's DOP853 orbit from
+    (u_max, 0) stepped to 1.5 quadrature periods, and the first downward
+    zero of u' past half a period, a whole orbit later."""
+    periodic._check_time_window(u_max)
+    t_guess = periodic.orbit_period(n, u_max)
+    for step in periodic._orbit_steps(n, u_max, 1.5 * t_guess):
+        if step[0] > 0.5 * t_guess and step[3] > 0.0 >= step[5]:
+            dense = ode._dense(step)
+            return step[0] + ode._locate(dense, 1) * step[1]
+    raise RuntimeError("orbit did not return within 1.5 periods")
+
+
+def orbit_for_period_reference(n: int, period: float):
+    """The former `periodic.orbit_for_period`, which builds its
+    `shooting.Illinois` bracket and closest-orbit record before its first
+    evaluation, whether that evaluation lands on the target or not."""
+    periodic._check_dim(n)
+    if math.isnan(period):
+        raise ValueError(f"period must be a number, got {period}")
+    t_min = periodic.minimal_period(n)
+    if period <= t_min:
+        raise ValueError(
+            f"no closed orbit has period {period:.6g} <= minimal period "
+            f"{t_min:.6g}")
+    if periodic._table_period(n, periodic._TABLE_STEPS) < period:
+        raise ValueError(
+            f"period {period:.6g} requires an orbit too close to the "
+            "separatrix to resolve")
+    i = periodic._table_interval(n, period)
+    xs, ts = periodic._table_nodes(n)
+    a, b, t_a, t_b = xs[i], xs[i - 1], ts[i], ts[i - 1]
+    f_a, f_b = period - t_a, period - t_b
+    search = Illinois(a, f_a, b, f_b)
+    best = (abs(f_a), a, t_a) if abs(f_a) < abs(f_b) else (abs(f_b), b, t_b)
+    y = math.sqrt(period - t_min)
+    x = periodic._table_start(n, i, y)
+    for step in range(periodic._INVERSE_STEPS):
+        if best[0] <= periodic._INVERSE_RTOL * period:
+            break
+        if step == 1:
+            x += periodic._table_slope(n, i, y) * (
+                y - math.sqrt(max(t_x - t_min, 0.0)))
+        if step > 1 or not search.lo < x < search.hi:
+            x = search.point()
+            if x is None:
+                break
+        t_x = periodic._period(n, math.exp(x))
+        f_x = period - t_x
+        if abs(f_x) < best[0]:
+            best = (abs(f_x), x, t_x)
+        search.update(x, f_x)
+    miss, x, t_x = best
+    if miss > periodic._INVERSE_FAIL * period:
+        raise RuntimeError(
+            f"period inversion did not converge for n={n}, "
+            f"period={period!r}: the closest orbit misses by "
+            f"{miss / period:.3g} relative")
+    delta = math.exp(x)
+    return periodic.CircleOrbit(n=n, u_max=1.0 - delta, period=t_x,
+                                delta=delta)

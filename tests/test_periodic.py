@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gnyamabe import periodic
+from gnyamabe import ode, periodic
 from gnyamabe.geometry import yamabe_sphere
 from gnyamabe.periodic import (CircleOrbit, circle_quotient,
                                constant_solution, count_periodic_solutions,
@@ -12,8 +12,10 @@ from gnyamabe.periodic import (CircleOrbit, circle_quotient,
                                return_time)
 
 from oracles import (circle_orbit, circle_quotient_by_time,
-                     neville_start, orbit_integrals_reference, orbit_samples,
-                     period_reference, period_table, quadrature_reference,
+                     log_u_min_reference, neville_start,
+                     orbit_for_period_reference, orbit_integrals_reference,
+                     orbit_samples, period_reference, period_table,
+                     quadrature_reference, return_time_full_orbit,
                      yamabe_quotient)
 
 
@@ -421,12 +423,14 @@ def test_orbit_for_period_survives_a_bad_start(monkeypatch, n, c, start):
     """A start point that is not finite or not strictly inside the
     bracket gives way to the Illinois point, and so does a Newton step
     that a bad slope sends out of it: the inversion still meets its
-    target to 1e-15."""
+    target to 1e-15, on the former inversion's orbit to the bit."""
     x, slope = start
     monkeypatch.setattr(periodic, "_table_start", lambda *args: x)
     monkeypatch.setattr(periodic, "_table_slope", lambda *args: slope)
     target = c * minimal_period(n)
-    assert abs(orbit_for_period(n, target).period / target - 1.0) <= 1e-15
+    orbit = orbit_for_period(n, target)
+    assert abs(orbit.period / target - 1.0) <= 1e-15
+    assert orbit == orbit_for_period_reference(n, target)
 
 
 @pytest.mark.parametrize("n", range(3, 41))
@@ -797,3 +801,148 @@ def test_orbit_for_period_on_a_table_node(node):
     orbit = orbit_for_period(n, ts[node])
     assert orbit.delta == math.exp(xs[node])
     assert orbit.period == ts[node]
+
+
+def _time_window(n):
+    """u_max from the middle of the window to the time-integration floor:
+    the middle, 1 - u_max = 1e-2, 1e-4, 1e-5, 1e-6 and the floor."""
+    uc = constant_solution(n)
+    return [0.5 * (uc + 1.0)] + [1.0 - d for d in (1e-2, 1e-4, 1e-5, 1e-6)] \
+        + [_time_floor()]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_half_orbit_return_time_matches_full_orbit(n):
+    """Twice the time to the inner turning point against the former
+    return time, a whole orbit stepped to the next outer turning point:
+    within 1e-10 relative (4.5e-11 measured, n = 3..12), and no further
+    from the quadrature period than the former one, up to 1e-10 (away
+    from the separatrix both sit a few 1e-11 from it, and both miss by
+    the same 2e-9 at 1 - u_max = 1e-6 and 1.5e-7 at the floor)."""
+    for u_max in _time_window(n):
+        half, full = return_time(n, u_max), return_time_full_orbit(n, u_max)
+        period = orbit_period(n, u_max)
+        assert abs(half / full - 1.0) <= 1e-10, u_max
+        assert abs(half / period - 1.0) <= abs(full / period - 1.0) + 1e-10
+
+
+def test_return_time_needs_no_quadrature(monkeypatch):
+    """return_time steps the flow alone: with the period quadrature
+    patched to raise it still returns, the same double as before."""
+    expected = return_time(4, 0.9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("return_time evaluated the quadrature")
+
+    monkeypatch.setattr(periodic, "_quadrature", refuse)
+    assert return_time(4, 0.9) == expected
+
+
+def test_return_time_refuses_an_orbit_past_the_saddle(monkeypatch):
+    """An orbit that reaches u <= 0 before its inner turning point has
+    left the closed orbit: here the flow starts from (0.9, -1), above the
+    separatrix energy, and return_time raises rather than step on."""
+    def kicked(n, u_max, t_end):
+        return ode._dp_steps(0.0, u_max, -1.0, 1e-2, t_end, 0.0,
+                             (n - 2) ** 2 / 4.0, n * (n - 2) / 4.0,
+                             4.0 / (n - 2), periodic._ORBIT_RTOL,
+                             periodic._ORBIT_ATOL)
+
+    monkeypatch.setattr(periodic, "_orbit_steps", kicked)
+    with pytest.raises(RuntimeError, match="u <= 0"):
+        return_time(4, 0.9)
+
+
+def test_return_time_refuses_amplitudes_outside_the_window():
+    """return_time no longer evaluates the period, whose window check
+    refused these; an amplitude at or below u_c would start at the inner
+    turning point or the equilibrium, so it is refused itself."""
+    for u_max in (constant_solution(4), 0.5, -0.1):
+        with pytest.raises(ValueError, match="closed-orbit window"):
+            return_time(4, u_max)
+    with pytest.raises(ValueError, match="dimension"):
+        return_time(2, 0.9)
+
+
+def test_log_u_min_matches_reference(monkeypatch):
+    """Stopping Newton's method in log u once a step leaves s unchanged
+    gives the doubles of the former loop, which stopped only on a step
+    that did not shrink: over the energies of every period evaluation of
+    sweep-shaped inversions (n = 3..8, from 1.0005 to 1.6 T_min, the
+    table nodes they touch included) and, for n = 3..40, 540 separatrix
+    distances each from 2% of u_c above it, where the quadrature takes
+    over from the series, down to delta = 1e-300."""
+    seen = []
+    period = periodic._period
+
+    def recorded(n, delta):
+        seen.append((n, delta))
+        return period(n, delta)
+
+    monkeypatch.setattr(periodic, "_period", recorded)
+    for n in range(3, 9):
+        for c in np.linspace(1.0005, 1.6, 150):
+            orbit_for_period(n, c * minimal_period(n))
+    grid = [(n, float(d)) for n in range(3, 41) for d in np.geomspace(
+        1.0 - constant_solution(n) * (1.0 + periodic._SERIES_AMPLITUDE),
+        1e-300, 540)]
+    assert len(seen) >= 900 and len(seen) + len(grid) >= 20000
+    for n, delta in seen + grid:
+        e = periodic._energy_ratio(n, delta)
+        assert periodic._log_u_min(n, e) == log_u_min_reference(n, e), \
+            (n, delta.hex())
+
+
+def _starts_and_hits(n, targets):
+    """For each target, whether the interpolated start alone meets it to
+    _INVERSE_RTOL: a hit, which the inversion returns on one evaluation."""
+    t_min = minimal_period(n)
+    hits = []
+    for target in targets:
+        i = periodic._table_interval(n, target)
+        x = periodic._table_start(n, i, math.sqrt(target - t_min))
+        hits.append(abs(target - periodic._period(n, math.exp(x)))
+                    <= periodic._INVERSE_RTOL * target)
+    return hits
+
+
+def test_orbit_for_period_matches_reference(monkeypatch):
+    """The inversion that builds its search state only after its first
+    evaluation misses returns the former inversion's CircleOrbit, to the
+    bit, for n = 3..12: on 100 sweep-shaped targets each from 1.0005 to
+    1.6 T_min, among which the interpolated start meets some on its own
+    and misses others; on targets equal to table-node periods, which
+    return the node with no evaluation; and at both ends of the window,
+    the first double above T_min and the separatrix end's period. A hit
+    makes exactly one period evaluation."""
+    calls = []
+    period = periodic._period
+
+    def counted(*args):
+        calls.append(args)
+        return period(*args)
+
+    hits = []
+    for n in range(3, 13):
+        t_min = minimal_period(n)
+        ts = period_table(n)[1]
+        sweep = [float(c) * t_min for c in np.linspace(1.0005, 1.6, 100)]
+        nodes = [ts[j] for j in (1, 2, 30, 96, 200, periodic._TABLE_STEPS)]
+        ends = [math.nextafter(t_min, math.inf), ts[-1],
+                math.nextafter(ts[-1], 0.0)]
+        for target in sweep + nodes + ends:
+            assert orbit_for_period(n, target) \
+                == orbit_for_period_reference(n, target), (n, target.hex())
+        starts = _starts_and_hits(n, sweep)
+        hits += starts
+        with monkeypatch.context() as patch:
+            patch.setattr(periodic, "_period", counted)
+            for target, hit in zip(sweep, starts):
+                del calls[:]
+                orbit_for_period(n, target)
+                assert (len(calls) == 1) == hit, (n, target.hex())
+            for target in nodes:
+                del calls[:]
+                assert orbit_for_period(n, target).period == target
+                assert not calls
+    assert 0 < sum(hits) < len(hits)
